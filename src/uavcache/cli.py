@@ -77,6 +77,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         methods=_methods_from(args.method, ("analytic",)),
         trials=args.trials if args.trials is not None else run_cfg.trials,
         seed=args.seed if args.seed is not None else run_cfg.seed,
+        sim_options=run_cfg.sim_options,
         environment_map=dict(run_cfg.custom_environments))
     return _emit(run_sweep(spec), args.out)
 

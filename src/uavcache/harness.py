@@ -116,6 +116,7 @@ class RunConfig:
     seed: int
     trials: int
     custom_environments: dict[str, Environment] = field(default_factory=dict)
+    sim_options: SimOptions = SimOptions()
 
 
 def _check_variable_value(variable: str, value, where: str) -> None:
@@ -364,7 +365,15 @@ def parse_config(raw: dict) -> RunConfig:
             environment_map=dict(custom)))
 
     return RunConfig(scenario=scenario, sweeps=tuple(sweeps), seed=seed,
-                     trials=trials, custom_environments=custom)
+                     trials=trials, custom_environments=custom,
+                     sim_options=sim_options)
+
+
+def _fields(obj, keys: Iterable[str], renamed: dict[str, str] | None = None) -> dict:
+    """Config block whose keys are the parser's key table; a key names the
+    attribute it is read into unless `renamed` maps it elsewhere."""
+    renamed = renamed or {}
+    return {k: getattr(obj, renamed.get(k, k)) for k in keys}
 
 
 def dump_config(run: RunConfig) -> dict:
@@ -383,24 +392,14 @@ def dump_config(run: RunConfig) -> dict:
             "zipf_exponent": sc.library.zipf_exponent,
             "cache_size": sc.policy.cache_size,
             "policy": sc.policy.kind,
-            "channel": {
-                "alpha_los": sc.channel.alpha_los,
-                "alpha_nlos": sc.channel.alpha_nlos,
-                "k_los": sc.channel.k_los,
-                "k_nlos": sc.channel.k_nlos,
-                "nakagami_los": sc.channel.nakagami_los,
-                "nakagami_nlos": sc.channel.nakagami_nlos,
-                "shadowing_convention": sc.channel.shadowing_convention,
-            },
+            "channel": _fields(sc.channel, _CHANNEL_KEYS),
+            "power": _fields(sc.power, _POWER_KEYS),
+            "quadrature": _fields(sc.quadrature, _QUAD_KEYS),
+            "simulation": _fields(run.sim_options, _SIM_KEYS, {"r_max_km": "r_max"}),
         },
     }
     if sc.env.name in run.custom_environments:
-        env = sc.env
-        out["scenario"]["custom_environment"] = {
-            "name": env.name, "phi": env.phi, "psi": env.psi,
-            "mu_los": env.mu_los, "mu_nlos": env.mu_nlos,
-            "a_los": env.a_los, "a_nlos": env.a_nlos,
-            "c_los": env.c_los, "c_nlos": env.c_nlos}
+        out["scenario"]["custom_environment"] = _fields(sc.env, _ENV_KEYS)
     return out
 
 
@@ -449,12 +448,35 @@ def _evaluate_row(scenario: ScenarioConfig, method: str, trials: int,
     return mean / ln2, ee_est.mean, math.sqrt(var) / ln2, trials
 
 
+# SweepRow field written by each sweep variable
+_VARIABLE_COLUMN = {"x_cop": "coop_radius_km", "altitude": "altitude_km",
+                    "density": "density", "kappa": "kappa",
+                    "library_size": "library_size"}
+
+
+def _scenario_columns(scenario: ScenarioConfig) -> tuple:
+    """SweepRow's scenario fields, density through kappa, in field order."""
+    return (scenario.uav_density, scenario.channel.altitude_km,
+            scenario.coop_radius_km, scenario.subchannels,
+            scenario.library.size, scenario.policy.cache_size,
+            scenario.library.zipf_exponent)
+
+
+def _swept_columns(spec: SweepSpec, value: float) -> dict:
+    """Row fields set by the sweep's overrides and grid value, known even when
+    building the scenario from them raised."""
+    settings = {**spec.overrides, spec.variable: value}
+    return {_VARIABLE_COLUMN[k]: int(v) if k == "library_size" else float(v)
+            for k, v in settings.items()}
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every (grid value, environment, policy, method) combination.
 
     Row order is the iteration order: grid outermost, then environment,
     policy, method. Rows that raise numeric or configuration errors are
-    recorded with method="failed" and empty metrics; the sweep continues.
+    recorded with method="failed" and empty metrics, under the scenario
+    columns the overrides and grid value asked for; the sweep continues.
     """
     rows: list[SweepRow] = []
     row_idx = 0
@@ -479,21 +501,15 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                             scenario, method, spec.trials, seed, spec.sim_options)
                         rows.append(SweepRow(
                             scenario_id, env_name, policy_kind, method,
-                            scenario.uav_density, scenario.channel.altitude_km,
-                            scenario.coop_radius_km, scenario.subchannels,
-                            scenario.library.size, scenario.policy.cache_size,
-                            scenario.library.zipf_exponent,
+                            *_scenario_columns(scenario),
                             cap, ee, stderr, n_used, seed))
                     except (UavCacheError, ValueError, RuntimeError,
                             FloatingPointError):
-                        base = spec.base
-                        rows.append(SweepRow(
+                        failed = SweepRow(
                             scenario_id, env_name, policy_kind, "failed",
-                            base.uav_density, base.channel.altitude_km,
-                            base.coop_radius_km, base.subchannels,
-                            base.library.size, base.policy.cache_size,
-                            base.library.zipf_exponent,
-                            None, None, None, 0, seed))
+                            *_scenario_columns(spec.base),
+                            None, None, None, 0, seed)
+                        rows.append(replace(failed, **_swept_columns(spec, value)))
                     row_idx += 1
     return rows
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uavcache import analytics
 from uavcache.analytics import (CapacityReport, PowerModel, QuadratureConfig,
                                 ScenarioConfig, caching_interference_factor,
                                 content_capacity, cooperative_signal_factor,
@@ -202,6 +203,63 @@ def test_capacity_grows_with_cooperation_radius():
     rates = [content_capacity(reference_scenario("urban", x), 1)
              for x in (0.5, 1.0, 2.0)]
     assert np.all(np.diff(rates) > 0)
+
+
+# --- per-geometry table cache ---------------------------------------------------
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Empty table cache for the test, and a running count of kernel_table
+    calls made by the analytic engine."""
+    monkeypatch.setattr(analytics, "_TABLE_CACHE", {})
+    calls = []
+    inner = analytics.kernel_table
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(analytics, "kernel_table", counted)
+    return calls
+
+
+def test_density_sweep_builds_tables_once(kernel_calls):
+    # one build per geometry: a zone and an outside kernel table, shared by
+    # both sides of the v_max guard and by every density
+    cfg = reference_scenario("sub_urban", 1.0)
+    for density in (1e-4, 1e-3, 1e-2):
+        assert system_capacity(replace(cfg, uav_density=density)).system_rate_nats > 0
+    assert len(kernel_calls) == 2
+
+
+def test_guard_fires_on_cache_served_tables(kernel_calls):
+    # at v_max=1e4 doubling v_max moves the probe by about 2e-4 at density
+    # 1e-3 and 6e-2 at 1e-4, while 1e-2 converges; the verdict must not
+    # depend on whether another density built the tables first
+    cfg = replace(reference_scenario("sub_urban", 1.0),
+                  quadrature=QuadratureConfig(v_max=1e4))
+    assert system_capacity(replace(cfg, uav_density=1e-2)).system_rate_nats > 0
+    for density in (1e-3, 1e-4, 1e-3):
+        with pytest.raises(ConvergenceError, match="doubling v_max"):
+            system_capacity(replace(cfg, uav_density=density))
+    assert len(kernel_calls) == 2
+    analytics._TABLE_CACHE.clear()
+    with pytest.raises(ConvergenceError, match="doubling v_max"):
+        system_capacity(replace(cfg, uav_density=1e-3))
+
+
+def test_rates_do_not_depend_on_evaluation_order(kernel_calls):
+    cfg = reference_scenario("urban", 1.0)
+    first, second = (replace(cfg, uav_density=d) for d in (1e-3, 1e-2))
+    cold = {}
+    for c in (first, second):
+        analytics._TABLE_CACHE.clear()
+        cold[c.uav_density] = system_capacity(c).per_content_nats
+    # each density served from the table the other one built
+    assert np.array_equal(system_capacity(first).per_content_nats, cold[1e-3])
+    analytics._TABLE_CACHE.clear()
+    system_capacity(first)
+    assert np.array_equal(system_capacity(second).per_content_nats, cold[1e-2])
 
 
 # --- energy efficiency --------------------------------------------------------

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavcache import cli
+from uavcache.channel import ENVIRONMENT_PRESETS
 from uavcache.errors import ConfigError
 from uavcache.harness import (CSV_HEADER, SweepSpec, dump_config, emit_csv,
                               load_config, parse_config, run_sweep)
@@ -96,6 +100,79 @@ def test_dump_config_round_trip():
         sc.channel.altitude_km, sc.subchannels)
 
 
+def _parsed_fields(run) -> tuple:
+    """Everything parse_config reads from a config, in comparable form."""
+    sc = run.scenario
+    return (run.seed, run.trials, run.sim_options, run.custom_environments,
+            sc.env, sc.channel, sc.power, sc.quadrature, sc.uav_density,
+            sc.coop_radius_km, sc.subchannels, sc.library.size,
+            sc.library.zipf_exponent, sc.policy.kind, sc.policy.cache_size,
+            tuple(sc.policy.probabilities))
+
+
+def _optional_block(**keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+def _number(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def raw_configs(draw):
+    """Config dicts setting any subset of the scenario keys."""
+    scenario = draw(_optional_block(
+        # a positive zone mean keeps the rcp placement solvable
+        uav_density_per_km2=_number(1e-5, 0.1),
+        altitude_km=_number(0.05, 5.0),
+        coop_radius_km=_number(1e-3, 5.0),
+        subchannels=st.integers(1, 256),
+        # any cache size fits any library size, set or defaulted (5 and 20)
+        library_size=st.integers(5, 30),
+        cache_size=st.integers(1, 5),
+        zipf_exponent=_number(0.0, 2.0),
+        # lru_empirical is left out: each parse runs a 400k-request LRU trace
+        policy=st.sampled_from(["rcp", "mpc", "lru_che"]),
+        channel=_optional_block(
+            alpha_los=_number(2.01, 3.0), alpha_nlos=_number(3.0, 5.0),
+            k_los=_number(0.1, 10.0), k_nlos=_number(0.1, 10.0),
+            nakagami_los=_number(2.0, 20.0), nakagami_nlos=_number(0.5, 2.0),
+            shadowing_convention=st.sampled_from(["db_loss", "literal"])),
+        power=_optional_block(
+            transmit_w=_number(0.0, 10.0), cache_per_file_w=_number(0.0, 1.0),
+            static_w=_number(0.0, 10.0), rate_power_slope=_number(0.0, 5.0)),
+        quadrature=_optional_block(
+            hermite_nodes=st.integers(2, 100), rel_tol=_number(1e-12, 1e-2),
+            v_max=_number(1.0, 1e9), z_max=_number(1e-3, 1e3),
+            k_max_tail=_number(1e-20, 0.5)),
+        simulation=_optional_block(
+            mode=st.sampled_from(["conditioned", "unconditioned"]),
+            r_max_km=st.none() | _number(1e-3, 1e4),
+            sir_cap=_number(1e-6, 1e9), spike_rel=_number(1e-9, 1.0),
+            chunk_size=st.integers(1, 4096), n_jobs=st.integers(1, 8))))
+    if draw(st.booleans()):
+        scenario["environment"] = draw(st.sampled_from(sorted(ENVIRONMENT_PRESETS)))
+    else:
+        scenario["environment"] = "canyon"
+        scenario["custom_environment"] = {
+            "name": "canyon", "phi": draw(_number(0.1, 30.0)),
+            "psi": draw(_number(0.01, 1.0)), "mu_los": draw(_number(0.0, 5.0)),
+            "mu_nlos": draw(_number(5.0, 40.0)), "a_los": draw(_number(0.0, 15.0)),
+            "a_nlos": draw(_number(0.0, 40.0)), "c_los": draw(_number(0.0, 0.1)),
+            "c_nlos": draw(_number(0.0, 0.1))}
+    top = draw(_optional_block(seed=st.integers(0, 2 ** 31),
+                               trials=st.integers(1, 10 ** 6)))
+    return {**top, "scenario": scenario}
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw_configs())
+def test_dump_config_is_lossless(raw):
+    run = parse_config(raw)
+    again = parse_config(yaml.safe_load(yaml.safe_dump(dump_config(run))))
+    assert _parsed_fields(again) == _parsed_fields(run)
+
+
 def test_sweep_spec_validation():
     base = parse_config({}).scenario
     with pytest.raises(ConfigError, match="unknown sweep variable"):
@@ -166,6 +243,20 @@ def test_failed_row_keeps_sweep_alive():
     assert rows[1].method == "analytic"
     assert rows[1].library_size == 10
     assert rows[1].capacity_bits > 0
+    assert rows[0].library_size == 3
+
+
+def test_failed_row_records_overrides_and_grid_value():
+    base = parse_config({}).scenario  # cache_size 5, library_size 20
+    spec = SweepSpec(name="mix", variable="library_size", grid=(3.0,), base=base,
+                     methods=("analytic",), overrides={"x_cop": 2.5, "density": 0.01})
+    rows = run_sweep(spec)
+    assert rows[0].method == "failed"
+    assert (rows[0].library_size, rows[0].coop_radius_km, rows[0].density) == (3, 2.5, 0.01)
+    buf = io.StringIO()
+    emit_csv(rows, buf)
+    cells = buf.getvalue().splitlines()[1].split(",")
+    assert (cells[4], cells[6], cells[8]) == ("0.01", "2.5", "3")
 
 
 def test_row_seeds_are_stable_and_distinct():
@@ -223,6 +314,21 @@ def test_cli_validate_and_run(tmp_path, capsys):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 2
     assert lines[1].startswith("run-000,sub_urban,rcp,analytic")
+
+
+def test_cli_run_uses_simulation_block(tmp_path):
+    # a tiny SIR cap bounds every trial's rate by log2(1 + sir_cap) bits
+    rows = {}
+    for tag, sim in (("default", ""), ("capped", "  simulation:\n    sir_cap: 1.0e-3\n")):
+        cfg = tmp_path / f"{tag}.yaml"
+        cfg.write_text("scenario:\n  library_size: 4\n  cache_size: 2\n" + sim)
+        out = tmp_path / f"{tag}.csv"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         "--method", "monte_carlo", "--trials", "64"]) == 0
+        rows[tag] = out.read_text().strip().splitlines()[1].split(",")
+    bound = math.log2(1.0 + 1e-3)
+    assert rows["capped"][3] == "monte_carlo"
+    assert float(rows["capped"][11]) <= bound < float(rows["default"][11])
 
 
 def test_cli_sweep_writes_all_rows(tmp_path):
