@@ -29,8 +29,8 @@ from uavcache import (ChannelConfig, ContentLibrary, ConvergenceError,
                       environment_preset, los_probability, path_loss,
                       shadowing_log_moments, solve_rcp, system_capacity)
 from uavcache.analytics import (_GL_NODES, _INNER_PANELS, _OUTER_RATIO,
-                                _gl_panels, _radial_pair, _tables_for,
-                                _tail_mean_gain, _z_end)
+                                _gl_panels, _laplace_factors, _radial_pair,
+                                _tables_for, _tail_mean_gain, _z_end)
 from uavcache.channel import _shadow_expectation
 
 ENVS = ("high_rise", "dense_urban", "urban", "sub_urban")
@@ -55,13 +55,11 @@ def mixed_rate_bits(sig_cfg: ScenarioConfig, int_cfg: ScenarioConfig) -> float:
     interference integrals of int_cfg, assembled as content_capacity does."""
     sig, intf = _tables_for(sig_cfg), _tables_for(int_cfg)
     assert np.array_equal(sig.v_grid, intf.v_grid)
-    lam_i, lam = sig_cfg.interferer_density, sig_cfg.uav_density
     rates = []
     for p_c in sig_cfg.policy.probabilities:
-        noncaching = np.exp(-2.0 * np.pi * (1.0 - p_c) * lam_i
-                            * (intf.zone + intf.outside))
-        caching_out = np.exp(-2.0 * np.pi * p_c * lam_i * intf.outside)
-        signal = -np.expm1(-2.0 * np.pi * p_c * lam * sig.zone)
+        noncaching, caching_out, _ = _laplace_factors(intf.zone, intf.outside,
+                                                      sig_cfg, p_c)
+        signal = _laplace_factors(sig.zone, sig.outside, sig_cfg, p_c)[2]
         rates.append(float((sig.weights * noncaching * caching_out * signal).sum())
                      if p_c > 0 else 0.0)
     return float(np.dot(sig_cfg.library.popularity, rates)) / LN2

@@ -14,16 +14,13 @@ from .caching import (POLICY_KINDS, ContentLibrary, PlacementPolicy,
                       lru_simulate, mpc_policy, rcp_objective, solve_rcp,
                       zipf_popularity)
 from .channel import (ENVIRONMENT_PRESETS, ChannelConfig, Environment,
-                      elevation_deg, environment_preset, laplace_kernel,
-                      los_probability, path_loss, shadowing_log_moments,
-                      shadowing_sigma_db)
+                      elevation_deg, environment_preset, los_probability,
+                      path_loss, shadowing_log_moments, shadowing_sigma_db)
 from .errors import ConfigError, ConvergenceError, UavCacheError
 from .harness import (CSV_HEADER, RunConfig, SweepRow, SweepSpec, dump_config,
                       emit_csv, load_config, parse_config, run_sweep)
-from .simulator import (NetworkRealization, SimEstimate, SimOptions,
-                        assign_caches, dump_realization, estimate_capacity,
-                        estimate_ee, estimate_system_capacity, realize_sir,
-                        sample_network, window_radius)
+from .simulator import (SimEstimate, SimOptions, estimate_capacity,
+                        estimate_ee, window_radius)
 
 __version__ = "0.1.0"
 
@@ -37,14 +34,12 @@ __all__ = [
     "lru_che", "lru_empirical_policy", "lru_simulate", "mpc_policy",
     "rcp_objective", "solve_rcp", "zipf_popularity",
     "ENVIRONMENT_PRESETS", "ChannelConfig", "Environment", "elevation_deg",
-    "environment_preset", "laplace_kernel", "los_probability", "path_loss",
+    "environment_preset", "los_probability", "path_loss",
     "shadowing_log_moments", "shadowing_sigma_db",
     "ConfigError", "ConvergenceError", "UavCacheError",
     "CSV_HEADER", "RunConfig", "SweepRow", "SweepSpec", "dump_config",
     "emit_csv", "load_config", "parse_config", "run_sweep",
-    "NetworkRealization", "SimEstimate", "SimOptions", "assign_caches",
-    "dump_realization", "estimate_capacity", "estimate_ee",
-    "estimate_system_capacity", "realize_sir", "sample_network",
+    "SimEstimate", "SimOptions", "estimate_capacity", "estimate_ee",
     "window_radius",
     "__version__",
 ]

@@ -193,8 +193,7 @@ def _z_end(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig,
 
 def _radial_pair(v: np.ndarray, env: Environment, cfg: ChannelConfig,
                  quad: QuadratureConfig, x_cop: float, *,
-                 v_max: float | None = None,
-                 z_end_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+                 v_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Radial kernel integrals (zone part, outside part) for each v.
 
     zone(v)    = int_0^{x_cop} z k(z,v) dz
@@ -204,8 +203,8 @@ def _radial_pair(v: np.ndarray, env: Environment, cfg: ChannelConfig,
     v = np.atleast_1d(np.asarray(v, dtype=float))
     n_h = quad.hermite_nodes
     h = cfg.altitude_km
-    z_end = z_end_scale * _z_end(env, cfg, quad, x_cop,
-                                 v_max if v_max is not None else float(v.max(initial=0.0)) or 1.0)
+    z_end = _z_end(env, cfg, quad, x_cop,
+                   v_max if v_max is not None else float(v.max(initial=0.0)) or 1.0)
 
     if x_cop > 0:
         zi, wi = _gl_panels(np.linspace(0.0, x_cop, _INNER_PANELS + 1), _GL_NODES)
@@ -270,17 +269,24 @@ def _build_tables(cfg: ScenarioConfig, v_max: float) -> _ScenarioTables:
     return _ScenarioTables(v_grid, weights, zone, outside)
 
 
+def _laplace_factors(zone: np.ndarray, outside: np.ndarray, cfg: ScenarioConfig,
+                     p_c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(noncaching interference, caching interference outside the zone, exact
+    zone signal) factors from the radial integrals at each v."""
+    lam_i = cfg.interferer_density
+    noncaching = np.exp(-2.0 * np.pi * (1.0 - p_c) * lam_i * (zone + outside))
+    caching_out = np.exp(-2.0 * np.pi * p_c * lam_i * outside)
+    signal = -np.expm1(-2.0 * np.pi * p_c * cfg.uav_density * zone)
+    return noncaching, caching_out, signal
+
+
 def _assemble_rate(tables: _ScenarioTables, cfg: ScenarioConfig, p_c: float,
                    zone_term: str) -> float:
     """Integrate v^-1 * (interference factors) * (signal factor) over v."""
     if p_c <= 0.0 or cfg.uav_density == 0.0 or cfg.coop_radius_km == 0.0:
         return 0.0
-    lam_i = cfg.interferer_density
-    lam = cfg.uav_density
-    total = tables.zone + tables.outside
-    noncaching = np.exp(-2.0 * np.pi * (1.0 - p_c) * lam_i * total)
-    caching_out = np.exp(-2.0 * np.pi * p_c * lam_i * tables.outside)
-    signal = -np.expm1(-2.0 * np.pi * p_c * lam * tables.zone)
+    noncaching, caching_out, signal = _laplace_factors(tables.zone, tables.outside,
+                                                       cfg, p_c)
     if zone_term == "factored":
         signal = -np.expm1(-cfg.coop_mean(p_c)) * signal
     elif zone_term != "exact":
@@ -367,20 +373,14 @@ def _tables_for(cfg: ScenarioConfig) -> _ScenarioTables:
     return entry.served
 
 
-def _factor_radials(v, cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Radial integrals at the given v values, with a radial-bound doubling
-    check: a shift beyond rel_tol raises ConvergenceError."""
-    v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-    if np.any(v_arr < 0):
+def _factors_at(v, cfg: ScenarioConfig, p_c: float):
+    """The three Laplace factors at the given v values, radially truncated
+    for v.max() by _z_end."""
+    if np.any(np.asarray(v) < 0):
         raise ValueError("transform variable must be >= 0")
-    args = (v_arr, cfg.env, cfg.channel, cfg.quadrature, cfg.coop_radius_km)
-    zone, outside = _radial_pair(*args)
-    zone2, outside2 = _radial_pair(*args, z_end_scale=2.0)
-    tol = cfg.quadrature.rel_tol
-    ref = np.abs(zone) + np.abs(outside) + 1e-300
-    if np.any(np.abs(outside2 - outside) + np.abs(zone2 - zone) > tol * ref):
-        raise ConvergenceError("radial integral still moving after doubling its bound")
-    return zone2, outside2
+    zone, outside = _radial_pair(v, cfg.env, cfg.channel, cfg.quadrature,
+                                 cfg.coop_radius_km)
+    return _laplace_factors(zone, outside, cfg, p_c)
 
 
 def _shaped(out: np.ndarray, v) -> float | np.ndarray:
@@ -390,26 +390,19 @@ def _shaped(out: np.ndarray, v) -> float | np.ndarray:
 def noncaching_interference_factor(v, cfg: ScenarioConfig, p_c: float):
     """Laplace transform of interference from UAVs not caching the content
     (density (1-p_c) * uav_density / subchannels over the whole plane)."""
-    zone, outside = _factor_radials(v, cfg)
-    out = np.exp(-2.0 * np.pi * (1.0 - p_c) * cfg.interferer_density * (zone + outside))
-    return _shaped(out, v)
+    return _shaped(_factors_at(v, cfg, p_c)[0], v)
 
 
 def caching_interference_factor(v, cfg: ScenarioConfig, p_c: float):
     """Laplace transform of interference from caching UAVs outside the
     cooperation zone (density p_c * uav_density / subchannels)."""
-    _, outside = _factor_radials(v, cfg)
-    out = np.exp(-2.0 * np.pi * p_c * cfg.interferer_density * outside)
-    return _shaped(out, v)
+    return _shaped(_factors_at(v, cfg, p_c)[1], v)
 
 
 def cooperative_signal_factor(v, cfg: ScenarioConfig, p_c: float):
     """Zone signal term in its factored form: the nonempty-zone probability
     times the zone PGFL complement (see content_capacity for the exact form)."""
-    zone, _ = _factor_radials(v, cfg)
-    out = -np.expm1(-cfg.coop_mean(p_c)) * \
-        -np.expm1(-2.0 * np.pi * p_c * cfg.uav_density * zone)
-    return _shaped(out, v)
+    return _shaped(-np.expm1(-cfg.coop_mean(p_c)) * _factors_at(v, cfg, p_c)[2], v)
 
 
 def content_capacity(cfg: ScenarioConfig, content: int,

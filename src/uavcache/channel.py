@@ -329,28 +329,3 @@ def kernel_table(z, v, env: Environment, cfg: ChannelConfig,
         out += np.atleast_1d(p_mode)[:, None] * acc
     return out
 
-
-def laplace_kernel(z, v, env: Environment, cfg: ChannelConfig,
-                   hermite_nodes: int = 20):
-    """Elementwise Laplace kernel; z and v broadcast like numpy operands."""
-    if hermite_nodes < 2:
-        raise ConfigError("laplace kernel requires at least 2 Hermite nodes")
-    zb, vb = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(v, dtype=float))
-    zf = zb.ravel().astype(float)
-    vf = vb.ravel().astype(float)
-    if np.any(zf < 0) or np.any(vf < 0):
-        raise ValueError("ranges and transform variables must be >= 0")
-    h = cfg.altitude_km
-    p_los = np.atleast_1d(los_probability(zf, h, env))
-    out = np.zeros(zf.shape)
-    for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):
-        _, _, wbar = cfg.mode_params(mode)
-        loss = np.atleast_1d(path_loss(zf, h, mode, cfg))
-        m_ln, s_ln = shadowing_log_moments(zf, h, mode, env,
-                                           cfg.shadowing_convention)
-        acc = _shadow_expectation(loss * vf, float(m_ln),
-                                  np.atleast_1d(np.asarray(s_ln)), wbar,
-                                  hermite_nodes)
-        out += p_mode * acc
-    out = out.reshape(zb.shape)
-    return out if out.ndim else float(out)

@@ -240,6 +240,11 @@ def _build_policy(kind: str, library: ContentLibrary, scenario: ScenarioConfig,
     s = scenario.policy.cache_size
     if kind == "rcp":
         beta = scenario.zone_mean_uavs
+        if not beta > 0:
+            raise ConfigError(
+                "rcp placement needs UAVs in the cooperation zone; got "
+                f"uav_density_per_km2 = {scenario.uav_density:g} and "
+                f"coop_radius_km = {scenario.coop_radius_km:g}")
         return solve_rcp(library.popularity, s, beta)
     if kind == "mpc":
         return mpc_policy(library.popularity, s)
@@ -377,7 +382,7 @@ def _fields(obj, keys: Iterable[str], renamed: dict[str, str] | None = None) -> 
 
 
 def dump_config(run: RunConfig) -> dict:
-    """Config dict that parse_config maps back to the same scenario."""
+    """Config dict that parse_config maps back to the same scenario and sweeps."""
     sc = run.scenario
     out = {
         "seed": run.seed,
@@ -398,8 +403,13 @@ def dump_config(run: RunConfig) -> dict:
             "simulation": _fields(run.sim_options, _SIM_KEYS, {"r_max_km": "r_max"}),
         },
     }
-    if sc.env.name in run.custom_environments:
-        out["scenario"]["custom_environment"] = _fields(sc.env, _ENV_KEYS)
+    # the one custom environment may serve sweeps without being the scenario's
+    for env in run.custom_environments.values():
+        out["scenario"]["custom_environment"] = _fields(env, _ENV_KEYS)
+    if run.sweeps:
+        out["sweeps"] = [{k: list(v) if isinstance(v, tuple) else v
+                          for k, v in _fields(spec, _SWEEP_KEYS).items()}
+                         for spec in run.sweeps]
     return out
 
 

@@ -1,8 +1,9 @@
 """Monte Carlo network simulator.
 
-Independent oracle for the analytic capacity/EE pipeline: samples UAV
-deployments on a disc, assigns caches and sub-channels, realizes per-link
-channels, and estimates rates empirically.
+Independent oracle for the analytic capacity/EE pipeline: per trial, samples
+the cooperators inside the zone and the same-sub-channel interferers on a
+disc around the typical user (in-zone UAVs thinned by the placement
+probability), draws per-link channels, and estimates rates empirically.
 
 Interference beyond the finite sampling window is compensated by a far-field
 model: links whose path-loss-times-median-shadowing product exceeds a small
@@ -18,17 +19,15 @@ order or thread count.
 """
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 from scipy.special import gammainc, ndtr, ndtri
 
 from .analytics import ScenarioConfig
-from .caching import PlacementPolicy
 from .channel import (ChannelConfig, Environment, los_probability, path_loss,
                       shadowing_log_moments, shadowing_sigma_db)
 from .errors import ConfigError
@@ -36,7 +35,6 @@ from .errors import ConfigError
 _MASK64 = (1 << 64) - 1
 _PURPOSE_CAPACITY = 1
 _PURPOSE_EE = 2
-_SERVING_CHANNEL = 0  # WLOG: indices are uniform, so channel 0 is typical
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,6 @@ class SimOptions:
     mode: Literal["conditioned", "unconditioned"] = "conditioned"
     r_max: float | None = None  # None: LOS-aware default, see window_radius()
     sir_cap: float = 1e6
-    far_field: Literal["spike_floor", "none"] = "spike_floor"
     spike_rel: float = 1e-6
     chunk_size: int = 256
     n_jobs: int = 1
@@ -54,8 +51,6 @@ class SimOptions:
     def __post_init__(self) -> None:
         if self.mode not in ("conditioned", "unconditioned"):
             raise ConfigError(f"unknown estimator mode {self.mode!r}")
-        if self.far_field not in ("spike_floor", "none"):
-            raise ConfigError(f"unknown far-field mode {self.far_field!r}")
         if self.sir_cap <= 0 or self.spike_rel <= 0:
             raise ConfigError("sir_cap and spike_rel must be positive")
         if self.chunk_size < 1 or self.n_jobs < 1:
@@ -74,25 +69,6 @@ class SimEstimate:
     def half_width(self) -> float:
         """95% confidence half-width."""
         return 1.96 * self.stderr
-
-
-@dataclass(eq=False)
-class NetworkRealization:
-    """One sampled deployment; channel state is drawn lazily on first use and
-    then kept fixed so repeated SIR queries see the same network."""
-
-    radii: np.ndarray
-    angles: np.ndarray
-    r_max: float
-    seed: int
-    caches: np.ndarray | None = None       # (n_uavs, F) bool
-    subchannels: np.ndarray | None = None  # (n_uavs,) int in [0, B)
-    los: np.ndarray | None = None          # (n_uavs,) bool
-    link_gain: np.ndarray | None = None    # (n_uavs,) path loss * V * W
-
-    @property
-    def n_uavs(self) -> int:
-        return self.radii.size
 
 
 def window_radius(cfg: ScenarioConfig) -> float:
@@ -116,52 +92,6 @@ def _chunk_rng(seed: int, purpose: int, content: int, chunk: int) -> np.random.G
                    dtype=np.uint64)
     counter = np.array([0, 0, 0, chunk], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
-def sample_network(density: float, r_max: float, seed: int) -> NetworkRealization:
-    """Poisson deployment on a disc of radius r_max around the typical user."""
-    if density < 0:
-        raise ValueError("density must be >= 0")
-    if r_max <= 0:
-        raise ValueError("window radius must be positive")
-    rng = np.random.default_rng(seed)
-    n = rng.poisson(density * math.pi * r_max * r_max)
-    radii = r_max * np.sqrt(rng.random(n))
-    angles = 2.0 * math.pi * rng.random(n)
-    return NetworkRealization(radii, angles, float(r_max), int(seed))
-
-
-def assign_caches(real: NetworkRealization, policy: PlacementPolicy,
-                  mode: Literal["independent", "exact_s"],
-                  rng: np.random.Generator) -> NetworkRealization:
-    """Draw per-UAV cache sets.
-
-    independent: each content kept with its placement probability (cache size
-    S only in expectation) - matches the analysis's thinning assumption.
-    exact_s: systematic sampling on a circle of circumference S; every UAV
-    stores exactly S contents and marginals equal the placement probabilities.
-    """
-    p = policy.probabilities
-    n = real.n_uavs
-    if mode == "independent":
-        real.caches = rng.random((n, p.size)) < p[None, :]
-        return real
-    if mode != "exact_s":
-        raise ValueError(f"unknown cache assignment mode {mode!r}")
-    total = float(p.sum())
-    if abs(total - policy.cache_size) > 1e-6:
-        raise ValueError("exact_s requires placement probabilities summing to the cache size")
-    edges = np.concatenate([[0.0], np.cumsum(p)])
-    edges[-1] = policy.cache_size  # close the circle exactly
-    s = policy.cache_size
-    u = rng.random(n)
-    points = (u[:, None] + np.arange(s)[None, :]) % s  # (n, S) on the circle
-    idx = np.clip(np.searchsorted(edges, points.ravel(), side="right") - 1,
-                  0, p.size - 1)
-    caches = np.zeros((n, p.size), dtype=bool)
-    caches[np.repeat(np.arange(n), s), idx] = True
-    real.caches = caches
-    return real
 
 
 def _draw_links(rng: np.random.Generator, radii: np.ndarray, env: Environment,
@@ -189,55 +119,6 @@ def _draw_links(rng: np.random.Generator, radii: np.ndarray, env: Environment,
     k = np.where(los, ch.k_los, ch.k_nlos)
     loss = k * (h * h + radii * radii) ** (-alpha / 2.0)
     return los, loss * v * w
-
-
-def realize_sir(real: NetworkRealization, content: int, cfg: ScenarioConfig,
-                rng: np.random.Generator, sir_cap: float = 1e6) -> float | None:
-    """SIR seen by the typical user requesting the given content (1-based).
-
-    Cooperators are caching UAVs within the cooperation radius; they transmit
-    together on the serving sub-channel. Every other UAV (non-caching anywhere,
-    caching outside the zone) interferes iff its sub-channel is the serving
-    one. Returns None when the cooperation set is empty. Channel state (modes,
-    gains, sub-channels) is drawn on first call and reused afterwards.
-    """
-    if real.caches is None:
-        raise ValueError("assign caches before realizing SIR")
-    if not 1 <= content <= real.caches.shape[1]:
-        raise ValueError("content index out of range")
-    if real.subchannels is None:
-        real.subchannels = rng.integers(0, cfg.subchannels, real.n_uavs)
-    if real.link_gain is None:
-        real.los, real.link_gain = _draw_links(rng, real.radii, cfg.env, cfg.channel)
-    cached = real.caches[:, content - 1]
-    coop = cached & (real.radii <= cfg.coop_radius_km)
-    if not coop.any():
-        return None
-    signal = float(real.link_gain[coop].sum())
-    interf = ~coop & (real.subchannels == _SERVING_CHANNEL)
-    interference = float(real.link_gain[interf].sum())
-    if interference <= 0.0:
-        return float(sir_cap)
-    return float(min(signal / interference, sir_cap))
-
-
-def dump_realization(real: NetworkRealization, path) -> None:
-    """Write one realization (positions, channel state, caches) as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["radius_km", "angle_rad", "subchannel", "mode",
-                         "link_gain", "cached_contents"])
-        n = real.n_uavs
-        sub = real.subchannels if real.subchannels is not None else [-1] * n
-        los = real.los if real.los is not None else [None] * n
-        gain = real.link_gain if real.link_gain is not None else [float("nan")] * n
-        for i in range(n):
-            mode = "" if los[i] is None else ("los" if los[i] else "nlos")
-            cached = ""
-            if real.caches is not None:
-                cached = ";".join(str(j + 1) for j in np.flatnonzero(real.caches[i]))
-            writer.writerow([f"{real.radii[i]:.9g}", f"{real.angles[i]:.9g}",
-                             int(sub[i]), mode, f"{float(gain[i]):.9g}", cached])
 
 
 class _FarField:
@@ -448,7 +329,7 @@ def estimate_capacity(cfg: ScenarioConfig, content: int, n_trials: int,
         raise ValueError("window radius must exceed the cooperation radius")
     trunc_cdf = _truncated_poisson_cdf(m_c) if opts.mode == "conditioned" else None
     far = None
-    if opts.far_field == "spike_floor" and cfg.interferer_density > 0:
+    if cfg.interferer_density > 0:
         far = _FarField(cfg, cfg.interferer_density, r_max,
                         _spike_threshold(cfg, opts.spike_rel))
 
@@ -461,20 +342,6 @@ def estimate_capacity(cfg: ScenarioConfig, content: int, n_trials: int,
     std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
     return SimEstimate(scale * float(vals.mean()),
                        scale * std / math.sqrt(vals.size), n_trials)
-
-
-def estimate_system_capacity(cfg: ScenarioConfig, n_trials: int, seed: int,
-                             options: SimOptions | None = None) -> SimEstimate:
-    """Popularity-weighted combination of per-content estimates; standard
-    errors combine in quadrature."""
-    mean = 0.0
-    var = 0.0
-    for c in range(1, cfg.library.size + 1):
-        est = estimate_capacity(cfg, c, n_trials, seed, options)
-        a_c = float(cfg.library.popularity[c - 1])
-        mean += a_c * est.mean
-        var += (a_c * est.stderr) ** 2
-    return SimEstimate(mean, math.sqrt(var), n_trials)
 
 
 def estimate_ee(cfg: ScenarioConfig, capacity_bits: np.ndarray, n_trials: int,

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig, Environment,
-                              environment_preset, kernel_table, laplace_kernel,
-                              los_probability, path_loss, sample_fading,
+                              environment_preset, kernel_table, los_probability, path_loss, sample_fading,
                               sample_shadowing, shadowing_log_moments,
                               shadowing_sigma_db)
 from uavcache.errors import ConfigError
@@ -262,14 +261,15 @@ def test_kernel_zero_transform_variable():
     env = environment_preset("sub_urban")
     cfg = ChannelConfig()
     z = np.array([0.0, 0.5, 1.0, 10.0])
-    assert np.all(laplace_kernel(z, 0.0, env, cfg) == 0.0)
+    assert np.all(kernel_table(z, 0.0, env, cfg) == 0.0)
 
 
 def test_kernel_saturates_at_large_v():
     env = environment_preset("sub_urban")
     cfg = ChannelConfig()
-    for z in (0.5, 1.0, 2.0):
-        assert laplace_kernel(z, 1e9, env, cfg) >= 0.999
+    table = kernel_table([0.5, 1.0, 2.0], [1e9, 1e10, 1e11], env, cfg)
+    assert table.shape == (3, 3)
+    assert np.all(table >= 0.999)
 
 
 def test_kernel_deep_linear_regime():
@@ -285,7 +285,7 @@ def test_kernel_deep_linear_regime():
                 m_ln, s_ln = shadowing_log_moments(z, 1.0, mode, env)
                 expected += (p_mode * path_loss(z, 1.0, mode, cfg)
                              * math.exp(m_ln + 0.5 * float(s_ln) ** 2))
-            got = laplace_kernel(z, v, env, cfg)
+            got = kernel_table([z], [v], env, cfg)[0, 0]
             assert got == pytest.approx(v * expected, rel=1e-6), (name, z)
 
 
@@ -305,32 +305,19 @@ def test_kernel_monotone_in_v_on_grid():
        st.floats(0.0, 1e5),
        st.floats(1e-12, 1e12))
 def test_kernel_bounds(name, z, v):
-    val = laplace_kernel(z, v, environment_preset(name), ChannelConfig())
+    val = kernel_table([z], [v], environment_preset(name), ChannelConfig())[0, 0]
     assert 0.0 <= val <= 1.0
-
-
-def test_kernel_table_matches_elementwise_form():
-    env = environment_preset("urban")
-    cfg = ChannelConfig()
-    z = np.array([0.2, 1.0, 3.0])
-    v = np.array([0.05, 1.0, 200.0])
-    table = kernel_table(z, v, env, cfg, 32)
-    assert table.shape == (3, 3)
-    grid = laplace_kernel(z[:, None], v[None, :], env, cfg, 32)
-    np.testing.assert_allclose(table, grid, rtol=1e-12)
 
 
 def test_kernel_rejects_bad_inputs():
     env = environment_preset("urban")
     cfg = ChannelConfig()
     with pytest.raises(ConfigError):
-        laplace_kernel(1.0, 1.0, env, cfg, hermite_nodes=1)
-    with pytest.raises(ConfigError):
         kernel_table([1.0], [1.0], env, cfg, hermite_nodes=1)
     with pytest.raises(ValueError):
-        laplace_kernel(-1.0, 1.0, env, cfg)
+        kernel_table([-1.0], [1.0], env, cfg)
     with pytest.raises(ValueError):
-        laplace_kernel(1.0, -1.0, env, cfg)
+        kernel_table([1.0], [-1.0], env, cfg)
 
 
 def test_kernel_against_direct_sampling():
@@ -348,4 +335,4 @@ def test_kernel_against_direct_sampling():
                        * sample_fading(mode, cfg, rng, size=cnt))
     samples = -np.expm1(-1.0 * gains)
     se = samples.std(ddof=1) / math.sqrt(n)
-    assert abs(samples.mean() - laplace_kernel(z, 1.0, env, cfg, 48)) < 3.0 * se
+    assert abs(samples.mean() - kernel_table([z], [1.0], env, cfg, 48)[0, 0]) < 3.0 * se

@@ -8,11 +8,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uavcache
 from uavcache import cli
+from uavcache.caching import POLICY_KINDS
 from uavcache.channel import ENVIRONMENT_PRESETS
 from uavcache.errors import ConfigError
-from uavcache.harness import (CSV_HEADER, SweepSpec, dump_config, emit_csv,
-                              load_config, parse_config, run_sweep)
+from uavcache.harness import (CSV_HEADER, SWEEP_VARIABLES, SweepSpec,
+                              dump_config, emit_csv, load_config, parse_config,
+                              run_sweep)
 
 MINIMAL_SWEEP_YAML = """\
 scenario:
@@ -100,14 +103,21 @@ def test_dump_config_round_trip():
         sc.channel.altitude_km, sc.subchannels)
 
 
+SWEEP_FIELDS = ("name", "variable", "grid", "environments", "policies",
+                "methods", "trials", "seed", "overrides", "sim_options",
+                "environment_map")
+
+
 def _parsed_fields(run) -> tuple:
     """Everything parse_config reads from a config, in comparable form."""
     sc = run.scenario
+    sweeps = tuple(tuple(getattr(spec, f) for f in SWEEP_FIELDS)
+                   for spec in run.sweeps)
     return (run.seed, run.trials, run.sim_options, run.custom_environments,
             sc.env, sc.channel, sc.power, sc.quadrature, sc.uav_density,
             sc.coop_radius_km, sc.subchannels, sc.library.size,
             sc.library.zipf_exponent, sc.policy.kind, sc.policy.cache_size,
-            tuple(sc.policy.probabilities))
+            tuple(sc.policy.probabilities), sweeps)
 
 
 def _optional_block(**keys):
@@ -118,9 +128,33 @@ def _number(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
+# admissible grid and override values per sweep variable
+SWEEP_VALUES = {"x_cop": _number(0.0, 5.0), "density": _number(0.0, 0.1),
+                "kappa": _number(0.0, 2.0), "altitude": _number(0.05, 5.0),
+                "library_size": st.integers(1, 30)}
+
+
+@st.composite
+def raw_sweeps(draw, environments):
+    """One sweep block setting any subset of the optional sweep keys."""
+    variable = draw(st.sampled_from(SWEEP_VARIABLES))
+    grid = draw(st.lists(SWEEP_VALUES[variable], min_size=1, max_size=4,
+                         unique=True).map(sorted))
+    names = st.lists(st.sampled_from(environments), min_size=1, unique=True)
+    sweep = draw(_optional_block(
+        name=st.text("abxy_-019", min_size=1, max_size=6),
+        environments=names,
+        policies=st.lists(st.sampled_from(POLICY_KINDS), min_size=1, unique=True),
+        methods=st.sampled_from([["analytic"], ["monte_carlo"], ["both"],
+                                 ["monte_carlo", "analytic"]]),
+        trials=st.integers(1, 10 ** 6), seed=st.integers(0, 2 ** 31),
+        overrides=_optional_block(**SWEEP_VALUES)))
+    return {"variable": variable, "grid": grid, **sweep}
+
+
 @st.composite
 def raw_configs(draw):
-    """Config dicts setting any subset of the scenario keys."""
+    """Config dicts setting any subset of the scenario keys, plus sweeps."""
     scenario = draw(_optional_block(
         # a positive zone mean keeps the rcp placement solvable
         uav_density_per_km2=_number(1e-5, 0.1),
@@ -150,18 +184,20 @@ def raw_configs(draw):
             r_max_km=st.none() | _number(1e-3, 1e4),
             sir_cap=_number(1e-6, 1e9), spike_rel=_number(1e-9, 1.0),
             chunk_size=st.integers(1, 4096), n_jobs=st.integers(1, 8))))
+    environments = sorted(ENVIRONMENT_PRESETS)
     if draw(st.booleans()):
-        scenario["environment"] = draw(st.sampled_from(sorted(ENVIRONMENT_PRESETS)))
-    else:
-        scenario["environment"] = "canyon"
+        # a custom environment may serve the scenario, the sweeps, or neither
         scenario["custom_environment"] = {
             "name": "canyon", "phi": draw(_number(0.1, 30.0)),
             "psi": draw(_number(0.01, 1.0)), "mu_los": draw(_number(0.0, 5.0)),
             "mu_nlos": draw(_number(5.0, 40.0)), "a_los": draw(_number(0.0, 15.0)),
             "a_nlos": draw(_number(0.0, 40.0)), "c_los": draw(_number(0.0, 0.1)),
             "c_nlos": draw(_number(0.0, 0.1))}
+        environments.append("canyon")
+    scenario["environment"] = draw(st.sampled_from(environments))
     top = draw(_optional_block(seed=st.integers(0, 2 ** 31),
-                               trials=st.integers(1, 10 ** 6)))
+                               trials=st.integers(1, 10 ** 6),
+                               sweeps=st.lists(raw_sweeps(environments), max_size=2)))
     return {**top, "scenario": scenario}
 
 
@@ -340,6 +376,23 @@ def test_cli_sweep_writes_all_rows(tmp_path):
     assert len(lines) == 3
     assert lines[1].split(",")[6] == "0.5"
     assert lines[2].split(",")[6] == "1"
+
+
+def test_cli_validate_rejects_empty_zone_under_rcp(tmp_path, capsys):
+    # rcp placement needs a positive zone mean; a zero density or radius is
+    # a config error, not a traceback
+    for key in ("uav_density_per_km2", "coop_radius_km"):
+        cfg = tmp_path / f"{key}.yaml"
+        cfg.write_text(f"scenario:\n  policy: rcp\n  {key}: 0\n")
+        assert cli.main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "uav_density_per_km2" in err
+        assert "coop_radius_km" in err
+
+
+def test_package_exports_resolve():
+    missing = [name for name in uavcache.__all__ if not hasattr(uavcache, name)]
+    assert missing == []
 
 
 def test_cli_exit_codes(tmp_path, capsys):

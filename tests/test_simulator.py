@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from uavcache import simulator
 from uavcache.analytics import (PowerModel, ScenarioConfig,
                                 energy_efficiency_exact, system_capacity)
-from uavcache.caching import ContentLibrary, mpc_policy, solve_rcp
-from uavcache.channel import ChannelConfig, environment_preset, los_probability
+from uavcache.caching import ContentLibrary, solve_rcp
+from uavcache.channel import environment_preset, los_probability
 from uavcache.errors import ConfigError
-from uavcache.simulator import (NetworkRealization, SimEstimate, SimOptions,
-                                assign_caches, dump_realization,
-                                estimate_capacity, estimate_ee, realize_sir,
-                                sample_network, window_radius)
+from uavcache.simulator import (SimEstimate, SimOptions, estimate_capacity,
+                                estimate_ee, window_radius)
 
 SU = environment_preset("sub_urban")
 
@@ -37,8 +36,6 @@ def dense_scenario(**kwargs):
 def test_sim_options_validation():
     with pytest.raises(ConfigError):
         SimOptions(mode="hybrid")
-    with pytest.raises(ConfigError):
-        SimOptions(far_field="drop")
     with pytest.raises(ConfigError):
         SimOptions(sir_cap=0.0)
     with pytest.raises(ConfigError):
@@ -64,96 +61,49 @@ def test_window_radius_rules():
     assert window_radius(wide) == pytest.approx(300.0, rel=1e-12)
 
 
-def test_sample_network_poisson_count():
-    # oracle: mean count over 1e4 windows matches density * area within 3 SE
-    counts = np.array([sample_network(1e-3, 100.0, s).n_uavs
-                       for s in range(10_000)])
-    target = 1e-3 * math.pi * 1e4
-    z = (counts.mean() - target) / math.sqrt(target / 10_000)
+def window_radii(monkeypatch, cfg, r_max, n_trials):
+    """Radii of the window interferers that a one-chunk estimate_capacity run
+    for content 1 passes to the link sampler."""
+    calls = []
+    inner = simulator._draw_links
+
+    def recording(rng, radii, env, ch):
+        calls.append(radii.copy())
+        return inner(rng, radii, env, ch)
+
+    monkeypatch.setattr(simulator, "_draw_links", recording)
+    estimate_capacity(cfg, 1, n_trials, 42,
+                      SimOptions(r_max=r_max, chunk_size=n_trials, **DENSE_OPTS))
+    assert len(calls) == 2  # cooperators, then window interferers
+    return calls[1]
+
+
+def test_sample_network_poisson_count(monkeypatch):
+    # oracle: the mean count per trial is lambda_I * pi * (r_max^2 - p_c X^2),
+    # a Poisson field of same-sub-channel UAVs on the window less the caching
+    # ones inside the zone, which cooperate instead; at r_max = 6 km leaving
+    # the thinning out moves the mean by about 20 SE
+    cfg = dense_scenario()
+    p_c = float(cfg.policy.probabilities[0])
+    n, r_max = 4000, 6.0
+    radii = window_radii(monkeypatch, cfg, r_max, n)
+    target = cfg.interferer_density * math.pi * (r_max ** 2 - p_c * 3.0 ** 2)
+    z = (radii.size / n - target) / math.sqrt(target / n)
     assert abs(z) < 3.0
 
 
-def test_sample_network_radial_law():
-    # area-uniform placement puts a quarter of the points inside r_max / 2
-    net = sample_network(0.1, 565.0, 42)
-    frac = (net.radii <= 565.0 / 2).mean()
-    assert abs(frac - 0.25) < 3.0 * math.sqrt(0.25 * 0.75 / net.n_uavs)
-    assert net.angles.min() >= 0.0 and net.angles.max() < 2 * math.pi
-
-
-def test_sample_network_validation():
-    with pytest.raises(ValueError):
-        sample_network(-1e-3, 100.0, 0)
-    with pytest.raises(ValueError):
-        sample_network(1e-3, 0.0, 0)
-
-
-def test_cache_assignment_marginals():
-    lib6 = ContentLibrary(6, 0.8)
-    pol6 = solve_rcp(lib6.popularity, 2, 2.0)
-    net = sample_network(0.1, 565.0, 42)
-    assign_caches(net, pol6, "exact_s", np.random.default_rng(43))
-    # every UAV holds exactly the cache budget
-    assert net.caches.shape == (net.n_uavs, 6)
-    np.testing.assert_array_equal(net.caches.sum(axis=1), 2)
-    # and the per-content marginals track the placement probabilities
-    marginal = net.caches.mean(axis=0)
-    se = np.sqrt(pol6.probabilities * (1 - pol6.probabilities) / net.n_uavs)
-    assert np.all(np.abs(marginal - pol6.probabilities) < 3.0 * se)
-
-
-def test_cache_assignment_validation():
-    net = sample_network(0.01, 100.0, 1)
-    lib = ContentLibrary(4, 1.0)
-    with pytest.raises(ValueError, match="assignment mode"):
-        assign_caches(net, mpc_policy(lib.popularity, 2), "roundrobin",
-                      np.random.default_rng(0))
-
-
-def test_subchannels_uniform():
-    lib1 = ContentLibrary(1, 0.0)
-    cfg = ScenarioConfig(library=lib1, policy=mpc_policy(lib1.popularity, 1),
-                         env=SU, subchannels=8, coop_radius_km=1.0,
-                         uav_density=0.1)
-    net = sample_network(0.1, 565.0, 77)
-    assign_caches(net, cfg.policy, "independent", np.random.default_rng(78))
-    realize_sir(net, 1, cfg, np.random.default_rng(79))
-    observed = np.bincount(net.subchannels, minlength=8)
-    p = 1.0 / 8.0
-    se = math.sqrt(net.n_uavs * p * (1 - p))
-    assert np.all(np.abs(observed - net.n_uavs * p) < 3.0 * se)
-    # channel states materialize alongside the subchannel draw
-    assert net.los.shape == (net.n_uavs,)
-    assert np.all(net.link_gain > 0)
-
-
-def test_realize_sir_requires_caches():
-    net = sample_network(0.01, 100.0, 3)
-    lib = ContentLibrary(2, 0.5)
-    cfg = ScenarioConfig(library=lib, policy=mpc_policy(lib.popularity, 1),
-                         env=SU)
-    with pytest.raises(ValueError, match="assign caches"):
-        realize_sir(net, 1, cfg, np.random.default_rng(0))
-    assign_caches(net, cfg.policy, "independent", np.random.default_rng(1))
-    with pytest.raises(ValueError, match="out of range"):
-        realize_sir(net, 3, cfg, np.random.default_rng(2))
-
-
-def test_dump_realization(tmp_path):
-    net = sample_network(0.05, 50.0, 9)
-    lib = ContentLibrary(3, 1.0)
-    cfg = ScenarioConfig(library=lib, policy=mpc_policy(lib.popularity, 2),
-                         env=SU, subchannels=2)
-    assign_caches(net, cfg.policy, "independent", np.random.default_rng(10))
-    realize_sir(net, 1, cfg, np.random.default_rng(11))
-    out = tmp_path / "net.csv"
-    dump_realization(net, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "radius_km,angle_rad,subchannel,mode,link_gain,cached_contents"
-    assert len(lines) == net.n_uavs + 1
-    first = lines[1].split(",")
-    assert first[3] in ("los", "nlos")
-    assert first[5] == "1;2"  # deterministic MPC cache of the top two contents
+def test_sample_network_radial_law(monkeypatch):
+    # area-uniform placement, thinned by p_c inside the zone: the CDF at r is
+    # (r^2 - p_c min(r, X)^2) / (r_max^2 - p_c X^2)
+    cfg = dense_scenario()
+    p_c = float(cfg.policy.probabilities[0])
+    x, r_max = 3.0, 12.0
+    radii = window_radii(monkeypatch, cfg, r_max, 1000)
+    assert radii.min() >= 0.0 and radii.max() <= r_max
+    for r in (1.5, 3.0, 6.0, 9.0):
+        cdf = (r ** 2 - p_c * min(r, x) ** 2) / (r_max ** 2 - p_c * x ** 2)
+        frac = (radii <= r).mean()
+        assert abs(frac - cdf) < 3.0 * math.sqrt(cdf * (1 - cdf) / radii.size), r
 
 
 # --- capacity estimator -------------------------------------------------------
