@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import replace
 
 from uavcache import (ContentLibrary, ScenarioConfig, content_capacity,
                       environment_preset, estimate_capacity, mpc_policy,

@@ -19,7 +19,8 @@ from .channel import (ENVIRONMENT_PRESETS, ChannelConfig, Environment,
 from .errors import ConfigError, ConvergenceError, UavCacheError
 from .harness import (CSV_HEADER, RunConfig, SweepRow, SweepSpec, dump_config,
                       emit_csv, load_config, parse_config, run_sweep)
-from .simulator import (SimEstimate, SimOptions, estimate_capacity,
+from .simulator import (InterferenceField, SimEstimate, SimOptions,
+                        draw_interference_field, estimate_capacity,
                         estimate_ee, window_radius)
 
 __version__ = "0.1.0"
@@ -39,7 +40,8 @@ __all__ = [
     "ConfigError", "ConvergenceError", "UavCacheError",
     "CSV_HEADER", "RunConfig", "SweepRow", "SweepSpec", "dump_config",
     "emit_csv", "load_config", "parse_config", "run_sweep",
-    "SimEstimate", "SimOptions", "estimate_capacity", "estimate_ee",
+    "InterferenceField", "SimEstimate", "SimOptions",
+    "draw_interference_field", "estimate_capacity", "estimate_ee",
     "window_radius",
     "__version__",
 ]

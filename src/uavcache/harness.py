@@ -21,13 +21,14 @@ from typing import Iterable
 import numpy as np
 import yaml
 
-from .analytics import (CapacityReport, PowerModel, QuadratureConfig,
-                        ScenarioConfig, energy_efficiency, system_capacity)
+from .analytics import (PowerModel, QuadratureConfig, ScenarioConfig,
+                        energy_efficiency, system_capacity)
 from .caching import (POLICY_KINDS, ContentLibrary, PlacementPolicy, lru_che,
                       lru_empirical_policy, mpc_policy, solve_rcp)
 from .channel import ChannelConfig, Environment, environment_preset
 from .errors import ConfigError, UavCacheError
-from .simulator import SimEstimate, SimOptions, estimate_capacity, estimate_ee
+from .simulator import (_PURPOSE_LRU, SimEstimate, SimOptions, _chunk_rng,
+                        draw_interference_field, estimate_capacity, estimate_ee)
 
 SWEEP_VARIABLES = ("x_cop", "kappa", "library_size", "altitude", "density")
 METHODS = ("analytic", "monte_carlo")
@@ -251,10 +252,8 @@ def _build_policy(kind: str, library: ContentLibrary, scenario: ScenarioConfig,
     if kind == "lru_che":
         return lru_che(library.popularity, s)
     if kind == "lru_empirical":
-        rng = np.random.Generator(np.random.Philox(key=np.array(
-            [seed & (2 ** 64 - 1), 3 << 32], dtype=np.uint64)))
         return lru_empirical_policy(library.popularity, s, _LRU_REQUESTS,
-                                    _LRU_WARMUP, rng)
+                                    _LRU_WARMUP, _chunk_rng(seed, _PURPOSE_LRU, 0, 0))
     raise ConfigError(f"unknown policy kind {kind!r}")
 
 
@@ -439,23 +438,27 @@ def _apply_variable(scenario: ScenarioConfig, variable: str,
 
 def _evaluate_row(scenario: ScenarioConfig, method: str, trials: int,
                   seed: int, opts: SimOptions) -> tuple[float, float, float | None, int]:
-    """(capacity_bits, ee_bits_per_joule, stderr, n_trials) for one row."""
+    """(capacity_bits, ee_bits_per_joule, stderr, n_trials) for one row.
+
+    A Monte Carlo row shares one interference field across its contents, so
+    the per-content estimates are correlated: the row's stderr is that of the
+    per-trial weighted system rate sum_c a_c X_c,t, not a sum in quadrature.
+    """
     if method == "analytic":
         report = system_capacity(scenario)
         ee = energy_efficiency(scenario, report)
         return report.system_rate_bits, ee, None, 0
-    mean = 0.0
-    var = 0.0
+    field = draw_interference_field(scenario, trials, seed, opts)
     per_content = np.zeros(scenario.library.size)
+    system = np.zeros(trials)
     for c in range(1, scenario.library.size + 1):
-        est = estimate_capacity(scenario, c, trials, seed, opts)
-        a_c = float(scenario.library.popularity[c - 1])
+        est = estimate_capacity(scenario, c, trials, seed, opts, field=field)
         per_content[c - 1] = est.mean
-        mean += a_c * est.mean
-        var += (a_c * est.stderr) ** 2
+        system += float(scenario.library.popularity[c - 1]) * est.samples
+    row = SimEstimate.of(system)
     ln2 = math.log(2.0)
     ee_est = estimate_ee(scenario, per_content / ln2, trials, seed, opts)
-    return mean / ln2, ee_est.mean, math.sqrt(var) / ln2, trials
+    return row.mean / ln2, ee_est.mean, row.stderr / ln2, trials
 
 
 # SweepRow field written by each sweep variable

@@ -11,11 +11,18 @@ threshold are sampled explicitly as a Poisson "spike" process on a log-radius
 grid, the remainder enters as a deterministic mean floor computed from exact
 log-normal partial moments, and the tail beyond the grid is added analytically.
 
+A capacity trial splits in two. Beyond the cooperation zone every UAV on the
+sub-channel interferes whatever it caches, so the window annulus and the far
+field form one content-independent interference field, drawn once per trial
+and shared by every content of a system row (common random numbers). Per
+content, only the cooperators and the non-caching interferers inside the zone
+are drawn.
+
 Determinism contract: every estimator derives its randomness from
 counter-based Philox substreams keyed by (master seed, purpose, content) with
-the chunk index in the counter block. Chunks own disjoint streams and are
-reduced in index order, so results are bit-identical for any chunk execution
-order or thread count.
+the chunk index in the counter block; the shared field has its own purpose
+and content 0. Chunks own disjoint streams and are reduced in index order, so
+results are bit-identical for any chunk execution order or thread count.
 """
 from __future__ import annotations
 
@@ -33,8 +40,12 @@ from .channel import (ChannelConfig, Environment, los_probability, path_loss,
 from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
+# Philox stream purposes; each must be distinct, or two estimators replay
+# one stream
 _PURPOSE_CAPACITY = 1
 _PURPOSE_EE = 2
+_PURPOSE_LRU = 3    # the LRU request trace of lru_empirical placements
+_PURPOSE_FIELD = 4
 
 
 @dataclass(frozen=True)
@@ -59,16 +70,46 @@ class SimOptions:
 
 @dataclass(frozen=True, eq=False)
 class SimEstimate:
-    """Sample mean with its standard error."""
+    """Sample mean with its standard error, and the per-trial values it
+    averages when an estimator produced them."""
 
     mean: float
     stderr: float
     n_trials: int
+    samples: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, samples: np.ndarray) -> SimEstimate:
+        """Mean and standard error of the per-trial values."""
+        n = samples.size
+        std = float(samples.std(ddof=1)) if n > 1 else 0.0
+        return cls(float(samples.mean()), std / math.sqrt(n), n, samples)
 
     @property
     def half_width(self) -> float:
         """95% confidence half-width."""
         return 1.96 * self.stderr
+
+
+@dataclass(frozen=True, eq=False)
+class InterferenceField:
+    """Per-trial interference from the UAVs beyond the cooperation zone,
+    shared by every content, and the key it was drawn for.
+
+    `interference` sums, per trial, the window links on the annulus
+    coop_radius_km < r <= r_max, the far-field spikes and the far-field floor.
+    """
+
+    env: Environment
+    channel: ChannelConfig
+    interferer_density: float
+    coop_radius_km: float
+    r_max: float
+    spike_rel: float
+    chunk_size: int
+    n_trials: int
+    seed: int
+    interference: np.ndarray
 
 
 def window_radius(cfg: ScenarioConfig) -> float:
@@ -218,8 +259,7 @@ class _FarField:
             q = ndtr(a_std) + rng.random(tot) * ndtr(-a_std)
             v = np.exp(md["m_ln"] + s_ln * ndtri(np.clip(q, 0.0, 1.0 - 1e-16)))
             w = rng.gamma(md["wbar"], 1.0 / md["wbar"], tot)
-            idx = np.repeat(np.arange(n_trials), counts)
-            out += np.bincount(idx, weights=loss * v * w, minlength=n_trials)
+            out += _per_trial_sum(n_trials, counts, loss * v * w)
         return out
 
 
@@ -244,14 +284,33 @@ def _truncated_poisson_cdf(m: float) -> np.ndarray:
     return np.cumsum(pmf)
 
 
+def _per_trial_sum(n: int, counts: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Sum gains into n trials that own counts[t] consecutive entries each."""
+    return np.bincount(np.repeat(np.arange(n), counts), weights=gains, minlength=n)
+
+
+def _field_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator,
+                 r_max: float, far: _FarField | None) -> np.ndarray:
+    """Per-trial interference beyond the zone for one chunk (canonical draw
+    order: annulus counts, radii, links, far-field spikes)."""
+    x = cfg.coop_radius_km
+    counts = rng.poisson(cfg.interferer_density * math.pi * (r_max * r_max - x * x), n)
+    radii = np.sqrt(x * x + (r_max * r_max - x * x) * rng.random(int(counts.sum())))
+    _, gains = _draw_links(rng, radii, cfg.env, cfg.channel)
+    out = _per_trial_sum(n, counts, gains)
+    if far is not None:
+        out += far.sample(rng, n) + far.floor
+    return out
+
+
 def _capacity_chunk(cfg: ScenarioConfig, p_c: float, n: int,
-                    rng: np.random.Generator, opts: SimOptions, r_max: float,
-                    m_c: float, trunc_cdf: np.ndarray | None,
-                    far: _FarField | None) -> np.ndarray:
-    """Per-trial rate samples log(1+SIR) for one chunk (canonical draw order:
-    cooperator counts, signal links, window interferers, far-field spikes)."""
+                    rng: np.random.Generator, opts: SimOptions, m_c: float,
+                    trunc_cdf: np.ndarray | None,
+                    field: np.ndarray) -> np.ndarray:
+    """Per-trial rate samples log(1+SIR) of one content for one chunk, given
+    the chunk's shared field (canonical draw order: cooperator counts, signal
+    links, in-zone interferer counts, their radii and links)."""
     env, ch = cfg.env, cfg.channel
-    lam_i = cfg.interferer_density
     x = cfg.coop_radius_km
 
     if opts.mode == "conditioned":
@@ -260,23 +319,16 @@ def _capacity_chunk(cfg: ScenarioConfig, p_c: float, n: int,
                        trunc_cdf.size)
     else:
         k = rng.poisson(m_c, n)
-    total_k = int(k.sum())
-    r_sig = x * np.sqrt(rng.random(total_k))
+    r_sig = x * np.sqrt(rng.random(int(k.sum())))
     _, g_sig = _draw_links(rng, r_sig, env, ch)
-    sig_idx = np.repeat(np.arange(n), k)
-    signal = np.bincount(sig_idx, weights=g_sig, minlength=n)
+    signal = _per_trial_sum(n, k, g_sig)
 
-    n_int = rng.poisson(lam_i * math.pi * r_max * r_max, n)
-    total_i = int(n_int.sum())
-    r_int = r_max * np.sqrt(rng.random(total_i))
-    # inside the zone only non-caching UAVs interfere: thin by p_c there
-    keep = (r_int > x) | (rng.random(total_i) >= p_c)
-    int_idx = np.repeat(np.arange(n), n_int)[keep]
-    _, g_int = _draw_links(rng, r_int[keep], env, ch)
-    interference = np.bincount(int_idx, weights=g_int, minlength=n)
+    # inside the zone only the UAVs that do not cache the content interfere
+    n_in = rng.poisson(cfg.interferer_density * (1.0 - p_c) * math.pi * x * x, n)
+    r_in = x * np.sqrt(rng.random(int(n_in.sum())))
+    _, g_in = _draw_links(rng, r_in, env, ch)
+    interference = _per_trial_sum(n, n_in, g_in) + field
 
-    if far is not None:
-        interference = interference + far.sample(rng, n) + far.floor
     with np.errstate(divide="ignore", invalid="ignore"):
         sir = np.where(signal > 0.0,
                        np.minimum(np.divide(signal, interference,
@@ -289,13 +341,14 @@ def _capacity_chunk(cfg: ScenarioConfig, p_c: float, n: int,
 
 def _run_chunks(worker, n_trials: int, chunk_size: int, n_jobs: int,
                 make_rng) -> np.ndarray:
-    """Evaluate worker(rng, chunk_trials) over all chunks, reducing in chunk
-    order regardless of execution order."""
+    """Evaluate worker(rng, trials) over all chunks, where trials is the
+    chunk's slice of the trial range, reducing in chunk order regardless of
+    execution order."""
     n_chunks = (n_trials + chunk_size - 1) // chunk_size
-    sizes = [min(chunk_size, n_trials - i * chunk_size) for i in range(n_chunks)]
 
     def run(i: int) -> np.ndarray:
-        return worker(make_rng(i), sizes[i])
+        lo = i * chunk_size
+        return worker(make_rng(i), slice(lo, min(lo + chunk_size, n_trials)))
 
     if n_jobs > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -305,43 +358,85 @@ def _run_chunks(worker, n_trials: int, chunk_size: int, n_jobs: int,
     return np.concatenate(parts)
 
 
+def _field_key(cfg: ScenarioConfig, n_trials: int, seed: int,
+               opts: SimOptions) -> dict:
+    """What a shared field depends on: InterferenceField's key fields."""
+    r_max = opts.r_max if opts.r_max is not None else window_radius(cfg)
+    return {"env": cfg.env, "channel": cfg.channel,
+            "interferer_density": cfg.interferer_density,
+            "coop_radius_km": cfg.coop_radius_km, "r_max": r_max,
+            "spike_rel": opts.spike_rel, "chunk_size": opts.chunk_size,
+            "n_trials": n_trials, "seed": seed}
+
+
+def draw_interference_field(cfg: ScenarioConfig, n_trials: int, seed: int,
+                            options: SimOptions | None = None) -> InterferenceField:
+    """Draw the content-independent interference of n_trials trials once, for
+    estimate_capacity calls on any content of cfg with the same trial count,
+    seed and options (a placement change keeps it valid)."""
+    opts = options or SimOptions()
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    key = _field_key(cfg, n_trials, seed, opts)
+    r_max = key["r_max"]
+    if r_max <= cfg.coop_radius_km:
+        raise ValueError("window radius must exceed the cooperation radius")
+    far = None
+    if cfg.interferer_density > 0:
+        far = _FarField(cfg, cfg.interferer_density, r_max,
+                        _spike_threshold(cfg, opts.spike_rel))
+
+    def worker(rng: np.random.Generator, trials: slice) -> np.ndarray:
+        return _field_chunk(cfg, trials.stop - trials.start, rng, r_max, far)
+
+    vals = _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
+                       lambda i: _chunk_rng(seed, _PURPOSE_FIELD, 0, i))
+    return InterferenceField(interference=vals, **key)
+
+
 def estimate_capacity(cfg: ScenarioConfig, content: int, n_trials: int,
-                      seed: int, options: SimOptions | None = None) -> SimEstimate:
+                      seed: int, options: SimOptions | None = None,
+                      field: InterferenceField | None = None) -> SimEstimate:
     """Monte Carlo estimate of the average rate of one content (1-based
-    index), nats per channel use.
+    index), nats per channel use, with its per-trial values as `samples`.
 
     Conditioned mode draws the cooperator count from the zero-truncated
     Poisson and scales by the nonempty-zone probability (variance reduction
     for sparse deployments); unconditioned mode samples plain Poisson counts
     and averages the indicator-weighted rate.
+
+    `field` is the shared interference beyond the zone from
+    draw_interference_field; without one the call draws its own, with the
+    same result. A field drawn for other arguments raises ValueError.
     """
     opts = options or SimOptions()
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if not 1 <= content <= cfg.library.size:
         raise ValueError("content index out of range")
+    if field is not None:
+        key = _field_key(cfg, n_trials, seed, opts)
+        wrong = [name for name, value in key.items() if getattr(field, name) != value]
+        if wrong:
+            raise ValueError("interference field was drawn for another "
+                             + ", ".join(wrong))
     p_c = float(cfg.policy.probabilities[content - 1])
     m_c = cfg.coop_mean(p_c)
     if p_c <= 0.0 or m_c <= 0.0:
-        return SimEstimate(0.0, 0.0, n_trials)
-    r_max = opts.r_max if opts.r_max is not None else window_radius(cfg)
-    if r_max <= cfg.coop_radius_km:
-        raise ValueError("window radius must exceed the cooperation radius")
+        return SimEstimate.of(np.zeros(n_trials))
+    if field is None:
+        field = draw_interference_field(cfg, n_trials, seed, opts)
     trunc_cdf = _truncated_poisson_cdf(m_c) if opts.mode == "conditioned" else None
-    far = None
-    if cfg.interferer_density > 0:
-        far = _FarField(cfg, cfg.interferer_density, r_max,
-                        _spike_threshold(cfg, opts.spike_rel))
 
-    def worker(rng: np.random.Generator, n: int) -> np.ndarray:
-        return _capacity_chunk(cfg, p_c, n, rng, opts, r_max, m_c, trunc_cdf, far)
+    def worker(rng: np.random.Generator, trials: slice) -> np.ndarray:
+        return _capacity_chunk(cfg, p_c, trials.stop - trials.start, rng, opts,
+                               m_c, trunc_cdf, field.interference[trials])
 
     vals = _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
                        lambda i: _chunk_rng(seed, _PURPOSE_CAPACITY, content, i))
-    scale = -math.expm1(-m_c) if opts.mode == "conditioned" else 1.0
-    std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-    return SimEstimate(scale * float(vals.mean()),
-                       scale * std / math.sqrt(vals.size), n_trials)
+    if opts.mode == "conditioned":
+        vals *= -math.expm1(-m_c)
+    return SimEstimate.of(vals)
 
 
 def estimate_ee(cfg: ScenarioConfig, capacity_bits: np.ndarray, n_trials: int,
@@ -365,7 +460,8 @@ def estimate_ee(cfg: ScenarioConfig, capacity_bits: np.ndarray, n_trials: int,
     zeta = cfg.power.rate_power_slope
     live = (m > 0.0) & (rates > 0.0)
 
-    def worker(rng: np.random.Generator, n: int) -> np.ndarray:
+    def worker(rng: np.random.Generator, trials: slice) -> np.ndarray:
+        n = trials.stop - trials.start
         k = rng.poisson(np.broadcast_to(m, (n, m.size)))
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where((k > 0) & live[None, :],
@@ -374,7 +470,5 @@ def estimate_ee(cfg: ScenarioConfig, capacity_bits: np.ndarray, n_trials: int,
                              0.0)
         return terms.sum(axis=1)
 
-    vals = _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
-                       lambda i: _chunk_rng(seed, _PURPOSE_EE, 0, i))
-    std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-    return SimEstimate(float(vals.mean()), std / math.sqrt(vals.size), n_trials)
+    return SimEstimate.of(_run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
+                                      lambda i: _chunk_rng(seed, _PURPOSE_EE, 0, i)))

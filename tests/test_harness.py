@@ -1,6 +1,7 @@
 """Config parsing, sweep execution, CSV emission, and the CLI front end."""
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from uavcache.errors import ConfigError
 from uavcache.harness import (CSV_HEADER, SWEEP_VARIABLES, SweepSpec,
                               dump_config, emit_csv, load_config, parse_config,
                               run_sweep)
+from uavcache.simulator import (SimOptions, draw_interference_field,
+                                estimate_capacity)
 
 MINIMAL_SWEEP_YAML = """\
 scenario:
@@ -444,6 +447,39 @@ def test_both_methods_agree_on_one_point():
     assert monte.n_trials == 1500 and monte.stderr > 0
     assert abs(analytic.capacity_bits - monte.capacity_bits) < 1.96 * monte.stderr
     assert monte.ee_bits_per_joule > 0
+
+
+def test_monte_carlo_stderr_is_that_of_the_system_rate():
+    # oracle: std over trials of sum_c a_c X_c,t, the per-trial values each
+    # estimate_capacity call averages on the row's shared field
+    base = parse_config({}).scenario
+    spec = SweepSpec(name="pt", variable="x_cop", grid=(1.0,), base=base,
+                     methods=("monte_carlo",), trials=400, seed=9)
+    (row,) = run_sweep(spec)
+    opts = SimOptions()
+    field = draw_interference_field(base, 400, row.seed, opts)
+    system = np.zeros(400)
+    for c in range(1, base.library.size + 1):
+        est = estimate_capacity(base, c, 400, row.seed, opts, field=field)
+        system += float(base.library.popularity[c - 1]) * est.samples
+    ln2 = math.log(2.0)
+    assert row.capacity_bits == pytest.approx(system.mean() / ln2, rel=1e-12)
+    assert row.stderr == pytest.approx(
+        system.std(ddof=1) / math.sqrt(400) / ln2, rel=1e-12)
+
+
+def test_monte_carlo_stderr_is_calibrated():
+    # the reported stderr must match the spread of the row means over seeds;
+    # summing per-content stderrs in quadrature ignores the shared field and
+    # reads about 1.9 here
+    base = parse_config({}).scenario
+    spec = SweepSpec(name="pt", variable="x_cop", grid=(1.0,), base=base,
+                     methods=("monte_carlo",), trials=500)
+    rows = [run_sweep(replace(spec, seed=s))[0] for s in range(40)]
+    means = np.array([r.capacity_bits for r in rows])
+    stderrs = np.array([r.stderr for r in rows])
+    ratio = means.std(ddof=1) / stderrs.mean()
+    assert 0.7 <= ratio <= 1.4, ratio
 
 
 def test_load_config_matches_parse(tmp_path):

@@ -11,7 +11,8 @@ from uavcache.analytics import (PowerModel, ScenarioConfig,
 from uavcache.caching import ContentLibrary, solve_rcp
 from uavcache.channel import environment_preset, los_probability
 from uavcache.errors import ConfigError
-from uavcache.simulator import (SimEstimate, SimOptions, estimate_capacity,
+from uavcache.simulator import (SimEstimate, SimOptions,
+                                draw_interference_field, estimate_capacity,
                                 estimate_ee, window_radius)
 
 SU = environment_preset("sub_urban")
@@ -61,9 +62,10 @@ def test_window_radius_rules():
     assert window_radius(wide) == pytest.approx(300.0, rel=1e-12)
 
 
-def window_radii(monkeypatch, cfg, r_max, n_trials):
-    """Radii of the window interferers that a one-chunk estimate_capacity run
-    for content 1 passes to the link sampler."""
+def interferer_radii(monkeypatch, cfg, r_max, n_trials):
+    """Radii of the interferers that enter content 1's interference in a
+    one-chunk run: the shared field's annulus links, then content 1's in-zone
+    links, as passed to the link sampler."""
     calls = []
     inner = simulator._draw_links
 
@@ -72,10 +74,12 @@ def window_radii(monkeypatch, cfg, r_max, n_trials):
         return inner(rng, radii, env, ch)
 
     monkeypatch.setattr(simulator, "_draw_links", recording)
-    estimate_capacity(cfg, 1, n_trials, 42,
-                      SimOptions(r_max=r_max, chunk_size=n_trials, **DENSE_OPTS))
-    assert len(calls) == 2  # cooperators, then window interferers
-    return calls[1]
+    opts = SimOptions(r_max=r_max, chunk_size=n_trials, **DENSE_OPTS)
+    field = draw_interference_field(cfg, n_trials, 42, opts)
+    assert len(calls) == 1  # the annulus beyond the zone
+    estimate_capacity(cfg, 1, n_trials, 42, opts, field=field)
+    assert len(calls) == 3  # then cooperators, then in-zone interferers
+    return np.concatenate([calls[0], calls[2]])
 
 
 def test_sample_network_poisson_count(monkeypatch):
@@ -86,7 +90,7 @@ def test_sample_network_poisson_count(monkeypatch):
     cfg = dense_scenario()
     p_c = float(cfg.policy.probabilities[0])
     n, r_max = 4000, 6.0
-    radii = window_radii(monkeypatch, cfg, r_max, n)
+    radii = interferer_radii(monkeypatch, cfg, r_max, n)
     target = cfg.interferer_density * math.pi * (r_max ** 2 - p_c * 3.0 ** 2)
     z = (radii.size / n - target) / math.sqrt(target / n)
     assert abs(z) < 3.0
@@ -98,7 +102,7 @@ def test_sample_network_radial_law(monkeypatch):
     cfg = dense_scenario()
     p_c = float(cfg.policy.probabilities[0])
     x, r_max = 3.0, 12.0
-    radii = window_radii(monkeypatch, cfg, r_max, 1000)
+    radii = interferer_radii(monkeypatch, cfg, r_max, 1000)
     assert radii.min() >= 0.0 and radii.max() <= r_max
     for r in (1.5, 3.0, 6.0, 9.0):
         cdf = (r ** 2 - p_c * min(r, x) ** 2) / (r_max ** 2 - p_c * x ** 2)
@@ -142,6 +146,49 @@ def test_estimator_seed_reproducibility():
     c = estimate_capacity(cfg, 1, 500, 124, SimOptions(**DENSE_OPTS))
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
     assert a.mean != c.mean
+
+
+def test_stream_purposes_are_distinct():
+    # two estimators sharing a purpose would replay one Philox stream
+    purposes = {name: value for name, value in vars(simulator).items()
+                if name.startswith("_PURPOSE_")}
+    assert len(purposes) == 4
+    assert len(set(purposes.values())) == len(purposes)
+
+
+def test_shared_field_matches_own_draw():
+    cfg = dense_scenario()
+    opts = SimOptions(chunk_size=200, **DENSE_OPTS)
+    field = draw_interference_field(cfg, 500, 17, opts)
+    for content in (1, 2):
+        shared = estimate_capacity(cfg, content, 500, 17, opts, field=field)
+        own = estimate_capacity(cfg, content, 500, 17, opts)
+        assert (shared.mean, shared.stderr) == (own.mean, own.stderr)
+        assert np.array_equal(shared.samples, own.samples)
+        assert shared.mean == shared.samples.mean()
+
+
+def test_shared_field_parallelism_is_invisible():
+    cfg = dense_scenario()
+    serial = draw_interference_field(cfg, 700, 5, SimOptions(chunk_size=100, **DENSE_OPTS))
+    threaded = draw_interference_field(
+        cfg, 700, 5, SimOptions(chunk_size=100, n_jobs=3, **DENSE_OPTS))
+    assert np.array_equal(serial.interference, threaded.interference)
+    assert serial.interference.shape == (700,)
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=8), dict(n_trials=300), dict(cfg=dense_scenario(uav_density=0.04)),
+    dict(cfg=dense_scenario(coop_radius_km=2.5)),
+    dict(opts=SimOptions(r_max=20.0, **DENSE_OPTS))])
+def test_shared_field_key_is_checked(change):
+    cfg = dense_scenario()
+    field = draw_interference_field(cfg, 200, 7, SimOptions(**DENSE_OPTS))
+    call = dict(cfg=cfg, n_trials=200, seed=7, opts=SimOptions(**DENSE_OPTS))
+    call.update(change)
+    with pytest.raises(ValueError, match="interference field was drawn for another"):
+        estimate_capacity(call["cfg"], 1, call["n_trials"], call["seed"],
+                          call["opts"], field=field)
 
 
 def test_estimator_validation():
