@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Time cold analytic table builds and split the Laplace kernel's cost by
+branch, with a fingerprint of the tables each build produced.
+
+For every geometry the script builds the radial tables once from an empty
+table cache (the cold build a new geometry costs a sweep row) and records
+every `_shadow_expectation` call made during it. Each recorded call is then
+replayed once per kernel branch with only that branch's cells live (the other
+cells set to 0, which the kernel answers without work), and once with every
+cell 0 (`base_s`: masks and gates). Each replay is the fastest of REPEATS
+runs. A branch's seconds are its replay time minus `base_s`, so the branch
+times plus `base_s` approximate `kernel_s`; a branch too cheap to separate
+from timing noise can read slightly below 0.
+
+One JSON line per geometry:
+  env, x_cop_km, altitude_km, hermite_nodes,
+  build_s        cold build plus v_max guard (`analytics._tables_for`),
+  kernel_s       time inside `_shadow_expectation` during that build,
+  base_s         replay with every cell 0,
+  branches       {linear, gauss_hermite, windowed}: {cells, s},
+  tables_sha256  SHA-256 of the zone table bytes followed by the outside
+                 table bytes (the whole 2*v_max build).
+
+The default geometries are the six cold builds of the benchmark's
+figures_analytic workload: high_rise and sub_urban at X = 1 and 3 km with
+H = 1 km, and at X = 3 km with H = 2 km.
+
+Usage: python3 scripts/kernel_profile.py [--hermite-nodes N]
+           [--geometry ENV:X_KM:H_KM ...]
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import time
+from dataclasses import replace
+
+import numpy as np
+
+from uavcache import (ChannelConfig, ContentLibrary, QuadratureConfig,
+                      ScenarioConfig, environment_preset, mpc_policy)
+from uavcache import analytics, channel
+
+REPEATS = 3
+DEFAULT_GEOMETRIES = (
+    ("high_rise", 1.0, 1.0), ("sub_urban", 1.0, 1.0),
+    ("high_rise", 3.0, 1.0), ("sub_urban", 3.0, 1.0),
+    ("high_rise", 3.0, 2.0), ("sub_urban", 3.0, 2.0),
+)
+
+
+def scenario(env_name: str, x_cop: float, altitude: float,
+             hermite_nodes: int | None) -> ScenarioConfig:
+    lib = ContentLibrary(20, 0.8)
+    quad = QuadratureConfig()
+    if hermite_nodes is not None:
+        quad = replace(quad, hermite_nodes=hermite_nodes)
+    return ScenarioConfig(lib, mpc_policy(lib.popularity, 5),
+                          environment_preset(env_name),
+                          channel=ChannelConfig(altitude_km=altitude),
+                          quadrature=quad, coop_radius_km=x_cop)
+
+
+def branch_masks(coef, m_ln, s_ln):
+    """The kernel's branch of every cell, by the kernel's own rule."""
+    s = np.broadcast_to(s_ln, coef.shape)
+    live = coef != 0.0
+    linear = live & (coef < channel.linear_threshold(m_ln, s))
+    gauss_hermite = live & ~linear & (s < channel._S_SWITCH)
+    windowed = live & ~linear & ~gauss_hermite
+    return {"linear": linear, "gauss_hermite": gauss_hermite,
+            "windowed": windowed}
+
+
+def timed(fn, *args) -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def profile(env_name: str, x_cop: float, altitude: float,
+            hermite_nodes: int | None) -> dict:
+    cfg = scenario(env_name, x_cop, altitude, hermite_nodes)
+    kernel = channel._shadow_expectation
+    calls = []
+    kernel_s = 0.0
+
+    def recording(coef, m_ln, s_ln, wbar, n_h):
+        nonlocal kernel_s
+        t0 = time.perf_counter()
+        out = kernel(coef, m_ln, s_ln, wbar, n_h)
+        kernel_s += time.perf_counter() - t0
+        calls.append((coef, m_ln, s_ln, wbar, n_h))
+        return out
+
+    analytics._TABLE_CACHE.clear()
+    channel._shadow_expectation = recording
+    try:
+        t0 = time.perf_counter()
+        analytics._tables_for(cfg)
+        build_s = time.perf_counter() - t0
+    finally:
+        channel._shadow_expectation = kernel
+    doubled = analytics._TABLE_CACHE[analytics._geometry_key(cfg)].doubled
+    digest = hashlib.sha256(np.ascontiguousarray(doubled.zone).tobytes()
+                            + np.ascontiguousarray(doubled.outside).tobytes())
+
+    base_s = 0.0
+    branches = {name: {"cells": 0, "s": 0.0}
+                for name in ("linear", "gauss_hermite", "windowed")}
+    for coef, m_ln, s_ln, wbar, n_h in calls:
+        coef = np.asarray(coef, dtype=float)
+        base = timed(kernel, np.zeros_like(coef), m_ln, s_ln, wbar, n_h)
+        base_s += base
+        for name, mask in branch_masks(coef, m_ln, s_ln).items():
+            branches[name]["cells"] += int(mask.sum())
+            if mask.any():
+                live = np.where(mask, coef, 0.0)
+                branches[name]["s"] += timed(kernel, live, m_ln, s_ln, wbar, n_h) - base
+    for rec in branches.values():
+        rec["s"] = round(rec["s"], 4)
+    return {"env": env_name, "x_cop_km": x_cop, "altitude_km": altitude,
+            "hermite_nodes": cfg.quadrature.hermite_nodes,
+            "build_s": round(build_s, 4), "kernel_s": round(kernel_s, 4),
+            "base_s": round(base_s, 4), "branches": branches,
+            "tables_sha256": digest.hexdigest()}
+
+
+def parse_geometry(text: str) -> tuple[str, float, float]:
+    env_name, x_cop, altitude = text.split(":")
+    return env_name, float(x_cop), float(altitude)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--hermite-nodes", type=int, default=None,
+                    help="quadrature hermite_nodes (default: QuadratureConfig's)")
+    ap.add_argument("--geometry", type=parse_geometry, action="append",
+                    help="ENV:X_KM:H_KM, repeatable (default: the six "
+                         "figures_analytic cold builds)")
+    args = ap.parse_args()
+    for env_name, x_cop, altitude in args.geometry or DEFAULT_GEOMETRIES:
+        print(json.dumps(profile(env_name, x_cop, altitude, args.hermite_nodes)),
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

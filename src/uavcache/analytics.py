@@ -43,7 +43,7 @@ _V_PANELS_PER_DECADE = 2
 class QuadratureConfig:
     """Resolution and truncation controls for the analytic integrals."""
 
-    hermite_nodes: int = 48
+    hermite_nodes: int = 32
     rel_tol: float = 1e-6
     v_max: float = 1e7
     z_max: float = 64.0

@@ -236,7 +236,7 @@ _S_SWITCH = 1.2
 _WIN_Y_LO = -20.0
 _WIN_Y_HI = 12.0
 _WIN_PANELS = 8
-_WIN_CHUNK = 8192
+_WIN_BLOCK = 1024
 
 
 @lru_cache(maxsize=8)
@@ -255,16 +255,19 @@ def _shadow_expectation(coef: np.ndarray, m_ln: float, s_ln: np.ndarray,
     """E_V[1 - (1 + coef*V/wbar)^(-wbar)] with ln V ~ Normal(m_ln, s_ln^2),
     elementwise over coef (s_ln broadcasts against it)."""
     coef = np.asarray(coef, dtype=float)
-    s = np.broadcast_to(np.asarray(s_ln, dtype=float), coef.shape)
+    s_ln = np.asarray(s_ln, dtype=float)
     out = np.empty(coef.shape)
     flat_c = coef.ravel()
-    flat_s = s.ravel()
+    flat_s = np.broadcast_to(s_ln, coef.shape).ravel()
     flat_o = out.ravel()
 
+    # the linear gate and slope depend on s alone: evaluate them at s_ln's
+    # own shape (one value per row in kernel_table) and broadcast
     zero = flat_c == 0.0
     flat_o[zero] = 0.0
-    linear = ~zero & (flat_c < linear_threshold(m_ln, flat_s))
-    flat_o[linear] = flat_c[linear] * np.exp(m_ln + 0.5 * flat_s[linear] ** 2)
+    linear = ~zero & (coef < linear_threshold(m_ln, s_ln)).ravel()
+    slope = np.broadcast_to(np.exp(m_ln + 0.5 * s_ln ** 2), coef.shape)
+    flat_o[linear] = flat_c[linear] * slope[linear.reshape(coef.shape)]
 
     gh_mask = ~zero & ~linear & (flat_s < _S_SWITCH)
     if gh_mask.any():
@@ -280,16 +283,10 @@ def _shadow_expectation(coef: np.ndarray, m_ln: float, s_ln: np.ndarray,
 
     win_mask = ~zero & ~linear & ~gh_mask
     if win_mask.any():
-        y, w = _window_rule(max(6, hermite_nodes // 4))
-        fy = w * -np.expm1(-wbar * np.log1p(np.exp(y) / wbar))
         c = flat_c[win_mask]
         sw = flat_s[win_mask]
         x0 = (-np.log(c) - m_ln) / sw
-        vals = np.empty(c.shape)
-        for lo in range(0, c.size, _WIN_CHUNK):
-            sl = slice(lo, min(lo + _WIN_CHUNK, c.size))
-            xx = x0[sl, None] + y[None, :] / sw[sl, None]
-            vals[sl] = np.exp(-0.5 * xx * xx) @ fy
+        vals = _window_sum(x0, sw, wbar, max(6, hermite_nodes // 4))
         vals /= np.sqrt(2.0 * np.pi) * sw
         vals += ndtr(-(x0 + _WIN_Y_HI / sw))
         vals += np.exp(np.log(c) + m_ln + 0.5 * sw ** 2
@@ -297,6 +294,31 @@ def _shadow_expectation(coef: np.ndarray, m_ln: float, s_ln: np.ndarray,
         flat_o[win_mask] = vals
 
     return np.clip(out, 0.0, 1.0)
+
+
+def _window_sum(x0: np.ndarray, sw: np.ndarray, wbar: float,
+                nodes_per_panel: int) -> np.ndarray:
+    """sum_j w_j f(y_j) exp(-(x0 + y_j/sw)^2 / 2) for each cell, the windowed
+    rule's transition integral before its 1/(sqrt(2 pi) sw) normalization.
+
+    Cells go through one preallocated (_WIN_BLOCK x nodes) buffer in place,
+    so each block's working set stays in cache and no cell-sized temporaries
+    are allocated.
+    """
+    y, w = _window_rule(nodes_per_panel)
+    fy = w * -np.expm1(-wbar * np.log1p(np.exp(y) / wbar))
+    vals = np.empty(x0.shape)
+    buf = np.empty((min(_WIN_BLOCK, x0.size), y.size))
+    for lo in range(0, x0.size, _WIN_BLOCK):
+        hi = min(lo + _WIN_BLOCK, x0.size)
+        xx = buf[:hi - lo]
+        np.divide(y, sw[lo:hi, None], out=xx)
+        xx += x0[lo:hi, None]
+        xx *= xx
+        xx *= -0.5
+        np.exp(xx, out=xx)
+        np.matmul(xx, fy, out=vals[lo:hi])
+    return vals
 
 
 def kernel_table(z, v, env: Environment, cfg: ChannelConfig,

@@ -304,7 +304,7 @@ def parse_config(raw: dict) -> RunConfig:
     quad_node = _require_mapping(sc.get("quadrature"), "scenario.quadrature")
     _check_keys(quad_node, _QUAD_KEYS, "scenario.quadrature")
     quadrature = QuadratureConfig(
-        hermite_nodes=_get_int(quad_node, "hermite_nodes", 48, "scenario.quadrature", lo=2),
+        hermite_nodes=_get_int(quad_node, "hermite_nodes", 32, "scenario.quadrature", lo=2),
         rel_tol=_get_number(quad_node, "rel_tol", 1e-6, "scenario.quadrature", lo=1e-16),
         v_max=_get_number(quad_node, "v_max", 1e7, "scenario.quadrature", lo=1.0),
         z_max=_get_number(quad_node, "z_max", 64.0, "scenario.quadrature", lo=1e-9),

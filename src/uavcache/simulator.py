@@ -285,8 +285,10 @@ def _truncated_poisson_cdf(m: float) -> np.ndarray:
 
 
 def _per_trial_sum(n: int, counts: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Sum gains into n trials that own counts[t] consecutive entries each."""
-    return np.bincount(np.repeat(np.arange(n), counts), weights=gains, minlength=n)
+    """Sum gains into n trials that own counts[t] consecutive entries each.
+    Always float64: with no entries at all, bincount would return int64."""
+    return np.bincount(np.repeat(np.arange(n), counts), weights=gains,
+                       minlength=n).astype(float, copy=False)
 
 
 def _field_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator,

@@ -325,7 +325,8 @@ def test_criterion_09_numerical_robustness():
     rel_changes = {}
     for name, quad in (("v_max", QuadratureConfig(v_max=2e7)),
                        ("z_max", QuadratureConfig(z_max=128.0)),
-                       ("hermite_nodes", QuadratureConfig(hermite_nodes=96))):
+                       ("hermite_nodes", QuadratureConfig(
+                           hermite_nodes=2 * QuadratureConfig().hermite_nodes))):
         alt_cfg = ScenarioConfig(library=base_cfg.library,
                                  policy=base_cfg.policy, env=base_cfg.env,
                                  quadrature=quad, coop_radius_km=1.0)

@@ -15,16 +15,18 @@ from uavcache.analytics import (CapacityReport, PowerModel, QuadratureConfig,
                                 noncaching_interference_factor,
                                 system_capacity)
 from uavcache.caching import ContentLibrary, PlacementPolicy, mpc_policy, solve_rcp
-from uavcache.channel import environment_preset
+from uavcache.channel import ChannelConfig, environment_preset
 from uavcache.errors import ConfigError, ConvergenceError
 
 
-def reference_scenario(env_name, radius_km):
+def reference_scenario(env_name, radius_km, quadrature=QuadratureConfig(),
+                       altitude_km=1.0):
     """Default-parameter scenario with the optimal randomized placement."""
     lib = ContentLibrary(20, 0.8)
     seed_cfg = ScenarioConfig(lib, mpc_policy(lib.popularity, 5),
                               environment_preset(env_name),
-                              coop_radius_km=radius_km)
+                              channel=ChannelConfig(altitude_km=altitude_km),
+                              quadrature=quadrature, coop_radius_km=radius_km)
     policy = solve_rcp(lib.popularity, 5, seed_cfg.zone_mean_uavs)
     return seed_cfg.with_policy(policy)
 
@@ -128,7 +130,9 @@ def test_cooperative_factor_saturates_to_void_complement_squared():
 
 # --- capacity ---------------------------------------------------------------
 
-# frozen outputs of this module recorded at adoption time; guards regressions
+# frozen outputs of this module recorded at adoption time with
+# hermite_nodes=48; at that setting any kernel change must reproduce them
+REFERENCE_QUADRATURE = QuadratureConfig(hermite_nodes=48)
 REFERENCE_VALUES = {
     ("sub_urban", 1.0): (0.020682720320145724, 0.011395888680849623,
                          6.464888424728026e-08, 2.036847885932849e-05),
@@ -143,13 +147,25 @@ REFERENCE_VALUES = {
 
 @pytest.mark.parametrize("env_name,radius", sorted(REFERENCE_VALUES))
 def test_reference_scenarios_are_stable(env_name, radius):
-    cfg = reference_scenario(env_name, radius)
+    cfg = reference_scenario(env_name, radius, REFERENCE_QUADRATURE)
     top_rate, system_rate, ee, ee_exact = REFERENCE_VALUES[(env_name, radius)]
     assert content_capacity(cfg, 1) == pytest.approx(top_rate, rel=1e-10)
     report = system_capacity(cfg)
     assert report.system_rate_nats == pytest.approx(system_rate, rel=1e-10)
     assert energy_efficiency(cfg, report) == pytest.approx(ee, rel=1e-10)
     assert energy_efficiency_exact(cfg, report) == pytest.approx(ee_exact, rel=1e-10)
+    default = system_capacity(reference_scenario(env_name, radius))
+    assert default.system_rate_nats == pytest.approx(system_rate, rel=1e-7)
+
+
+def test_default_hermite_nodes_are_converged():
+    # the preset geometry where the kernel's quadrature error is largest:
+    # doubling the default node count must move the system rate < rel_tol
+    quad = QuadratureConfig()
+    doubled = replace(quad, hermite_nodes=2 * quad.hermite_nodes)
+    rates = [system_capacity(reference_scenario("sub_urban", 3.0, q, altitude_km=0.5))
+             .system_rate_nats for q in (quad, doubled)]
+    assert rates[0] == pytest.approx(rates[1], rel=quad.rel_tol)
 
 
 def test_capacity_units_and_aggregation():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr, ndtr
 
+from uavcache import channel
 from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig, Environment,
                               environment_preset, kernel_table, los_probability, path_loss, sample_fading,
                               sample_shadowing, shadowing_log_moments,
@@ -336,3 +338,85 @@ def test_kernel_against_direct_sampling():
     samples = -np.expm1(-1.0 * gains)
     se = samples.std(ddof=1) / math.sqrt(n)
     assert abs(samples.mean() - kernel_table([z], [1.0], env, cfg, 48)[0, 0]) < 3.0 * se
+
+
+def _chunked_shadow_expectation(coef, m_ln, s_ln, wbar, hermite_nodes):
+    """Oracle: the kernel's three-branch expectation with the windowed branch
+    evaluated in 8192-cell chunks, cell by cell, without blocked buffers or
+    per-row gates."""
+    coef = np.asarray(coef, dtype=float)
+    s = np.broadcast_to(np.asarray(s_ln, dtype=float), coef.shape)
+    out = np.empty(coef.shape)
+    flat_c, flat_s, flat_o = coef.ravel(), s.ravel(), out.ravel()
+    zero = flat_c == 0.0
+    flat_o[zero] = 0.0
+    linear = ~zero & (flat_c < channel.linear_threshold(m_ln, flat_s))
+    flat_o[linear] = flat_c[linear] * np.exp(m_ln + 0.5 * flat_s[linear] ** 2)
+    gh_mask = ~zero & ~linear & (flat_s < channel._S_SWITCH)
+    if gh_mask.any():
+        x, w = np.polynomial.hermite.hermgauss(hermite_nodes)
+        c, sg = flat_c[gh_mask], flat_s[gh_mask]
+        acc = np.zeros(c.shape)
+        for xi, wi in zip(x, w):
+            with np.errstate(over="ignore"):
+                t = c * np.exp(m_ln + np.sqrt(2.0) * sg * xi) / wbar
+                acc += wi * -np.expm1(-wbar * np.log1p(t))
+        flat_o[gh_mask] = acc / np.sqrt(np.pi)
+    win_mask = ~zero & ~linear & ~gh_mask
+    if win_mask.any():
+        y, w = channel._window_rule(max(6, hermite_nodes // 4))
+        fy = w * -np.expm1(-wbar * np.log1p(np.exp(y) / wbar))
+        c, sw = flat_c[win_mask], flat_s[win_mask]
+        x0 = (-np.log(c) - m_ln) / sw
+        vals = np.empty(c.shape)
+        for lo in range(0, c.size, 8192):
+            sl = slice(lo, min(lo + 8192, c.size))
+            xx = x0[sl, None] + y[None, :] / sw[sl, None]
+            vals[sl] = np.exp(-0.5 * xx * xx) @ fy
+        vals /= np.sqrt(2.0 * np.pi) * sw
+        vals += ndtr(-(x0 + channel._WIN_Y_HI / sw))
+        vals += np.exp(np.log(c) + m_ln + 0.5 * sw ** 2
+                       + log_ndtr(x0 + channel._WIN_Y_LO / sw - sw))
+        flat_o[win_mask] = vals
+    return np.clip(out, 0.0, 1.0), int(linear.sum()), int(gh_mask.sum()), int(win_mask.sum())
+
+
+@pytest.mark.parametrize("n_win_blocks", [(0, 1), (1, 0), (1, 1), (2, 37), (3, 5)])
+def test_shadow_expectation_matches_chunked_oracle(n_win_blocks):
+    # windowed cell counts 1, one block, one block + 1 and beyond two blocks,
+    # interleaved with linear, Gauss-Hermite and zero cells
+    blocks, extra = n_win_blocks
+    n_win = blocks * channel._WIN_BLOCK + extra
+    rng = np.random.default_rng(7 + n_win)
+    m_ln, wbar = -4.1, 2.0
+    s_win = rng.uniform(1.3, 8.0, n_win)
+    s_gh = rng.uniform(0.05, 1.1, 300)
+    s_lin = rng.uniform(0.05, 8.0, 300)
+    s = np.concatenate([s_win, s_gh, s_lin, [2.0, 0.5]])
+    scale = 10.0 ** np.concatenate([rng.uniform(0.5, 14.0, n_win + 300),
+                                    rng.uniform(-3.0, -0.1, 300), [0.0, 0.0]])
+    coef = channel.linear_threshold(m_ln, s) * scale
+    coef[-2:] = 0.0
+    order = rng.permutation(coef.size)
+    coef, s = coef[order], s[order]
+    expected, n_lin, n_gh, n_w = _chunked_shadow_expectation(coef, m_ln, s, wbar, 32)
+    assert (n_lin, n_gh, n_w) == (300, 300, n_win)
+    got = channel._shadow_expectation(coef, m_ln, s, wbar, 32)
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+
+
+def test_shadow_expectation_row_gates_match_chunked_oracle():
+    # kernel_table's layout: one spread per row broadcast over the v columns
+    env, cfg = environment_preset("high_rise"), ChannelConfig()
+    z = np.geomspace(0.1, 1e6, 40)
+    v = np.geomspace(1e-10, 1e8, 90)
+    for mode in ("los", "nlos"):
+        _, _, wbar = cfg.mode_params(mode)
+        m_ln, s_ln = shadowing_log_moments(z, 1.0, mode, env)
+        coef = np.outer(path_loss(z, 1.0, mode, cfg), v)
+        s_col = np.asarray(s_ln)[:, None]
+        expected, n_lin, n_gh, n_w = _chunked_shadow_expectation(
+            coef, float(m_ln), s_col, wbar, 48)
+        assert min(n_lin, n_w) > 0
+        got = channel._shadow_expectation(coef, float(m_ln), s_col, wbar, 48)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)

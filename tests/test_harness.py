@@ -449,6 +449,25 @@ def test_both_methods_agree_on_one_point():
     assert monte.ee_bits_per_joule > 0
 
 
+def test_monte_carlo_row_survives_an_empty_window_annulus():
+    # with r_max just beyond the zone, whole chunks draw no annulus link
+    run = parse_config(yaml.safe_load("""\
+scenario:
+  simulation:
+    r_max_km: 1.05
+sweeps:
+  - name: thin
+    variable: x_cop
+    grid: [1.0]
+    methods: [monte_carlo]
+    trials: 256
+    seed: 1
+"""))
+    (row,) = run_sweep(run.sweeps[0])
+    assert row.method == "monte_carlo"
+    assert row.capacity_bits > 0 and row.stderr > 0
+
+
 def test_monte_carlo_stderr_is_that_of_the_system_rate():
     # oracle: std over trials of sum_c a_c X_c,t, the per-trial values each
     # estimate_capacity call averages on the row's shared field

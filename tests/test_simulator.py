@@ -148,6 +148,14 @@ def test_estimator_seed_reproducibility():
     assert a.mean != c.mean
 
 
+def test_per_trial_sum_is_float_without_entries():
+    # a chunk whose window annulus draws no link has all-zero counts; the sum
+    # must still be float64 so the far-field part can be added in place
+    out = simulator._per_trial_sum(4, np.zeros(4, dtype=np.int64), np.empty(0))
+    assert out.dtype == np.float64
+    assert np.array_equal(out, np.zeros(4))
+
+
 def test_stream_purposes_are_distinct():
     # two estimators sharing a purpose would replay one Philox stream
     purposes = {name: value for name, value in vars(simulator).items()
