@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Cross-validate the semi-analytic capacity against the Monte Carlo
 estimator for the most popular content in two contrasting environments and
-two cooperation radii. Prints a z-score per setting.
+two cooperation radii. Prints a z-score per setting, then the Monte Carlo
+load behind it: the window radius, the expected window links per trial and
+the expected far-field spikes per trial.
 
 Usage: python3 scripts/crosscheck.py [trials]
 """
@@ -14,6 +16,8 @@ import time
 from uavcache import (ContentLibrary, ScenarioConfig, content_capacity,
                       environment_preset, estimate_capacity, mpc_policy,
                       solve_rcp)
+from uavcache.simulator import (SimOptions, _FarField, _spike_threshold,
+                                window_radius)
 
 LN2 = math.log(2.0)
 
@@ -24,6 +28,19 @@ def base_scenario(env_name: str, x_cop: float) -> ScenarioConfig:
                         env=environment_preset(env_name),
                         coop_radius_km=x_cop)
     return sc.with_policy(solve_rcp(lib.popularity, 5, sc.zone_mean_uavs))
+
+
+def mc_health(sc: ScenarioConfig) -> str:
+    """Window radius, expected window links and far-field spikes per trial
+    at the default simulation options."""
+    r_max = window_radius(sc)
+    lam_i = sc.interferer_density
+    x = sc.coop_radius_km
+    links = lam_i * math.pi * (r_max * r_max - x * x)
+    far = _FarField(sc, lam_i, r_max, _spike_threshold(sc, SimOptions().spike_rel))
+    spikes = sum(md["lam"] for md in far.modes)
+    return (f"window {r_max:.0f} km: {links:.3g} window links, "
+            f"{spikes:.3g} far-field spikes per trial")
 
 
 def main() -> int:
@@ -42,6 +59,7 @@ def main() -> int:
             print(f"{env_name:>10} X={x_cop:.0f}: analytic={analytic:.6f} "
                   f"mc={mc_bits:.6f} +- {se_bits:.2g} bits  z={z:+.2f} "
                   f"({time.time() - t0:.1f}s)")
+            print(f"{'':>10}   {mc_health(sc)}")
     print(f"worst |z| = {worst:.2f}")
     return 0 if worst < 3.0 else 1
 

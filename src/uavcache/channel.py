@@ -322,9 +322,10 @@ def _window_sum(x0: np.ndarray, sw: np.ndarray, wbar: float,
 
 
 def kernel_table(z, v, env: Environment, cfg: ChannelConfig,
-                 hermite_nodes: int = 20) -> np.ndarray:
+                 hermite_nodes: int) -> np.ndarray:
     """Laplace kernel evaluated on the outer grid of ranges z and transform
-    variables v; returns shape (len(z), len(v)).
+    variables v; returns shape (len(z), len(v)). hermite_nodes has no default
+    of its own: callers pass QuadratureConfig().hermite_nodes.
 
     kernel(z, v) = sum_n p_n(z) * E_V[1 - (1 + v*L_n(z)*V/W_n)^(-W_n)]
                  = 1 - E[exp(-v * L * V * W)] marginalized over mode, shadowing

@@ -53,7 +53,7 @@ class SimOptions:
     """Estimator controls (trial counts and seeds are explicit arguments)."""
 
     mode: Literal["conditioned", "unconditioned"] = "conditioned"
-    r_max: float | None = None  # None: LOS-aware default, see window_radius()
+    r_max: float | None = None  # None: 30 max(X, H), see window_radius()
     sir_cap: float = 1e6
     spike_rel: float = 1e-6
     chunk_size: int = 256
@@ -113,19 +113,14 @@ class InterferenceField:
 
 
 def window_radius(cfg: ScenarioConfig) -> float:
-    """Default sampling-window radius.
+    """Default sampling-window radius, 30x the zone/altitude scale.
 
-    30x the zone/altitude scale handles the NLOS tail, but the slowly decaying
-    LOS tail needs the window to hold a target number of expected LOS
-    interferers, so the radius grows when the far-field LOS probability or the
-    interferer density is small.
+    Links beyond it are carried by the far-field model (_FarField): those
+    above the spike threshold are sampled exactly and the rest enter as their
+    exact sub-threshold mean, so the slowly decaying LOS tail needs no wider
+    window.
     """
-    base = 30.0 * max(cfg.coop_radius_km, cfg.channel.altitude_km)
-    lam_i = cfg.interferer_density
-    if lam_i <= 0:
-        return base
-    p_los_far = float(los_probability(1e9, cfg.channel.altitude_km, cfg.env))
-    return max(base, math.sqrt(12.0 / (math.pi * lam_i * p_los_far)))
+    return 30.0 * max(cfg.coop_radius_km, cfg.channel.altitude_km)
 
 
 def _chunk_rng(seed: int, purpose: int, content: int, chunk: int) -> np.random.Generator:

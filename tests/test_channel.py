@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr, ndtr
 
 from uavcache import channel
+from uavcache.analytics import QuadratureConfig
 from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig, Environment,
                               environment_preset, kernel_table, los_probability, path_loss, sample_fading,
                               sample_shadowing, shadowing_log_moments,
@@ -16,6 +17,7 @@ from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig, Environment,
 from uavcache.errors import ConfigError
 
 DB_TO_LN = math.log(10.0) / 10.0
+NODES = QuadratureConfig().hermite_nodes  # the quadrature the engine uses
 
 # (phi, psi, mu_los, mu_nlos, a_los, a_nlos, c_los, c_nlos)
 PRESET_TABLE = {
@@ -263,13 +265,13 @@ def test_kernel_zero_transform_variable():
     env = environment_preset("sub_urban")
     cfg = ChannelConfig()
     z = np.array([0.0, 0.5, 1.0, 10.0])
-    assert np.all(kernel_table(z, 0.0, env, cfg) == 0.0)
+    assert np.all(kernel_table(z, 0.0, env, cfg, NODES) == 0.0)
 
 
 def test_kernel_saturates_at_large_v():
     env = environment_preset("sub_urban")
     cfg = ChannelConfig()
-    table = kernel_table([0.5, 1.0, 2.0], [1e9, 1e10, 1e11], env, cfg)
+    table = kernel_table([0.5, 1.0, 2.0], [1e9, 1e10, 1e11], env, cfg, NODES)
     assert table.shape == (3, 3)
     assert np.all(table >= 0.999)
 
@@ -287,7 +289,7 @@ def test_kernel_deep_linear_regime():
                 m_ln, s_ln = shadowing_log_moments(z, 1.0, mode, env)
                 expected += (p_mode * path_loss(z, 1.0, mode, cfg)
                              * math.exp(m_ln + 0.5 * float(s_ln) ** 2))
-            got = kernel_table([z], [v], env, cfg)[0, 0]
+            got = kernel_table([z], [v], env, cfg, NODES)[0, 0]
             assert got == pytest.approx(v * expected, rel=1e-6), (name, z)
 
 
@@ -307,7 +309,7 @@ def test_kernel_monotone_in_v_on_grid():
        st.floats(0.0, 1e5),
        st.floats(1e-12, 1e12))
 def test_kernel_bounds(name, z, v):
-    val = kernel_table([z], [v], environment_preset(name), ChannelConfig())[0, 0]
+    val = kernel_table([z], [v], environment_preset(name), ChannelConfig(), NODES)[0, 0]
     assert 0.0 <= val <= 1.0
 
 
@@ -317,9 +319,9 @@ def test_kernel_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         kernel_table([1.0], [1.0], env, cfg, hermite_nodes=1)
     with pytest.raises(ValueError):
-        kernel_table([-1.0], [1.0], env, cfg)
+        kernel_table([-1.0], [1.0], env, cfg, NODES)
     with pytest.raises(ValueError):
-        kernel_table([1.0], [-1.0], env, cfg)
+        kernel_table([1.0], [-1.0], env, cfg, NODES)
 
 
 def test_kernel_against_direct_sampling():

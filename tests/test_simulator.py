@@ -9,7 +9,7 @@ from uavcache import simulator
 from uavcache.analytics import (PowerModel, ScenarioConfig,
                                 energy_efficiency_exact, system_capacity)
 from uavcache.caching import ContentLibrary, solve_rcp
-from uavcache.channel import environment_preset, los_probability
+from uavcache.channel import ChannelConfig, environment_preset
 from uavcache.errors import ConfigError
 from uavcache.simulator import (SimEstimate, SimOptions,
                                 draw_interference_field, estimate_capacity,
@@ -53,11 +53,11 @@ def test_sim_estimate_half_width():
 
 
 def test_window_radius_rules():
-    cfg = dense_scenario()
-    p_far = float(los_probability(1e9, 1.0, SU))
-    expected = math.sqrt(12.0 / (math.pi * cfg.interferer_density * p_far))
-    assert window_radius(cfg) == pytest.approx(expected, rel=1e-12)
-    # a huge zone switches to the geometric rule
+    # the geometric rule 30 max(X, H); the far field carries the rest
+    assert window_radius(dense_scenario()) == pytest.approx(90.0, rel=1e-12)
+    # an altitude above the zone radius sets the scale
+    high = dense_scenario(coop_radius_km=0.5, channel=ChannelConfig(altitude_km=2.0))
+    assert window_radius(high) == pytest.approx(60.0, rel=1e-12)
     wide = dense_scenario(coop_radius_km=10.0)
     assert window_radius(wide) == pytest.approx(300.0, rel=1e-12)
 
@@ -146,6 +146,22 @@ def test_estimator_seed_reproducibility():
     c = estimate_capacity(cfg, 1, 500, 124, SimOptions(**DENSE_OPTS))
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
     assert a.mean != c.mean
+
+
+@pytest.mark.parametrize("env_name", ["sub_urban", "high_rise"])
+def test_spike_refinement_is_invisible(env_name):
+    # the far field, not the window, carries the interference beyond
+    # 30 max(X, H): at the default scenario, resolving its spikes ten times
+    # deeper must not move the estimate; dropping the spikes (floor kept)
+    # moves it by 5-7 half-widths, which window doubling sees only for
+    # sub_urban
+    lib = ContentLibrary(20, 0.8)
+    cfg = ScenarioConfig(library=lib, policy=solve_rcp(lib.popularity, 5, math.pi * 1e-3),
+                         env=environment_preset(env_name))
+    default = SimOptions()
+    coarse = estimate_capacity(cfg, 1, 10_000, 11, default)
+    fine = estimate_capacity(cfg, 1, 10_000, 11, SimOptions(spike_rel=default.spike_rel / 10.0))
+    assert abs(coarse.mean - fine.mean) < 1.96 * math.hypot(coarse.stderr, fine.stderr)
 
 
 def test_per_trial_sum_is_float_without_entries():
