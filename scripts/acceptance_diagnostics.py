@@ -24,10 +24,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from uavcache import (ChannelConfig, ContentLibrary, ConvergenceError,
-                      ScenarioConfig, elevation_deg, energy_efficiency,
-                      environment_preset, los_probability, path_loss,
-                      shadowing_log_moments, solve_rcp, system_capacity)
+from uavcache import (ChannelConfig, ContentLibrary, ScenarioConfig,
+                      elevation_deg, energy_efficiency, environment_preset,
+                      los_probability, path_loss, shadowing_log_moments,
+                      solve_rcp, system_capacity)
 from uavcache.analytics import (_GL_NODES, _INNER_PANELS, _OUTER_RATIO,
                                 _gl_panels, _laplace_factors, _radial_pair,
                                 _tables_for, _tail_mean_gain, _z_end)
@@ -41,13 +41,13 @@ V_POINTS = (1.0, 1e2, 1e4)
 ALTITUDES = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0)
 
 
-def scenario(env, altitude=1.0, channel=None) -> ScenarioConfig:
+def scenario(env, altitude=1.0) -> ScenarioConfig:
     """The acceptance battery's RCP scenario (size 20, cache 5) at X=3 km."""
     lib = ContentLibrary(20, KAPPA)
     beta = math.pi * 1e-3 * X_COP ** 2
     return ScenarioConfig(library=lib, policy=solve_rcp(lib.popularity, 5, beta),
                           env=env, coop_radius_km=X_COP,
-                          channel=channel or ChannelConfig(altitude_km=altitude))
+                          channel=ChannelConfig(altitude_km=altitude))
 
 
 def mixed_rate_bits(sig_cfg: ScenarioConfig, int_cfg: ScenarioConfig) -> float:
@@ -96,7 +96,7 @@ def mode_radials(v: np.ndarray, cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     for mode, p_mode, p_mode_far in (("los", p_los, p_far),
                                      ("nlos", 1.0 - p_los, 1.0 - p_far)):
         alpha, k, wbar = ch.mode_params(mode)
-        m_ln, s_ln = shadowing_log_moments(z, h, mode, env, ch.shadowing_convention)
+        m_ln, s_ln = shadowing_log_moments(z, h, mode, env)
         e_mode = _shadow_expectation(np.outer(path_loss(z, h, mode, ch), v),
                                      float(m_ln), np.asarray(s_ln)[:, None],
                                      wbar, quad.hermite_nodes)
@@ -153,12 +153,6 @@ def main() -> int:
     rate_matrix("same, shadowing spread set to zero (a_los = a_nlos = 0)",
                 {name: replace(env, a_los=0.0, a_nlos=0.0)
                  for name, env in presets.items()})
-    try:
-        system_capacity(scenario(presets["sub_urban"],
-                                 channel=ChannelConfig(shadowing_convention="literal")))
-        print("literal shadowing convention: evaluated")
-    except ConvergenceError as exc:
-        print(f"literal shadowing convention: ConvergenceError ({exc})")
     exponent_split()
     altitude_table()
     return 0

@@ -7,8 +7,8 @@ placement, caching baselines, and a batch sweep harness with CSV output.
 from .analytics import (CapacityReport, PowerModel, QuadratureConfig,
                         ScenarioConfig, caching_interference_factor, content_capacity,
                         cooperative_signal_factor, energy_efficiency,
-                        energy_efficiency_exact, gauss_hermite_nodes,
-                        noncaching_interference_factor, system_capacity)
+                        energy_efficiency_exact, noncaching_interference_factor,
+                        system_capacity)
 from .caching import (POLICY_KINDS, ContentLibrary, PlacementPolicy,
                       hit_probability, lru_che, lru_empirical_policy,
                       lru_simulate, mpc_policy, rcp_objective, solve_rcp,
@@ -29,8 +29,8 @@ __all__ = [
     "CapacityReport", "PowerModel", "QuadratureConfig", "ScenarioConfig",
     "caching_interference_factor", "content_capacity",
     "cooperative_signal_factor", "energy_efficiency",
-    "energy_efficiency_exact", "gauss_hermite_nodes",
-    "noncaching_interference_factor", "system_capacity",
+    "energy_efficiency_exact", "noncaching_interference_factor",
+    "system_capacity",
     "POLICY_KINDS", "ContentLibrary", "PlacementPolicy", "hit_probability",
     "lru_che", "lru_empirical_policy", "lru_simulate", "mpc_policy",
     "rcp_objective", "solve_rcp", "zipf_popularity",

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc, gammaln
 
@@ -136,15 +135,6 @@ class CapacityReport:
         return self.system_rate_nats / math.log(2.0)
 
 
-def gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite rule (physicists' weight exp(-x^2)); weights sum to sqrt(pi)."""
-    if n < 1:
-        raise ConfigError("node count must be >= 1")
-    if n > 200:
-        raise ConfigError("node counts above 200 are numerically unstable")
-    return hermgauss(n)
-
-
 def _gl_panels(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre points/weights over consecutive panels."""
     x, w = leggauss(nodes)
@@ -157,7 +147,7 @@ def _gl_panels(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _tail_mean_gain(env: Environment, cfg: ChannelConfig, mode, z: float):
     """Mean shadowing gain E[V] at range z (lognormal moment)."""
-    m_ln, s_ln = shadowing_log_moments(z, cfg.altitude_km, mode, env, cfg.shadowing_convention)
+    m_ln, s_ln = shadowing_log_moments(z, cfg.altitude_km, mode, env)
     with np.errstate(over="ignore"):
         return float(np.exp(m_ln + 0.5 * float(s_ln) ** 2))
 
@@ -173,21 +163,22 @@ def _z_end(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig,
     """
     h = cfg.altitude_km
     z_end = max(quad.z_max, 2.0 * x_cop, 2.0 * h)
+    overflow = ("radial truncation bound overflowed; the grazing-angle "
+                f"shadowing spread of environment {env.name!r} is too wide "
+                "to evaluate")
     for mode in ("los", "nlos"):
         alpha, k, _ = cfg.mode_params(mode)
         # grazing-angle shadowing spread sets the gate far from the origin
-        m_ln, s_ln = shadowing_log_moments(1e9, h, mode, env, cfg.shadowing_convention)
+        m_ln, s_ln = shadowing_log_moments(1e9, h, mode, env)
         c_lin = float(linear_threshold(float(m_ln), float(s_ln)))
         if not c_lin > 0:
-            raise ConvergenceError("radial truncation bound overflowed; the configured "
-                                   "shadowing convention is numerically intractable here")
+            raise ConvergenceError(overflow)
         with np.errstate(over="ignore"):
             need = (2.0 * v_max * k / c_lin) ** (2.0 / alpha) - h * h
         if np.isfinite(need) and need > 0:
             z_end = max(z_end, math.sqrt(need))
     if not np.isfinite(z_end):
-        raise ConvergenceError("radial truncation bound overflowed; the configured "
-                               "shadowing convention is numerically intractable here")
+        raise ConvergenceError(overflow)
     return z_end
 
 
@@ -325,7 +316,7 @@ def _geometry_key(cfg: ScenarioConfig) -> tuple:
     return (env.phi, env.psi, env.mu_los, env.mu_nlos, env.a_los, env.a_nlos,
             env.c_los, env.c_nlos,
             ch.alpha_los, ch.alpha_nlos, ch.k_los, ch.k_nlos,
-            ch.nakagami_los, ch.nakagami_nlos, ch.altitude_km, ch.shadowing_convention,
+            ch.nakagami_los, ch.nakagami_nlos, ch.altitude_km,
             q.hermite_nodes, q.v_max, q.z_max, cfg.coop_radius_km)
 
 

@@ -6,7 +6,6 @@ characteristic-time approximation and as an event-driven simulation.
 """
 from __future__ import annotations
 
-import csv
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -211,11 +210,3 @@ def lru_empirical_policy(a, cache_size: int, n_requests: int, warmup: int,
     occ = lru_simulate(a, cache_size, n_requests, warmup, rng)
     return PlacementPolicy(occ, cache_size, "lru_empirical")
 
-
-def policy_to_csv(policy: PlacementPolicy, path) -> None:
-    """Write (content index, probability) rows for inspection."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["content", "probability"])
-        for i, p in enumerate(policy.probabilities, start=1):
-            writer.writerow([i, f"{p:.12g}"])

@@ -76,9 +76,6 @@ def environment_preset(name: str) -> Environment:
         ) from None
 
 
-ShadowingConvention = Literal["db_loss", "literal"]
-
-
 @dataclass(frozen=True)
 class ChannelConfig:
     """Mode-dependent path-loss, fading, and altitude constants."""
@@ -90,7 +87,6 @@ class ChannelConfig:
     nakagami_los: float = 10.0
     nakagami_nlos: float = 2.0
     altitude_km: float = 1.0
-    shadowing_convention: ShadowingConvention = "db_loss"
 
     def __post_init__(self) -> None:
         if not (self.alpha_los > 2 and self.alpha_nlos > 2):
@@ -101,8 +97,6 @@ class ChannelConfig:
             raise ConfigError("Nakagami shapes require nakagami_los >= nakagami_nlos > 0")
         if not self.altitude_km > 0:
             raise ConfigError("altitude must be positive")
-        if self.shadowing_convention not in ("db_loss", "literal"):
-            raise ConfigError("shadowing_convention must be 'db_loss' or 'literal'")
 
     def mode_params(self, mode: Mode) -> tuple[float, float, float]:
         """(alpha, intercept, nakagami shape) for the requested link mode."""
@@ -161,48 +155,12 @@ def shadowing_sigma_db(r, h: float, mode: Mode, env: Environment):
     return out if out.ndim else float(out)
 
 
-def sample_fading(mode: Mode, cfg: ChannelConfig, rng: np.random.Generator, size=None):
-    """Unit-mean Nakagami power fading: Gamma(shape=W, scale=1/W)."""
-    _, _, w = cfg.mode_params(mode)
-    return rng.gamma(w, 1.0 / w, size)
-
-
-def sample_shadowing(r, h: float, mode: Mode, env: Environment,
-                     rng: np.random.Generator,
-                     convention: ShadowingConvention = "db_loss", size=None):
-    """Log-normal shadowing gain.
-
-    Draws U ~ Normal(mu, sigma(r)^2) in dB and returns 10^(-U/10) under the
-    default excess-loss convention, or 10^U under the literal convention kept
-    for sensitivity studies.
-    """
-    r, h = _check_geometry(r, h)
+def shadowing_log_moments(r, h: float, mode: Mode, env: Environment):
+    """(mean, std) of ln V for the shadowing gain V = 10^(-U/10) at range r,
+    where U ~ Normal(mu, sigma(r)^2) is the excess loss in dB."""
     mu, _, _ = env.mode_params(mode)
     sigma = shadowing_sigma_db(r, h, mode, env)
-    u = rng.normal(mu, sigma, size) if size is not None else rng.normal(mu, np.asarray(sigma))
-    if convention == "db_loss":
-        return 10.0 ** (-u / 10.0)
-    if convention == "literal":
-        return 10.0 ** u
-    raise ValueError(f"unknown shadowing convention {convention!r}")
-
-
-def _shadow_exponent_scale(convention: ShadowingConvention) -> float:
-    # ln V = scale * U with U in dB; db_loss: V = 10^(-U/10), literal: V = 10^U
-    if convention == "db_loss":
-        return -_DB_TO_LN
-    if convention == "literal":
-        return 10.0 * _DB_TO_LN
-    raise ValueError(f"unknown shadowing convention {convention!r}")
-
-
-def shadowing_log_moments(r, h: float, mode: Mode, env: Environment,
-                          convention: ShadowingConvention = "db_loss"):
-    """(mean, std) of ln V for the shadowing gain V at range r."""
-    mu, _, _ = env.mode_params(mode)
-    sigma = shadowing_sigma_db(r, h, mode, env)
-    scale = _shadow_exponent_scale(convention)
-    return scale * mu, np.abs(scale) * np.asarray(sigma)
+    return -_DB_TO_LN * mu, _DB_TO_LN * np.asarray(sigma)
 
 
 # Linear-limit gate. E[1 - (1 + c*V/wbar)^(-wbar)] ~ c*E[V] needs two error
@@ -344,8 +302,7 @@ def kernel_table(z, v, env: Environment, cfg: ChannelConfig,
     for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):
         _, _, wbar = cfg.mode_params(mode)
         loss = path_loss(z, h, mode, cfg)
-        m_ln, s_ln = shadowing_log_moments(z, h, mode, env,
-                                           cfg.shadowing_convention)
+        m_ln, s_ln = shadowing_log_moments(z, h, mode, env)
         acc = _shadow_expectation(np.outer(loss, v), float(m_ln),
                                   np.asarray(s_ln)[:, None], wbar,
                                   hermite_nodes)

@@ -186,7 +186,7 @@ def _parse_environment(node: dict, where: str) -> Environment:
 
 
 _CHANNEL_KEYS = ("alpha_los", "alpha_nlos", "k_los", "k_nlos",
-                 "nakagami_los", "nakagami_nlos", "shadowing_convention")
+                 "nakagami_los", "nakagami_nlos")
 _POWER_KEYS = ("transmit_w", "cache_per_file_w", "static_w", "rate_power_slope")
 _QUAD_KEYS = ("hermite_nodes", "rel_tol", "v_max", "z_max", "k_max_tail")
 _SIM_KEYS = ("mode", "r_max_km", "sir_cap", "spike_rel", "chunk_size", "n_jobs")
@@ -201,9 +201,6 @@ _TOP_KEYS = ("scenario", "sweeps", "seed", "trials")
 
 def _parse_channel(node: dict, altitude: float, where: str) -> ChannelConfig:
     _check_keys(node, _CHANNEL_KEYS, where)
-    convention = node.get("shadowing_convention", "db_loss")
-    if convention not in ("db_loss", "literal"):
-        raise ConfigError(f"{where}.shadowing_convention must be db_loss or literal")
     return ChannelConfig(
         alpha_los=_get_number(node, "alpha_los", 2.09, where),
         alpha_nlos=_get_number(node, "alpha_nlos", 4.0, where),
@@ -211,8 +208,7 @@ def _parse_channel(node: dict, altitude: float, where: str) -> ChannelConfig:
         k_nlos=_get_number(node, "k_nlos", 1.0, where),
         nakagami_los=_get_number(node, "nakagami_los", 10.0, where),
         nakagami_nlos=_get_number(node, "nakagami_nlos", 2.0, where),
-        altitude_km=altitude,
-        shadowing_convention=convention)
+        altitude_km=altitude)
 
 
 def _parse_sim_options(node: dict, where: str) -> SimOptions:

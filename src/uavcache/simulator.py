@@ -132,7 +132,10 @@ def _chunk_rng(seed: int, purpose: int, content: int, chunk: int) -> np.random.G
 
 def _draw_links(rng: np.random.Generator, radii: np.ndarray, env: Environment,
                 ch: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-link gains: mode draw, shadowing, Nakagami fading, path loss.
+    """Per-link LOS flags and gains L * V * W: mode draw, shadowing
+    V = 10^(-U/10) with U ~ Normal(mu, sigma(r)^2) in dB, unit-mean Nakagami
+    power fading W ~ Gamma(W_n, 1/W_n), and path loss L. Every Monte Carlo
+    link is drawn here.
 
     Draw order (mode uniforms, then one normal block, then one gamma block) is
     part of the determinism contract.
@@ -144,17 +147,28 @@ def _draw_links(rng: np.random.Generator, radii: np.ndarray, env: Environment,
     sigma = np.where(los,
                      shadowing_sigma_db(radii, h, "los", env),
                      shadowing_sigma_db(radii, h, "nlos", env))
-    u_db = rng.normal(mu, sigma)
-    if ch.shadowing_convention == "db_loss":
-        v = 10.0 ** (-u_db / 10.0)
-    else:
-        v = 10.0 ** u_db
+    v = 10.0 ** (-rng.normal(mu, sigma) / 10.0)
     wbar = np.where(los, ch.nakagami_los, ch.nakagami_nlos)
     w = rng.gamma(wbar, 1.0 / wbar)
     alpha = np.where(los, ch.alpha_los, ch.alpha_nlos)
     k = np.where(los, ch.k_los, ch.k_nlos)
     loss = k * (h * h + radii * radii) ** (-alpha / 2.0)
     return los, loss * v * w
+
+
+def _spike_law(z: np.ndarray, mode: str, env: Environment, ch: ChannelConfig,
+               tau: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """One mode's far-field law at ranges z: (m_ln, s_ln) of ln V, the path
+    loss L, and the standardized threshold a_std = (ln(tau/L) - m_ln)/s_ln
+    above which ln V makes the link a spike (L V > tau)."""
+    h = ch.altitude_km
+    m_ln, s_ln = shadowing_log_moments(z, h, mode, env)
+    m_ln = float(m_ln)  # range-independent
+    s_ln = np.asarray(s_ln, dtype=float)
+    loss = path_loss(z, h, mode, ch)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_std = (np.log(tau / loss) - m_ln) / s_ln
+    return m_ln, s_ln, loss, a_std
 
 
 class _FarField:
@@ -186,12 +200,7 @@ class _FarField:
         floor = 0.0
         for mode, pm in (("los", p_los), ("nlos", 1.0 - p_los)):
             alpha, k, wbar = ch.mode_params(mode)
-            m_ln, s_ln = shadowing_log_moments(zg, h, mode, env, ch.shadowing_convention)
-            m_ln = float(np.asarray(m_ln).reshape(-1)[0])  # range-independent
-            s_ln = np.asarray(s_ln, dtype=float)
-            loss = path_loss(zg, h, mode, ch)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                a_std = (np.log(tau / loss) - m_ln) / s_ln
+            m_ln, s_ln, loss, a_std = _spike_law(zg, mode, env, ch, tau)
             p_spike = ndtr(-a_std)
             rho = 2.0 * math.pi * lam_i * zg * pm * p_spike
             lam_tot = float(np.trapezoid(rho, zg))
@@ -219,12 +228,7 @@ class _FarField:
         p_los = los_probability(zp, h, env)
         resid = np.zeros(zp.size)
         for mode, pm in (("los", p_los), ("nlos", 1.0 - p_los)):
-            m_ln, s_ln = shadowing_log_moments(zp, h, mode, env, ch.shadowing_convention)
-            m_ln = float(np.asarray(m_ln).reshape(-1)[0])
-            s_ln = np.asarray(s_ln, dtype=float)
-            loss = path_loss(zp, h, mode, ch)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                a_std = (np.log(tau / loss) - m_ln) / s_ln
+            *_, a_std = _spike_law(zp, mode, env, ch, tau)
             # intensity per unit ln z: 2 pi lam z^2 p_mode P(spike)
             rho = 2.0 * math.pi * lam_i * zp * zp * pm * ndtr(-a_std)
             seg = 0.5 * (rho[1:] + rho[:-1]) * cls._PROBE_STEP
@@ -263,8 +267,7 @@ def _spike_threshold(cfg: ScenarioConfig, spike_rel: float) -> float:
     zone-edge LOS signal gain (path loss times median shadowing)."""
     env, ch = cfg.env, cfg.channel
     x = cfg.coop_radius_km
-    m_ln, _ = shadowing_log_moments(max(x, 1e-9), ch.altitude_km, "los", env,
-                                    ch.shadowing_convention)
+    m_ln, _ = shadowing_log_moments(max(x, 1e-9), ch.altitude_km, "los", env)
     return spike_rel * float(path_loss(x, ch.altitude_km, "los", ch)) * math.exp(float(m_ln))
 
 

@@ -11,7 +11,6 @@ from uavcache.analytics import (CapacityReport, PowerModel, QuadratureConfig,
                                 ScenarioConfig, caching_interference_factor,
                                 content_capacity, cooperative_signal_factor,
                                 energy_efficiency, energy_efficiency_exact,
-                                gauss_hermite_nodes,
                                 noncaching_interference_factor,
                                 system_capacity)
 from uavcache.caching import ContentLibrary, PlacementPolicy, mpc_policy, solve_rcp
@@ -72,18 +71,6 @@ def test_scenario_validation():
         ScenarioConfig(lib, pol, env, subchannels=0)
     with pytest.raises(ConfigError):
         ScenarioConfig(ContentLibrary(5, 1.0), pol, env)
-
-
-def test_gauss_hermite_moments():
-    # oracle: Gaussian-weight moments, integral of exp(-x^2) x^k over the line
-    nodes, weights = gauss_hermite_nodes(6)
-    assert weights.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-    assert (weights * nodes ** 2).sum() == pytest.approx(
-        math.sqrt(math.pi) / 2.0, rel=1e-13)
-    with pytest.raises(ConfigError):
-        gauss_hermite_nodes(0)
-    with pytest.raises(ConfigError):
-        gauss_hermite_nodes(201)
 
 
 # --- Laplace-functional factors ---------------------------------------------
@@ -319,3 +306,12 @@ def test_ee_poisson_tail_overflow():
     report = CapacityReport(np.array([1.0]), np.array([16000.0]), 1.0)
     with pytest.raises(ConvergenceError):
         energy_efficiency_exact(cfg, report)
+
+
+def test_radial_truncation_overflow_names_the_environment():
+    # a grazing-angle NLOS spread of 400 dB underflows the kernel's linear
+    # gate, so no finite radial truncation exists
+    env = replace(environment_preset("urban"), name="canyon", a_nlos=400.0)
+    cfg = replace(reference_scenario("urban", 1.0), env=env)
+    with pytest.raises(ConvergenceError, match="shadowing spread of environment 'canyon'"):
+        system_capacity(cfg)

@@ -242,15 +242,3 @@ def test_lru_empirical_policy_wraps_simulation():
     assert pol.cache_size == 3
     assert pol.probabilities.sum() == pytest.approx(3.0, abs=1e-9)
 
-
-def test_policy_csv_round_trip(tmp_path):
-    from uavcache.caching import policy_to_csv
-    pol = solve_rcp(zipf_popularity(4, 1.0), 2, 3.0)
-    out = tmp_path / "policy.csv"
-    policy_to_csv(pol, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "content,probability"
-    assert len(lines) == 5
-    assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3", "4"]
-    got = np.array([float(row.split(",")[1]) for row in lines[1:]])
-    np.testing.assert_allclose(got, pol.probabilities, rtol=1e-10)

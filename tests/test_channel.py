@@ -1,6 +1,7 @@
 """Channel model tests: mode probability, path loss, shadowing, fading, and
 the Laplace kernel against closed forms and direct-sampling oracles."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from scipy.special import log_ndtr, ndtr
 from uavcache import channel
 from uavcache.analytics import QuadratureConfig
 from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig, Environment,
-                              environment_preset, kernel_table, los_probability, path_loss, sample_fading,
-                              sample_shadowing, shadowing_log_moments,
-                              shadowing_sigma_db)
+                              environment_preset, kernel_table, los_probability,
+                              path_loss, shadowing_log_moments, shadowing_sigma_db)
 from uavcache.errors import ConfigError
+from uavcache.simulator import _draw_links
 
 DB_TO_LN = math.log(10.0) / 10.0
 NODES = QuadratureConfig().hermite_nodes  # the quadrature the engine uses
@@ -62,8 +63,6 @@ def test_channel_config_validation():
         ChannelConfig(nakagami_los=1.0, nakagami_nlos=2.0)
     with pytest.raises(ConfigError):
         ChannelConfig(altitude_km=0.0)
-    with pytest.raises(ConfigError):
-        ChannelConfig(shadowing_convention="log10")
 
 
 # --- LOS probability -------------------------------------------------------
@@ -193,23 +192,48 @@ def test_shadowing_sigma_increasing_in_range():
             assert np.all(np.diff(shadowing_sigma_db(r, 1.0, mode, env)) > 0)
 
 
-def test_shadowing_log_moments_both_conventions():
+def test_shadowing_log_moments_db_loss():
     env = environment_preset("high_rise")
     sigma = shadowing_sigma_db(1.0, 1.0, "nlos", env)
-    m_db, s_db = shadowing_log_moments(1.0, 1.0, "nlos", env, "db_loss")
+    m_db, s_db = shadowing_log_moments(1.0, 1.0, "nlos", env)
     assert m_db == pytest.approx(-29.0 * DB_TO_LN, rel=1e-13)
     assert float(s_db) == pytest.approx(sigma * DB_TO_LN, rel=1e-13)
-    m_lit, s_lit = shadowing_log_moments(1.0, 1.0, "nlos", env, "literal")
-    assert m_lit == pytest.approx(29.0 * math.log(10.0), rel=1e-13)
-    assert float(s_lit) == pytest.approx(sigma * math.log(10.0), rel=1e-13)
 
 
-# --- fading and shadowing sampling -----------------------------------------
+# --- link sampling ---------------------------------------------------------
+# Every Monte Carlo link comes from simulator._draw_links, which returns only
+# the product L * V * W. Fading is read as gain / L with mu = a = 0 (V = 1);
+# shadowing is read as the gain ratio against the same environment with
+# mu = a = 0 at the same seed, which replays the mode draws and fading.
+
+def _links(env, cfg, r, n, seed):
+    """n links at range r from the Monte Carlo sampler: (los, gain / L)."""
+    los, gain = _draw_links(np.random.default_rng(seed), np.full(n, r), env, cfg)
+    h = cfg.altitude_km
+    loss = np.where(los, path_loss(r, h, "los", cfg), path_loss(r, h, "nlos", cfg))
+    return los, gain / loss
+
+
+def _unshadowed(env):
+    return replace(env, mu_los=0.0, mu_nlos=0.0, a_los=0.0, a_nlos=0.0)
+
+
+def _shadowing_gains(env, cfg, r, n, seed):
+    """(los, V) per link: the gain ratio against the unshadowed twin."""
+    los, gain = _links(env, cfg, r, n, seed)
+    los_0, gain_0 = _links(_unshadowed(env), cfg, r, n, seed)
+    assert np.array_equal(los, los_0)
+    return los, gain / gain_0
+
+
+# sub_urban at H = 1 km is LOS with probability ~0.5 at this range
+MIXED_R = 6.6
+
 
 def test_fading_unit_shape_is_exponential():
     cfg = ChannelConfig(nakagami_los=1.0, nakagami_nlos=1.0)
-    rng = np.random.default_rng(101)
-    x = sample_fading("los", cfg, rng, size=100_000)
+    env = _unshadowed(environment_preset("sub_urban"))
+    _, x = _links(env, cfg, MIXED_R, 100_000, 101)
     n = x.size
     assert abs(x.mean() - 1.0) < 3.0 / math.sqrt(n)
     # P(X > 1) = exp(-1) for the unit exponential
@@ -219,31 +243,28 @@ def test_fading_unit_shape_is_exponential():
 
 def test_fading_moments():
     cfg = ChannelConfig()
-    rng = np.random.default_rng(202)
-    n = 100_000
-    x = sample_fading("los", cfg, rng, size=n)  # shape 10
+    env = _unshadowed(environment_preset("sub_urban"))
+    los, x = _links(env, cfg, MIXED_R, 100_000, 202)
+    x_los, y = x[los], x[~los]  # shapes 10 and 2
     # SE of the mean is sqrt(1/shape/n)
-    assert abs(x.mean() - 1.0) < 3.0 * math.sqrt(0.1 / n)
-    y = sample_fading("nlos", cfg, rng, size=n)  # shape 2, variance 1/2
+    assert abs(x_los.mean() - 1.0) < 3.0 * math.sqrt(0.1 / x_los.size)
     # SE of the sample variance from the Gamma fourth central moment
-    var, se_var = 0.5, math.sqrt((6.0 * 0.25 - 0.25) / n)
+    var, se_var = 0.5, math.sqrt((6.0 * 0.25 - 0.25) / y.size)
     assert abs(y.var(ddof=1) - var) < 3.0 * se_var
 
 
 def test_shadowing_deterministic_when_sigma_zero():
     env = Environment("flat", 4.88, 0.43, 3.0, 18.0, 0.0, 0.0, 0.0, 0.0)
-    rng = np.random.default_rng(1)
-    v = sample_shadowing(2.0, 1.0, "los", env, rng, size=16)
-    assert np.all(v == 10.0 ** (-3.0 / 10.0))
-    w = sample_shadowing(2.0, 1.0, "nlos", env, rng, "literal", size=16)
-    assert np.all(w == 10.0 ** 18.0)
+    los, v = _shadowing_gains(env, ChannelConfig(), MIXED_R, 16, 1)
+    assert los.any() and not los.all()
+    np.testing.assert_allclose(v[los], 10.0 ** (-3.0 / 10.0), rtol=1e-14)
+    np.testing.assert_allclose(v[~los], 10.0 ** (-18.0 / 10.0), rtol=1e-14)
 
 
 def test_shadowing_median_one_when_mu_zero():
     env = Environment("centered", 4.88, 0.43, 0.0, 0.0, 11.25, 32.17, 0.06, 0.03)
-    rng = np.random.default_rng(303)
     n = 100_000
-    v = sample_shadowing(1.0, 1.0, "nlos", env, rng, size=n)
+    _, v = _shadowing_gains(env, ChannelConfig(), 1.0, n, 303)
     # V > 1 iff the dB draw is negative, a fair coin when mu = 0
     assert abs((v > 1.0).mean() - 0.5) < 3.0 * math.sqrt(0.25 / n)
 
@@ -254,9 +275,8 @@ def test_shadowing_lognormal_mean():
     sigma = shadowing_sigma_db(1.0, 1.0, "nlos", env)
     expected = math.exp((sigma * DB_TO_LN) ** 2 / 2.0)
     assert expected == pytest.approx(11.583095431671245, rel=1e-12)
-    rng = np.random.default_rng(404)
-    v = sample_shadowing(1.0, 1.0, "nlos", env, rng, size=1_000_000)
-    assert abs(v.mean() - expected) / expected < 0.05
+    los, v = _shadowing_gains(env, ChannelConfig(), 1.0, 1_000_000, 404)
+    assert abs(v[~los].mean() - expected) / expected < 0.05
 
 
 # --- Laplace kernel --------------------------------------------------------
@@ -325,18 +345,11 @@ def test_kernel_rejects_bad_inputs():
 
 
 def test_kernel_against_direct_sampling():
-    # oracle: 1 - E[exp(-v L V W)] by direct mode/shadowing/fading sampling
+    # oracle: 1 - E[exp(-v L V W)] over links from the Monte Carlo sampler
     env = environment_preset("sub_urban")
     cfg = ChannelConfig()
     z, n = 1.0, 1_000_000
-    rng = np.random.default_rng(20260829)
-    los = rng.random(n) < los_probability(z, 1.0, env)
-    gains = np.empty(n)
-    for mode, mask in (("los", los), ("nlos", ~los)):
-        cnt = int(mask.sum())
-        gains[mask] = (path_loss(z, 1.0, mode, cfg)
-                       * sample_shadowing(z, 1.0, mode, env, rng, size=cnt)
-                       * sample_fading(mode, cfg, rng, size=cnt))
+    _, gains = _draw_links(np.random.default_rng(20260829), np.full(n, z), env, cfg)
     samples = -np.expm1(-1.0 * gains)
     se = samples.std(ddof=1) / math.sqrt(n)
     assert abs(samples.mean() - kernel_table([z], [1.0], env, cfg, 48)[0, 0]) < 3.0 * se

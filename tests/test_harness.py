@@ -62,6 +62,21 @@ def test_unknown_keys_rejected():
                                   "colour": "red"}]})
 
 
+
+@pytest.mark.parametrize("value", ["db_loss", "literal"])
+def test_shadowing_convention_key_rejected(value, tmp_path, capsys):
+    # shadowing is an excess loss in dB with no alternative convention, so the
+    # old selector key is unknown whatever its value
+    raw = {"scenario": {"channel": {"shadowing_convention": value}}}
+    with pytest.raises(ConfigError, match="shadowing_convention"):
+        parse_config(raw)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.channel" in err and "shadowing_convention" in err
+
+
 def test_out_of_range_scenario_values():
     with pytest.raises(ConfigError, match="out of range"):
         parse_config({"scenario": {"zipf_exponent": 2.5}})
@@ -173,8 +188,7 @@ def raw_configs(draw):
         channel=_optional_block(
             alpha_los=_number(2.01, 3.0), alpha_nlos=_number(3.0, 5.0),
             k_los=_number(0.1, 10.0), k_nlos=_number(0.1, 10.0),
-            nakagami_los=_number(2.0, 20.0), nakagami_nlos=_number(0.5, 2.0),
-            shadowing_convention=st.sampled_from(["db_loss", "literal"])),
+            nakagami_los=_number(2.0, 20.0), nakagami_nlos=_number(0.5, 2.0)),
         power=_optional_block(
             transmit_w=_number(0.0, 10.0), cache_per_file_w=_number(0.0, 1.0),
             static_w=_number(0.0, 10.0), rate_power_slope=_number(0.0, 5.0)),

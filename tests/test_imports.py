@@ -3,8 +3,13 @@
 No linter ships with the project, so this scans the source with `ast`: a name
 bound by a top-level import must be read somewhere in its module, or, in a
 package `__init__.py`, be listed in `__all__` as a re-export.
+
+The benchmark's tracer rebinds imported names inside package modules, so
+every name it traces must still be bound where it looks for it.
 """
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -52,3 +57,15 @@ def test_no_unused_module_imports(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_benchmark_traced_names_exist():
+    path = ROOT / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    missing = [f"{module_name}.{name}"
+               for module_name, names in child.TRACED.items()
+               for name in names
+               if not hasattr(importlib.import_module(module_name), name)]
+    assert child.TRACED and not missing, f"traced names not bound: {missing}"
