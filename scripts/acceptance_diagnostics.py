@@ -82,7 +82,7 @@ def mode_radials(v: np.ndarray, cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     layout and with the linear-tail remainder of analytics._radial_pair."""
     env, ch, quad, x = cfg.env, cfg.channel, cfg.quadrature, cfg.coop_radius_km
     h = ch.altitude_km
-    z_end = _z_end(env, ch, quad, x, float(v.max()))
+    z_end = _z_end(env, ch, x, float(v.max()))
     n_pan = max(1, math.ceil(math.log(z_end / x) / math.log(_OUTER_RATIO)))
     geo = x * _OUTER_RATIO ** np.arange(1, n_pan + 1)
     geo[-1] = max(geo[-1], z_end)

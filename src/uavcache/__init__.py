@@ -5,14 +5,11 @@ Monte Carlo stochastic-geometry simulator, optimal randomized content
 placement, caching baselines, and a batch sweep harness with CSV output.
 """
 from .analytics import (CapacityReport, PowerModel, QuadratureConfig,
-                        ScenarioConfig, caching_interference_factor, content_capacity,
-                        cooperative_signal_factor, energy_efficiency,
-                        energy_efficiency_exact, noncaching_interference_factor,
-                        system_capacity)
-from .caching import (POLICY_KINDS, ContentLibrary, PlacementPolicy,
-                      hit_probability, lru_che, lru_empirical_policy,
-                      lru_simulate, mpc_policy, rcp_objective, solve_rcp,
-                      zipf_popularity)
+                        ScenarioConfig, content_capacity, energy_efficiency,
+                        energy_efficiency_exact, system_capacity)
+from .caching import (POLICY_KINDS, ContentLibrary, PlacementPolicy, lru_che,
+                      lru_empirical_policy, lru_simulate, mpc_policy,
+                      rcp_objective, solve_rcp, zipf_popularity)
 from .channel import (ENVIRONMENT_PRESETS, ChannelConfig, Environment,
                       elevation_deg, environment_preset, los_probability,
                       path_loss, shadowing_log_moments, shadowing_sigma_db)
@@ -27,12 +24,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityReport", "PowerModel", "QuadratureConfig", "ScenarioConfig",
-    "caching_interference_factor", "content_capacity",
-    "cooperative_signal_factor", "energy_efficiency",
-    "energy_efficiency_exact", "noncaching_interference_factor",
+    "content_capacity", "energy_efficiency", "energy_efficiency_exact",
     "system_capacity",
-    "POLICY_KINDS", "ContentLibrary", "PlacementPolicy", "hit_probability",
-    "lru_che", "lru_empirical_policy", "lru_simulate", "mpc_policy",
+    "POLICY_KINDS", "ContentLibrary", "PlacementPolicy", "lru_che", "lru_empirical_policy", "lru_simulate", "mpc_policy",
     "rcp_objective", "solve_rcp", "zipf_popularity",
     "ENVIRONMENT_PRESETS", "ChannelConfig", "Environment", "elevation_deg",
     "environment_preset", "los_probability", "path_loss",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Literal
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -36,6 +35,9 @@ _GL_NODES = 12
 _INNER_PANELS = 8
 _OUTER_RATIO = 1.6
 _V_PANELS_PER_DECADE = 2
+# radial truncation floor (km) and Poisson tail mass for the EE sums
+_Z_FLOOR = 64.0
+_K_MAX_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,18 +47,14 @@ class QuadratureConfig:
     hermite_nodes: int = 32
     rel_tol: float = 1e-6
     v_max: float = 1e7
-    z_max: float = 64.0
-    k_max_tail: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.hermite_nodes < 2:
             raise ConfigError("hermite_nodes must be >= 2")
         if not self.rel_tol > 0:
             raise ConfigError("rel_tol must be positive")
-        if not (self.v_max > 0 and self.z_max > 0):
-            raise ConfigError("truncation bounds must be positive")
-        if not 0 < self.k_max_tail < 1:
-            raise ConfigError("k_max_tail must lie in (0, 1)")
+        if not self.v_max > 0:
+            raise ConfigError("v_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -152,8 +150,8 @@ def _tail_mean_gain(env: Environment, cfg: ChannelConfig, mode, z: float):
         return float(np.exp(m_ln + 0.5 * float(s_ln) ** 2))
 
 
-def _z_end(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig,
-           x_cop: float, v_max: float) -> float:
+def _z_end(env: Environment, cfg: ChannelConfig, x_cop: float,
+           v_max: float) -> float:
     """Radial truncation where the kernel is safely in its linear tail.
 
     Past the truncation point the kernel coefficient v*L(z) must sit below
@@ -162,7 +160,7 @@ def _z_end(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig,
     and the stitch is seamless.
     """
     h = cfg.altitude_km
-    z_end = max(quad.z_max, 2.0 * x_cop, 2.0 * h)
+    z_end = max(_Z_FLOOR, 2.0 * x_cop, 2.0 * h)
     overflow = ("radial truncation bound overflowed; the grazing-angle "
                 f"shadowing spread of environment {env.name!r} is too wide "
                 "to evaluate")
@@ -184,7 +182,7 @@ def _z_end(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig,
 
 def _radial_pair(v: np.ndarray, env: Environment, cfg: ChannelConfig,
                  quad: QuadratureConfig, x_cop: float, *,
-                 v_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 v_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Radial kernel integrals (zone part, outside part) for each v.
 
     zone(v)    = int_0^{x_cop} z k(z,v) dz
@@ -194,21 +192,15 @@ def _radial_pair(v: np.ndarray, env: Environment, cfg: ChannelConfig,
     v = np.atleast_1d(np.asarray(v, dtype=float))
     n_h = quad.hermite_nodes
     h = cfg.altitude_km
-    z_end = _z_end(env, cfg, quad, x_cop,
-                   v_max if v_max is not None else float(v.max(initial=0.0)) or 1.0)
+    z_end = _z_end(env, cfg, x_cop, v_max)
 
-    if x_cop > 0:
-        zi, wi = _gl_panels(np.linspace(0.0, x_cop, _INNER_PANELS + 1), _GL_NODES)
-        zone = (wi[:, None] * zi[:, None] * kernel_table(zi, v, env, cfg, n_h)).sum(axis=0)
-    else:
-        zone = np.zeros(v.size)
+    zi, wi = _gl_panels(np.linspace(0.0, x_cop, _INNER_PANELS + 1), _GL_NODES)
+    zone = (wi[:, None] * zi[:, None] * kernel_table(zi, v, env, cfg, n_h)).sum(axis=0)
 
-    start = x_cop if x_cop > 0 else min(h, z_end / 4.0)
-    lead = [0.0, start] if x_cop == 0 else [start]
-    n_pan = max(1, math.ceil(math.log(z_end / start) / math.log(_OUTER_RATIO)))
-    geo = start * _OUTER_RATIO ** np.arange(1, n_pan + 1)
+    n_pan = max(1, math.ceil(math.log(z_end / x_cop) / math.log(_OUTER_RATIO)))
+    geo = x_cop * _OUTER_RATIO ** np.arange(1, n_pan + 1)
     geo[-1] = max(geo[-1], z_end)
-    edges = np.concatenate([np.asarray(lead), geo])
+    edges = np.concatenate([[x_cop], geo])
     zo, wo = _gl_panels(edges, _GL_NODES)
     outside = (wo[:, None] * zo[:, None] * kernel_table(zo, v, env, cfg, n_h)).sum(axis=0)
 
@@ -271,17 +263,12 @@ def _laplace_factors(zone: np.ndarray, outside: np.ndarray, cfg: ScenarioConfig,
     return noncaching, caching_out, signal
 
 
-def _assemble_rate(tables: _ScenarioTables, cfg: ScenarioConfig, p_c: float,
-                   zone_term: str) -> float:
+def _assemble_rate(tables: _ScenarioTables, cfg: ScenarioConfig, p_c: float) -> float:
     """Integrate v^-1 * (interference factors) * (signal factor) over v."""
-    if p_c <= 0.0 or cfg.uav_density == 0.0 or cfg.coop_radius_km == 0.0:
+    if p_c <= 0.0:
         return 0.0
     noncaching, caching_out, signal = _laplace_factors(tables.zone, tables.outside,
                                                        cfg, p_c)
-    if zone_term == "factored":
-        signal = -np.expm1(-cfg.coop_mean(p_c)) * signal
-    elif zone_term != "exact":
-        raise ValueError("zone_term must be 'exact' or 'factored'")
     # the integrand v^-1 ... dv becomes (...) ds on the ln v grid
     rate = float((tables.weights * noncaching * caching_out * signal).sum())
     if not np.isfinite(rate):
@@ -317,16 +304,16 @@ def _geometry_key(cfg: ScenarioConfig) -> tuple:
             env.c_los, env.c_nlos,
             ch.alpha_los, ch.alpha_nlos, ch.k_los, ch.k_nlos,
             ch.nakagami_los, ch.nakagami_nlos, ch.altitude_km,
-            q.hermite_nodes, q.v_max, q.z_max, cfg.coop_radius_km)
+            q.hermite_nodes, q.v_max, cfg.coop_radius_km)
 
 
 def _guard_movement(entry: _GeometryTables, cfg: ScenarioConfig) -> float:
     """Relative change of a probe rate when v_max is doubled."""
     probe = 0.5
-    base = _assemble_rate(entry.served, cfg, probe, "exact")
+    base = _assemble_rate(entry.served, cfg, probe)
     if not base > 0.0:
         return 0.0
-    doubled = _assemble_rate(entry.doubled, cfg, probe, "exact")
+    doubled = _assemble_rate(entry.doubled, cfg, probe)
     return abs(doubled - base) / abs(base)
 
 
@@ -364,65 +351,32 @@ def _tables_for(cfg: ScenarioConfig) -> _ScenarioTables:
     return entry.served
 
 
-def _factors_at(v, cfg: ScenarioConfig, p_c: float):
-    """The three Laplace factors at the given v values, radially truncated
-    for v.max() by _z_end."""
-    if np.any(np.asarray(v) < 0):
-        raise ValueError("transform variable must be >= 0")
-    zone, outside = _radial_pair(v, cfg.env, cfg.channel, cfg.quadrature,
-                                 cfg.coop_radius_km)
-    return _laplace_factors(zone, outside, cfg, p_c)
-
-
-def _shaped(out: np.ndarray, v) -> float | np.ndarray:
-    return float(out[0]) if np.isscalar(v) or np.ndim(v) == 0 else out
-
-
-def noncaching_interference_factor(v, cfg: ScenarioConfig, p_c: float):
-    """Laplace transform of interference from UAVs not caching the content
-    (density (1-p_c) * uav_density / subchannels over the whole plane)."""
-    return _shaped(_factors_at(v, cfg, p_c)[0], v)
-
-
-def caching_interference_factor(v, cfg: ScenarioConfig, p_c: float):
-    """Laplace transform of interference from caching UAVs outside the
-    cooperation zone (density p_c * uav_density / subchannels)."""
-    return _shaped(_factors_at(v, cfg, p_c)[1], v)
-
-
-def cooperative_signal_factor(v, cfg: ScenarioConfig, p_c: float):
-    """Zone signal term in its factored form: the nonempty-zone probability
-    times the zone PGFL complement (see content_capacity for the exact form)."""
-    return _shaped(-np.expm1(-cfg.coop_mean(p_c)) * _factors_at(v, cfg, p_c)[2], v)
-
-
-def content_capacity(cfg: ScenarioConfig, content: int,
-                     zone_term: Literal["exact", "factored"] = "exact") -> float:
+def content_capacity(cfg: ScenarioConfig, content: int) -> float:
     """Average rate of the given content (1-based index), nats per channel use.
 
-    zone_term='exact' uses the zone PGFL complement directly (the cooperator
-    sum vanishes exactly when the zone is empty, so no extra void-probability
-    prefactor belongs in the signal term); 'factored' keeps the prefactored
-    approximation for comparison and is roughly (1 - e^-m_c) times smaller.
+    The zone signal term is the exact zone PGFL complement: the cooperator sum
+    vanishes exactly when the zone is empty, so no extra void-probability
+    prefactor belongs in it.
     """
     if not 1 <= content <= cfg.library.size:
         raise ValueError("content index out of range")
-    p_c = float(cfg.policy.probabilities[content - 1])
-    return _assemble_rate(_tables_for(cfg), cfg, p_c, zone_term)
+    return float(system_capacity(cfg).per_content_nats[content - 1])
 
 
-def system_capacity(cfg: ScenarioConfig,
-                    zone_term: Literal["exact", "factored"] = "exact") -> CapacityReport:
+def system_capacity(cfg: ScenarioConfig) -> CapacityReport:
     """Popularity-weighted average rate over the whole library."""
+    rates = np.zeros(cfg.library.size)
+    coop_means = cfg.zone_mean_uavs * cfg.policy.probabilities
+    if cfg.zone_mean_uavs == 0.0:
+        # no cooperator can ever be in the zone: every rate is zero
+        return CapacityReport(rates, coop_means, 0.0)
     tables = _tables_for(cfg)
-    rates = np.empty(cfg.library.size)
     cache: dict[float, float] = {}
     for i, p_c in enumerate(cfg.policy.probabilities):
         key = float(p_c)
         if key not in cache:
-            cache[key] = _assemble_rate(tables, cfg, key, zone_term)
+            cache[key] = _assemble_rate(tables, cfg, key)
         rates[i] = cache[key]
-    coop_means = cfg.zone_mean_uavs * cfg.policy.probabilities
     system = float(np.sum(cfg.library.popularity * rates))
     return CapacityReport(rates, coop_means, system)
 
@@ -446,8 +400,7 @@ def _ee_sum(cfg: ScenarioConfig, report: CapacityReport, k_max: int | None,
     fixed = cfg.power.fixed_power(cfg.policy.cache_size)
     zeta = cfg.power.rate_power_slope
     if k_max is None:
-        k_max = _poisson_k_max(float(report.coop_means.max(initial=0.0)),
-                               cfg.quadrature.k_max_tail)
+        k_max = _poisson_k_max(float(report.coop_means.max(initial=0.0)), _K_MAX_TAIL)
     k = np.arange(1, k_max + 1, dtype=float)
     log_kfact = gammaln(k + 1.0)
     out = 0.0

@@ -67,18 +67,6 @@ class PlacementPolicy:
         object.__setattr__(self, "probabilities", np.clip(p, 0.0, 1.0))
 
 
-def hit_probability(p_c, density: float, radius: float):
-    """Probability that at least one cache within the cooperation zone holds
-    the content: 1 - exp(-pi * density * radius^2 * p_c)."""
-    p = np.asarray(p_c, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("placement probability must lie in [0, 1]")
-    if density < 0 or radius < 0:
-        raise ValueError("density and radius must be >= 0")
-    out = -np.expm1(-np.pi * density * radius * radius * p)
-    return out if out.ndim else float(out)
-
-
 def rcp_objective(a: np.ndarray, p: np.ndarray, beta: float) -> float:
     """Expected zone hit probability sum_c a_c (1 - exp(-beta p_c))."""
     a = np.asarray(a, dtype=float)

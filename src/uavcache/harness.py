@@ -188,7 +188,7 @@ def _parse_environment(node: dict, where: str) -> Environment:
 _CHANNEL_KEYS = ("alpha_los", "alpha_nlos", "k_los", "k_nlos",
                  "nakagami_los", "nakagami_nlos")
 _POWER_KEYS = ("transmit_w", "cache_per_file_w", "static_w", "rate_power_slope")
-_QUAD_KEYS = ("hermite_nodes", "rel_tol", "v_max", "z_max", "k_max_tail")
+_QUAD_KEYS = ("hermite_nodes", "rel_tol", "v_max")
 _SIM_KEYS = ("mode", "r_max_km", "sir_cap", "spike_rel", "chunk_size", "n_jobs")
 _SCENARIO_KEYS = ("environment", "custom_environment", "uav_density_per_km2",
                   "altitude_km", "coop_radius_km", "subchannels",
@@ -302,10 +302,7 @@ def parse_config(raw: dict) -> RunConfig:
     quadrature = QuadratureConfig(
         hermite_nodes=_get_int(quad_node, "hermite_nodes", 32, "scenario.quadrature", lo=2),
         rel_tol=_get_number(quad_node, "rel_tol", 1e-6, "scenario.quadrature", lo=1e-16),
-        v_max=_get_number(quad_node, "v_max", 1e7, "scenario.quadrature", lo=1.0),
-        z_max=_get_number(quad_node, "z_max", 64.0, "scenario.quadrature", lo=1e-9),
-        k_max_tail=_get_number(quad_node, "k_max_tail", 1e-12, "scenario.quadrature",
-                               lo=1e-300, hi=0.5))
+        v_max=_get_number(quad_node, "v_max", 1e7, "scenario.quadrature", lo=1.0))
 
     size = _get_int(sc, "library_size", 20, "scenario", lo=1)
     kappa = _get_number(sc, "zipf_exponent", 0.8, "scenario", lo=0.0, hi=2.0)

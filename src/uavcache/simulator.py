@@ -37,7 +37,7 @@ from scipy.special import gammainc, ndtr, ndtri
 from .analytics import ScenarioConfig
 from .channel import (ChannelConfig, Environment, los_probability, path_loss,
                       shadowing_log_moments, shadowing_sigma_db)
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 
 _MASK64 = (1 << 64) - 1
 # Philox stream purposes; each must be distinct, or two estimators replay
@@ -46,6 +46,9 @@ _PURPOSE_CAPACITY = 1
 _PURPOSE_EE = 2
 _PURPOSE_LRU = 3    # the LRU request trace of lru_empirical placements
 _PURPOSE_FIELD = 4
+# expected far-field spikes per chunk above which a field draw is refused;
+# the spike arrays of one chunk then take about 1.3 GB
+_SPIKE_BUDGET = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -385,6 +388,13 @@ def draw_interference_field(cfg: ScenarioConfig, n_trials: int, seed: int,
     if cfg.interferer_density > 0:
         far = _FarField(cfg, cfg.interferer_density, r_max,
                         _spike_threshold(cfg, opts.spike_rel))
+        spikes = sum(md["lam"] for md in far.modes) * min(opts.chunk_size, n_trials)
+        if spikes > _SPIKE_BUDGET:
+            raise ConvergenceError(
+                f"environment {cfg.env.name!r} expects {spikes:.2e} far-field "
+                f"spikes per chunk (> {_SPIKE_BUDGET}); its grazing-angle "
+                "shadowing spread is too wide at spike_rel = "
+                f"{opts.spike_rel:g}, raise spike_rel")
 
     def worker(rng: np.random.Generator, trials: slice) -> np.ndarray:
         return _field_chunk(cfg, trials.stop - trials.start, rng, r_max, far)

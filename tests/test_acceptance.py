@@ -28,7 +28,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 from scipy.special import digamma, polygamma
 
-from uavcache import cli
+from uavcache import analytics, cli
 from uavcache.analytics import (PowerModel, QuadratureConfig, ScenarioConfig,
                                 content_capacity, energy_efficiency,
                                 system_capacity)
@@ -341,18 +341,24 @@ def test_criterion_08_channel_statistics():
     assert ok, line
 
 
-def test_criterion_09_numerical_robustness():
+def test_criterion_09_numerical_robustness(monkeypatch):
     base_cfg = rcp_scenario("sub_urban", 1.0)
     base = content_capacity(base_cfg, 1)
     rel_changes = {}
     for name, quad in (("v_max", QuadratureConfig(v_max=2e7)),
-                       ("z_max", QuadratureConfig(z_max=128.0)),
                        ("hermite_nodes", QuadratureConfig(
                            hermite_nodes=2 * QuadratureConfig().hermite_nodes))):
         alt_cfg = ScenarioConfig(library=base_cfg.library,
                                  policy=base_cfg.policy, env=base_cfg.env,
                                  quadrature=quad, coop_radius_km=1.0)
         rel_changes[name] = abs(content_capacity(alt_cfg, 1) - base) / base
+    # the radial truncation: panels end at twice the usual range and the
+    # analytic linear-tail remainder starts there
+    z_end = analytics._z_end
+    with monkeypatch.context() as patch:
+        patch.setattr(analytics, "_z_end", lambda *args: 2.0 * z_end(*args))
+        patch.setattr(analytics, "_TABLE_CACHE", {})
+        rel_changes["z_end"] = abs(content_capacity(base_cfg, 1) - base) / base
     rel_tol = QuadratureConfig().rel_tol
     ok_analytic = all(c < rel_tol for c in rel_changes.values())
 

@@ -1,5 +1,5 @@
 """Semi-analytic capacity and energy efficiency: factor behavior, frozen
-regression points, and the exact/factored zone-term relationship."""
+regression points, the per-geometry table cache and the EE sums."""
 import math
 from dataclasses import replace
 
@@ -8,10 +8,8 @@ import pytest
 
 from uavcache import analytics
 from uavcache.analytics import (CapacityReport, PowerModel, QuadratureConfig,
-                                ScenarioConfig, caching_interference_factor,
-                                content_capacity, cooperative_signal_factor,
+                                ScenarioConfig, content_capacity,
                                 energy_efficiency, energy_efficiency_exact,
-                                noncaching_interference_factor,
                                 system_capacity)
 from uavcache.caching import ContentLibrary, PlacementPolicy, mpc_policy, solve_rcp
 from uavcache.channel import ChannelConfig, environment_preset
@@ -39,10 +37,6 @@ def test_quadrature_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ConfigError):
         QuadratureConfig(v_max=0.0)
-    with pytest.raises(ConfigError):
-        QuadratureConfig(z_max=-1.0)
-    with pytest.raises(ConfigError):
-        QuadratureConfig(k_max_tail=0.0)
 
 
 def test_power_model():
@@ -75,19 +69,27 @@ def test_scenario_validation():
 
 # --- Laplace-functional factors ---------------------------------------------
 
+def laplace_factors(v, cfg, p_c):
+    """(noncaching interference, caching interference outside the zone, zone
+    signal) at each v, from the engine's radial integrals."""
+    radials = analytics._radial_pair(np.atleast_1d(v), cfg.env, cfg.channel,
+                                     cfg.quadrature, cfg.coop_radius_km,
+                                     v_max=cfg.quadrature.v_max)
+    return analytics._laplace_factors(*radials, cfg, p_c)
+
+
 def test_factors_at_zero_transform_variable():
     cfg = reference_scenario("sub_urban", 1.0)
-    assert noncaching_interference_factor(0.0, cfg, 0.5) == pytest.approx(1.0)
-    assert caching_interference_factor(0.0, cfg, 0.5) == pytest.approx(1.0)
-    assert cooperative_signal_factor(0.0, cfg, 0.5) == pytest.approx(0.0, abs=1e-15)
+    noncaching, caching_out, signal = laplace_factors(0.0, cfg, 0.5)
+    assert noncaching[0] == pytest.approx(1.0)
+    assert caching_out[0] == pytest.approx(1.0)
+    assert signal[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_factors_monotone_in_transform_variable():
     cfg = reference_scenario("sub_urban", 1.0)
     v = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
-    t1 = noncaching_interference_factor(v, cfg, 0.5)
-    t2 = caching_interference_factor(v, cfg, 0.5)
-    t3 = cooperative_signal_factor(v, cfg, 0.5)
+    t1, t2, t3 = laplace_factors(v, cfg, 0.5)
     assert np.all(np.diff(t1) < 0) and np.all((t1 > 0) & (t1 <= 1))
     assert np.all(np.diff(t2) < 0) and np.all((t2 > 0) & (t2 <= 1))
     assert np.all(np.diff(t3) > 0) and np.all((t3 >= 0) & (t3 <= 1))
@@ -97,21 +99,20 @@ def test_factors_monotone_in_placement_probability():
     # more caching shrinks the noncaching interferer pool and grows the rest
     cfg = reference_scenario("sub_urban", 1.0)
     grid = [0.0, 0.3, 0.7, 1.0]
-    t1 = [noncaching_interference_factor(1.0, cfg, p) for p in grid]
-    t2 = [caching_interference_factor(1.0, cfg, p) for p in grid]
-    assert np.all(np.diff(t1) > 0)
-    assert np.all(np.diff(t2) < 0)
-    assert caching_interference_factor(1.0, cfg, 0.0) == pytest.approx(1.0)
+    t1, t2, _ = zip(*(laplace_factors(1.0, cfg, p) for p in grid))
+    assert np.all(np.diff(np.concatenate(t1)) > 0)
+    assert np.all(np.diff(np.concatenate(t2)) < 0)
+    assert t2[0][0] == pytest.approx(1.0)
 
 
 def test_cooperative_factor_saturates_to_void_complement_squared():
-    # as v grows the zone integral tends to X^2/2, so the factored zone term
-    # approaches (1 - exp(-mean cooperator count))^2
+    # as v grows the zone integral tends to X^2/2, so the zone signal term
+    # approaches the nonempty-zone probability 1 - exp(-mean cooperator count)
     for name, radius, rel in (("sub_urban", 3.0, 1e-4), ("high_rise", 1.0, 1e-6)):
         cfg = reference_scenario(name, radius)
         p1 = float(cfg.policy.probabilities[0])
-        target = (-math.expm1(-cfg.coop_mean(p1))) ** 2
-        got = cooperative_signal_factor(1e9, cfg, p1)
+        target = -math.expm1(-cfg.coop_mean(p1))
+        got = laplace_factors(1e9, cfg, p1)[2][0]
         assert got == pytest.approx(target, rel=rel), name
 
 
@@ -180,26 +181,12 @@ def test_uniform_policy_collapses_to_one_rate():
         content_capacity(cfg, 5), rel=1e-12)
 
 
-def test_factored_zone_term_is_scaled_exact():
-    # the factored variant multiplies the zone term by the nonempty-zone
-    # probability inside the same outer integral, so the rates are exactly
-    # proportional
-    cfg = reference_scenario("sub_urban", 3.0)
-    for content in (1, 7):
-        m_c = cfg.coop_mean(float(cfg.policy.probabilities[content - 1]))
-        exact = content_capacity(cfg, content, "exact")
-        factored = content_capacity(cfg, content, "factored")
-        assert factored == pytest.approx(-math.expm1(-m_c) * exact, rel=1e-12)
-
-
 def test_capacity_input_validation():
     cfg = reference_scenario("sub_urban", 1.0)
     with pytest.raises(ValueError):
         content_capacity(cfg, 0)
     with pytest.raises(ValueError):
         content_capacity(cfg, 21)
-    with pytest.raises(ValueError):
-        content_capacity(cfg, 1, "approximate")
 
 
 def test_capacity_grows_with_cooperation_radius():
@@ -233,6 +220,18 @@ def test_density_sweep_builds_tables_once(kernel_calls):
     for density in (1e-4, 1e-3, 1e-2):
         assert system_capacity(replace(cfg, uav_density=density)).system_rate_nats > 0
     assert len(kernel_calls) == 2
+
+
+def test_empty_zone_rates_are_zero_without_tables(kernel_calls):
+    # with no UAV expected in the zone no cooperator can serve any content,
+    # so the rates are zero before any radial integral is needed
+    cfg = reference_scenario("sub_urban", 1.0)
+    for empty in (replace(cfg, coop_radius_km=0.0), replace(cfg, uav_density=0.0)):
+        report = system_capacity(empty)
+        assert np.array_equal(report.per_content_nats, np.zeros(20))
+        assert report.system_rate_nats == 0.0
+        assert content_capacity(empty, 1) == 0.0
+    assert len(kernel_calls) == 0
 
 
 def test_guard_fires_on_cache_served_tables(kernel_calls):

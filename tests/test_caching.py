@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavcache.caching import (ContentLibrary, PlacementPolicy, hit_probability,
-                              lru_che, lru_empirical_policy, lru_simulate,
-                              mpc_policy, rcp_objective, solve_rcp,
-                              zipf_popularity)
+from uavcache.caching import (ContentLibrary, PlacementPolicy, lru_che,
+                              lru_empirical_policy, lru_simulate, mpc_policy,
+                              rcp_objective, solve_rcp, zipf_popularity)
 from uavcache.errors import ConfigError
 
 
@@ -70,40 +69,6 @@ def test_policy_validation():
         PlacementPolicy(np.array([0.5, 0.4]), 1, "rcp")
     pol = PlacementPolicy(np.array([0.6, 0.4]), 1, "rcp")
     assert pol.cache_size == 1
-
-
-# --- hit probability -------------------------------------------------------
-
-def test_hit_probability_pinned_value():
-    # oracle: 1 - exp(-pi * density * radius^2 * p) evaluated by hand
-    expected = -math.expm1(-math.pi * 1e-3 * 9.0)
-    assert expected == pytest.approx(0.027878355687348293, rel=1e-12)
-    assert hit_probability(1.0, 1e-3, 3.0) == pytest.approx(expected, rel=1e-13)
-
-
-def test_hit_probability_endpoints():
-    assert hit_probability(0.0, 1e-3, 3.0) == 0.0
-    assert hit_probability(1.0, 0.0, 3.0) == 0.0
-    assert hit_probability(1.0, 1e-3, 0.0) == 0.0
-    assert hit_probability(1.0, 10.0, 1e3) == pytest.approx(1.0)
-
-
-@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-       st.floats(0.0, 10.0))
-def test_hit_probability_monotone(p1, p2, dens, radius):
-    lo, hi = sorted((p1, p2))
-    h_lo = hit_probability(lo, dens, radius)
-    h_hi = hit_probability(hi, dens, radius)
-    assert 0.0 <= h_lo <= h_hi <= 1.0
-
-
-def test_hit_probability_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        hit_probability(1.5, 1e-3, 3.0)
-    with pytest.raises(ValueError):
-        hit_probability(0.5, -1e-3, 3.0)
-    with pytest.raises(ValueError):
-        hit_probability(0.5, 1e-3, -3.0)
 
 
 # --- optimal randomized placement ------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import uavcache
 from uavcache import cli
 from uavcache.caching import POLICY_KINDS
-from uavcache.channel import ENVIRONMENT_PRESETS
+from uavcache.channel import ENVIRONMENT_PRESETS, environment_preset
 from uavcache.errors import ConfigError
 from uavcache.harness import (CSV_HEADER, SWEEP_VARIABLES, SweepSpec,
                               dump_config, emit_csv, load_config, parse_config,
@@ -75,6 +75,20 @@ def test_shadowing_convention_key_rejected(value, tmp_path, capsys):
     assert cli.main(["validate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "scenario.channel" in err and "shadowing_convention" in err
+
+
+@pytest.mark.parametrize("key,value", [("z_max", 64.0), ("k_max_tail", 1e-12)])
+def test_retired_quadrature_keys_rejected(key, value, tmp_path, capsys):
+    # the radial truncation floor and the EE Poisson tail are fixed constants,
+    # so their old keys are unknown even at their old default values
+    raw = {"scenario": {"quadrature": {key: value}}}
+    with pytest.raises(ConfigError, match=key):
+        parse_config(raw)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.quadrature" in err and key in err
 
 
 def test_out_of_range_scenario_values():
@@ -194,8 +208,7 @@ def raw_configs(draw):
             static_w=_number(0.0, 10.0), rate_power_slope=_number(0.0, 5.0)),
         quadrature=_optional_block(
             hermite_nodes=st.integers(2, 100), rel_tol=_number(1e-12, 1e-2),
-            v_max=_number(1.0, 1e9), z_max=_number(1e-3, 1e3),
-            k_max_tail=_number(1e-20, 0.5)),
+            v_max=_number(1.0, 1e9)),
         simulation=_optional_block(
             mode=st.sampled_from(["conditioned", "unconditioned"]),
             r_max_km=st.none() | _number(1e-3, 1e4),
@@ -480,6 +493,20 @@ sweeps:
     (row,) = run_sweep(run.sweeps[0])
     assert row.method == "monte_carlo"
     assert row.capacity_bits > 0 and row.stderr > 0
+
+
+def test_monte_carlo_row_fails_on_spike_overload_and_sweep_continues():
+    # a 60 dB grazing-angle NLOS spread expects about 2.4e8 far-field spikes
+    # per trial; that row fails before sampling and the next one still runs
+    canyon = replace(environment_preset("urban"), name="canyon", a_nlos=60.0)
+    spec = SweepSpec(name="canyon", variable="x_cop", grid=(1.0,),
+                     base=parse_config({}).scenario,
+                     environments=("canyon", "sub_urban"), methods=("monte_carlo",),
+                     trials=256, seed=1, environment_map={"canyon": canyon})
+    failed, ok = run_sweep(spec)
+    assert (failed.env, failed.method, failed.capacity_bits) == ("canyon", "failed", None)
+    assert (ok.env, ok.method) == ("sub_urban", "monte_carlo")
+    assert ok.capacity_bits > 0
 
 
 def test_monte_carlo_stderr_is_that_of_the_system_rate():

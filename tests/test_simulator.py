@@ -1,6 +1,7 @@
 """Monte Carlo network simulator: sampling distributions, estimator
 consistency across modes and parallelism, and input validation."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from uavcache.analytics import (PowerModel, ScenarioConfig,
                                 energy_efficiency_exact, system_capacity)
 from uavcache.caching import ContentLibrary, solve_rcp
 from uavcache.channel import ChannelConfig, environment_preset
-from uavcache.errors import ConfigError
+from uavcache.errors import ConfigError, ConvergenceError
 from uavcache.simulator import (SimEstimate, SimOptions,
                                 draw_interference_field, estimate_capacity,
                                 estimate_ee, window_radius)
@@ -170,6 +171,18 @@ def test_per_trial_sum_is_float_without_entries():
     out = simulator._per_trial_sum(4, np.zeros(4, dtype=np.int64), np.empty(0))
     assert out.dtype == np.float64
     assert np.array_equal(out, np.zeros(4))
+
+
+def test_field_draw_refuses_a_spike_overload():
+    # a 60 dB grazing-angle NLOS spread expects about 2.4e8 far-field spikes
+    # per trial, hundreds of GiB per chunk: the draw must refuse before it
+    # samples rather than ask numpy for the arrays
+    canyon = replace(environment_preset("urban"), name="canyon", a_nlos=60.0)
+    lib = ContentLibrary(20, 0.8)
+    cfg = ScenarioConfig(library=lib, policy=solve_rcp(lib.popularity, 5, math.pi * 1e-3),
+                         env=canyon)
+    with pytest.raises(ConvergenceError, match="'canyon'.*raise spike_rel"):
+        draw_interference_field(cfg, 256, 0)
 
 
 def test_stream_purposes_are_distinct():
