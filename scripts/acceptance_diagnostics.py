@@ -28,9 +28,10 @@ from uavcache import (ChannelConfig, ContentLibrary, ScenarioConfig,
                       elevation_deg, energy_efficiency, environment_preset,
                       los_probability, path_loss, shadowing_log_moments,
                       solve_rcp, system_capacity)
-from uavcache.analytics import (_GL_NODES, _INNER_PANELS, _OUTER_RATIO,
-                                _gl_panels, _laplace_factors, _radial_pair,
-                                _tables_for, _tail_mean_gain, _z_end)
+from uavcache.analytics import (_GL_NODES, _INNER_PANELS, _far_edges,
+                                _gl_panels, _laplace_factors, _near_edges,
+                                _radial_pair, _tables_for, _tail_mean_gain,
+                                _z_end)
 from uavcache.channel import _shadow_expectation
 
 ENVS = ("high_rise", "dense_urban", "urban", "sub_urban")
@@ -82,14 +83,12 @@ def mode_radials(v: np.ndarray, cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     layout and with the linear-tail remainder of analytics._radial_pair."""
     env, ch, quad, x = cfg.env, cfg.channel, cfg.quadrature, cfg.coop_radius_km
     h = ch.altitude_km
-    z_end = _z_end(env, ch, x, float(v.max()))
-    n_pan = max(1, math.ceil(math.log(z_end / x) / math.log(_OUTER_RATIO)))
-    geo = x * _OUTER_RATIO ** np.arange(1, n_pan + 1)
-    geo[-1] = max(geo[-1], z_end)
+    far = _far_edges(x, h, _z_end(env, ch, x, float(v.max())))
     zi, wi = _gl_panels(np.linspace(0.0, x, _INNER_PANELS + 1), _GL_NODES)
-    zo, wo = _gl_panels(np.concatenate([[x], geo]), _GL_NODES)
-    z, w = np.concatenate([zi, zo]), np.concatenate([wi, wo])
-    z_far = float(geo[-1])
+    zn, wn = _gl_panels(_near_edges(x, h), _GL_NODES)
+    zf, wf = _gl_panels(far, _GL_NODES)
+    z, w = np.concatenate([zi, zn, zf]), np.concatenate([wi, wn, wf])
+    z_far = float(far[-1])
     p_los = los_probability(z, h, env)
     p_far = los_probability(z_far, h, env)
     out = {}

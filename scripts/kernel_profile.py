@@ -1,29 +1,37 @@
 #!/usr/bin/env python3
-"""Time cold analytic table builds and split the Laplace kernel's cost by
-branch, with a fingerprint of the tables each build produced.
+"""Time analytic table builds and split the Laplace kernel's cost by branch,
+with a fingerprint of the tables each build produced.
 
-For every geometry the script builds the radial tables once from an empty
-table cache (the cold build a new geometry costs a sweep row) and records
-every `_shadow_expectation` call made during it. Each recorded call is then
-replayed once per kernel branch with only that branch's cells live (the other
-cells set to 0, which the kernel answers without work), and once with every
-cell 0 (`base_s`: masks and gates). Each replay is the fastest of REPEATS
-runs. A branch's seconds are its replay time minus `base_s`, so the branch
-times plus `base_s` approximate `kernel_s`; a branch too cheap to separate
-from timing noise can read slightly below 0.
+The script empties the table cache once, then builds the radial tables of
+each geometry in the order given, as a sweep over them would: a geometry's
+zone and near-outside tables are always built, and its far-outside table
+(beyond the split radius Z0, independent of the cooperation radius) is built
+unless an earlier geometry with the same environment, altitude and Z0 left
+it in the cache. Every `_shadow_expectation` call made during a build is
+recorded and then replayed once per kernel branch with only that branch's
+cells live (the other cells set to 0, which the kernel answers without
+work), and once with every cell 0 (`base_s`: masks and gates). Each replay
+is the fastest of REPEATS runs. A branch's seconds are its replay time minus
+`base_s`, so the branch times plus `base_s` approximate `kernel_s`; a branch
+too cheap to separate from timing noise can read slightly below 0.
 
 One JSON line per geometry:
   env, x_cop_km, altitude_km, hermite_nodes,
-  build_s        cold build plus v_max guard (`analytics._tables_for`),
-  kernel_s       time inside `_shadow_expectation` during that build,
+  build_s        table build plus v_max guard (`analytics._tables_for`),
+  far_hit        whether the far table came from the cache,
+  far_s          time building the far table (0 on a hit),
+  near_s         build_s - far_s: zone and near tables, assembly and guard,
+  kernel_s       time inside `_shadow_expectation` during the build,
   base_s         replay with every cell 0,
   branches       {linear, gauss_hermite, windowed}: {cells, s},
   tables_sha256  SHA-256 of the zone table bytes followed by the outside
-                 table bytes (the whole 2*v_max build).
+                 table bytes (the whole 2*v_max build),
+  far_sha256     SHA-256 of the far table bytes.
 
-The default geometries are the six cold builds of the benchmark's
+The default geometries are the six builds of the benchmark's
 figures_analytic workload: high_rise and sub_urban at X = 1 and 3 km with
-H = 1 km, and at X = 3 km with H = 2 km.
+H = 1 km, and at X = 3 km with H = 2 km; the X = 3 km, H = 1 km builds reuse
+the far tables of X = 1 km.
 
 Usage: python3 scripts/kernel_profile.py [--hermite-nodes N]
            [--geometry ENV:X_KM:H_KM ...]
@@ -87,8 +95,9 @@ def profile(env_name: str, x_cop: float, altitude: float,
             hermite_nodes: int | None) -> dict:
     cfg = scenario(env_name, x_cop, altitude, hermite_nodes)
     kernel = channel._shadow_expectation
+    far_radial = analytics._far_radial
     calls = []
-    kernel_s = 0.0
+    kernel_s = far_s = 0.0
 
     def recording(coef, m_ln, s_ln, wbar, n_h):
         nonlocal kernel_s
@@ -98,17 +107,29 @@ def profile(env_name: str, x_cop: float, altitude: float,
         calls.append((coef, m_ln, s_ln, wbar, n_h))
         return out
 
-    analytics._TABLE_CACHE.clear()
+    def timed_far(*args, **kwargs):
+        nonlocal far_s
+        t0 = time.perf_counter()
+        out = far_radial(*args, **kwargs)
+        far_s += time.perf_counter() - t0
+        return out
+
+    far_key, key = analytics._geometry_keys(cfg)
+    far_hit = far_key in analytics._TABLE_CACHE
     channel._shadow_expectation = recording
+    analytics._far_radial = timed_far
     try:
         t0 = time.perf_counter()
         analytics._tables_for(cfg)
         build_s = time.perf_counter() - t0
     finally:
         channel._shadow_expectation = kernel
-    doubled = analytics._TABLE_CACHE[analytics._geometry_key(cfg)].doubled
+        analytics._far_radial = far_radial
+    doubled = analytics._TABLE_CACHE[key].doubled
     digest = hashlib.sha256(np.ascontiguousarray(doubled.zone).tobytes()
                             + np.ascontiguousarray(doubled.outside).tobytes())
+    far_digest = hashlib.sha256(
+        np.ascontiguousarray(analytics._TABLE_CACHE[far_key]).tobytes())
 
     base_s = 0.0
     branches = {name: {"cells": 0, "s": 0.0}
@@ -126,9 +147,11 @@ def profile(env_name: str, x_cop: float, altitude: float,
         rec["s"] = round(rec["s"], 4)
     return {"env": env_name, "x_cop_km": x_cop, "altitude_km": altitude,
             "hermite_nodes": cfg.quadrature.hermite_nodes,
-            "build_s": round(build_s, 4), "kernel_s": round(kernel_s, 4),
-            "base_s": round(base_s, 4), "branches": branches,
-            "tables_sha256": digest.hexdigest()}
+            "build_s": round(build_s, 4), "far_hit": far_hit,
+            "far_s": round(far_s, 4), "near_s": round(build_s - far_s, 4),
+            "kernel_s": round(kernel_s, 4), "base_s": round(base_s, 4),
+            "branches": branches, "tables_sha256": digest.hexdigest(),
+            "far_sha256": far_digest.hexdigest()}
 
 
 def parse_geometry(text: str) -> tuple[str, float, float]:
@@ -142,8 +165,9 @@ def main() -> int:
                     help="quadrature hermite_nodes (default: QuadratureConfig's)")
     ap.add_argument("--geometry", type=parse_geometry, action="append",
                     help="ENV:X_KM:H_KM, repeatable (default: the six "
-                         "figures_analytic cold builds)")
+                         "figures_analytic builds)")
     args = ap.parse_args()
+    analytics._TABLE_CACHE.clear()
     for env_name, x_cop, altitude in args.geometry or DEFAULT_GEOMETRIES:
         print(json.dumps(profile(env_name, x_cop, altitude, args.hermite_nodes)),
               flush=True)

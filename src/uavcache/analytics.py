@@ -10,6 +10,12 @@ and shared across contents, policies, densities and sub-channel counts
 through a per-geometry table cache: density and sub-channel count enter only
 the final assembly of each rate, never the radial integrals.
 
+The outside integral splits at a radius Z0 >= max(64 km, 2X, 2H) on a fixed
+ln z lattice. Its far part, beyond Z0, holds most of the radial rows and
+does not depend on the cooperation radius X, so it is cached on its own per
+(environment, channel, quadrature, Z0): a sweep over X at one environment
+and altitude builds it once and rebuilds only the zone and X -> Z0 panels.
+
 Rates are in nats per channel use internally; energy efficiency converts to
 bits and reads the dynamic-power slope as W per (bit/channel use).
 """
@@ -180,30 +186,54 @@ def _z_end(env: Environment, cfg: ChannelConfig, x_cop: float,
     return z_end
 
 
-def _radial_pair(v: np.ndarray, env: Environment, cfg: ChannelConfig,
-                 quad: QuadratureConfig, x_cop: float, *,
-                 v_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Radial kernel integrals (zone part, outside part) for each v.
+# outside panel edges sit on an absolute lattice in ln z, the powers of
+# _OUTER_RATIO, so the panels beyond a split radius Z0 are the same for every
+# cooperation radius X with the same Z0 (as the v panels below are for v_max)
+_OUTER_LOG = math.log(_OUTER_RATIO)
 
-    zone(v)    = int_0^{x_cop} z k(z,v) dz
-    outside(v) = int_{x_cop}^inf z k(z,v) dz, with the far tail beyond the
-    panel grid added analytically from the kernel's linear regime.
+
+def _split_index(x_cop: float, h: float) -> int:
+    """Lattice index j0 of the split radius Z0 = _OUTER_RATIO**j0, the first
+    lattice edge >= max(_Z_FLOOR, 2X, 2H)."""
+    return math.ceil(math.log(max(_Z_FLOOR, 2.0 * x_cop, 2.0 * h)) / _OUTER_LOG)
+
+
+def _near_edges(x_cop: float, h: float) -> np.ndarray:
+    """Outside panel edges from X through every lattice edge up to Z0."""
+    j0 = _split_index(x_cop, h)
+    lattice = _OUTER_RATIO ** np.arange(math.floor(math.log(x_cop) / _OUTER_LOG) + 1,
+                                        j0 + 1)
+    return np.concatenate([[x_cop], lattice[lattice > x_cop]])
+
+
+def _far_edges(x_cop: float, h: float, z_end: float) -> np.ndarray:
+    """Lattice edges from Z0 to the first edge >= z_end (at least one panel)."""
+    j0 = _split_index(x_cop, h)
+    j_end = max(j0 + 1, math.ceil(math.log(z_end) / _OUTER_LOG))
+    return _OUTER_RATIO ** np.arange(j0, j_end + 1)
+
+
+def _panel_integral(v: np.ndarray, env: Environment, cfg: ChannelConfig,
+                    quad: QuadratureConfig, edges: np.ndarray) -> np.ndarray:
+    """int z k(z,v) dz over the panels between consecutive edges."""
+    z, w = _gl_panels(edges, _GL_NODES)
+    return (w[:, None] * z[:, None]
+            * kernel_table(z, v, env, cfg, quad.hermite_nodes)).sum(axis=0)
+
+
+def _far_radial(v: np.ndarray, env: Environment, cfg: ChannelConfig,
+                quad: QuadratureConfig, x_cop: float, *,
+                v_max: float) -> np.ndarray:
+    """int_{Z0}^inf z k(z,v) dz: lattice panels up to past the radial
+    truncation, then the analytic linear-tail remainder.
+
+    X enters only through Z0: the truncation's own 2X floor lies below Z0,
+    so every X sharing Z0 gets the same panels and the same numbers.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    n_h = quad.hermite_nodes
     h = cfg.altitude_km
-    z_end = _z_end(env, cfg, x_cop, v_max)
-
-    zi, wi = _gl_panels(np.linspace(0.0, x_cop, _INNER_PANELS + 1), _GL_NODES)
-    zone = (wi[:, None] * zi[:, None] * kernel_table(zi, v, env, cfg, n_h)).sum(axis=0)
-
-    n_pan = max(1, math.ceil(math.log(z_end / x_cop) / math.log(_OUTER_RATIO)))
-    geo = x_cop * _OUTER_RATIO ** np.arange(1, n_pan + 1)
-    geo[-1] = max(geo[-1], z_end)
-    edges = np.concatenate([[x_cop], geo])
-    zo, wo = _gl_panels(edges, _GL_NODES)
-    outside = (wo[:, None] * zo[:, None] * kernel_table(zo, v, env, cfg, n_h)).sum(axis=0)
-
+    edges = _far_edges(x_cop, h, _z_end(env, cfg, x_cop, v_max))
+    far = _panel_integral(v, env, cfg, quad, edges)
     # analytic remainder: kernel ~ v * L(z) * E[V] for z beyond the grid
     z_far = float(edges[-1])
     p_los_far = los_probability(z_far, h, env)
@@ -212,7 +242,25 @@ def _radial_pair(v: np.ndarray, env: Environment, cfg: ChannelConfig,
         alpha, k, _ = cfg.mode_params(mode)
         mean_gain = _tail_mean_gain(env, cfg, mode, z_far)
         rem += p_mode * k * mean_gain * (h * h + z_far * z_far) ** (1.0 - alpha / 2.0) / (alpha - 2.0) * v
-    return zone, outside + rem
+    return far + rem
+
+
+def _radial_pair(v: np.ndarray, env: Environment, cfg: ChannelConfig,
+                 quad: QuadratureConfig, x_cop: float, *, v_max: float,
+                 far: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Radial kernel integrals (zone part, outside part) for each v.
+
+    zone(v)    = int_0^{x_cop} z k(z,v) dz
+    outside(v) = int_{x_cop}^{Z0} z k(z,v) dz + far(v), where far(v) is
+    `_far_radial` (computed here unless a cached one is passed).
+    """
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    zone = _panel_integral(v, env, cfg, quad,
+                           np.linspace(0.0, x_cop, _INNER_PANELS + 1))
+    near = _panel_integral(v, env, cfg, quad, _near_edges(x_cop, cfg.altitude_km))
+    if far is None:
+        far = _far_radial(v, env, cfg, quad, x_cop, v_max=v_max)
+    return zone, near + far
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,12 +291,20 @@ def _v_panel_count(v_max: float) -> int:
     return max(1, math.ceil(math.log(v_max) / _V_PANEL_WIDTH) - _V_K_LO)
 
 
-def _build_tables(cfg: ScenarioConfig, v_max: float) -> _ScenarioTables:
+def _build_tables(cfg: ScenarioConfig, v_max: float,
+                  far_key: tuple) -> _ScenarioTables:
+    """Tables on the v lattice up to v_max; the far radial part is fetched
+    from, or built into, _TABLE_CACHE under far_key."""
     s_edges = _V_PANEL_WIDTH * np.arange(_V_K_LO, _V_K_LO + _v_panel_count(v_max) + 1)
     s_nodes, weights = _gl_panels(s_edges, _GL_NODES)
     v_grid = np.exp(s_nodes)
+    far = _TABLE_CACHE.get(far_key)
+    if far is None:
+        far = _far_radial(v_grid, cfg.env, cfg.channel, cfg.quadrature,
+                          cfg.coop_radius_km, v_max=v_max)
+        _cache_put(far_key, far)
     zone, outside = _radial_pair(v_grid, cfg.env, cfg.channel, cfg.quadrature,
-                                 cfg.coop_radius_km, v_max=v_max)
+                                 cfg.coop_radius_km, v_max=v_max, far=far)
     return _ScenarioTables(v_grid, weights, zone, outside)
 
 
@@ -291,20 +347,37 @@ class _GeometryTables:
     moves: dict[tuple[float, int], float] = field(default_factory=dict)
 
 
-_TABLE_CACHE: dict[tuple, _GeometryTables] = {}
+# geometry entries (_GeometryTables) and far radial tables (ndarray over the
+# 2*v_max v grid) share one bounded cache, told apart by their key's tag
+_TABLE_CACHE: dict[tuple, _GeometryTables | np.ndarray] = {}
 _TABLE_CACHE_LIMIT = 64
 _GUARD_MOVES_LIMIT = 64
 
 
-def _geometry_key(cfg: ScenarioConfig) -> tuple:
-    """Everything the radial tables depend on. Density, sub-channel count and
-    rel_tol enter only the rate assembly and the guard's verdict."""
+def _cache_put(key: tuple, value) -> None:
+    if len(_TABLE_CACHE) >= _TABLE_CACHE_LIMIT:
+        _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
+    _TABLE_CACHE[key] = value
+
+
+def _geometry_keys(cfg: ScenarioConfig) -> tuple[tuple, tuple]:
+    """(far key, geometry key): everything the far radial table and the
+    whole geometry's tables depend on.
+
+    The far table depends on the environment, the channel (altitude
+    included), hermite_nodes, v_max and the split index j0 of Z0, but not on
+    the cooperation radius; the geometry key adds the cooperation radius.
+    Density, sub-channel count and rel_tol enter only the rate assembly and
+    the guard's verdict.
+    """
     env, ch, q = cfg.env, cfg.channel, cfg.quadrature
-    return (env.phi, env.psi, env.mu_los, env.mu_nlos, env.a_los, env.a_nlos,
-            env.c_los, env.c_nlos,
-            ch.alpha_los, ch.alpha_nlos, ch.k_los, ch.k_nlos,
-            ch.nakagami_los, ch.nakagami_nlos, ch.altitude_km,
-            q.hermite_nodes, q.v_max, cfg.coop_radius_km)
+    shared = (env.phi, env.psi, env.mu_los, env.mu_nlos, env.a_los, env.a_nlos,
+              env.c_los, env.c_nlos,
+              ch.alpha_los, ch.alpha_nlos, ch.k_los, ch.k_nlos,
+              ch.nakagami_los, ch.nakagami_nlos, ch.altitude_km,
+              q.hermite_nodes, q.v_max,
+              _split_index(cfg.coop_radius_km, ch.altitude_km))
+    return ("far",) + shared, ("geometry",) + shared + (cfg.coop_radius_km,)
 
 
 def _guard_movement(entry: _GeometryTables, cfg: ScenarioConfig) -> float:
@@ -329,15 +402,13 @@ def _tables_for(cfg: ScenarioConfig) -> _ScenarioTables:
     subchannels); its movement is remembered and compared with rel_tol on
     every call.
     """
-    key = _geometry_key(cfg)
+    far_key, key = _geometry_keys(cfg)
     entry = _TABLE_CACHE.get(key)
     if entry is None:
-        doubled = _build_tables(cfg, 2.0 * cfg.quadrature.v_max)
+        doubled = _build_tables(cfg, 2.0 * cfg.quadrature.v_max, far_key)
         entry = _GeometryTables(doubled.prefix(_v_panel_count(cfg.quadrature.v_max)),
                                 doubled)
-        if len(_TABLE_CACHE) >= _TABLE_CACHE_LIMIT:
-            _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-        _TABLE_CACHE[key] = entry
+        _cache_put(key, entry)
     density_key = (cfg.uav_density, cfg.subchannels)
     moved = entry.moves.get(density_key)
     if moved is None:

@@ -353,12 +353,21 @@ def test_criterion_09_numerical_robustness(monkeypatch):
                                  quadrature=quad, coop_radius_km=1.0)
         rel_changes[name] = abs(content_capacity(alt_cfg, 1) - base) / base
     # the radial truncation: panels end at twice the usual range and the
-    # analytic linear-tail remainder starts there
-    z_end = analytics._z_end
+    # analytic linear-tail remainder starts there; the table cache starts
+    # empty, so the far radial table is rebuilt with the patched truncation
+    z_end, far_radial = analytics._z_end, analytics._far_radial
+    far_builds = []
+
+    def counted_far(*args, **kwargs):
+        far_builds.append(1)
+        return far_radial(*args, **kwargs)
+
     with monkeypatch.context() as patch:
         patch.setattr(analytics, "_z_end", lambda *args: 2.0 * z_end(*args))
+        patch.setattr(analytics, "_far_radial", counted_far)
         patch.setattr(analytics, "_TABLE_CACHE", {})
         rel_changes["z_end"] = abs(content_capacity(base_cfg, 1) - base) / base
+    assert len(far_builds) == 1, "the z_end leg must rebuild the far table"
     rel_tol = QuadratureConfig().rel_tol
     ok_analytic = all(c < rel_tol for c in rel_changes.values())
 

@@ -214,12 +214,39 @@ def kernel_calls(monkeypatch):
 
 
 def test_density_sweep_builds_tables_once(kernel_calls):
-    # one build per geometry: a zone and an outside kernel table, shared by
-    # both sides of the v_max guard and by every density
+    # one build per geometry: zone, near-outside and far-outside kernel
+    # tables, shared by both sides of the v_max guard and by every density
     cfg = reference_scenario("sub_urban", 1.0)
     for density in (1e-4, 1e-3, 1e-2):
         assert system_capacity(replace(cfg, uav_density=density)).system_rate_nats > 0
-    assert len(kernel_calls) == 2
+    assert len(kernel_calls) == 3
+
+
+def test_coop_radius_sweep_shares_far_table(kernel_calls):
+    # the far outside table depends on X only through the split radius Z0,
+    # which is the same lattice edge (1.6**9 km) for every X up to 34.4 km:
+    # a second X builds only its zone and near tables
+    cfg = reference_scenario("sub_urban", 1.0)
+    at_3 = replace(cfg, coop_radius_km=3.0)
+    system_capacity(cfg)
+    assert len(kernel_calls) == 3
+    shared = system_capacity(at_3).per_content_nats
+    assert len(kernel_calls) == 3 + 2
+    analytics._TABLE_CACHE.clear()
+    cold = system_capacity(at_3).per_content_nats
+    assert np.array_equal(shared, cold)
+    # a new altitude or environment builds its own far table
+    for other in (replace(at_3, channel=ChannelConfig(altitude_km=2.0)),
+                  replace(at_3, env=environment_preset("high_rise"))):
+        before = len(kernel_calls)
+        system_capacity(other)
+        assert len(kernel_calls) - before == 3
+    # past X = 1.6**9 / 2 km, 2X moves Z0 to the next lattice edge
+    far_keys = [k for k in analytics._TABLE_CACHE if k[0] == "far"]
+    before = len(kernel_calls)
+    system_capacity(replace(cfg, coop_radius_km=40.0))
+    assert len(kernel_calls) - before == 3
+    assert len([k for k in analytics._TABLE_CACHE if k[0] == "far"]) == len(far_keys) + 1
 
 
 def test_empty_zone_rates_are_zero_without_tables(kernel_calls):
@@ -244,7 +271,7 @@ def test_guard_fires_on_cache_served_tables(kernel_calls):
     for density in (1e-3, 1e-4, 1e-3):
         with pytest.raises(ConvergenceError, match="doubling v_max"):
             system_capacity(replace(cfg, uav_density=density))
-    assert len(kernel_calls) == 2
+    assert len(kernel_calls) == 3
     analytics._TABLE_CACHE.clear()
     with pytest.raises(ConvergenceError, match="doubling v_max"):
         system_capacity(replace(cfg, uav_density=1e-3))
