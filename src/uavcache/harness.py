@@ -189,7 +189,7 @@ _CHANNEL_KEYS = ("alpha_los", "alpha_nlos", "k_los", "k_nlos",
                  "nakagami_los", "nakagami_nlos")
 _POWER_KEYS = ("transmit_w", "cache_per_file_w", "static_w", "rate_power_slope")
 _QUAD_KEYS = ("hermite_nodes", "rel_tol", "v_max")
-_SIM_KEYS = ("mode", "r_max_km", "sir_cap", "spike_rel", "chunk_size", "n_jobs")
+_SIM_KEYS = ("r_max_km", "spike_rel", "chunk_size", "n_jobs")
 _SCENARIO_KEYS = ("environment", "custom_environment", "uav_density_per_km2",
                   "altitude_km", "coop_radius_km", "subchannels",
                   "library_size", "zipf_exponent", "cache_size", "policy",
@@ -213,14 +213,11 @@ def _parse_channel(node: dict, altitude: float, where: str) -> ChannelConfig:
 
 def _parse_sim_options(node: dict, where: str) -> SimOptions:
     _check_keys(node, _SIM_KEYS, where)
-    mode = node.get("mode", "conditioned")
     r_max = node.get("r_max_km")
     if r_max is not None:
         r_max = _get_number(node, "r_max_km", 0.0, where, lo=1e-9)
     return SimOptions(
-        mode=mode,
         r_max=r_max,
-        sir_cap=_get_number(node, "sir_cap", 1e6, where, lo=1e-12),
         spike_rel=_get_number(node, "spike_rel", 1e-6, where, lo=1e-12),
         chunk_size=_get_int(node, "chunk_size", 256, where, lo=1),
         n_jobs=_get_int(node, "n_jobs", 1, where, lo=1))

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 from scipy.special import gammainc, ndtr, ndtri
@@ -55,18 +54,14 @@ _SPIKE_BUDGET = 2 ** 24
 class SimOptions:
     """Estimator controls (trial counts and seeds are explicit arguments)."""
 
-    mode: Literal["conditioned", "unconditioned"] = "conditioned"
     r_max: float | None = None  # None: 30 max(X, H), see window_radius()
-    sir_cap: float = 1e6
     spike_rel: float = 1e-6
     chunk_size: int = 256
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.mode not in ("conditioned", "unconditioned"):
-            raise ConfigError(f"unknown estimator mode {self.mode!r}")
-        if self.sir_cap <= 0 or self.spike_rel <= 0:
-            raise ConfigError("sir_cap and spike_rel must be positive")
+        if self.spike_rel <= 0:
+            raise ConfigError("spike_rel must be positive")
         if self.chunk_size < 1 or self.n_jobs < 1:
             raise ConfigError("chunk_size and n_jobs must be >= 1")
 
@@ -185,7 +180,7 @@ class _FarField:
     past a fixed horizon. Beyond the grid the power-law tail closes with the
     sub-threshold mean as well: the full log-normal mean would count saturated
     shadowing mass that belongs to the (exhausted) spike class and would
-    overstate far interference against any bounded SIR statistic.
+    overstate far interference.
     """
 
     _PROBE_SPAN = 45.0   # e-folds of radius probed for the grid end
@@ -307,8 +302,7 @@ def _field_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator,
 
 
 def _capacity_chunk(cfg: ScenarioConfig, p_c: float, n: int,
-                    rng: np.random.Generator, opts: SimOptions, m_c: float,
-                    trunc_cdf: np.ndarray | None,
+                    rng: np.random.Generator, trunc_cdf: np.ndarray,
                     field: np.ndarray) -> np.ndarray:
     """Per-trial rate samples log(1+SIR) of one content for one chunk, given
     the chunk's shared field (canonical draw order: cooperator counts, signal
@@ -316,12 +310,9 @@ def _capacity_chunk(cfg: ScenarioConfig, p_c: float, n: int,
     env, ch = cfg.env, cfg.channel
     x = cfg.coop_radius_km
 
-    if opts.mode == "conditioned":
-        u = rng.random(n)
-        k = np.minimum(np.searchsorted(trunc_cdf, u, side="right") + 1,
-                       trunc_cdf.size)
-    else:
-        k = rng.poisson(m_c, n)
+    u = rng.random(n)
+    k = np.minimum(np.searchsorted(trunc_cdf, u, side="right") + 1,
+                   trunc_cdf.size)
     r_sig = x * np.sqrt(rng.random(int(k.sum())))
     _, g_sig = _draw_links(rng, r_sig, env, ch)
     signal = _per_trial_sum(n, k, g_sig)
@@ -332,14 +323,8 @@ def _capacity_chunk(cfg: ScenarioConfig, p_c: float, n: int,
     _, g_in = _draw_links(rng, r_in, env, ch)
     interference = _per_trial_sum(n, n_in, g_in) + field
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sir = np.where(signal > 0.0,
-                       np.minimum(np.divide(signal, interference,
-                                            out=np.full(n, np.inf),
-                                            where=interference > 0.0),
-                                  opts.sir_cap),
-                       0.0)
-    return np.log1p(sir)
+    # the far-field floor keeps the interference positive
+    return np.log1p(signal / interference)
 
 
 def _run_chunks(worker, n_trials: int, chunk_size: int, n_jobs: int,
@@ -410,10 +395,10 @@ def estimate_capacity(cfg: ScenarioConfig, content: int, n_trials: int,
     """Monte Carlo estimate of the average rate of one content (1-based
     index), nats per channel use, with its per-trial values as `samples`.
 
-    Conditioned mode draws the cooperator count from the zero-truncated
-    Poisson and scales by the nonempty-zone probability (variance reduction
-    for sparse deployments); unconditioned mode samples plain Poisson counts
-    and averages the indicator-weighted rate.
+    The estimand is E[ln(1 + SIR)], the quantity content_capacity computes.
+    Each trial draws the cooperator count from the zero-truncated Poisson, so
+    every trial has a signal, and the mean is scaled by the nonempty-zone
+    probability 1 - exp(-m_c); an empty zone contributes rate zero.
 
     `field` is the shared interference beyond the zone from
     draw_interference_field; without one the call draws its own, with the
@@ -436,16 +421,15 @@ def estimate_capacity(cfg: ScenarioConfig, content: int, n_trials: int,
         return SimEstimate.of(np.zeros(n_trials))
     if field is None:
         field = draw_interference_field(cfg, n_trials, seed, opts)
-    trunc_cdf = _truncated_poisson_cdf(m_c) if opts.mode == "conditioned" else None
+    trunc_cdf = _truncated_poisson_cdf(m_c)
 
     def worker(rng: np.random.Generator, trials: slice) -> np.ndarray:
-        return _capacity_chunk(cfg, p_c, trials.stop - trials.start, rng, opts,
-                               m_c, trunc_cdf, field.interference[trials])
+        return _capacity_chunk(cfg, p_c, trials.stop - trials.start, rng,
+                               trunc_cdf, field.interference[trials])
 
     vals = _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
                        lambda i: _chunk_rng(seed, _PURPOSE_CAPACITY, content, i))
-    if opts.mode == "conditioned":
-        vals *= -math.expm1(-m_c)
+    vals *= -math.expm1(-m_c)
     return SimEstimate.of(vals)
 
 

@@ -401,7 +401,6 @@ scenario:
   cache_size: 5
   subchannels: 64
   simulation:
-    mode: conditioned
     n_jobs: {jobs}
 sweeps:
   - name: det

@@ -2,6 +2,7 @@
 import io
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from uavcache.harness import (CSV_HEADER, SWEEP_VARIABLES, SweepSpec,
                               run_sweep)
 from uavcache.simulator import (SimOptions, draw_interference_field,
                                 estimate_capacity)
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
 
 MINIMAL_SWEEP_YAML = """\
 scenario:
@@ -63,18 +66,24 @@ def test_unknown_keys_rejected():
 
 
 
-@pytest.mark.parametrize("value", ["db_loss", "literal"])
-def test_shadowing_convention_key_rejected(value, tmp_path, capsys):
-    # shadowing is an excess loss in dB with no alternative convention, so the
-    # old selector key is unknown whatever its value
-    raw = {"scenario": {"channel": {"shadowing_convention": value}}}
-    with pytest.raises(ConfigError, match="shadowing_convention"):
+@pytest.mark.parametrize("block,key,value", [
+    # shadowing is an excess loss in dB with no alternative convention
+    ("channel", "shadowing_convention", "db_loss"),
+    ("channel", "shadowing_convention", "literal"),
+    # the Monte Carlo estimator is the conditioned one and its SIR is uncapped
+    ("simulation", "mode", "conditioned"),
+    ("simulation", "sir_cap", 1e6)])
+def test_removed_keys_rejected(block, key, value, tmp_path, capsys):
+    # a key whose choice is gone is unknown whatever its value, the old
+    # default included
+    raw = {"scenario": {block: {key: value}}}
+    with pytest.raises(ConfigError, match=key):
         parse_config(raw)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(raw))
     assert cli.main(["validate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "scenario.channel" in err and "shadowing_convention" in err
+    assert f"scenario.{block}" in err and key in err
 
 
 @pytest.mark.parametrize("key,value", [("z_max", 64.0), ("k_max_tail", 1e-12)])
@@ -210,9 +219,7 @@ def raw_configs(draw):
             hermite_nodes=st.integers(2, 100), rel_tol=_number(1e-12, 1e-2),
             v_max=_number(1.0, 1e9)),
         simulation=_optional_block(
-            mode=st.sampled_from(["conditioned", "unconditioned"]),
-            r_max_km=st.none() | _number(1e-3, 1e4),
-            sir_cap=_number(1e-6, 1e9), spike_rel=_number(1e-9, 1.0),
+            r_max_km=st.none() | _number(1e-3, 1e4), spike_rel=_number(1e-9, 1.0),
             chunk_size=st.integers(1, 4096), n_jobs=st.integers(1, 8))))
     environments = sorted(ENVIRONMENT_PRESETS)
     if draw(st.booleans()):
@@ -237,6 +244,13 @@ def test_dump_config_is_lossless(raw):
     run = parse_config(raw)
     again = parse_config(yaml.safe_load(yaml.safe_dump(dump_config(run))))
     assert _parsed_fields(again) == _parsed_fields(run)
+
+
+def test_example_config_loads_and_round_trips():
+    # the shipped example must name only live keys, so it parses at all
+    run = load_config(EXAMPLE_CONFIG)
+    assert run.seed == 42 and [spec.name for spec in run.sweeps] == ["demo"]
+    assert _parsed_fields(parse_config(dump_config(run))) == _parsed_fields(run)
 
 
 def test_sweep_spec_validation():
@@ -383,18 +397,21 @@ def test_cli_validate_and_run(tmp_path, capsys):
 
 
 def test_cli_run_uses_simulation_block(tmp_path):
-    # a tiny SIR cap bounds every trial's rate by log2(1 + sir_cap) bits
+    # each chunk of trials owns its own random stream, so 64 trials in chunks
+    # of 16 draw other numbers than in one default chunk of 256, while
+    # spelling out the default chunk size changes nothing
     rows = {}
-    for tag, sim in (("default", ""), ("capped", "  simulation:\n    sir_cap: 1.0e-3\n")):
+    for tag, sim in (("default", ""), ("explicit", "  simulation:\n    chunk_size: 256\n"),
+                     ("chunked", "  simulation:\n    chunk_size: 16\n")):
         cfg = tmp_path / f"{tag}.yaml"
         cfg.write_text("scenario:\n  library_size: 4\n  cache_size: 2\n" + sim)
         out = tmp_path / f"{tag}.csv"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out),
                          "--method", "monte_carlo", "--trials", "64"]) == 0
         rows[tag] = out.read_text().strip().splitlines()[1].split(",")
-    bound = math.log2(1.0 + 1e-3)
-    assert rows["capped"][3] == "monte_carlo"
-    assert float(rows["capped"][11]) <= bound < float(rows["default"][11])
+    assert rows["chunked"][3] == "monte_carlo" and rows["chunked"][14] == "64"
+    assert rows["explicit"] == rows["default"]
+    assert rows["chunked"][11] != rows["default"][11]
 
 
 def test_cli_sweep_writes_all_rows(tmp_path):
