@@ -29,9 +29,9 @@ from uavcache import (ChannelConfig, ContentLibrary, ScenarioConfig,
                       los_probability, path_loss, shadowing_log_moments,
                       solve_rcp, system_capacity)
 from uavcache.analytics import (_GL_NODES, _INNER_PANELS, _far_edges,
-                                _gl_panels, _laplace_factors, _near_edges,
-                                _radial_pair, _tables_for, _tail_mean_gain,
-                                _z_end)
+                                _gl_panels, _grazing_radius, _grazing_tails,
+                                _laplace_factors, _near_edges, _radial_pair,
+                                _tables_for)
 from uavcache.channel import _shadow_expectation
 
 ENVS = ("high_rise", "dense_urban", "urban", "sub_urban")
@@ -80,29 +80,24 @@ def rate_matrix(title: str, envs: dict) -> None:
 
 def mode_radials(v: np.ndarray, cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     """Whole-plane int z p_n(z) E_n(z, v) dz per link mode n, on the node
-    layout and with the linear-tail remainder of analytics._radial_pair."""
+    layout and with the per-mode grazing-limit tails of analytics._radial_pair."""
     env, ch, quad, x = cfg.env, cfg.channel, cfg.quadrature, cfg.coop_radius_km
     h = ch.altitude_km
-    far = _far_edges(x, h, _z_end(env, ch, x, float(v.max())))
+    far = _far_edges(x, h, _grazing_radius(env, ch, quad.rel_tol))
     zi, wi = _gl_panels(np.linspace(0.0, x, _INNER_PANELS + 1), _GL_NODES)
     zn, wn = _gl_panels(_near_edges(x, h), _GL_NODES)
     zf, wf = _gl_panels(far, _GL_NODES)
     z, w = np.concatenate([zi, zn, zf]), np.concatenate([wi, wn, wf])
-    z_far = float(far[-1])
+    tails = _grazing_tails(v, env, ch, quad, float(far[-1]))
     p_los = los_probability(z, h, env)
-    p_far = los_probability(z_far, h, env)
     out = {}
-    for mode, p_mode, p_mode_far in (("los", p_los, p_far),
-                                     ("nlos", 1.0 - p_los, 1.0 - p_far)):
-        alpha, k, wbar = ch.mode_params(mode)
+    for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):
+        _, _, wbar = ch.mode_params(mode)
         m_ln, s_ln = shadowing_log_moments(z, h, mode, env)
         e_mode = _shadow_expectation(np.outer(path_loss(z, h, mode, ch), v),
                                      float(m_ln), np.asarray(s_ln)[:, None],
                                      wbar, quad.hermite_nodes)
-        body = ((w * z * p_mode)[:, None] * e_mode).sum(axis=0)
-        rem = (p_mode_far * k * _tail_mean_gain(env, ch, mode, z_far)
-               * (h * h + z_far * z_far) ** (1.0 - alpha / 2.0) / (alpha - 2.0) * v)
-        out[mode] = body + rem
+        out[mode] = ((w * z * p_mode)[:, None] * e_mode).sum(axis=0) + tails[mode]
     return out
 
 
@@ -115,7 +110,7 @@ def exponent_split() -> None:
         cfg = scenario(environment_preset(name))
         parts = mode_radials(v, cfg)
         zone, outside = _radial_pair(v, cfg.env, cfg.channel, cfg.quadrature,
-                                     cfg.coop_radius_km, v_max=float(v.max()))
+                                     cfg.coop_radius_km)
         total = zone + outside
         assert np.allclose(parts["los"] + parts["nlos"], total, rtol=1e-9, atol=0)
         scale = 2.0 * np.pi * cfg.interferer_density

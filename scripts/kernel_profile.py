@@ -13,13 +13,18 @@ cells live (the other cells set to 0, which the kernel answers without
 work), and once with every cell 0 (`base_s`: masks and gates). Each replay
 is the fastest of REPEATS runs. A branch's seconds are its replay time minus
 `base_s`, so the branch times plus `base_s` approximate `kernel_s`; a branch
-too cheap to separate from timing noise can read slightly below 0.
+too cheap to separate from timing noise can read slightly below 0. The far
+table's grazing-limit tail (`analytics._grazing_tails`) evaluates its own
+kernel cells outside `kernel_table`; it is timed and counted on its own and
+left out of the branch split.
 
 One JSON line per geometry:
   env, x_cop_km, altitude_km, hermite_nodes,
   build_s        table build plus v_max guard (`analytics._tables_for`),
   far_hit        whether the far table came from the cache,
   far_s          time building the far table (0 on a hit),
+  tail_s         time in the far table's grazing-limit tail (part of far_s),
+  tail_cells     kernel cells the tail evaluated,
   near_s         build_s - far_s: zone and near tables, assembly and guard,
   kernel_s       time inside `_shadow_expectation` during the build,
   base_s         replay with every cell 0,
@@ -96,8 +101,10 @@ def profile(env_name: str, x_cop: float, altitude: float,
     cfg = scenario(env_name, x_cop, altitude, hermite_nodes)
     kernel = channel._shadow_expectation
     far_radial = analytics._far_radial
+    tails, tail_kernel = analytics._grazing_tails, analytics._shadow_expectation
     calls = []
-    kernel_s = far_s = 0.0
+    kernel_s = far_s = tail_s = 0.0
+    tail_cells = 0
 
     def recording(coef, m_ln, s_ln, wbar, n_h):
         nonlocal kernel_s
@@ -114,10 +121,24 @@ def profile(env_name: str, x_cop: float, altitude: float,
         far_s += time.perf_counter() - t0
         return out
 
+    def timed_tails(*args, **kwargs):
+        nonlocal tail_s
+        t0 = time.perf_counter()
+        out = tails(*args, **kwargs)
+        tail_s += time.perf_counter() - t0
+        return out
+
+    def counted_tail_kernel(coef, *args):
+        nonlocal tail_cells
+        tail_cells += np.size(coef)
+        return tail_kernel(coef, *args)
+
     far_key, key = analytics._geometry_keys(cfg)
     far_hit = far_key in analytics._TABLE_CACHE
     channel._shadow_expectation = recording
     analytics._far_radial = timed_far
+    analytics._grazing_tails = timed_tails
+    analytics._shadow_expectation = counted_tail_kernel
     try:
         t0 = time.perf_counter()
         analytics._tables_for(cfg)
@@ -125,6 +146,8 @@ def profile(env_name: str, x_cop: float, altitude: float,
     finally:
         channel._shadow_expectation = kernel
         analytics._far_radial = far_radial
+        analytics._grazing_tails = tails
+        analytics._shadow_expectation = tail_kernel
     doubled = analytics._TABLE_CACHE[key].doubled
     digest = hashlib.sha256(np.ascontiguousarray(doubled.zone).tobytes()
                             + np.ascontiguousarray(doubled.outside).tobytes())
@@ -148,7 +171,8 @@ def profile(env_name: str, x_cop: float, altitude: float,
     return {"env": env_name, "x_cop_km": x_cop, "altitude_km": altitude,
             "hermite_nodes": cfg.quadrature.hermite_nodes,
             "build_s": round(build_s, 4), "far_hit": far_hit,
-            "far_s": round(far_s, 4), "near_s": round(build_s - far_s, 4),
+            "far_s": round(far_s, 4), "tail_s": round(tail_s, 4),
+            "tail_cells": tail_cells, "near_s": round(build_s - far_s, 4),
             "kernel_s": round(kernel_s, 4), "base_s": round(base_s, 4),
             "branches": branches, "tables_sha256": digest.hexdigest(),
             "far_sha256": far_digest.hexdigest()}

@@ -5,16 +5,20 @@ variable v of three factors: interference from UAVs not caching the content
 (whole plane), interference from caching UAVs outside the cooperation zone,
 and the signal term contributed by cooperating UAVs inside the zone. All
 three reduce to radial integrals of the channel's Laplace kernel, evaluated
-here with composite Gauss-Legendre panels plus an analytic power-law tail,
-and shared across contents, policies, densities and sub-channel counts
-through a per-geometry table cache: density and sub-channel count enter only
-the final assembly of each rate, never the radial integrals.
+here with composite Gauss-Legendre panels, and shared across contents,
+policies, densities and sub-channel counts through a per-geometry table
+cache: density and sub-channel count enter only the final assembly of each
+rate, never the radial integrals.
 
 The outside integral splits at a radius Z0 >= max(64 km, 2X, 2H) on a fixed
-ln z lattice. Its far part, beyond Z0, holds most of the radial rows and
-does not depend on the cooperation radius X, so it is cached on its own per
-(environment, channel, quadrature, Z0): a sweep over X at one environment
-and altitude builds it once and rebuilds only the zone and X -> Z0 panels.
+ln z lattice. Its far part, beyond Z0, does not depend on the cooperation
+radius X, so it is cached on its own per (environment, channel, quadrature,
+Z0): a sweep over X at one environment and altitude builds it once and
+rebuilds only the zone and X -> Z0 panels. The far part runs in panels two
+lattice steps wide out to z_far, where P_LOS and the shadowing spread sit at
+their grazing-angle limits within rel_tol; beyond z_far each link mode's
+kernel is a fixed function of v L(z), and the rest of the integral is one
+power-law integral per mode (`_grazing_tails`).
 
 Rates are in nats per channel use internally; energy efficiency converts to
 bits and reads the dynamic-power slope as W per (bit/channel use).
@@ -29,9 +33,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc, gammaln
 
 from .caching import ContentLibrary, PlacementPolicy
-from .channel import (ChannelConfig, Environment, kernel_table,
-                      linear_threshold, los_probability,
-                      shadowing_log_moments)
+from .channel import (_DB_TO_LN, ChannelConfig, Environment,
+                      _shadow_expectation, kernel_table, linear_threshold)
 from .errors import ConfigError, ConvergenceError
 
 # Radial/transform grid layout; accuracy is governed by QuadratureConfig and
@@ -40,8 +43,9 @@ _V_MIN = 1e-10
 _GL_NODES = 12
 _INNER_PANELS = 8
 _OUTER_RATIO = 1.6
+_FAR_STEP = 2  # lattice steps per panel beyond Z0 (ratio 1.6**2 = 2.56)
 _V_PANELS_PER_DECADE = 2
-# radial truncation floor (km) and Poisson tail mass for the EE sums
+# split radius floor (km) and Poisson tail mass for the EE sums
 _Z_FLOOR = 64.0
 _K_MAX_TAIL = 1e-12
 
@@ -149,43 +153,6 @@ def _gl_panels(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
            (half[:, None] * w[None, :]).ravel()
 
 
-def _tail_mean_gain(env: Environment, cfg: ChannelConfig, mode, z: float):
-    """Mean shadowing gain E[V] at range z (lognormal moment)."""
-    m_ln, s_ln = shadowing_log_moments(z, cfg.altitude_km, mode, env)
-    with np.errstate(over="ignore"):
-        return float(np.exp(m_ln + 0.5 * float(s_ln) ** 2))
-
-
-def _z_end(env: Environment, cfg: ChannelConfig, x_cop: float,
-           v_max: float) -> float:
-    """Radial truncation where the kernel is safely in its linear tail.
-
-    Past the truncation point the kernel coefficient v*L(z) must sit below
-    the linear-branch gate (with a factor-2 margin), so the panels and the
-    analytic power-law remainder integrate the same exact-linear expression
-    and the stitch is seamless.
-    """
-    h = cfg.altitude_km
-    z_end = max(_Z_FLOOR, 2.0 * x_cop, 2.0 * h)
-    overflow = ("radial truncation bound overflowed; the grazing-angle "
-                f"shadowing spread of environment {env.name!r} is too wide "
-                "to evaluate")
-    for mode in ("los", "nlos"):
-        alpha, k, _ = cfg.mode_params(mode)
-        # grazing-angle shadowing spread sets the gate far from the origin
-        m_ln, s_ln = shadowing_log_moments(1e9, h, mode, env)
-        c_lin = float(linear_threshold(float(m_ln), float(s_ln)))
-        if not c_lin > 0:
-            raise ConvergenceError(overflow)
-        with np.errstate(over="ignore"):
-            need = (2.0 * v_max * k / c_lin) ** (2.0 / alpha) - h * h
-        if np.isfinite(need) and need > 0:
-            z_end = max(z_end, math.sqrt(need))
-    if not np.isfinite(z_end):
-        raise ConvergenceError(overflow)
-    return z_end
-
-
 # outside panel edges sit on an absolute lattice in ln z, the powers of
 # _OUTER_RATIO, so the panels beyond a split radius Z0 are the same for every
 # cooperation radius X with the same Z0 (as the v panels below are for v_max)
@@ -206,11 +173,28 @@ def _near_edges(x_cop: float, h: float) -> np.ndarray:
     return np.concatenate([[x_cop], lattice[lattice > x_cop]])
 
 
-def _far_edges(x_cop: float, h: float, z_end: float) -> np.ndarray:
-    """Lattice edges from Z0 to the first edge >= z_end (at least one panel)."""
+def _grazing_radius(env: Environment, cfg: ChannelConfig, rel_tol: float) -> float:
+    """Range beyond which the mark law sits at its grazing (theta -> 0) limit
+    within rel_tol.
+
+    The elevation there is at most (180/pi) H / z degrees, which moves P_LOS
+    (and 1 - P_LOS) by at most psi*theta relative, a shadowing spread s_n by
+    c_n*theta relative and ln E[V] = m_n + s_n^2/2 by c_n*s_n^2*theta
+    absolute, with s_n the grazing spread.
+    """
+    scale = env.psi
+    for mode in ("los", "nlos"):
+        _, a, c = env.mode_params(mode)
+        scale = max(scale, c * max(1.0, (_DB_TO_LN * a) ** 2))
+    return math.degrees(cfg.altitude_km) * scale / rel_tol
+
+
+def _far_edges(x_cop: float, h: float, z_far: float) -> np.ndarray:
+    """Every _FAR_STEP-th lattice edge from Z0 to the first one >= z_far (at
+    least one panel)."""
     j0 = _split_index(x_cop, h)
-    j_end = max(j0 + 1, math.ceil(math.log(z_end) / _OUTER_LOG))
-    return _OUTER_RATIO ** np.arange(j0, j_end + 1)
+    n = max(1, math.ceil((math.log(z_far) / _OUTER_LOG - j0) / _FAR_STEP))
+    return _OUTER_RATIO ** (j0 + _FAR_STEP * np.arange(n + 1))
 
 
 def _panel_integral(v: np.ndarray, env: Environment, cfg: ChannelConfig,
@@ -221,32 +205,75 @@ def _panel_integral(v: np.ndarray, env: Environment, cfg: ChannelConfig,
             * kernel_table(z, v, env, cfg, quad.hermite_nodes)).sum(axis=0)
 
 
-def _far_radial(v: np.ndarray, env: Environment, cfg: ChannelConfig,
-                quad: QuadratureConfig, x_cop: float, *,
-                v_max: float) -> np.ndarray:
-    """int_{Z0}^inf z k(z,v) dz: lattice panels up to past the radial
-    truncation, then the analytic linear-tail remainder.
+def _grazing_tails(v: np.ndarray, env: Environment, cfg: ChannelConfig,
+                   quad: QuadratureConfig, z_far: float) -> dict[str, np.ndarray]:
+    """int_{z_far}^inf z p_n K_n(z, v) dz per link mode n, with P_LOS and the
+    shadowing spread at their grazing limits.
 
-    X enters only through Z0: the truncation's own 2X floor lies below Z0,
-    so every X sharing Z0 gets the same panels and the same numbers.
+    With rho^2 = H^2 + z^2 (so z dz = rho drho) and u = v k_n rho^-alpha_n,
+    each mode is p_n (v k_n)^delta / alpha_n * G_n(c_far), delta = 2/alpha_n,
+    c_far = v k_n rho_far^-alpha_n and G_n(c) = int_0^c u^(-delta-1) K_n(u) du
+    for the grazing-limit kernel K_n. Below the kernel's linear gate K_n(u) is
+    u E[V], so G_n is E[V] c^(1-delta)/(1-delta) there; above it G_n is
+    accumulated by Gauss-Legendre panels in ln u, from the gate through a
+    lead-in lattice to the smallest c_far and then between consecutive ones.
+    """
+    rho_far = math.hypot(cfg.altitude_km, z_far)
+    p_los = 1.0 / (1.0 + env.phi * math.exp(env.psi * env.phi))
+    tails = {}
+    for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):
+        alpha, k, wbar = cfg.mode_params(mode)
+        mu, a, _ = env.mode_params(mode)
+        m_ln, s_ln = -_DB_TO_LN * mu, _DB_TO_LN * a
+        c_lin = float(linear_threshold(m_ln, s_ln))
+        with np.errstate(over="ignore"):
+            mean_gain = float(np.exp(m_ln + 0.5 * s_ln * s_ln))
+        if not (c_lin > 0 and np.isfinite(mean_gain)):
+            raise ConvergenceError(
+                "far radial tail overflowed; the grazing-angle shadowing spread "
+                f"of environment {env.name!r} is too wide to evaluate")
+        delta = 2.0 / alpha
+        c_far = v * k * rho_far ** -alpha
+        g = mean_gain * c_far ** (1.0 - delta) / (1.0 - delta)
+        above = np.flatnonzero(c_far >= c_lin)
+        if above.size:
+            order = above[np.argsort(c_far[above])]
+            t_far = np.log(c_far[order])
+            t_lin = math.log(c_lin)
+            # lead-in panels no wider than the ln v panels
+            n_lead = max(1, math.ceil((t_far[0] - t_lin) / _V_PANEL_WIDTH))
+            edges = np.concatenate([np.linspace(t_lin, t_far[0], n_lead + 1)[:-1],
+                                    t_far])
+            t, w = _gl_panels(edges, _GL_NODES)
+            u = np.exp(t)
+            kern = _shadow_expectation(u, m_ln, s_ln, wbar, quad.hermite_nodes)
+            panels = (w * u ** -delta * kern).reshape(-1, _GL_NODES).sum(axis=1)
+            g[order] = (mean_gain * c_lin ** (1.0 - delta) / (1.0 - delta)
+                        + np.cumsum(panels)[n_lead - 1:])
+        tails[mode] = p_mode * (v * k) ** delta / alpha * g
+    return tails
+
+
+def _far_radial(v: np.ndarray, env: Environment, cfg: ChannelConfig,
+                quad: QuadratureConfig, x_cop: float) -> np.ndarray:
+    """int_{Z0}^inf z k(z,v) dz: panels of _FAR_STEP lattice steps from Z0
+    to z_far, the first of their edges at or beyond the grazing radius, then
+    the grazing-limit tail of each mode.
+
+    X enters only through Z0, so every X sharing Z0 gets the same panels and
+    the same numbers.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    h = cfg.altitude_km
-    edges = _far_edges(x_cop, h, _z_end(env, cfg, x_cop, v_max))
-    far = _panel_integral(v, env, cfg, quad, edges)
-    # analytic remainder: kernel ~ v * L(z) * E[V] for z beyond the grid
-    z_far = float(edges[-1])
-    p_los_far = los_probability(z_far, h, env)
-    rem = np.zeros(v.size)
-    for mode, p_mode in (("los", p_los_far), ("nlos", 1.0 - p_los_far)):
-        alpha, k, _ = cfg.mode_params(mode)
-        mean_gain = _tail_mean_gain(env, cfg, mode, z_far)
-        rem += p_mode * k * mean_gain * (h * h + z_far * z_far) ** (1.0 - alpha / 2.0) / (alpha - 2.0) * v
-    return far + rem
+    edges = _far_edges(x_cop, cfg.altitude_km,
+                       _grazing_radius(env, cfg, quad.rel_tol))
+    # the tail first: it refuses a spread too wide to evaluate before any
+    # panel is integrated
+    tails = _grazing_tails(v, env, cfg, quad, float(edges[-1]))
+    return _panel_integral(v, env, cfg, quad, edges) + tails["los"] + tails["nlos"]
 
 
 def _radial_pair(v: np.ndarray, env: Environment, cfg: ChannelConfig,
-                 quad: QuadratureConfig, x_cop: float, *, v_max: float,
+                 quad: QuadratureConfig, x_cop: float, *,
                  far: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Radial kernel integrals (zone part, outside part) for each v.
 
@@ -259,7 +286,7 @@ def _radial_pair(v: np.ndarray, env: Environment, cfg: ChannelConfig,
                            np.linspace(0.0, x_cop, _INNER_PANELS + 1))
     near = _panel_integral(v, env, cfg, quad, _near_edges(x_cop, cfg.altitude_km))
     if far is None:
-        far = _far_radial(v, env, cfg, quad, x_cop, v_max=v_max)
+        far = _far_radial(v, env, cfg, quad, x_cop)
     return zone, near + far
 
 
@@ -301,10 +328,10 @@ def _build_tables(cfg: ScenarioConfig, v_max: float,
     far = _TABLE_CACHE.get(far_key)
     if far is None:
         far = _far_radial(v_grid, cfg.env, cfg.channel, cfg.quadrature,
-                          cfg.coop_radius_km, v_max=v_max)
+                          cfg.coop_radius_km)
         _cache_put(far_key, far)
     zone, outside = _radial_pair(v_grid, cfg.env, cfg.channel, cfg.quadrature,
-                                 cfg.coop_radius_km, v_max=v_max, far=far)
+                                 cfg.coop_radius_km, far=far)
     return _ScenarioTables(v_grid, weights, zone, outside)
 
 
@@ -365,17 +392,17 @@ def _geometry_keys(cfg: ScenarioConfig) -> tuple[tuple, tuple]:
     whole geometry's tables depend on.
 
     The far table depends on the environment, the channel (altitude
-    included), hermite_nodes, v_max and the split index j0 of Z0, but not on
-    the cooperation radius; the geometry key adds the cooperation radius.
-    Density, sub-channel count and rel_tol enter only the rate assembly and
-    the guard's verdict.
+    included), hermite_nodes, rel_tol (through the grazing radius), v_max
+    and the split index j0 of Z0, but not on the cooperation radius; the
+    geometry key adds the cooperation radius. Density and sub-channel count
+    enter only the rate assembly and the guard's verdict.
     """
     env, ch, q = cfg.env, cfg.channel, cfg.quadrature
     shared = (env.phi, env.psi, env.mu_los, env.mu_nlos, env.a_los, env.a_nlos,
               env.c_los, env.c_nlos,
               ch.alpha_los, ch.alpha_nlos, ch.k_los, ch.k_nlos,
               ch.nakagami_los, ch.nakagami_nlos, ch.altitude_km,
-              q.hermite_nodes, q.v_max,
+              q.hermite_nodes, q.rel_tol, q.v_max,
               _split_index(cfg.coop_radius_km, ch.altitude_km))
     return ("far",) + shared, ("geometry",) + shared + (cfg.coop_radius_km,)
 
@@ -396,11 +423,11 @@ def _tables_for(cfg: ScenarioConfig) -> _ScenarioTables:
     One build at 2*v_max serves both sides of the guard: its v_max prefix
     gives the rates, and a probe placement assembled on the prefix and on the
     whole table must agree within rel_tol, else ConvergenceError. Both sides
-    share the 2*v_max radial truncation, so the guard measures v truncation
-    alone; the radial bound is guarded by construction in _z_end (factor-2
-    linear-gate margin). The guard runs once per (geometry, uav_density,
-    subchannels); its movement is remembered and compared with rel_tol on
-    every call.
+    share the radial integrals, so the guard measures v truncation alone; the
+    radial integral has no truncation to guard, since the grazing-limit tail
+    runs to infinity from a z_far placed by rel_tol. The guard runs once per
+    (geometry, uav_density, subchannels); its movement is remembered and
+    compared with rel_tol on every call.
     """
     far_key, key = _geometry_keys(cfg)
     entry = _TABLE_CACHE.get(key)

@@ -168,8 +168,8 @@ def shadowing_log_moments(r, h: float, mode: Mode, env: Environment):
 # ~ c*E[V^2]/E[V] = c*exp(m + 1.5 s^2), and the saturation deficit from the
 # log-normal mass beyond the 1/c saturation point, a fraction Phi(s - t) of
 # the mean with t = (ln(1/c) - m)/s. Both stay below ~1e-8 under this gate.
-# The radial integrals reuse the same gate for their analytic tail remainder,
-# which keeps the quadrature region and the remainder mutually consistent.
+# The far radial tail reuses the same gate: below it the tail's grazing-limit
+# integral is closed-form, above it the tail evaluates this kernel.
 _LIN_QUAD = 1e-8
 _LIN_TAIL = 5.6
 
@@ -195,6 +195,11 @@ _WIN_Y_LO = -20.0
 _WIN_Y_HI = 12.0
 _WIN_PANELS = 8
 _WIN_BLOCK = 1024
+
+
+@lru_cache(maxsize=8)
+def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    return hermgauss(nodes)
 
 
 @lru_cache(maxsize=8)
@@ -229,7 +234,7 @@ def _shadow_expectation(coef: np.ndarray, m_ln: float, s_ln: np.ndarray,
 
     gh_mask = ~zero & ~linear & (flat_s < _S_SWITCH)
     if gh_mask.any():
-        x, w = hermgauss(hermite_nodes)
+        x, w = _hermite_rule(hermite_nodes)
         c = flat_c[gh_mask]
         sg = flat_s[gh_mask]
         acc = np.zeros(c.shape)

@@ -352,22 +352,27 @@ def test_criterion_09_numerical_robustness(monkeypatch):
                                  policy=base_cfg.policy, env=base_cfg.env,
                                  quadrature=quad, coop_radius_km=1.0)
         rel_changes[name] = abs(content_capacity(alt_cfg, 1) - base) / base
-    # the radial truncation: panels end at twice the usual range and the
-    # analytic linear-tail remainder starts there; the table cache starts
-    # empty, so the far radial table is rebuilt with the patched truncation
-    z_end, far_radial = analytics._z_end, analytics._far_radial
-    far_builds = []
+    # the far radial table: its panels run ten times farther out before the
+    # grazing-limit tail takes over, or put an edge on every lattice step
+    # instead of every second one; the table cache starts empty, so each
+    # patch rebuilds the far table once
+    grazing_radius, far_radial = analytics._grazing_radius, analytics._far_radial
+    for name, attr, value in (
+            ("grazing_radius", "_grazing_radius",
+             lambda *args: 10.0 * grazing_radius(*args)),
+            ("far_panels", "_FAR_STEP", 1)):
+        far_builds = []
 
-    def counted_far(*args, **kwargs):
-        far_builds.append(1)
-        return far_radial(*args, **kwargs)
+        def counted_far(*args, **kwargs):
+            far_builds.append(1)
+            return far_radial(*args, **kwargs)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(analytics, "_z_end", lambda *args: 2.0 * z_end(*args))
-        patch.setattr(analytics, "_far_radial", counted_far)
-        patch.setattr(analytics, "_TABLE_CACHE", {})
-        rel_changes["z_end"] = abs(content_capacity(base_cfg, 1) - base) / base
-    assert len(far_builds) == 1, "the z_end leg must rebuild the far table"
+        with monkeypatch.context() as patch:
+            patch.setattr(analytics, attr, value)
+            patch.setattr(analytics, "_far_radial", counted_far)
+            patch.setattr(analytics, "_TABLE_CACHE", {})
+            rel_changes[name] = abs(content_capacity(base_cfg, 1) - base) / base
+        assert len(far_builds) == 1, f"the {name} leg must rebuild the far table"
     rel_tol = QuadratureConfig().rel_tol
     ok_analytic = all(c < rel_tol for c in rel_changes.values())
 
@@ -383,7 +388,7 @@ def test_criterion_09_numerical_robustness(monkeypatch):
                                  1.96 * math.hypot(near.stderr, far.stderr))
     ok_mc = all(gap < half_width for gap, half_width in window_gaps.values())
     ok = ok_analytic and ok_mc
-    line = _verdict(9, ok, "doubling rel change: "
+    line = _verdict(9, ok, "refinement rel change: "
                     + ", ".join(f"{k} {v:.1e}" for k, v in rel_changes.items())
                     + f" (< {rel_tol:g}); window-radius doubling gap < CI "
                       "half-width: "

@@ -12,7 +12,9 @@ from uavcache.analytics import (CapacityReport, PowerModel, QuadratureConfig,
                                 energy_efficiency, energy_efficiency_exact,
                                 system_capacity)
 from uavcache.caching import ContentLibrary, PlacementPolicy, mpc_policy, solve_rcp
-from uavcache.channel import ChannelConfig, environment_preset
+from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig,
+                              environment_preset, linear_threshold,
+                              los_probability, shadowing_log_moments)
 from uavcache.errors import ConfigError, ConvergenceError
 
 
@@ -73,8 +75,7 @@ def laplace_factors(v, cfg, p_c):
     """(noncaching interference, caching interference outside the zone, zone
     signal) at each v, from the engine's radial integrals."""
     radials = analytics._radial_pair(np.atleast_1d(v), cfg.env, cfg.channel,
-                                     cfg.quadrature, cfg.coop_radius_km,
-                                     v_max=cfg.quadrature.v_max)
+                                     cfg.quadrature, cfg.coop_radius_km)
     return analytics._laplace_factors(*radials, cfg, p_c)
 
 
@@ -195,6 +196,49 @@ def test_capacity_grows_with_cooperation_radius():
     assert np.all(np.diff(rates) > 0)
 
 
+# --- far radial table ----------------------------------------------------------
+
+def lattice_far_radial(v, env, ch, quad, x_cop, v_max):
+    """The far radial integral by panels on every lattice edge out to where
+    v_max * L(z) sits below half the kernel's grazing linear gate, plus the
+    analytic linear remainder beyond: an independent oracle for the grazing-
+    limit tail and the two-step far panels."""
+    h = ch.altitude_km
+    z_end = max(analytics._Z_FLOOR, 2.0 * x_cop, 2.0 * h)
+    for mode in ("los", "nlos"):
+        alpha, k, _ = ch.mode_params(mode)
+        m_ln, s_ln = shadowing_log_moments(1e9, h, mode, env)
+        c_lin = float(linear_threshold(float(m_ln), float(s_ln)))
+        z_end = max(z_end, math.sqrt((2.0 * v_max * k / c_lin) ** (2.0 / alpha) - h * h))
+    j0 = analytics._split_index(x_cop, h)
+    j_end = max(j0 + 1, math.ceil(math.log(z_end) / analytics._OUTER_LOG))
+    edges = analytics._OUTER_RATIO ** np.arange(j0, j_end + 1)
+    far = analytics._panel_integral(v, env, ch, quad, edges)
+    z_far = float(edges[-1])
+    p_los = los_probability(z_far, h, env)
+    for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):
+        alpha, k, _ = ch.mode_params(mode)
+        m_ln, s_ln = shadowing_log_moments(z_far, h, mode, env)
+        far += (p_mode * k * math.exp(m_ln + 0.5 * float(s_ln) ** 2)
+                * (h * h + z_far * z_far) ** (1.0 - alpha / 2.0) / (alpha - 2.0) * v)
+    return far
+
+
+@pytest.mark.parametrize("env_name", sorted(ENVIRONMENT_PRESETS))
+def test_far_radial_matches_lattice_oracle(env_name):
+    quad = QuadratureConfig()
+    v_max = 2.0 * quad.v_max
+    s_edges = analytics._V_PANEL_WIDTH * np.arange(
+        analytics._V_K_LO, analytics._V_K_LO + analytics._v_panel_count(v_max) + 1)
+    v = np.exp(analytics._gl_panels(s_edges, analytics._GL_NODES)[0])
+    env = environment_preset(env_name)
+    for h in (0.5, 1.0, 3.0):
+        ch = ChannelConfig(altitude_km=h)
+        got = analytics._far_radial(v, env, ch, quad, 1.0)
+        want = lattice_far_radial(v, env, ch, quad, 1.0, v_max)
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0, err_msg=f"H={h}")
+
+
 # --- per-geometry table cache ---------------------------------------------------
 
 @pytest.fixture
@@ -247,6 +291,16 @@ def test_coop_radius_sweep_shares_far_table(kernel_calls):
     system_capacity(replace(cfg, coop_radius_km=40.0))
     assert len(kernel_calls) - before == 3
     assert len([k for k in analytics._TABLE_CACHE if k[0] == "far"]) == len(far_keys) + 1
+
+
+def test_far_table_is_keyed_on_rel_tol(kernel_calls):
+    # rel_tol sets the grazing radius where the far panels end, so two
+    # tolerances at one geometry build two far tables
+    cfg = reference_scenario("sub_urban", 1.0)
+    for rel_tol in (1e-6, 1e-8):
+        system_capacity(replace(cfg, quadrature=QuadratureConfig(rel_tol=rel_tol)))
+    assert len(kernel_calls) == 3 + 3
+    assert len([k for k in analytics._TABLE_CACHE if k[0] == "far"]) == 2
 
 
 def test_empty_zone_rates_are_zero_without_tables(kernel_calls):
