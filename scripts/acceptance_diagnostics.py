@@ -31,7 +31,7 @@ from uavcache import (ChannelConfig, ContentLibrary, ScenarioConfig,
 from uavcache.analytics import (_GL_NODES, _INNER_PANELS, _far_edges,
                                 _gl_panels, _grazing_radius, _grazing_tails,
                                 _laplace_factors, _near_edges, _radial_pair,
-                                _tables_for)
+                                _tables_for, _v_panel_count)
 from uavcache.channel import _shadow_expectation
 
 ENVS = ("high_rise", "dense_urban", "urban", "sub_urban")
@@ -53,16 +53,17 @@ def scenario(env, altitude=1.0) -> ScenarioConfig:
 
 def mixed_rate_bits(sig_cfg: ScenarioConfig, int_cfg: ScenarioConfig) -> float:
     """System rate with the zone (signal) integral of sig_cfg and the
-    interference integrals of int_cfg, assembled as content_capacity does."""
+    interference integrals of int_cfg, assembled as system_capacity does:
+    one row per content, summed over the v_max prefix of the cached tables."""
     sig, intf = _tables_for(sig_cfg), _tables_for(int_cfg)
     assert np.array_equal(sig.v_grid, intf.v_grid)
-    rates = []
-    for p_c in sig_cfg.policy.probabilities:
-        noncaching, caching_out, _ = _laplace_factors(intf.zone, intf.outside,
-                                                      sig_cfg, p_c)
-        signal = _laplace_factors(sig.zone, sig.outside, sig_cfg, p_c)[2]
-        rates.append(float((sig.weights * noncaching * caching_out * signal).sum())
-                     if p_c > 0 else 0.0)
+    n = _v_panel_count(sig_cfg.quadrature.v_max) * _GL_NODES
+    probs = sig_cfg.policy.probabilities
+    noncaching, caching_out, _ = _laplace_factors(intf.zone, intf.outside,
+                                                  sig_cfg, probs[:, None])
+    signal = _laplace_factors(sig.zone, sig.outside, sig_cfg, probs[:, None])[2]
+    rates = (sig.weights * noncaching * caching_out * signal)[:, :n].sum(axis=1)
+    rates = np.where(probs > 0.0, rates, 0.0)
     return float(np.dot(sig_cfg.library.popularity, rates)) / LN2
 
 

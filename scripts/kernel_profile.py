@@ -20,7 +20,8 @@ left out of the branch split.
 
 One JSON line per geometry:
   env, x_cop_km, altitude_km, hermite_nodes,
-  build_s        table build plus v_max guard (`analytics._tables_for`),
+  build_s        table build, rate assembly and v_max guard
+                 (`analytics.system_capacity`),
   far_hit        whether the far table came from the cache,
   far_s          time building the far table (0 on a hit),
   tail_s         time in the far table's grazing-limit tail (part of far_s),
@@ -141,16 +142,16 @@ def profile(env_name: str, x_cop: float, altitude: float,
     analytics._shadow_expectation = counted_tail_kernel
     try:
         t0 = time.perf_counter()
-        analytics._tables_for(cfg)
+        analytics.system_capacity(cfg)
         build_s = time.perf_counter() - t0
     finally:
         channel._shadow_expectation = kernel
         analytics._far_radial = far_radial
         analytics._grazing_tails = tails
         analytics._shadow_expectation = tail_kernel
-    doubled = analytics._TABLE_CACHE[key].doubled
-    digest = hashlib.sha256(np.ascontiguousarray(doubled.zone).tobytes()
-                            + np.ascontiguousarray(doubled.outside).tobytes())
+    tables = analytics._TABLE_CACHE[key]
+    digest = hashlib.sha256(np.ascontiguousarray(tables.zone).tobytes()
+                            + np.ascontiguousarray(tables.outside).tobytes())
     far_digest = hashlib.sha256(
         np.ascontiguousarray(analytics._TABLE_CACHE[far_key]).tobytes())
 

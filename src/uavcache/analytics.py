@@ -8,7 +8,9 @@ three reduce to radial integrals of the channel's Laplace kernel, evaluated
 here with composite Gauss-Legendre panels, and shared across contents,
 policies, densities and sub-channel counts through a per-geometry table
 cache: density and sub-channel count enter only the final assembly of each
-rate, never the radial integrals.
+rate, never the radial integrals. That assembly is one block, a row per
+distinct placement probability plus one for the v_max guard's probe, over
+the cached table (`_assemble_rates`).
 
 The outside integral splits at a radius Z0 >= max(64 km, 2X, 2H) on a fixed
 ln z lattice. Its far part, beyond Z0, does not depend on the cooperation
@@ -26,7 +28,7 @@ bits and reads the dynamic-power slope as W per (bit/channel use).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -38,7 +40,7 @@ from .channel import (_DB_TO_LN, ChannelConfig, Environment,
 from .errors import ConfigError, ConvergenceError
 
 # Radial/transform grid layout; accuracy is governed by QuadratureConfig and
-# validated by the doubling guards, these only set the base resolution.
+# validated by the v_max doubling guard, these only set the base resolution.
 _V_MIN = 1e-10
 _GL_NODES = 12
 _INNER_PANELS = 8
@@ -61,10 +63,10 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if self.hermite_nodes < 2:
             raise ConfigError("hermite_nodes must be >= 2")
-        if not self.rel_tol > 0:
-            raise ConfigError("rel_tol must be positive")
-        if not self.v_max > 0:
-            raise ConfigError("v_max must be positive")
+        if not self.rel_tol >= 1e-16:
+            raise ConfigError(f"rel_tol = {self.rel_tol} out of range (must be >= 1e-16)")
+        if not self.v_max >= 1.0:
+            raise ConfigError(f"v_max = {self.v_max} out of range (must be >= 1)")
 
 
 @dataclass(frozen=True)
@@ -299,12 +301,6 @@ class _ScenarioTables:
     zone: np.ndarray
     outside: np.ndarray
 
-    def prefix(self, n_panels: int) -> "_ScenarioTables":
-        """The leading n_panels ln v panels (views, not copies)."""
-        n = n_panels * _GL_NODES
-        return _ScenarioTables(self.v_grid[:n], self.weights[:n],
-                               self.zone[:n], self.outside[:n])
-
 
 # panel edges sit on an absolute lattice in ln v, so growing v_max adds
 # panels without moving existing ones: the table for v_max is a prefix of
@@ -336,9 +332,10 @@ def _build_tables(cfg: ScenarioConfig, v_max: float,
 
 
 def _laplace_factors(zone: np.ndarray, outside: np.ndarray, cfg: ScenarioConfig,
-                     p_c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     p_c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(noncaching interference, caching interference outside the zone, exact
-    zone signal) factors from the radial integrals at each v."""
+    zone signal) factors from the radial integrals at each v; a p_c column
+    gives one row per placement probability."""
     lam_i = cfg.interferer_density
     noncaching = np.exp(-2.0 * np.pi * (1.0 - p_c) * lam_i * (zone + outside))
     caching_out = np.exp(-2.0 * np.pi * p_c * lam_i * outside)
@@ -346,39 +343,11 @@ def _laplace_factors(zone: np.ndarray, outside: np.ndarray, cfg: ScenarioConfig,
     return noncaching, caching_out, signal
 
 
-def _assemble_rate(tables: _ScenarioTables, cfg: ScenarioConfig, p_c: float) -> float:
-    """Integrate v^-1 * (interference factors) * (signal factor) over v."""
-    if p_c <= 0.0:
-        return 0.0
-    noncaching, caching_out, signal = _laplace_factors(tables.zone, tables.outside,
-                                                       cfg, p_c)
-    # the integrand v^-1 ... dv becomes (...) ds on the ln v grid
-    rate = float((tables.weights * noncaching * caching_out * signal).sum())
-    if not np.isfinite(rate):
-        raise ConvergenceError("capacity integral did not evaluate to a finite value")
-    return rate
-
-
-@dataclass(frozen=True, eq=False)
-class _GeometryTables:
-    """One table build at 2*v_max and what the guard learnt from it.
-
-    `served` is the v_max prefix that rates integrate over; `doubled` is the
-    whole build. `moves` maps (uav_density, subchannels) to the guard's
-    relative probe movement between the two; it is bounded and lives and
-    dies with its table entry.
-    """
-
-    served: _ScenarioTables
-    doubled: _ScenarioTables
-    moves: dict[tuple[float, int], float] = field(default_factory=dict)
-
-
-# geometry entries (_GeometryTables) and far radial tables (ndarray over the
-# 2*v_max v grid) share one bounded cache, told apart by their key's tag
-_TABLE_CACHE: dict[tuple, _GeometryTables | np.ndarray] = {}
+# geometry tables (_ScenarioTables over the 2*v_max v grid) and far radial
+# tables (ndarray over the same grid) share one bounded cache, told apart by
+# their key's tag
+_TABLE_CACHE: dict[tuple, _ScenarioTables | np.ndarray] = {}
 _TABLE_CACHE_LIMIT = 64
-_GUARD_MOVES_LIMIT = 64
 
 
 def _cache_put(key: tuple, value) -> None:
@@ -394,8 +363,8 @@ def _geometry_keys(cfg: ScenarioConfig) -> tuple[tuple, tuple]:
     The far table depends on the environment, the channel (altitude
     included), hermite_nodes, rel_tol (through the grazing radius), v_max
     and the split index j0 of Z0, but not on the cooperation radius; the
-    geometry key adds the cooperation radius. Density and sub-channel count
-    enter only the rate assembly and the guard's verdict.
+    geometry key adds the cooperation radius. Density, sub-channel count and
+    placement enter only the rate assembly, guard included.
     """
     env, ch, q = cfg.env, cfg.channel, cfg.quadrature
     shared = (env.phi, env.psi, env.mu_los, env.mu_nlos, env.a_los, env.a_nlos,
@@ -407,46 +376,46 @@ def _geometry_keys(cfg: ScenarioConfig) -> tuple[tuple, tuple]:
     return ("far",) + shared, ("geometry",) + shared + (cfg.coop_radius_km,)
 
 
-def _guard_movement(entry: _GeometryTables, cfg: ScenarioConfig) -> float:
-    """Relative change of a probe rate when v_max is doubled."""
-    probe = 0.5
-    base = _assemble_rate(entry.served, cfg, probe)
-    if not base > 0.0:
-        return 0.0
-    doubled = _assemble_rate(entry.doubled, cfg, probe)
-    return abs(doubled - base) / abs(base)
-
-
 def _tables_for(cfg: ScenarioConfig) -> _ScenarioTables:
-    """Build (or fetch) the geometry's tables and run the truncation guard.
-
-    One build at 2*v_max serves both sides of the guard: its v_max prefix
-    gives the rates, and a probe placement assembled on the prefix and on the
-    whole table must agree within rel_tol, else ConvergenceError. Both sides
-    share the radial integrals, so the guard measures v truncation alone; the
-    radial integral has no truncation to guard, since the grazing-limit tail
-    runs to infinity from a z_far placed by rel_tol. The guard runs once per
-    (geometry, uav_density, subchannels); its movement is remembered and
-    compared with rel_tol on every call.
-    """
+    """The geometry's tables on the v grid up to 2*v_max, built or fetched:
+    the rates integrate over its v_max prefix (`_assemble_rates`)."""
     far_key, key = _geometry_keys(cfg)
-    entry = _TABLE_CACHE.get(key)
-    if entry is None:
-        doubled = _build_tables(cfg, 2.0 * cfg.quadrature.v_max, far_key)
-        entry = _GeometryTables(doubled.prefix(_v_panel_count(cfg.quadrature.v_max)),
-                                doubled)
-        _cache_put(key, entry)
-    density_key = (cfg.uav_density, cfg.subchannels)
-    moved = entry.moves.get(density_key)
-    if moved is None:
-        moved = _guard_movement(entry, cfg)
-        if len(entry.moves) >= _GUARD_MOVES_LIMIT:
-            entry.moves.pop(next(iter(entry.moves)))
-        entry.moves[density_key] = moved
+    tables = _TABLE_CACHE.get(key)
+    if tables is None:
+        tables = _build_tables(cfg, 2.0 * cfg.quadrature.v_max, far_key)
+        _cache_put(key, tables)
+    return tables
+
+
+def _assemble_rates(cfg: ScenarioConfig, probs: np.ndarray) -> np.ndarray:
+    """Rates, nats per channel use, for placement probabilities probs, with
+    the v_max truncation guard.
+
+    One block holds v^-1 * (interference factors) * (signal factor) on the
+    2*v_max table for each p_c and for a probe p_c = 0.5. A rate is its
+    row's sum over the v_max prefix; the probe's prefix sum and whole sum
+    must agree within rel_tol, else ConvergenceError. Both sums share the
+    radial integrals, so the guard measures v truncation alone; the radial
+    integral has no truncation to guard, since the grazing-limit tail runs
+    to infinity from a z_far placed by rel_tol.
+    """
+    tables = _tables_for(cfg)
+    n = _v_panel_count(cfg.quadrature.v_max) * _GL_NODES
+    p_c = np.append(probs, 0.5)[:, None]  # the last row is the guard's probe
+    noncaching, caching_out, signal = _laplace_factors(tables.zone, tables.outside,
+                                                       cfg, p_c)
+    # the integrand v^-1 ... dv becomes (...) ds on the ln v grid
+    block = tables.weights * noncaching * caching_out * signal
+    rates = block[:, :n].sum(axis=1)
+    doubled = block[-1].sum()
+    if not (np.all(np.isfinite(rates)) and np.isfinite(doubled)):
+        raise ConvergenceError("capacity integral did not evaluate to a finite value")
+    base = rates[-1]
+    moved = abs(doubled - base) / base if base > 0.0 else 0.0
     if moved > cfg.quadrature.rel_tol:
         raise ConvergenceError(
             f"doubling v_max moved the capacity probe by {moved:.2e} (> rel_tol)")
-    return entry.served
+    return np.where(probs > 0.0, rates[:-1], 0.0)
 
 
 def content_capacity(cfg: ScenarioConfig, content: int) -> float:
@@ -463,18 +432,12 @@ def content_capacity(cfg: ScenarioConfig, content: int) -> float:
 
 def system_capacity(cfg: ScenarioConfig) -> CapacityReport:
     """Popularity-weighted average rate over the whole library."""
-    rates = np.zeros(cfg.library.size)
     coop_means = cfg.zone_mean_uavs * cfg.policy.probabilities
     if cfg.zone_mean_uavs == 0.0:
         # no cooperator can ever be in the zone: every rate is zero
-        return CapacityReport(rates, coop_means, 0.0)
-    tables = _tables_for(cfg)
-    cache: dict[float, float] = {}
-    for i, p_c in enumerate(cfg.policy.probabilities):
-        key = float(p_c)
-        if key not in cache:
-            cache[key] = _assemble_rate(tables, cfg, key)
-        rates[i] = cache[key]
+        return CapacityReport(np.zeros(cfg.library.size), coop_means, 0.0)
+    probs, inverse = np.unique(cfg.policy.probabilities, return_inverse=True)
+    rates = _assemble_rates(cfg, probs)[inverse]
     system = float(np.sum(cfg.library.popularity * rates))
     return CapacityReport(rates, coop_means, system)
 

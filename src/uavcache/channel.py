@@ -15,7 +15,8 @@ from typing import Literal
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import log_ndtr, ndtr, roots_legendre
+from numpy.polynomial.legendre import leggauss
+from scipy.special import log_ndtr, ndtr
 
 from .errors import ConfigError
 
@@ -204,7 +205,7 @@ def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _window_rule(nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    xs, ws = roots_legendre(nodes_per_panel)
+    xs, ws = leggauss(nodes_per_panel)
     edges = np.linspace(_WIN_Y_LO, _WIN_Y_HI, _WIN_PANELS + 1)
     y = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * xs
                         for a, b in zip(edges[:-1], edges[1:])])

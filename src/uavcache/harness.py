@@ -215,10 +215,10 @@ def _parse_sim_options(node: dict, where: str) -> SimOptions:
     _check_keys(node, _SIM_KEYS, where)
     r_max = node.get("r_max_km")
     if r_max is not None:
-        r_max = _get_number(node, "r_max_km", 0.0, where, lo=1e-9)
+        r_max = _get_number(node, "r_max_km", 0.0, where)
     return SimOptions(
         r_max=r_max,
-        spike_rel=_get_number(node, "spike_rel", 1e-6, where, lo=1e-12),
+        spike_rel=_get_number(node, "spike_rel", 1e-6, where),
         chunk_size=_get_int(node, "chunk_size", 256, where, lo=1),
         n_jobs=_get_int(node, "n_jobs", 1, where, lo=1))
 
@@ -280,7 +280,7 @@ def parse_config(raw: dict) -> RunConfig:
     except ConfigError:
         raise ConfigError(f"scenario.environment: unknown environment {env_name!r}")
 
-    altitude = _get_number(sc, "altitude_km", 1.0, "scenario", lo=1e-9)
+    altitude = _get_number(sc, "altitude_km", 1.0, "scenario")
     channel = _parse_channel(_require_mapping(sc.get("channel"), "scenario.channel"),
                              altitude, "scenario.channel")
 
@@ -298,8 +298,8 @@ def parse_config(raw: dict) -> RunConfig:
     _check_keys(quad_node, _QUAD_KEYS, "scenario.quadrature")
     quadrature = QuadratureConfig(
         hermite_nodes=_get_int(quad_node, "hermite_nodes", 32, "scenario.quadrature", lo=2),
-        rel_tol=_get_number(quad_node, "rel_tol", 1e-6, "scenario.quadrature", lo=1e-16),
-        v_max=_get_number(quad_node, "v_max", 1e7, "scenario.quadrature", lo=1.0))
+        rel_tol=_get_number(quad_node, "rel_tol", 1e-6, "scenario.quadrature"),
+        v_max=_get_number(quad_node, "v_max", 1e7, "scenario.quadrature"))
 
     size = _get_int(sc, "library_size", 20, "scenario", lo=1)
     kappa = _get_number(sc, "zipf_exponent", 0.8, "scenario", lo=0.0, hi=2.0)

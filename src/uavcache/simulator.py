@@ -60,8 +60,10 @@ class SimOptions:
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.spike_rel <= 0:
-            raise ConfigError("spike_rel must be positive")
+        if self.r_max is not None and not self.r_max >= 1e-9:
+            raise ConfigError(f"r_max = {self.r_max} out of range (must be >= 1e-9)")
+        if not self.spike_rel >= 1e-12:
+            raise ConfigError(f"spike_rel = {self.spike_rel} out of range (must be >= 1e-12)")
         if self.chunk_size < 1 or self.n_jobs < 1:
             raise ConfigError("chunk_size and n_jobs must be >= 1")
 
@@ -270,9 +272,17 @@ def _spike_threshold(cfg: ScenarioConfig, spike_rel: float) -> float:
 
 
 def _truncated_poisson_cdf(m: float) -> np.ndarray:
-    """CDF table of the zero-truncated Poisson for inverse-CDF sampling."""
+    """CDF table of the zero-truncated Poisson for inverse-CDF sampling.
+
+    The table grows until the tail mass beyond it falls below 1e-15; a table
+    that reaches 10000 terms with more tail mass left raises ConvergenceError.
+    """
     k_hi = 1
-    while gammainc(k_hi + 1.0, m) > 1e-15 and k_hi < 10000:
+    while gammainc(k_hi + 1.0, m) > 1e-15:
+        if k_hi >= 10000:
+            raise ConvergenceError(
+                f"cooperator count table for mean m_c = {m:.6g} did not reach "
+                f"its 1e-15 tail within {k_hi} terms")
         k_hi = max(k_hi + 1, int(1.5 * k_hi))
     ks = np.arange(1, k_hi + 1, dtype=float)
     log_pmf = ks * math.log(m) - m - np.cumsum(np.log(ks))

@@ -11,7 +11,8 @@ from uavcache.analytics import (CapacityReport, PowerModel, QuadratureConfig,
                                 ScenarioConfig, content_capacity,
                                 energy_efficiency, energy_efficiency_exact,
                                 system_capacity)
-from uavcache.caching import ContentLibrary, PlacementPolicy, mpc_policy, solve_rcp
+from uavcache.caching import (ContentLibrary, PlacementPolicy, lru_che,
+                              mpc_policy, solve_rcp)
 from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig,
                               environment_preset, linear_threshold,
                               los_probability, shadowing_log_moments)
@@ -329,6 +330,40 @@ def test_guard_fires_on_cache_served_tables(kernel_calls):
     analytics._TABLE_CACHE.clear()
     with pytest.raises(ConvergenceError, match="doubling v_max"):
         system_capacity(replace(cfg, uav_density=1e-3))
+
+
+def loop_rates(cfg):
+    """The per-content assembly the block replaced: each distinct p_c > 0
+    integrated alone over the v_max prefix of the cached tables."""
+    tables = analytics._tables_for(cfg)
+    n = analytics._v_panel_count(cfg.quadrature.v_max) * analytics._GL_NODES
+    weights, zone, outside = tables.weights[:n], tables.zone[:n], tables.outside[:n]
+    lam_i = cfg.interferer_density
+    by_p = {}
+    for p_c in map(float, cfg.policy.probabilities):
+        if p_c not in by_p:
+            by_p[p_c] = 0.0
+            if p_c > 0.0:
+                noncaching = np.exp(-2.0 * np.pi * (1.0 - p_c) * lam_i * (zone + outside))
+                caching_out = np.exp(-2.0 * np.pi * p_c * lam_i * outside)
+                signal = -np.expm1(-2.0 * np.pi * p_c * cfg.uav_density * zone)
+                by_p[p_c] = float((weights * noncaching * caching_out * signal).sum())
+    return np.array([by_p[float(p)] for p in cfg.policy.probabilities])
+
+
+@pytest.mark.parametrize("env_name", ["sub_urban", "high_rise"])
+@pytest.mark.parametrize("policy", ["rcp", "mpc", "lru_che"])
+def test_block_assembly_equals_the_per_content_loop(env_name, policy):
+    cfg = reference_scenario(env_name, 1.0)
+    lib = cfg.library
+    if policy == "mpc":
+        cfg = cfg.with_policy(mpc_policy(lib.popularity, 5))
+    elif policy == "lru_che":
+        cfg = cfg.with_policy(lru_che(lib.popularity, 5))
+    report = system_capacity(cfg)
+    want = loop_rates(cfg)
+    assert report.per_content_nats.tobytes() == want.tobytes()
+    assert report.system_rate_nats == float(np.sum(lib.popularity * want))
 
 
 def test_rates_do_not_depend_on_evaluation_order(kernel_calls):

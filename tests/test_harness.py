@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import uavcache
 from uavcache import cli
+from uavcache.analytics import QuadratureConfig
 from uavcache.caching import POLICY_KINDS
-from uavcache.channel import ENVIRONMENT_PRESETS, environment_preset
+from uavcache.channel import ENVIRONMENT_PRESETS, ChannelConfig, environment_preset
 from uavcache.errors import ConfigError
 from uavcache.harness import (CSV_HEADER, SWEEP_VARIABLES, SweepSpec,
                               dump_config, emit_csv, load_config, parse_config,
@@ -107,6 +108,36 @@ def test_out_of_range_scenario_values():
         parse_config({"scenario": {"uav_density_per_km2": -1.0}})
     with pytest.raises(ConfigError):
         parse_config({"scenario": {"cache_size": 30}})
+
+
+@pytest.mark.parametrize("block,key,bad,edge,build", [
+    ("quadrature", "v_max", 0.5, 1.0, lambda v: QuadratureConfig(v_max=v)),
+    ("quadrature", "rel_tol", 1e-20, 1e-16, lambda v: QuadratureConfig(rel_tol=v)),
+    ("simulation", "r_max_km", -1.0, 1e-9, lambda v: SimOptions(r_max=v)),
+    ("simulation", "spike_rel", 1e-13, 1e-12, lambda v: SimOptions(spike_rel=v)),
+    (None, "altitude_km", 0.0, 1e-10, lambda v: ChannelConfig(altitude_km=v)),
+], ids=["v_max", "rel_tol", "r_max_km", "spike_rel", "altitude_km"])
+def test_config_and_api_share_each_bound(block, key, bad, edge, build):
+    # each bound is stated once, in its dataclass: a value the API rejects
+    # is rejected from the config and the edge value passes both
+    def raw(value):
+        node = {key: value}
+        return {"scenario": {block: node} if block else node}
+    with pytest.raises(ConfigError, match="out of range|must be positive"):
+        build(bad)
+    with pytest.raises(ConfigError, match="out of range|must be positive"):
+        parse_config(raw(bad))
+    build(edge)
+    parse_config(raw(edge))
+
+
+def test_altitude_bound_is_the_same_for_scenario_and_sweep():
+    sweep = {"name": "h", "variable": "altitude", "grid": [1e-10]}
+    parse_config({"scenario": {"altitude_km": 1e-10}, "sweeps": [sweep]})
+    for raw in ({"scenario": {"altitude_km": 0.0}},
+                {"sweeps": [dict(sweep, grid=[0.0])]}):
+        with pytest.raises(ConfigError, match="altitude"):
+            parse_config(raw)
 
 
 def test_custom_environment_round_trip():

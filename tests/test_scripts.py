@@ -1,0 +1,38 @@
+"""The diagnostic scripts run against the engine they read: each is loaded
+by path and exercised on one small case, so an engine refactor that breaks
+one fails here rather than when someone next runs it."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from uavcache import environment_preset, system_capacity
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"script_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_profile_prints_one_line_per_geometry(monkeypatch, capsys):
+    script = load_script("kernel_profile")
+    monkeypatch.setattr("sys.argv", ["kernel_profile.py", "--geometry", "sub_urban:1:1"])
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert (record["env"], record["x_cop_km"], record["altitude_km"]) == ("sub_urban", 1.0, 1.0)
+    assert len(record["tables_sha256"]) == 64
+
+
+def test_acceptance_diagnostics_diagonal_is_the_system_rate():
+    script = load_script("acceptance_diagnostics")
+    cfg = script.scenario(environment_preset("sub_urban"))
+    assert script.mixed_rate_bits(cfg, cfg) == pytest.approx(
+        system_capacity(cfg).system_rate_bits, rel=1e-12, abs=0)

@@ -189,6 +189,31 @@ def test_per_trial_sum_is_float_without_entries():
     assert np.array_equal(out, np.zeros(4))
 
 
+def test_cooperator_table_refuses_an_unreached_tail():
+    # at m_c = 2e4 the growth rule passes 10000 terms at k = 12138 with the
+    # tail mass still near 1/2 and every pmf entry underflowed to 0; sampling
+    # from that table would give every trial 12138 cooperators
+    with pytest.raises(ConvergenceError, match="m_c = 20000"):
+        simulator._truncated_poisson_cdf(2e4)
+
+
+def test_cooperator_table_below_the_cap_is_unchanged():
+    # the table as it was built before the tail check: same growth rule,
+    # same sums, so every reachable mean gets the same bytes
+    def table(m):
+        k_hi = 1
+        while simulator.gammainc(k_hi + 1.0, m) > 1e-15 and k_hi < 10000:
+            k_hi = max(k_hi + 1, int(1.5 * k_hi))
+        ks = np.arange(1, k_hi + 1, dtype=float)
+        log_pmf = ks * math.log(m) - m - np.cumsum(np.log(ks))
+        return np.cumsum(np.exp(log_pmf) / -math.expm1(-m))
+
+    for m in (1e-3, 5.0, 300.0, 4000.0):
+        got = simulator._truncated_poisson_cdf(m)
+        assert got.tobytes() == table(m).tobytes(), m
+    assert simulator._truncated_poisson_cdf(5.0)[-1] == pytest.approx(1.0, abs=1e-14)
+
+
 def test_field_draw_refuses_a_spike_overload():
     # a 60 dB grazing-angle NLOS spread expects about 2.4e8 far-field spikes
     # per trial, hundreds of GiB per chunk: the draw must refuse before it
