@@ -47,9 +47,11 @@ _INNER_PANELS = 8
 _OUTER_RATIO = 1.6
 _FAR_STEP = 2  # lattice steps per panel beyond Z0 (ratio 1.6**2 = 2.56)
 _V_PANELS_PER_DECADE = 2
-# split radius floor (km) and Poisson tail mass for the EE sums
+# split radius floor (km), Poisson tail mass for the EE sums and the most
+# terms one EE sum may take
 _Z_FLOOR = 64.0
 _K_MAX_TAIL = 1e-12
+_K_MAX_TERMS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -443,14 +445,25 @@ def system_capacity(cfg: ScenarioConfig) -> CapacityReport:
 
 
 def _poisson_k_max(m_max: float, tail: float) -> int:
-    """Smallest k with P(Poisson(m) > k) < tail."""
+    """Smallest k with P(Poisson(m) > k) < tail.
+
+    The scan ends at m + x with x = l + sqrt(l^2 + 2 l m), l = ln(1/tail):
+    the Chernoff bound P(N >= m + x) < exp(-x^2 / (2 (m + x))) = tail puts
+    the answer inside it at every mean.
+    """
     if m_max <= 0:
         return 1
-    ks = np.arange(1, 2001)
+    ell = -math.log(tail)
+    k_end = m_max + ell + math.sqrt(ell * ell + 2.0 * ell * m_max) + 1.0
+    if not k_end <= _K_MAX_TERMS:
+        raise ConvergenceError(
+            f"Poisson tail bound for a cooperator mean of {m_max:g} needs more "
+            f"than {_K_MAX_TERMS} terms")
+    ks = np.arange(1, math.ceil(k_end) + 1)
     sf = gammainc(ks + 1.0, m_max)  # upper-tail mass beyond k
     hits = np.nonzero(sf < tail)[0]
     if hits.size == 0:
-        raise ConvergenceError("Poisson tail bound not reached within 2000 terms")
+        raise ConvergenceError(f"Poisson tail bound not reached within {ks.size} terms")
     return int(ks[hits[0]])
 
 

@@ -163,33 +163,56 @@ def lru_simulate(a, cache_size: int, n_requests: int, warmup: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Event-driven LRU occupancy: fraction of (post-warmup, cache-full) time
     each content spends in cache. The vector sums to the cache size exactly.
+
+    The trace is ``rng.choice`` over the library, one request per time step
+    t = 0..n_requests-1. The measurement window opens at the first step t >=
+    warmup after whose request the cache is full. Residence counts whole steps
+    from the later of a content's insertion and the window start to its
+    eviction (or to n_requests).
+
+    The cache state at the window start is recovered from the trace rather
+    than replayed. An LRU cache of S slots holds the S most recently requested
+    distinct contents, ordered by their last arrival; so it is full after step
+    t exactly when S distinct contents arrived by t, and the window opens at
+    max(warmup, first arrival of the S-th distinct content). At that step the
+    cache is the S contents with the latest last arrival in the prefix, least
+    recent first, and every one is stamped with the window start. Evictions
+    before the window add no residence, so this state is the one a replay of
+    the prefix reaches, and the single loop over the remaining requests then
+    makes the same evictions at the same steps. Residences are integer step
+    counts, so their sum and the final division give the replay's bytes.
     """
     a = _check_budget(a, cache_size)
     if not n_requests > warmup >= 0:
         raise ValueError("need n_requests > warmup >= 0")
     requests = rng.choice(a.size, size=n_requests, p=a)
-    cache: OrderedDict[int, int] = OrderedDict()  # content -> in-cache-since time
-    residence = np.zeros(a.size)
-    window_start = None  # first instant with a full cache past warmup
-    for t, c in enumerate(requests):
-        c = int(c)
+    # Steps and arrival times share one type (ufunc.at is fast only on
+    # matching dtypes), wide enough for the sentinel n_requests.
+    step_type = np.int32 if n_requests <= np.iinfo(np.int32).max else np.int64
+    steps = np.arange(n_requests, dtype=step_type)
+    first = np.full(a.size, n_requests, dtype=step_type)
+    np.minimum.at(first, requests, steps)
+    first.sort()
+    window_start = max(warmup, int(first[cache_size - 1]))
+    if window_start >= n_requests - 1:
+        raise ValueError("cache never filled within the request budget; increase n_requests")
+    last = np.full(a.size, -1, dtype=step_type)
+    np.maximum.at(last, requests[:window_start + 1], steps[:window_start + 1])
+    del steps
+    # content -> in-cache-since step, least recently used first
+    cache = OrderedDict.fromkeys(np.argsort(last)[-cache_size:].tolist(), window_start)
+    move_to_end, popitem = cache.move_to_end, cache.popitem
+    residence = [0] * a.size
+    for t, c in enumerate(requests[window_start + 1:].tolist(), window_start + 1):
         if c in cache:
-            cache.move_to_end(c)
+            move_to_end(c)
         else:
             cache[c] = t
-            if len(cache) > cache_size:
-                old, since = cache.popitem(last=False)
-                if window_start is not None:
-                    residence[old] += t - max(since, window_start)
-        if window_start is None and len(cache) == cache_size and t >= warmup:
-            window_start = t
-            for key in cache:
-                cache[key] = t
-    if window_start is None or window_start >= n_requests - 1:
-        raise ValueError("cache never filled within the request budget; increase n_requests")
+            old, since = popitem(False)
+            residence[old] += t - since
     for c, since in cache.items():
-        residence[c] += n_requests - max(since, window_start)
-    return residence / (n_requests - window_start)
+        residence[c] += n_requests - since
+    return np.array(residence, dtype=float) / (n_requests - window_start)
 
 
 def lru_empirical_policy(a, cache_size: int, n_requests: int, warmup: int,

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from uavcache import analytics
 from uavcache.analytics import (CapacityReport, PowerModel, QuadratureConfig,
@@ -415,12 +416,26 @@ def test_ee_free_hardware_counts_nonempty_zones():
 
 
 def test_ee_poisson_tail_overflow():
+    # the Poisson sum is sized from the cooperator mean, so a mean of 16000
+    # is summed; one whose sum would exceed _K_MAX_TERMS raises instead
     lib = ContentLibrary(1, 0.0)
     cfg = ScenarioConfig(lib, mpc_policy(lib.popularity, 1),
                          environment_preset("sub_urban"))
     report = CapacityReport(np.array([1.0]), np.array([16000.0]), 1.0)
-    with pytest.raises(ConvergenceError):
-        energy_efficiency_exact(cfg, report)
+    assert energy_efficiency_exact(cfg, report) > 0.0
+    with pytest.raises(ConvergenceError, match="cooperator mean of 1e\\+09"):
+        energy_efficiency_exact(cfg, replace(report, coop_means=np.array([1e9])))
+
+
+def test_poisson_k_max_is_the_smallest_k_at_any_mean():
+    # oracle: the fixed 2000-term scan, exact wherever it reaches the bound
+    ks = np.arange(1, 2001)
+    for m in np.geomspace(1e-6, 1700.0, 200):
+        expected = int(ks[np.argmax(gammainc(ks + 1.0, m) < 1e-12)])
+        assert analytics._poisson_k_max(m, 1e-12) == expected
+    for m in (1800.0, 5000.0, 1e5):
+        k = analytics._poisson_k_max(m, 1e-12)
+        assert gammainc(k + 1.0, m) < 1e-12 <= gammainc(k, m)
 
 
 def test_radial_truncation_overflow_names_the_environment():

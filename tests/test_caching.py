@@ -1,14 +1,16 @@
 """Content popularity, placement policies, and cache hit statistics."""
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavcache.caching import (ContentLibrary, PlacementPolicy, lru_che,
-                              lru_empirical_policy, lru_simulate, mpc_policy,
-                              rcp_objective, solve_rcp, zipf_popularity)
+from uavcache.caching import (ContentLibrary, PlacementPolicy, _check_budget,
+                              lru_che, lru_empirical_policy, lru_simulate,
+                              mpc_policy, rcp_objective, solve_rcp,
+                              zipf_popularity)
 from uavcache.errors import ConfigError
 
 
@@ -207,3 +209,73 @@ def test_lru_empirical_policy_wraps_simulation():
     assert pol.cache_size == 3
     assert pol.probabilities.sum() == pytest.approx(3.0, abs=1e-9)
 
+
+
+def replayed_lru(a, cache_size: int, n_requests: int, warmup: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Oracle: the request-by-request OrderedDict replay that `lru_simulate`
+    replaced, kept verbatim."""
+    a = _check_budget(a, cache_size)
+    if not n_requests > warmup >= 0:
+        raise ValueError("need n_requests > warmup >= 0")
+    requests = rng.choice(a.size, size=n_requests, p=a)
+    cache: OrderedDict[int, int] = OrderedDict()  # content -> in-cache-since time
+    residence = np.zeros(a.size)
+    window_start = None  # first instant with a full cache past warmup
+    for t, c in enumerate(requests):
+        c = int(c)
+        if c in cache:
+            cache.move_to_end(c)
+        else:
+            cache[c] = t
+            if len(cache) > cache_size:
+                old, since = cache.popitem(last=False)
+                if window_start is not None:
+                    residence[old] += t - max(since, window_start)
+        if window_start is None and len(cache) == cache_size and t >= warmup:
+            window_start = t
+            for key in cache:
+                cache[key] = t
+    if window_start is None or window_start >= n_requests - 1:
+        raise ValueError("cache never filled within the request budget; increase n_requests")
+    for c, since in cache.items():
+        residence[c] += n_requests - max(since, window_start)
+    return residence / (n_requests - window_start)
+
+
+def assert_same_as_replay(a, cache_size, n_requests, warmup, seed):
+    outcomes = []
+    for simulate in (lru_simulate, replayed_lru):
+        try:
+            outcomes.append(simulate(a, cache_size, n_requests, warmup,
+                                     np.random.default_rng(seed)).tobytes())
+        except ValueError as exc:
+            outcomes.append(("ValueError", str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lru_simulate_matches_the_replay(data):
+    # small Dirichlet concentrations give near-zero popularities, so some
+    # draws leave the cache unfilled and both sides must raise alike
+    size = data.draw(st.integers(1, 60))
+    cache_size = data.draw(st.integers(1, size))
+    n_requests = data.draw(st.integers(2, 5000))
+    warmup = data.draw(st.integers(0, n_requests - 1))
+    alpha = data.draw(st.sampled_from([0.02, 0.2, 1.0, 10.0]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    a = np.random.default_rng(seed).dirichlet(np.full(size, alpha))
+    assert_same_as_replay(a / a.sum(), cache_size, n_requests, warmup, seed)
+
+
+def test_lru_simulate_matches_the_replay_with_a_full_library_cache():
+    assert_same_as_replay(zipf_popularity(8, 0.8), 8, 4000, 500, 3)
+
+
+def test_lru_simulate_fills_past_a_never_requested_content():
+    # two requested contents fill a cache of two although a third never arrives
+    a = np.array([0.5, 0.5, 0.0])
+    occupancy = lru_simulate(a, 2, 1000, 10, np.random.default_rng(0))
+    np.testing.assert_array_equal(occupancy, [1.0, 1.0, 0.0])
+    assert_same_as_replay(a, 2, 1000, 10, 0)

@@ -36,3 +36,16 @@ def test_acceptance_diagnostics_diagonal_is_the_system_rate():
     cfg = script.scenario(environment_preset("sub_urban"))
     assert script.mixed_rate_bits(cfg, cfg) == pytest.approx(
         system_capacity(cfg).system_rate_bits, rel=1e-12, abs=0)
+
+
+def test_placement_profile_prints_one_line_per_solver(monkeypatch, capsys):
+    script = load_script("placement_profile")
+    monkeypatch.setattr("sys.argv", ["placement_profile.py", "--case", "10:5",
+                                     "--requests", "2000", "--warmup", "500"])
+    assert script.main() == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["solver"] for r in records] == ["solve_rcp", "lru_che", "lru_simulate"]
+    for record in records:
+        assert (record["library_size"], record["cache_size"]) == (10, 5)
+        assert len(record["probabilities_sha256"]) == 64
+    assert records[2]["args"] == {"n_requests": 2000, "warmup": 500, "seed": 7}
