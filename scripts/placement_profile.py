@@ -10,7 +10,8 @@ library (exponent 0.8) and runs three solvers on it:
   lru_che       the Che characteristic-time approximation of LRU;
   lru_simulate  the LRU trace replay, at the trace length and warm-up the
                 sweep harness uses for `lru_empirical` rows, from a fresh
-                `numpy.random.default_rng(seed)` on every run.
+                `numpy.random.default_rng(SEED)` on every run. A shorter
+                --requests keeps the harness's warm-up share of the trace.
 
 Every solver is deterministic for its arguments, so each of its REPEATS runs
 returns the same bytes.
@@ -21,8 +22,7 @@ One JSON line per (solver, L, S):
   best_s                 fastest of REPEATS wall times,
   probabilities_sha256   SHA-256 of the float64 probability bytes.
 
-Usage: python3 scripts/placement_profile.py [--case L:S ...]
-           [--requests N] [--warmup N] [--seed N]
+Usage: python3 scripts/placement_profile.py [--case L:S ...] [--requests N]
 """
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ from uavcache.harness import _LRU_REQUESTS, _LRU_WARMUP
 
 REPEATS = 3
 ZIPF_EXPONENT = 0.8
+SEED = 7
 DEFAULT_CASES = ((10, 5), (20, 5), (40, 5), (300, 30), (1000, 100))
 
 
@@ -52,18 +53,18 @@ def best_of(fn) -> tuple[float, np.ndarray]:
     return best, out
 
 
-def profile(size: int, cache_size: int, n_requests: int, warmup: int,
-            seed: int) -> list[dict]:
+def profile(size: int, cache_size: int, n_requests: int) -> list[dict]:
     a = zipf_popularity(size, ZIPF_EXPONENT)
+    warmup = n_requests * _LRU_WARMUP // _LRU_REQUESTS
     beta = parse_config({}).scenario.zone_mean_uavs
     solvers = (
         ("solve_rcp", {"beta": beta},
          lambda: solve_rcp(a, cache_size, beta).probabilities),
         ("lru_che", {}, lambda: lru_che(a, cache_size).probabilities),
         ("lru_simulate",
-         {"n_requests": n_requests, "warmup": warmup, "seed": seed},
+         {"n_requests": n_requests, "warmup": warmup, "seed": SEED},
          lambda: lru_simulate(a, cache_size, n_requests, warmup,
-                              np.random.default_rng(seed))),
+                              np.random.default_rng(SEED))),
     )
     records = []
     for name, args, fn in solvers:
@@ -87,12 +88,9 @@ def main() -> int:
                     help="L:S, repeatable (default: 10:5 20:5 40:5 300:30 1000:100)")
     ap.add_argument("--requests", type=int, default=_LRU_REQUESTS,
                     help=f"LRU trace length (default {_LRU_REQUESTS})")
-    ap.add_argument("--warmup", type=int, default=_LRU_WARMUP,
-                    help=f"LRU warm-up requests (default {_LRU_WARMUP})")
-    ap.add_argument("--seed", type=int, default=7, help="LRU trace seed (default 7)")
     args = ap.parse_args()
     for size, cache_size in args.case or DEFAULT_CASES:
-        for record in profile(size, cache_size, args.requests, args.warmup, args.seed):
+        for record in profile(size, cache_size, args.requests):
             print(json.dumps(record), flush=True)
     return 0
 

@@ -159,6 +159,11 @@ def lru_che(a, cache_size: int, tolerance: float = 1e-10) -> PlacementPolicy:
     return PlacementPolicy(np.clip(q, 0.0, 1.0), cache_size, "lru_che")
 
 
+# Requests turned into Python ints at a time, so that list never spans the
+# whole trace (contents above 256 are one int object each).
+_REPLAY_CHUNK = 65536
+
+
 def lru_simulate(a, cache_size: int, n_requests: int, warmup: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Event-driven LRU occupancy: fraction of (post-warmup, cache-full) time
@@ -178,9 +183,10 @@ def lru_simulate(a, cache_size: int, n_requests: int, warmup: int,
     cache is the S contents with the latest last arrival in the prefix, least
     recent first, and every one is stamped with the window start. Evictions
     before the window add no residence, so this state is the one a replay of
-    the prefix reaches, and the single loop over the remaining requests then
-    makes the same evictions at the same steps. Residences are integer step
-    counts, so their sum and the final division give the replay's bytes.
+    the prefix reaches, and the single loop over the remaining requests
+    (taken in chunks of _REPLAY_CHUNK) then makes the same evictions at the
+    same steps. Residences are integer step counts, so their sum and the
+    final division give the replay's bytes.
     """
     a = _check_budget(a, cache_size)
     if not n_requests > warmup >= 0:
@@ -203,13 +209,14 @@ def lru_simulate(a, cache_size: int, n_requests: int, warmup: int,
     cache = OrderedDict.fromkeys(np.argsort(last)[-cache_size:].tolist(), window_start)
     move_to_end, popitem = cache.move_to_end, cache.popitem
     residence = [0] * a.size
-    for t, c in enumerate(requests[window_start + 1:].tolist(), window_start + 1):
-        if c in cache:
-            move_to_end(c)
-        else:
-            cache[c] = t
-            old, since = popitem(False)
-            residence[old] += t - since
+    for lo in range(window_start + 1, n_requests, _REPLAY_CHUNK):
+        for t, c in enumerate(requests[lo:lo + _REPLAY_CHUNK].tolist(), lo):
+            if c in cache:
+                move_to_end(c)
+            else:
+                cache[c] = t
+                old, since = popitem(False)
+                residence[old] += t - since
     for c, since in cache.items():
         residence[c] += n_requests - since
     return np.array(residence, dtype=float) / (n_requests - window_start)

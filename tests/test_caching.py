@@ -279,3 +279,9 @@ def test_lru_simulate_fills_past_a_never_requested_content():
     occupancy = lru_simulate(a, 2, 1000, 10, np.random.default_rng(0))
     np.testing.assert_array_equal(occupancy, [1.0, 1.0, 0.0])
     assert_same_as_replay(a, 2, 1000, 10, 0)
+
+
+def test_lru_simulate_matches_the_replay_across_chunks():
+    # 150k post-window requests span three replay chunks, over contents
+    # numbered above 256
+    assert_same_as_replay(zipf_popularity(300, 0.8), 30, 200_000, 50_000, 5)

@@ -41,7 +41,7 @@ def test_acceptance_diagnostics_diagonal_is_the_system_rate():
 def test_placement_profile_prints_one_line_per_solver(monkeypatch, capsys):
     script = load_script("placement_profile")
     monkeypatch.setattr("sys.argv", ["placement_profile.py", "--case", "10:5",
-                                     "--requests", "2000", "--warmup", "500"])
+                                     "--requests", "2000"])
     assert script.main() == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["solver"] for r in records] == ["solve_rcp", "lru_che", "lru_simulate"]
