@@ -30,7 +30,7 @@ from uavcache import (ChannelConfig, ContentLibrary, ScenarioConfig,
                       solve_rcp, system_capacity)
 from uavcache.analytics import (_GL_NODES, _INNER_PANELS, _far_edges,
                                 _gl_panels, _grazing_radius, _grazing_tails,
-                                _laplace_factors, _near_edges, _radial_pair,
+                                _laplace_factors, _near_edges, _split_index,
                                 _tables_for, _v_panel_count)
 from uavcache.channel import _shadow_expectation
 
@@ -80,11 +80,12 @@ def rate_matrix(title: str, envs: dict) -> None:
 
 
 def mode_radials(v: np.ndarray, cfg: ScenarioConfig) -> dict[str, np.ndarray]:
-    """Whole-plane int z p_n(z) E_n(z, v) dz per link mode n, on the node
-    layout and with the per-mode grazing-limit tails of analytics._radial_pair."""
+    """Whole-plane int z p_n(z) E_n(z, v) dz per link mode n at any v, on the
+    node layout and with the per-mode grazing-limit tails of the engine's
+    zone, near and far tables."""
     env, ch, quad, x = cfg.env, cfg.channel, cfg.quadrature, cfg.coop_radius_km
     h = ch.altitude_km
-    far = _far_edges(x, h, _grazing_radius(env, ch, quad.rel_tol))
+    far = _far_edges(_split_index(x, h), _grazing_radius(env, ch, quad.rel_tol))
     zi, wi = _gl_panels(np.linspace(0.0, x, _INNER_PANELS + 1), _GL_NODES)
     zn, wn = _gl_panels(_near_edges(x, h), _GL_NODES)
     zf, wf = _gl_panels(far, _GL_NODES)
@@ -109,11 +110,12 @@ def exponent_split() -> None:
     print(f"{'env':>12} {'v':>8} {'LOS':>11} {'NLOS':>11} {'NLOS/LOS':>9}")
     for name in ENVS:
         cfg = scenario(environment_preset(name))
+        # the per-mode split must add up to the engine's own tables
+        tables = _tables_for(cfg)
+        on_grid = mode_radials(tables.v_grid, cfg)
+        assert np.allclose(on_grid["los"] + on_grid["nlos"],
+                           tables.zone + tables.outside, rtol=1e-9, atol=0)
         parts = mode_radials(v, cfg)
-        zone, outside = _radial_pair(v, cfg.env, cfg.channel, cfg.quadrature,
-                                     cfg.coop_radius_km)
-        total = zone + outside
-        assert np.allclose(parts["los"] + parts["nlos"], total, rtol=1e-9, atol=0)
         scale = 2.0 * np.pi * cfg.interferer_density
         p_edge = los_probability(X_COP, 1.0, cfg.env)
         for i, v_pt in enumerate(V_POINTS):

@@ -2,7 +2,7 @@
 """Time analytic table builds and split the Laplace kernel's cost by branch,
 with a fingerprint of the tables each build produced.
 
-The script empties the table cache once, then builds the radial tables of
+The script empties the table caches once, then builds the radial tables of
 each geometry in the order given, as a sweep over them would: a geometry's
 zone and near-outside tables are always built, and its far-outside table
 (beyond the split radius Z0, independent of the cooperation radius) is built
@@ -23,7 +23,7 @@ One JSON line per geometry:
   build_s        table build, rate assembly and v_max guard
                  (`analytics.system_capacity`),
   far_hit        whether the far table came from the cache,
-  far_s          time building the far table (0 on a hit),
+  far_s          time in `_far_radial` (a cache lookup on a hit),
   tail_s         time in the far table's grazing-limit tail (part of far_s),
   tail_cells     kernel cells the tail evaluated,
   near_s         build_s - far_s: zone and near tables, assembly and guard,
@@ -134,8 +134,7 @@ def profile(env_name: str, x_cop: float, altitude: float,
         tail_cells += np.size(coef)
         return tail_kernel(coef, *args)
 
-    far_key, key = analytics._geometry_keys(cfg)
-    far_hit = far_key in analytics._TABLE_CACHE
+    far_hits = far_radial.cache_info().hits
     channel._shadow_expectation = recording
     analytics._far_radial = timed_far
     analytics._grazing_tails = timed_tails
@@ -149,11 +148,13 @@ def profile(env_name: str, x_cop: float, altitude: float,
         analytics._far_radial = far_radial
         analytics._grazing_tails = tails
         analytics._shadow_expectation = tail_kernel
-    tables = analytics._TABLE_CACHE[key]
+    far_hit = far_radial.cache_info().hits > far_hits
+    tables = analytics._tables_for(cfg)
     digest = hashlib.sha256(np.ascontiguousarray(tables.zone).tobytes()
                             + np.ascontiguousarray(tables.outside).tobytes())
-    far_digest = hashlib.sha256(
-        np.ascontiguousarray(analytics._TABLE_CACHE[far_key]).tobytes())
+    far = far_radial(cfg.env, cfg.channel, cfg.quadrature,
+                     analytics._split_index(x_cop, altitude))
+    far_digest = hashlib.sha256(np.ascontiguousarray(far).tobytes())
 
     base_s = 0.0
     branches = {name: {"cells": 0, "s": 0.0}
@@ -192,7 +193,8 @@ def main() -> int:
                     help="ENV:X_KM:H_KM, repeatable (default: the six "
                          "figures_analytic builds)")
     args = ap.parse_args()
-    analytics._TABLE_CACHE.clear()
+    analytics._geometry_tables.cache_clear()
+    analytics._far_radial.cache_clear()
     for env_name, x_cop, altitude in args.geometry or DEFAULT_GEOMETRIES:
         print(json.dumps(profile(env_name, x_cop, altitude, args.hermite_nodes)),
               flush=True)

@@ -6,21 +6,24 @@ variable v of three factors: interference from UAVs not caching the content
 and the signal term contributed by cooperating UAVs inside the zone. All
 three reduce to radial integrals of the channel's Laplace kernel, evaluated
 here with composite Gauss-Legendre panels, and shared across contents,
-policies, densities and sub-channel counts through a per-geometry table
-cache: density and sub-channel count enter only the final assembly of each
-rate, never the radial integrals. That assembly is one block, a row per
-distinct placement probability plus one for the v_max guard's probe, over
-the cached table (`_assemble_rates`).
+policies, densities and sub-channel counts: density and sub-channel count
+enter only the final assembly of each rate, never the radial integrals. That
+assembly is one block, a row per distinct placement probability plus one for
+the v_max guard's probe, over the geometry's tables (`_assemble_rates`).
 
 The outside integral splits at a radius Z0 >= max(64 km, 2X, 2H) on a fixed
 ln z lattice. Its far part, beyond Z0, does not depend on the cooperation
-radius X, so it is cached on its own per (environment, channel, quadrature,
-Z0): a sweep over X at one environment and altitude builds it once and
-rebuilds only the zone and X -> Z0 panels. The far part runs in panels two
-lattice steps wide out to z_far, where P_LOS and the shadowing spread sit at
-their grazing-angle limits within rel_tol; beyond z_far each link mode's
-kernel is a fixed function of v L(z), and the rest of the integral is one
-power-law integral per mode (`_grazing_tails`).
+radius X, only on Z0's lattice index. Both builders are memoized with
+`functools.lru_cache` on exactly what they read: `_far_radial` on
+(environment, channel, quadrature, Z0 index) and `_geometry_tables` on
+(environment, channel, quadrature, X). A sweep over X at one environment and
+altitude thus builds the far table once and rebuilds only the zone and
+X -> Z0 panels. An environment's name takes no part in its equality, so it
+keys nothing. The far part runs in panels two lattice steps wide out to
+z_far, where P_LOS and the shadowing spread sit at their grazing-angle
+limits within rel_tol; beyond z_far each link mode's kernel is a fixed
+function of v L(z), and the rest of the integral is one power-law integral
+per mode (`_grazing_tails`).
 
 Rates are in nats per channel use internally; energy efficiency converts to
 bits and reads the dynamic-power slope as W per (bit/channel use).
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -52,6 +56,8 @@ _V_PANELS_PER_DECADE = 2
 _Z_FLOOR = 64.0
 _K_MAX_TAIL = 1e-12
 _K_MAX_TERMS = 1_000_000
+# most tables each memo keeps (far tables; whole-geometry tables)
+_TABLE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -193,10 +199,9 @@ def _grazing_radius(env: Environment, cfg: ChannelConfig, rel_tol: float) -> flo
     return math.degrees(cfg.altitude_km) * scale / rel_tol
 
 
-def _far_edges(x_cop: float, h: float, z_far: float) -> np.ndarray:
-    """Every _FAR_STEP-th lattice edge from Z0 to the first one >= z_far (at
-    least one panel)."""
-    j0 = _split_index(x_cop, h)
+def _far_edges(j0: int, z_far: float) -> np.ndarray:
+    """Every _FAR_STEP-th lattice edge from Z0 = _OUTER_RATIO**j0 to the
+    first one >= z_far (at least one panel)."""
     n = max(1, math.ceil((math.log(z_far) / _OUTER_LOG - j0) / _FAR_STEP))
     return _OUTER_RATIO ** (j0 + _FAR_STEP * np.arange(n + 1))
 
@@ -258,42 +263,6 @@ def _grazing_tails(v: np.ndarray, env: Environment, cfg: ChannelConfig,
     return tails
 
 
-def _far_radial(v: np.ndarray, env: Environment, cfg: ChannelConfig,
-                quad: QuadratureConfig, x_cop: float) -> np.ndarray:
-    """int_{Z0}^inf z k(z,v) dz: panels of _FAR_STEP lattice steps from Z0
-    to z_far, the first of their edges at or beyond the grazing radius, then
-    the grazing-limit tail of each mode.
-
-    X enters only through Z0, so every X sharing Z0 gets the same panels and
-    the same numbers.
-    """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    edges = _far_edges(x_cop, cfg.altitude_km,
-                       _grazing_radius(env, cfg, quad.rel_tol))
-    # the tail first: it refuses a spread too wide to evaluate before any
-    # panel is integrated
-    tails = _grazing_tails(v, env, cfg, quad, float(edges[-1]))
-    return _panel_integral(v, env, cfg, quad, edges) + tails["los"] + tails["nlos"]
-
-
-def _radial_pair(v: np.ndarray, env: Environment, cfg: ChannelConfig,
-                 quad: QuadratureConfig, x_cop: float, *,
-                 far: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Radial kernel integrals (zone part, outside part) for each v.
-
-    zone(v)    = int_0^{x_cop} z k(z,v) dz
-    outside(v) = int_{x_cop}^{Z0} z k(z,v) dz + far(v), where far(v) is
-    `_far_radial` (computed here unless a cached one is passed).
-    """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    zone = _panel_integral(v, env, cfg, quad,
-                           np.linspace(0.0, x_cop, _INNER_PANELS + 1))
-    near = _panel_integral(v, env, cfg, quad, _near_edges(x_cop, cfg.altitude_km))
-    if far is None:
-        far = _far_radial(v, env, cfg, quad, x_cop)
-    return zone, near + far
-
-
 @dataclass(frozen=True, eq=False)
 class _ScenarioTables:
     """Cached v-grid and radial integrals; placement-independent."""
@@ -302,6 +271,11 @@ class _ScenarioTables:
     weights: np.ndarray  # for integration in ln v
     zone: np.ndarray
     outside: np.ndarray
+
+    def __post_init__(self) -> None:
+        # memoized, so every caller of the geometry gets these same arrays
+        for table in (self.v_grid, self.weights, self.zone, self.outside):
+            table.flags.writeable = False
 
 
 # panel edges sit on an absolute lattice in ln v, so growing v_max adds
@@ -316,21 +290,52 @@ def _v_panel_count(v_max: float) -> int:
     return max(1, math.ceil(math.log(v_max) / _V_PANEL_WIDTH) - _V_K_LO)
 
 
-def _build_tables(cfg: ScenarioConfig, v_max: float,
-                  far_key: tuple) -> _ScenarioTables:
-    """Tables on the v lattice up to v_max; the far radial part is fetched
-    from, or built into, _TABLE_CACHE under far_key."""
+def _v_rule(v_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """v nodes on the lattice up to v_max, with their weights in ln v."""
     s_edges = _V_PANEL_WIDTH * np.arange(_V_K_LO, _V_K_LO + _v_panel_count(v_max) + 1)
     s_nodes, weights = _gl_panels(s_edges, _GL_NODES)
-    v_grid = np.exp(s_nodes)
-    far = _TABLE_CACHE.get(far_key)
-    if far is None:
-        far = _far_radial(v_grid, cfg.env, cfg.channel, cfg.quadrature,
-                          cfg.coop_radius_km)
-        _cache_put(far_key, far)
-    zone, outside = _radial_pair(v_grid, cfg.env, cfg.channel, cfg.quadrature,
-                                 cfg.coop_radius_km, far=far)
-    return _ScenarioTables(v_grid, weights, zone, outside)
+    return np.exp(s_nodes), weights
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _far_radial(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig,
+                j0: int) -> np.ndarray:
+    """int_{Z0}^inf z k(z,v) dz on the v grid up to 2*v_max, Z0 =
+    _OUTER_RATIO**j0: panels of _FAR_STEP lattice steps from Z0 to z_far,
+    the first of their edges at or beyond the grazing radius, then the
+    grazing-limit tail of each mode.
+
+    The cooperation radius enters only through j0, so every X sharing Z0
+    shares this table.
+    """
+    v = _v_rule(2.0 * quad.v_max)[0]
+    edges = _far_edges(j0, _grazing_radius(env, cfg, quad.rel_tol))
+    # the tail first: it refuses a spread too wide to evaluate before any
+    # panel is integrated
+    tails = _grazing_tails(v, env, cfg, quad, float(edges[-1]))
+    far = _panel_integral(v, env, cfg, quad, edges) + tails["los"] + tails["nlos"]
+    far.flags.writeable = False  # memoized and shared, as _ScenarioTables
+    return far
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _geometry_tables(env: Environment, cfg: ChannelConfig,
+                     quad: QuadratureConfig, x_cop: float) -> _ScenarioTables:
+    """Radial tables on the v grid up to 2*v_max:
+
+    zone(v)    = int_0^{x_cop} z k(z,v) dz
+    outside(v) = int_{x_cop}^{Z0} z k(z,v) dz + `_far_radial`(v).
+
+    Density, sub-channel count and placement enter only the rate assembly,
+    guard included, so they are not arguments.
+    """
+    h = cfg.altitude_km
+    far = _far_radial(env, cfg, quad, _split_index(x_cop, h))
+    v_grid, weights = _v_rule(2.0 * quad.v_max)
+    zone = _panel_integral(v_grid, env, cfg, quad,
+                           np.linspace(0.0, x_cop, _INNER_PANELS + 1))
+    near = _panel_integral(v_grid, env, cfg, quad, _near_edges(x_cop, h))
+    return _ScenarioTables(v_grid, weights, zone, near + far)
 
 
 def _laplace_factors(zone: np.ndarray, outside: np.ndarray, cfg: ScenarioConfig,
@@ -345,48 +350,11 @@ def _laplace_factors(zone: np.ndarray, outside: np.ndarray, cfg: ScenarioConfig,
     return noncaching, caching_out, signal
 
 
-# geometry tables (_ScenarioTables over the 2*v_max v grid) and far radial
-# tables (ndarray over the same grid) share one bounded cache, told apart by
-# their key's tag
-_TABLE_CACHE: dict[tuple, _ScenarioTables | np.ndarray] = {}
-_TABLE_CACHE_LIMIT = 64
-
-
-def _cache_put(key: tuple, value) -> None:
-    if len(_TABLE_CACHE) >= _TABLE_CACHE_LIMIT:
-        _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-    _TABLE_CACHE[key] = value
-
-
-def _geometry_keys(cfg: ScenarioConfig) -> tuple[tuple, tuple]:
-    """(far key, geometry key): everything the far radial table and the
-    whole geometry's tables depend on.
-
-    The far table depends on the environment, the channel (altitude
-    included), hermite_nodes, rel_tol (through the grazing radius), v_max
-    and the split index j0 of Z0, but not on the cooperation radius; the
-    geometry key adds the cooperation radius. Density, sub-channel count and
-    placement enter only the rate assembly, guard included.
-    """
-    env, ch, q = cfg.env, cfg.channel, cfg.quadrature
-    shared = (env.phi, env.psi, env.mu_los, env.mu_nlos, env.a_los, env.a_nlos,
-              env.c_los, env.c_nlos,
-              ch.alpha_los, ch.alpha_nlos, ch.k_los, ch.k_nlos,
-              ch.nakagami_los, ch.nakagami_nlos, ch.altitude_km,
-              q.hermite_nodes, q.rel_tol, q.v_max,
-              _split_index(cfg.coop_radius_km, ch.altitude_km))
-    return ("far",) + shared, ("geometry",) + shared + (cfg.coop_radius_km,)
-
-
 def _tables_for(cfg: ScenarioConfig) -> _ScenarioTables:
     """The geometry's tables on the v grid up to 2*v_max, built or fetched:
     the rates integrate over its v_max prefix (`_assemble_rates`)."""
-    far_key, key = _geometry_keys(cfg)
-    tables = _TABLE_CACHE.get(key)
-    if tables is None:
-        tables = _build_tables(cfg, 2.0 * cfg.quadrature.v_max, far_key)
-        _cache_put(key, tables)
-    return tables
+    return _geometry_tables(cfg.env, cfg.channel, cfg.quadrature,
+                            cfg.coop_radius_km)
 
 
 def _assemble_rates(cfg: ScenarioConfig, probs: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ dimensionless power ratios.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Literal
 
@@ -32,10 +32,12 @@ class Environment:
 
     phi and psi shape the elevation-to-LOS-probability sigmoid; mu_* are the
     per-mode mean excess losses in dB; a_*/c_* give the elevation-dependent
-    shadowing spread sigma(theta) = a * exp(-c * theta_deg).
+    shadowing spread sigma(theta) = a * exp(-c * theta_deg). The name is a
+    label only: it takes no part in equality or hashing, so two environments
+    with the same numbers compare equal and share every table keyed on them.
     """
 
-    name: str
+    name: str = field(compare=False)
     phi: float
     psi: float
     mu_los: float

@@ -73,7 +73,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     sc = run_cfg.scenario
     spec = SweepSpec(
         name="run", variable="x_cop", grid=(sc.coop_radius_km,), base=sc,
-        environments=(sc.env.name,), policies=(sc.policy.kind,),
+        environments=(sc.env.name,), policies=(run_cfg.policy,),
         methods=_methods_from(args.method, ("analytic",)),
         trials=args.trials if args.trials is not None else run_cfg.trials,
         seed=args.seed if args.seed is not None else run_cfg.seed,
@@ -96,7 +96,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     run_cfg = _load(args)
     sc = run_cfg.scenario
-    print(f"scenario: env={sc.env.name} policy={sc.policy.kind} "
+    print(f"scenario: env={sc.env.name} policy={run_cfg.policy} "
           f"density={sc.uav_density:g}/km^2 altitude={sc.channel.altitude_km:g} km "
           f"X_cop={sc.coop_radius_km:g} km B={sc.subchannels} "
           f"F={sc.library.size} S={sc.policy.cache_size} "

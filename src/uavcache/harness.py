@@ -110,12 +110,18 @@ class SweepRow:
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Parsed configuration: the base scenario plus any sweep blocks."""
+    """Parsed configuration: the base scenario plus any sweep blocks.
+
+    Placement is built per row, so the base scenario carries an MPC
+    placeholder; `policy` is the configured placement kind, which `run`
+    evaluates and sweeps without their own `policies` use.
+    """
 
     scenario: ScenarioConfig
     sweeps: tuple[SweepSpec, ...]
     seed: int
     trials: int
+    policy: str
     custom_environments: dict[str, Environment] = field(default_factory=dict)
     sim_options: SimOptions = SimOptions()
 
@@ -229,17 +235,23 @@ def _resolve_environment(name: str, custom: dict[str, Environment]) -> Environme
     return environment_preset(name)
 
 
+def _rcp_zone_mean(scenario: ScenarioConfig) -> float:
+    """The mean zone UAV count rcp placement is solved at; ConfigError when
+    the zone is empty."""
+    beta = scenario.zone_mean_uavs
+    if not beta > 0:
+        raise ConfigError(
+            "rcp placement needs UAVs in the cooperation zone; got "
+            f"uav_density_per_km2 = {scenario.uav_density:g} and "
+            f"coop_radius_km = {scenario.coop_radius_km:g}")
+    return beta
+
+
 def _build_policy(kind: str, library: ContentLibrary, scenario: ScenarioConfig,
                   seed: int) -> PlacementPolicy:
     s = scenario.policy.cache_size
     if kind == "rcp":
-        beta = scenario.zone_mean_uavs
-        if not beta > 0:
-            raise ConfigError(
-                "rcp placement needs UAVs in the cooperation zone; got "
-                f"uav_density_per_km2 = {scenario.uav_density:g} and "
-                f"coop_radius_km = {scenario.coop_radius_km:g}")
-        return solve_rcp(library.popularity, s, beta)
+        return solve_rcp(library.popularity, s, _rcp_zone_mean(scenario))
     if kind == "mpc":
         return mpc_policy(library.popularity, s)
     if kind == "lru_che":
@@ -320,13 +332,11 @@ def parse_config(raw: dict) -> RunConfig:
                                                       "scenario.simulation"),
                                      "scenario.simulation")
 
-    # placement is solved during sweeps; the base carries an MPC placeholder
+    # placement is built per row; the base carries an MPC placeholder
     scenario = ScenarioConfig(
         library=library, policy=mpc_policy(library.popularity, cache_size),
         env=env, channel=channel, power=power, quadrature=quadrature,
         uav_density=density, coop_radius_km=coop_radius, subchannels=subchannels)
-    scenario = scenario.with_policy(
-        _build_policy(policy_kind, library, scenario, seed))
 
     sweeps = []
     sweep_nodes = raw.get("sweeps") or []
@@ -358,9 +368,15 @@ def parse_config(raw: dict) -> RunConfig:
             overrides=dict(overrides), sim_options=sim_options,
             environment_map=dict(custom)))
 
+    if not sweeps and policy_kind == "rcp":
+        # without sweeps the base is the config's one evaluation point, so a
+        # placement it cannot have is a config error; a sweep row without
+        # one is recorded as failed
+        _rcp_zone_mean(scenario)
+
     return RunConfig(scenario=scenario, sweeps=tuple(sweeps), seed=seed,
-                     trials=trials, custom_environments=custom,
-                     sim_options=sim_options)
+                     trials=trials, policy=policy_kind,
+                     custom_environments=custom, sim_options=sim_options)
 
 
 def _fields(obj, keys: Iterable[str], renamed: dict[str, str] | None = None) -> dict:
@@ -385,7 +401,7 @@ def dump_config(run: RunConfig) -> dict:
             "library_size": sc.library.size,
             "zipf_exponent": sc.library.zipf_exponent,
             "cache_size": sc.policy.cache_size,
-            "policy": sc.policy.kind,
+            "policy": run.policy,
             "channel": _fields(sc.channel, _CHANNEL_KEYS),
             "power": _fields(sc.power, _POWER_KEYS),
             "quadrature": _fields(sc.quadrature, _QUAD_KEYS),

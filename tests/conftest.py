@@ -1,8 +1,27 @@
 """Shared pytest wiring for the acceptance battery: each acceptance test
 records a one-line verdict here, and the terminal summary echoes them all so
-the per-criterion outcome is visible without -s."""
+the per-criterion outcome is visible without -s. The `cold_tables` fixture
+empties the analytic engine's table memos."""
+import pytest
+
+from uavcache import analytics
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty the far and geometry table memos on entry and exit, and yield the
+    function that empties them. A memo does not restore itself as a patched
+    attribute does, so tables built under a patched engine internal must be
+    cleared before the next test reads them."""
+    def clear():
+        analytics._geometry_tables.cache_clear()
+        analytics._far_radial.cache_clear()
+
+    clear()
+    yield clear
+    clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -341,7 +341,7 @@ def test_criterion_08_channel_statistics():
     assert ok, line
 
 
-def test_criterion_09_numerical_robustness(monkeypatch):
+def test_criterion_09_numerical_robustness(monkeypatch, cold_tables):
     base_cfg = rcp_scenario("sub_urban", 1.0)
     base = content_capacity(base_cfg, 1)
     rel_changes = {}
@@ -354,25 +354,21 @@ def test_criterion_09_numerical_robustness(monkeypatch):
         rel_changes[name] = abs(content_capacity(alt_cfg, 1) - base) / base
     # the far radial table: its panels run ten times farther out before the
     # grazing-limit tail takes over, or put an edge on every lattice step
-    # instead of every second one; the table cache starts empty, so each
-    # patch rebuilds the far table once
-    grazing_radius, far_radial = analytics._grazing_radius, analytics._far_radial
+    # instead of every second one; the table memos are emptied before and
+    # after each patch, so each patch builds the far table once and no
+    # patched table outlives it
+    grazing_radius = analytics._grazing_radius
     for name, attr, value in (
             ("grazing_radius", "_grazing_radius",
              lambda *args: 10.0 * grazing_radius(*args)),
             ("far_panels", "_FAR_STEP", 1)):
-        far_builds = []
-
-        def counted_far(*args, **kwargs):
-            far_builds.append(1)
-            return far_radial(*args, **kwargs)
-
         with monkeypatch.context() as patch:
+            cold_tables()
             patch.setattr(analytics, attr, value)
-            patch.setattr(analytics, "_far_radial", counted_far)
-            patch.setattr(analytics, "_TABLE_CACHE", {})
             rel_changes[name] = abs(content_capacity(base_cfg, 1) - base) / base
-        assert len(far_builds) == 1, f"the {name} leg must rebuild the far table"
+            far_builds = analytics._far_radial.cache_info().misses
+        cold_tables()
+        assert far_builds == 1, f"the {name} leg must rebuild the far table"
     rel_tol = QuadratureConfig().rel_tol
     ok_analytic = all(c < rel_tol for c in rel_changes.values())
 

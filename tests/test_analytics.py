@@ -1,7 +1,7 @@
 """Semi-analytic capacity and energy efficiency: factor behavior, frozen
-regression points, the per-geometry table cache and the EE sums."""
+regression points, the per-geometry table memos and the EE sums."""
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -75,10 +75,20 @@ def test_scenario_validation():
 
 def laplace_factors(v, cfg, p_c):
     """(noncaching interference, caching interference outside the zone, zone
-    signal) at each v, from the engine's radial integrals."""
-    radials = analytics._radial_pair(np.atleast_1d(v), cfg.env, cfg.channel,
-                                     cfg.quadrature, cfg.coop_radius_km)
-    return analytics._laplace_factors(*radials, cfg, p_c)
+    signal) at any v, from the engine's zone, near and far panels and its
+    grazing-limit tails."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    env, ch, quad, x = cfg.env, cfg.channel, cfg.quadrature, cfg.coop_radius_km
+    h = ch.altitude_km
+    far = analytics._far_edges(analytics._split_index(x, h),
+                               analytics._grazing_radius(env, ch, quad.rel_tol))
+    tails = analytics._grazing_tails(v, env, ch, quad, float(far[-1]))
+    zone = analytics._panel_integral(
+        v, env, ch, quad, np.linspace(0.0, x, analytics._INNER_PANELS + 1))
+    near = analytics._panel_integral(v, env, ch, quad, analytics._near_edges(x, h))
+    outside = near + (analytics._panel_integral(v, env, ch, quad, far)
+                      + tails["los"] + tails["nlos"])
+    return analytics._laplace_factors(zone, outside, cfg, p_c)
 
 
 def test_factors_at_zero_transform_variable():
@@ -230,24 +240,21 @@ def lattice_far_radial(v, env, ch, quad, x_cop, v_max):
 def test_far_radial_matches_lattice_oracle(env_name):
     quad = QuadratureConfig()
     v_max = 2.0 * quad.v_max
-    s_edges = analytics._V_PANEL_WIDTH * np.arange(
-        analytics._V_K_LO, analytics._V_K_LO + analytics._v_panel_count(v_max) + 1)
-    v = np.exp(analytics._gl_panels(s_edges, analytics._GL_NODES)[0])
+    v = analytics._v_rule(v_max)[0]
     env = environment_preset(env_name)
     for h in (0.5, 1.0, 3.0):
         ch = ChannelConfig(altitude_km=h)
-        got = analytics._far_radial(v, env, ch, quad, 1.0)
+        got = analytics._far_radial(env, ch, quad, analytics._split_index(1.0, h))
         want = lattice_far_radial(v, env, ch, quad, 1.0, v_max)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0, err_msg=f"H={h}")
 
 
-# --- per-geometry table cache ---------------------------------------------------
+# --- per-geometry table memos ----------------------------------------------------
 
 @pytest.fixture
-def kernel_calls(monkeypatch):
-    """Empty table cache for the test, and a running count of kernel_table
+def kernel_calls(monkeypatch, cold_tables):
+    """Empty table memos for the test, and a running count of kernel_table
     calls made by the analytic engine."""
-    monkeypatch.setattr(analytics, "_TABLE_CACHE", {})
     calls = []
     inner = analytics.kernel_table
 
@@ -268,7 +275,7 @@ def test_density_sweep_builds_tables_once(kernel_calls):
     assert len(kernel_calls) == 3
 
 
-def test_coop_radius_sweep_shares_far_table(kernel_calls):
+def test_coop_radius_sweep_shares_far_table(kernel_calls, cold_tables):
     # the far outside table depends on X only through the split radius Z0,
     # which is the same lattice edge (1.6**9 km) for every X up to 34.4 km:
     # a second X builds only its zone and near tables
@@ -278,7 +285,7 @@ def test_coop_radius_sweep_shares_far_table(kernel_calls):
     assert len(kernel_calls) == 3
     shared = system_capacity(at_3).per_content_nats
     assert len(kernel_calls) == 3 + 2
-    analytics._TABLE_CACHE.clear()
+    cold_tables()
     cold = system_capacity(at_3).per_content_nats
     assert np.array_equal(shared, cold)
     # a new altitude or environment builds its own far table
@@ -288,11 +295,11 @@ def test_coop_radius_sweep_shares_far_table(kernel_calls):
         system_capacity(other)
         assert len(kernel_calls) - before == 3
     # past X = 1.6**9 / 2 km, 2X moves Z0 to the next lattice edge
-    far_keys = [k for k in analytics._TABLE_CACHE if k[0] == "far"]
+    far_tables = analytics._far_radial.cache_info().currsize
     before = len(kernel_calls)
     system_capacity(replace(cfg, coop_radius_km=40.0))
     assert len(kernel_calls) - before == 3
-    assert len([k for k in analytics._TABLE_CACHE if k[0] == "far"]) == len(far_keys) + 1
+    assert analytics._far_radial.cache_info().currsize == far_tables + 1
 
 
 def test_far_table_is_keyed_on_rel_tol(kernel_calls):
@@ -302,7 +309,37 @@ def test_far_table_is_keyed_on_rel_tol(kernel_calls):
     for rel_tol in (1e-6, 1e-8):
         system_capacity(replace(cfg, quadrature=QuadratureConfig(rel_tol=rel_tol)))
     assert len(kernel_calls) == 3 + 3
-    assert len([k for k in analytics._TABLE_CACHE if k[0] == "far"]) == 2
+    assert analytics._far_radial.cache_info().currsize == 2
+
+
+def bumped(value):
+    """A nearby admissible value of a config field."""
+    return value + 1 if isinstance(value, int) else value * 1.1 + 0.01
+
+
+def test_table_memos_key_on_every_number_they_read(kernel_calls):
+    # the memos are keyed on the frozen config objects themselves, so every
+    # field of Environment, ChannelConfig and QuadratureConfig but the
+    # environment's name is in the key; the name, density, sub-channel count
+    # and placement are not, and cost no table build
+    cfg = reference_scenario("sub_urban", 1.0)
+    system_capacity(cfg)
+    assert len(kernel_calls) == 3
+    for other in (replace(cfg, env=replace(cfg.env, name="renamed")),
+                  replace(cfg, uav_density=2e-3), replace(cfg, subchannels=16),
+                  cfg.with_policy(mpc_policy(cfg.library.popularity, 5))):
+        system_capacity(other)
+    assert len(kernel_calls) == 3
+    for attr in ("env", "channel", "quadrature"):
+        config = getattr(cfg, attr)
+        for f in fields(config):
+            if (attr, f.name) == ("env", "name"):
+                continue
+            perturbed = replace(cfg, **{attr: replace(
+                config, **{f.name: bumped(getattr(config, f.name))})})
+            before = len(kernel_calls)
+            analytics._tables_for(perturbed)
+            assert len(kernel_calls) - before == 3, f"{attr}.{f.name}"
 
 
 def test_empty_zone_rates_are_zero_without_tables(kernel_calls):
@@ -317,7 +354,7 @@ def test_empty_zone_rates_are_zero_without_tables(kernel_calls):
     assert len(kernel_calls) == 0
 
 
-def test_guard_fires_on_cache_served_tables(kernel_calls):
+def test_guard_fires_on_cache_served_tables(kernel_calls, cold_tables):
     # at v_max=1e4 doubling v_max moves the probe by about 2e-4 at density
     # 1e-3 and 6e-2 at 1e-4, while 1e-2 converges; the verdict must not
     # depend on whether another density built the tables first
@@ -328,7 +365,7 @@ def test_guard_fires_on_cache_served_tables(kernel_calls):
         with pytest.raises(ConvergenceError, match="doubling v_max"):
             system_capacity(replace(cfg, uav_density=density))
     assert len(kernel_calls) == 3
-    analytics._TABLE_CACHE.clear()
+    cold_tables()
     with pytest.raises(ConvergenceError, match="doubling v_max"):
         system_capacity(replace(cfg, uav_density=1e-3))
 
@@ -367,16 +404,16 @@ def test_block_assembly_equals_the_per_content_loop(env_name, policy):
     assert report.system_rate_nats == float(np.sum(lib.popularity * want))
 
 
-def test_rates_do_not_depend_on_evaluation_order(kernel_calls):
+def test_rates_do_not_depend_on_evaluation_order(cold_tables):
     cfg = reference_scenario("urban", 1.0)
     first, second = (replace(cfg, uav_density=d) for d in (1e-3, 1e-2))
     cold = {}
     for c in (first, second):
-        analytics._TABLE_CACHE.clear()
+        cold_tables()
         cold[c.uav_density] = system_capacity(c).per_content_nats
     # each density served from the table the other one built
     assert np.array_equal(system_capacity(first).per_content_nats, cold[1e-3])
-    analytics._TABLE_CACHE.clear()
+    cold_tables()
     system_capacity(first)
     assert np.array_equal(system_capacity(second).per_content_nats, cold[1e-2])
 

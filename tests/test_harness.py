@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uavcache
-from uavcache import cli
+from uavcache import caching, cli
 from uavcache.analytics import QuadratureConfig
 from uavcache.caching import POLICY_KINDS
 from uavcache.channel import ENVIRONMENT_PRESETS, ChannelConfig, environment_preset
@@ -48,7 +48,7 @@ def test_defaults_from_empty_config():
     assert sc.library.size == 20
     assert sc.library.zipf_exponent == 0.8
     assert sc.policy.cache_size == 5
-    assert sc.policy.kind == "rcp"
+    assert run.policy == "rcp"
     assert sc.subchannels == 64
     assert sc.uav_density == pytest.approx(1e-3)
     assert sc.coop_radius_km == pytest.approx(1.0)
@@ -185,10 +185,10 @@ def _parsed_fields(run) -> tuple:
     sc = run.scenario
     sweeps = tuple(tuple(getattr(spec, f) for f in SWEEP_FIELDS)
                    for spec in run.sweeps)
-    return (run.seed, run.trials, run.sim_options, run.custom_environments,
-            sc.env, sc.channel, sc.power, sc.quadrature, sc.uav_density,
-            sc.coop_radius_km, sc.subchannels, sc.library.size,
-            sc.library.zipf_exponent, sc.policy.kind, sc.policy.cache_size,
+    return (run.seed, run.trials, run.policy, run.sim_options,
+            run.custom_environments, sc.env, sc.env.name, sc.channel, sc.power,
+            sc.quadrature, sc.uav_density, sc.coop_radius_km, sc.subchannels,
+            sc.library.size, sc.library.zipf_exponent, sc.policy.cache_size,
             tuple(sc.policy.probabilities), sweeps)
 
 
@@ -228,7 +228,7 @@ def raw_sweeps(draw, environments):
 def raw_configs(draw):
     """Config dicts setting any subset of the scenario keys, plus sweeps."""
     scenario = draw(_optional_block(
-        # a positive zone mean keeps the rcp placement solvable
+        # a positive zone mean keeps a sweepless rcp base valid
         uav_density_per_km2=_number(1e-5, 0.1),
         altitude_km=_number(0.05, 5.0),
         coop_radius_km=_number(1e-3, 5.0),
@@ -237,8 +237,7 @@ def raw_configs(draw):
         library_size=st.integers(5, 30),
         cache_size=st.integers(1, 5),
         zipf_exponent=_number(0.0, 2.0),
-        # lru_empirical is left out: each parse runs a 400k-request LRU trace
-        policy=st.sampled_from(["rcp", "mpc", "lru_che"]),
+        policy=st.sampled_from(POLICY_KINDS),
         channel=_optional_block(
             alpha_los=_number(2.01, 3.0), alpha_nlos=_number(3.0, 5.0),
             k_los=_number(0.1, 10.0), k_nlos=_number(0.1, 10.0),
@@ -454,6 +453,29 @@ def test_cli_sweep_writes_all_rows(tmp_path):
     assert len(lines) == 3
     assert lines[1].split(",")[6] == "0.5"
     assert lines[2].split(",")[6] == "1"
+
+
+@pytest.mark.parametrize("key,variable", [("uav_density_per_km2", "density"),
+                                          ("coop_radius_km", "x_cop")])
+def test_base_placement_is_built_per_row(key, variable):
+    # the base's placement is not solved at parse time, so an empty zone at
+    # the base is no error when every sweep row sets a nonempty one
+    run = parse_config({"scenario": {key: 0},
+                        "sweeps": [{"variable": variable, "grid": [1e-3, 3e-3]}]})
+    assert run.policy == "rcp" and run.scenario.policy.kind == "mpc"
+    rows = run_sweep(run.sweeps[0])
+    assert [(r.policy, r.method) for r in rows] == [("rcp", "analytic")] * 2
+    assert all(r.capacity_bits > 0 for r in rows)
+
+
+def test_validate_runs_no_lru_trace(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(caching, "lru_simulate", lambda *args: calls.append(args))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("scenario:\n  policy: lru_empirical\n")
+    assert cli.main(["validate", "--config", str(cfg)]) == 0
+    assert "policy=lru_empirical" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_cli_validate_rejects_empty_zone_under_rcp(tmp_path, capsys):

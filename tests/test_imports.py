@@ -4,6 +4,10 @@ No linter ships with the project, so this scans the source with `ast`: a name
 bound by a top-level import must be read somewhere in its module, or, in a
 package `__init__.py`, be listed in `__all__` as a re-export.
 
+Every top-level private function, class and constant of the package must be
+read somewhere in the package itself: a helper that only tests or scripts
+call is dead code in the program.
+
 The benchmark's tracer rebinds imported names inside package modules, so
 every name it traces must still be bound where it looks for it.
 """
@@ -15,8 +19,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "uavcache").glob("*.py"),
-                  *(ROOT / "scripts").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "uavcache").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py")])
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -57,6 +61,37 @@ def test_no_unused_module_imports(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Top-level private functions, classes and assigned names, with their line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_private_definitions_are_read_in_the_package():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in PACKAGE}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{path.name}:{line} {name}" for path, tree in trees.items()
+              for name, line in private_definitions(tree).items()
+              if name not in read]
+    assert not unread, f"private definitions nothing in the package reads: {unread}"
 
 
 def test_benchmark_traced_names_exist():
