@@ -8,14 +8,16 @@ silently falling back to defaults.
 Defaults follow the evaluation setup this library targets: sub_urban
 environment, density 1e-3 per km^2, altitude 1 km, cooperation radius 1 km,
 64 sub-channels, library of 20 contents with Zipf exponent 0.8, cache size 5.
-Power figures (1 W transmit, 0.1 W per cached file, 1 W static, slope 1) are
-placeholders for relative comparisons, not measurements.
+Each nested block's keys and defaults are its dataclass's fields; the power
+defaults are placeholders for relative comparisons, not measurements.
 """
 from __future__ import annotations
 
+import csv
 import io
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -153,12 +155,27 @@ def _check_keys(node: dict, allowed: Iterable[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(str, unknown))}")
 
 
+def _read(value, kind: str, where: str):
+    """`value` checked against a field annotation: "str", "int", "float" or
+    "float | None"; an int is read as a float where a float is expected."""
+    if kind == "str":
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{where} must be a nonempty string")
+        return value
+    if value is None and kind.endswith("| None"):
+        return None
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number")
+    return float(value)
+
+
 def _get_number(node: dict, key: str, default: float, where: str,
                 lo: float | None = None, hi: float | None = None) -> float:
-    val = node.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
-    val = float(val)
+    val = _read(node.get(key, default), "float", f"{where}.{key}")
     if lo is not None and val < lo:
         raise ConfigError(f"{where}.{key} = {val} out of range (must be >= {lo})")
     if hi is not None and val > hi:
@@ -167,66 +184,51 @@ def _get_number(node: dict, key: str, default: float, where: str,
 
 
 def _get_int(node: dict, key: str, default: int, where: str, lo: int = 0) -> int:
-    val = node.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{where}.{key} must be an integer")
+    val = _read(node.get(key, default), "int", f"{where}.{key}")
     if val < lo:
         raise ConfigError(f"{where}.{key} = {val} out of range (must be >= {lo})")
     return val
 
 
-_ENV_KEYS = ("name", "phi", "psi", "mu_los", "mu_nlos",
-             "a_los", "a_nlos", "c_los", "c_nlos")
+# config key of each dataclass field stored under another name
+_RENAMED = {"r_max": "r_max_km"}
 
 
-def _parse_environment(node: dict, where: str) -> Environment:
-    _check_keys(node, _ENV_KEYS, where)
-    missing = [k for k in _ENV_KEYS if k not in node]
+def _block_keys(cls, omit: Iterable[str] = ()) -> list[tuple[Field, str]]:
+    """(field, config key) of each field of dataclass `cls` not in `omit`."""
+    return [(f, _RENAMED.get(f.name, f.name)) for f in fields(cls) if f.name not in omit]
+
+
+def _parse_block(node, cls, where: str, **given):
+    """Dataclass `cls` from config block `node` and the fields `given`.
+
+    Every other field is a key, read as its annotation's type; an absent key
+    takes the field's default and is an error for a field without one. The
+    dataclass itself checks the values' ranges.
+    """
+    node = _require_mapping(node, where)
+    keyed = _block_keys(cls, given)
+    _check_keys(node, [key for _, key in keyed], where)
+    missing = [key for f, key in keyed if key not in node and f.default is MISSING]
     if missing:
         raise ConfigError(f"{where} missing key(s): {', '.join(missing)}")
-    name = node["name"]
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"{where}.name must be a nonempty string")
-    fields = {k: _get_number(node, k, math.nan, where) for k in _ENV_KEYS[1:]}
-    return Environment(name=name, **fields)
+    return cls(**given, **{f.name: _read(node[key], f.type, f"{where}.{key}")
+                           for f, key in keyed if key in node})
 
 
-_CHANNEL_KEYS = ("alpha_los", "alpha_nlos", "k_los", "k_nlos",
-                 "nakagami_los", "nakagami_nlos")
-_POWER_KEYS = ("transmit_w", "cache_per_file_w", "static_w", "rate_power_slope")
-_QUAD_KEYS = ("hermite_nodes", "rel_tol", "v_max")
-_SIM_KEYS = ("r_max_km", "spike_rel", "chunk_size", "n_jobs")
+def _fields(obj, *omit: str) -> dict:
+    """Config block of dataclass `obj` less the fields `omit`: `_parse_block`'s inverse."""
+    return {key: getattr(obj, f.name) for f, key in _block_keys(type(obj), omit)}
+
+
+# SweepSpec fields that a sweep inherits from the scenario instead of a key
+_FROM_SCENARIO = ("base", "sim_options", "environment_map")
+_SWEEP_KEYS = tuple(key for _, key in _block_keys(SweepSpec, _FROM_SCENARIO))
 _SCENARIO_KEYS = ("environment", "custom_environment", "uav_density_per_km2",
                   "altitude_km", "coop_radius_km", "subchannels",
                   "library_size", "zipf_exponent", "cache_size", "policy",
                   "channel", "power", "quadrature", "simulation")
-_SWEEP_KEYS = ("name", "variable", "grid", "environments", "policies",
-               "methods", "trials", "seed", "overrides")
 _TOP_KEYS = ("scenario", "sweeps", "seed", "trials")
-
-
-def _parse_channel(node: dict, altitude: float, where: str) -> ChannelConfig:
-    _check_keys(node, _CHANNEL_KEYS, where)
-    return ChannelConfig(
-        alpha_los=_get_number(node, "alpha_los", 2.09, where),
-        alpha_nlos=_get_number(node, "alpha_nlos", 4.0, where),
-        k_los=_get_number(node, "k_los", 1.0, where),
-        k_nlos=_get_number(node, "k_nlos", 1.0, where),
-        nakagami_los=_get_number(node, "nakagami_los", 10.0, where),
-        nakagami_nlos=_get_number(node, "nakagami_nlos", 2.0, where),
-        altitude_km=altitude)
-
-
-def _parse_sim_options(node: dict, where: str) -> SimOptions:
-    _check_keys(node, _SIM_KEYS, where)
-    r_max = node.get("r_max_km")
-    if r_max is not None:
-        r_max = _get_number(node, "r_max_km", 0.0, where)
-    return SimOptions(
-        r_max=r_max,
-        spike_rel=_get_number(node, "spike_rel", 1e-6, where),
-        chunk_size=_get_int(node, "chunk_size", 256, where, lo=1),
-        n_jobs=_get_int(node, "n_jobs", 1, where, lo=1))
 
 
 def _resolve_environment(name: str, custom: dict[str, Environment]) -> Environment:
@@ -280,8 +282,8 @@ def parse_config(raw: dict) -> RunConfig:
 
     custom: dict[str, Environment] = {}
     if "custom_environment" in sc:
-        env_node = _require_mapping(sc["custom_environment"], "scenario.custom_environment")
-        custom_env = _parse_environment(env_node, "scenario.custom_environment")
+        custom_env = _parse_block(sc["custom_environment"], Environment,
+                                  "scenario.custom_environment")
         custom[custom_env.name] = custom_env
 
     env_name = sc.get("environment", "sub_urban")
@@ -292,26 +294,12 @@ def parse_config(raw: dict) -> RunConfig:
     except ConfigError:
         raise ConfigError(f"scenario.environment: unknown environment {env_name!r}")
 
-    altitude = _get_number(sc, "altitude_km", 1.0, "scenario")
-    channel = _parse_channel(_require_mapping(sc.get("channel"), "scenario.channel"),
-                             altitude, "scenario.channel")
-
-    power_node = _require_mapping(sc.get("power"), "scenario.power")
-    _check_keys(power_node, _POWER_KEYS, "scenario.power")
-    power = PowerModel(
-        transmit_w=_get_number(power_node, "transmit_w", 1.0, "scenario.power", lo=0.0),
-        cache_per_file_w=_get_number(power_node, "cache_per_file_w", 0.1,
-                                     "scenario.power", lo=0.0),
-        static_w=_get_number(power_node, "static_w", 1.0, "scenario.power", lo=0.0),
-        rate_power_slope=_get_number(power_node, "rate_power_slope", 1.0,
-                                     "scenario.power", lo=0.0))
-
-    quad_node = _require_mapping(sc.get("quadrature"), "scenario.quadrature")
-    _check_keys(quad_node, _QUAD_KEYS, "scenario.quadrature")
-    quadrature = QuadratureConfig(
-        hermite_nodes=_get_int(quad_node, "hermite_nodes", 32, "scenario.quadrature", lo=2),
-        rel_tol=_get_number(quad_node, "rel_tol", 1e-6, "scenario.quadrature"),
-        v_max=_get_number(quad_node, "v_max", 1e7, "scenario.quadrature"))
+    altitude = _get_number(sc, "altitude_km", ChannelConfig.altitude_km, "scenario")
+    channel = _parse_block(sc.get("channel"), ChannelConfig, "scenario.channel",
+                           altitude_km=altitude)
+    power = _parse_block(sc.get("power"), PowerModel, "scenario.power")
+    quadrature = _parse_block(sc.get("quadrature"), QuadratureConfig,
+                              "scenario.quadrature")
 
     size = _get_int(sc, "library_size", 20, "scenario", lo=1)
     kappa = _get_number(sc, "zipf_exponent", 0.8, "scenario", lo=0.0, hi=2.0)
@@ -328,9 +316,7 @@ def parse_config(raw: dict) -> RunConfig:
     if policy_kind not in POLICY_KINDS:
         raise ConfigError(f"scenario.policy: unknown policy {policy_kind!r}")
 
-    sim_options = _parse_sim_options(_require_mapping(sc.get("simulation"),
-                                                      "scenario.simulation"),
-                                     "scenario.simulation")
+    sim_options = _parse_block(sc.get("simulation"), SimOptions, "scenario.simulation")
 
     # placement is built per row; the base carries an MPC placeholder
     scenario = ScenarioConfig(
@@ -343,28 +329,31 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(sweep_nodes, list):
         raise ConfigError("sweeps must be a list")
     for i, node in enumerate(sweep_nodes):
-        node = _require_mapping(node, f"sweeps[{i}]")
-        _check_keys(node, _SWEEP_KEYS, f"sweeps[{i}]")
-        name = node.get("name", f"sweep{i}")
+        where = f"sweeps[{i}]"
+        node = _require_mapping(node, where)
+        _check_keys(node, _SWEEP_KEYS, where)
         grid = node.get("grid")
         if not isinstance(grid, list) or not grid:
-            raise ConfigError(f"sweeps[{i}].grid must be a nonempty list")
+            raise ConfigError(f"{where}.grid must be a nonempty list")
         variable = node.get("variable")
         if not isinstance(variable, str):
-            raise ConfigError(f"sweeps[{i}].variable is required")
-        envs = node.get("environments", [env_name])
-        pols = node.get("policies", [policy_kind])
+            raise ConfigError(f"{where}.variable is required")
         methods = node.get("methods", ["analytic"])
-        if methods == ["both"] or methods == "both":
-            methods = list(METHODS)
-        overrides = _require_mapping(node.get("overrides"), f"sweeps[{i}].overrides")
+        lists = {"environments": node.get("environments", [env_name]),
+                 "policies": node.get("policies", [policy_kind]),
+                 # "both", bare or listed, runs every method
+                 "methods": list(METHODS) if methods in ("both", ["both"]) else methods}
+        for key, val in lists.items():
+            if not isinstance(val, list) or not val:
+                raise ConfigError(f"{where}.{key} must be a nonempty list")
+        overrides = _require_mapping(node.get("overrides"), f"{where}.overrides")
         sweeps.append(SweepSpec(
-            name=str(name), variable=variable,
-            grid=tuple(float(g) for g in grid), base=scenario,
-            environments=tuple(envs), policies=tuple(pols),
-            methods=tuple(methods),
-            trials=_get_int(node, "trials", trials, f"sweeps[{i}]", lo=1),
-            seed=_get_int(node, "seed", seed, f"sweeps[{i}]"),
+            name=str(node.get("name", f"sweep{i}")), variable=variable,
+            grid=tuple(_read(g, "float", f"{where}.grid[{j}]")
+                       for j, g in enumerate(grid)),
+            base=scenario, **{k: tuple(v) for k, v in lists.items()},
+            trials=_get_int(node, "trials", trials, where, lo=1),
+            seed=_get_int(node, "seed", seed, where),
             overrides=dict(overrides), sim_options=sim_options,
             environment_map=dict(custom)))
 
@@ -377,13 +366,6 @@ def parse_config(raw: dict) -> RunConfig:
     return RunConfig(scenario=scenario, sweeps=tuple(sweeps), seed=seed,
                      trials=trials, policy=policy_kind,
                      custom_environments=custom, sim_options=sim_options)
-
-
-def _fields(obj, keys: Iterable[str], renamed: dict[str, str] | None = None) -> dict:
-    """Config block whose keys are the parser's key table; a key names the
-    attribute it is read into unless `renamed` maps it elsewhere."""
-    renamed = renamed or {}
-    return {k: getattr(obj, renamed.get(k, k)) for k in keys}
 
 
 def dump_config(run: RunConfig) -> dict:
@@ -402,18 +384,18 @@ def dump_config(run: RunConfig) -> dict:
             "zipf_exponent": sc.library.zipf_exponent,
             "cache_size": sc.policy.cache_size,
             "policy": run.policy,
-            "channel": _fields(sc.channel, _CHANNEL_KEYS),
-            "power": _fields(sc.power, _POWER_KEYS),
-            "quadrature": _fields(sc.quadrature, _QUAD_KEYS),
-            "simulation": _fields(run.sim_options, _SIM_KEYS, {"r_max_km": "r_max"}),
+            "channel": _fields(sc.channel, "altitude_km"),
+            "power": _fields(sc.power),
+            "quadrature": _fields(sc.quadrature),
+            "simulation": _fields(run.sim_options),
         },
     }
     # the one custom environment may serve sweeps without being the scenario's
     for env in run.custom_environments.values():
-        out["scenario"]["custom_environment"] = _fields(env, _ENV_KEYS)
+        out["scenario"]["custom_environment"] = _fields(env)
     if run.sweeps:
         out["sweeps"] = [{k: list(v) if isinstance(v, tuple) else v
-                          for k, v in _fields(spec, _SWEEP_KEYS).items()}
+                          for k, v in _fields(spec, *_FROM_SCENARIO).items()}
                          for spec in run.sweeps]
     return out
 
@@ -489,47 +471,53 @@ def _swept_columns(spec: SweepSpec, value: float) -> dict:
             for k, v in settings.items()}
 
 
+def _placed_scenario(spec: SweepSpec, value: float, env_name: str,
+                     policy_kind: str, seed: int) -> ScenarioConfig:
+    """The sweep's base under its overrides, grid value and environment, with
+    the `policy_kind` placement built from `seed`."""
+    scenario = spec.base
+    for key, val in spec.overrides.items():
+        scenario = _apply_variable(scenario, key, val)
+    scenario = _apply_variable(scenario, spec.variable, value)
+    scenario = replace(scenario, env=_resolve_environment(env_name, spec.environment_map))
+    return scenario.with_policy(_build_policy(policy_kind, scenario.library,
+                                              scenario, seed))
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every (grid value, environment, policy, method) combination.
 
     Row order is the iteration order: grid outermost, then environment,
-    policy, method. Rows that raise numeric or configuration errors are
-    recorded with method="failed" and empty metrics, under the scenario
-    columns the overrides and grid value asked for; the sweep continues.
+    policy, method. Each (grid value, environment, policy) builds its
+    scenario and placement once, from the seed of its first row, and
+    evaluates every method on them. Rows that raise numeric or configuration
+    errors are recorded with method="failed" and empty metrics, under the
+    scenario columns the overrides and grid value asked for; the sweep
+    continues.
     """
     rows: list[SweepRow] = []
-    row_idx = 0
-    for value in spec.grid:
-        for env_name in spec.environments:
-            for policy_kind in spec.policies:
-                for method in spec.methods:
-                    seed = int(np.random.SeedSequence(
-                        (spec.seed, row_idx)).generate_state(1)[0])
-                    scenario_id = f"{spec.name}-{row_idx:03d}"
-                    try:
-                        scenario = spec.base
-                        for key, val in spec.overrides.items():
-                            scenario = _apply_variable(scenario, key, val)
-                        scenario = _apply_variable(scenario, spec.variable, value)
-                        env = _resolve_environment(env_name, spec.environment_map)
-                        scenario = replace(scenario, env=env)
-                        policy = _build_policy(policy_kind, scenario.library,
-                                               scenario, seed)
-                        scenario = scenario.with_policy(policy)
-                        cap, ee, stderr, n_used = _evaluate_row(
-                            scenario, method, spec.trials, seed, spec.sim_options)
-                        rows.append(SweepRow(
-                            scenario_id, env_name, policy_kind, method,
-                            *_scenario_columns(scenario),
-                            cap, ee, stderr, n_used, seed))
-                    except (UavCacheError, ValueError, RuntimeError,
-                            FloatingPointError):
-                        failed = SweepRow(
-                            scenario_id, env_name, policy_kind, "failed",
-                            *_scenario_columns(spec.base),
-                            None, None, None, 0, seed)
-                        rows.append(replace(failed, **_swept_columns(spec, value)))
-                    row_idx += 1
+    for value, env_name, policy_kind in itertools.product(
+            spec.grid, spec.environments, spec.policies):
+        # row i's seed derives from (sweep seed, i); rows are appended in order
+        seeds = [int(np.random.SeedSequence((spec.seed, i)).generate_state(1)[0])
+                 for i in range(len(rows), len(rows) + len(spec.methods))]
+        scenario = None
+        for method, seed in zip(spec.methods, seeds):
+            scenario_id = f"{spec.name}-{len(rows):03d}"
+            try:
+                if scenario is None:
+                    scenario = _placed_scenario(spec, value, env_name,
+                                                policy_kind, seeds[0])
+                cap, ee, stderr, n_used = _evaluate_row(
+                    scenario, method, spec.trials, seed, spec.sim_options)
+                rows.append(SweepRow(
+                    scenario_id, env_name, policy_kind, method,
+                    *_scenario_columns(scenario), cap, ee, stderr, n_used, seed))
+            except (UavCacheError, ValueError, RuntimeError, FloatingPointError):
+                failed = SweepRow(
+                    scenario_id, env_name, policy_kind, "failed",
+                    *_scenario_columns(spec.base), None, None, None, 0, seed)
+                rows.append(replace(failed, **_swept_columns(spec, value)))
     return rows
 
 
@@ -538,19 +526,20 @@ def _fmt(value: float | None) -> str:
 
 
 def emit_csv(rows: list[SweepRow], path) -> None:
-    """Write rows in order under the fixed header; reruns are byte-identical."""
+    """Write rows in order under the fixed header; reruns are byte-identical.
+    A name holding a comma or quote is quoted, so every row keeps 16 cells."""
     if not rows:
         raise ValueError("refusing to write an empty result table")
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
-    for r in rows:
-        buf.write(",".join([
-            r.scenario_id, r.env, r.policy, r.method,
-            f"{r.density:.12g}", f"{r.altitude_km:.12g}",
-            f"{r.coop_radius_km:.12g}", str(r.subchannels),
-            str(r.library_size), str(r.cache_size), f"{r.kappa:.12g}",
-            _fmt(r.capacity_bits), _fmt(r.ee_bits_per_joule), _fmt(r.stderr),
-            str(r.n_trials), str(r.seed)]) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows([
+        r.scenario_id, r.env, r.policy, r.method,
+        f"{r.density:.12g}", f"{r.altitude_km:.12g}",
+        f"{r.coop_radius_km:.12g}", str(r.subchannels),
+        str(r.library_size), str(r.cache_size), f"{r.kappa:.12g}",
+        _fmt(r.capacity_bits), _fmt(r.ee_bits_per_joule), _fmt(r.stderr),
+        str(r.n_trials), str(r.seed)] for r in rows)
     data = buf.getvalue()
     if hasattr(path, "write"):
         path.write(data)

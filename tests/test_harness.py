@@ -1,7 +1,8 @@
 """Config parsing, sweep execution, CSV emission, and the CLI front end."""
+import csv
 import io
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uavcache
-from uavcache import caching, cli
-from uavcache.analytics import QuadratureConfig
+from uavcache import caching, cli, harness
+from uavcache.analytics import PowerModel, QuadratureConfig
 from uavcache.caching import POLICY_KINDS
-from uavcache.channel import ENVIRONMENT_PRESETS, ChannelConfig, environment_preset
+from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig, Environment,
+                              environment_preset)
 from uavcache.errors import ConfigError
-from uavcache.harness import (CSV_HEADER, SWEEP_VARIABLES, SweepSpec,
+from uavcache.harness import (CSV_HEADER, METHODS, SWEEP_VARIABLES, SweepSpec,
                               dump_config, emit_csv, load_config, parse_config,
                               run_sweep)
 from uavcache.simulator import (SimOptions, draw_interference_field,
@@ -129,6 +131,69 @@ def test_config_and_api_share_each_bound(block, key, bad, edge, build):
         parse_config(raw(bad))
     build(edge)
     parse_config(raw(edge))
+
+
+@pytest.mark.parametrize("block,key,bad,edge", [
+    ("power", "transmit_w", -1.0, 0.0),
+    ("power", "rate_power_slope", -0.5, 0.0),
+    ("quadrature", "hermite_nodes", 1, 2),
+    ("simulation", "chunk_size", 0, 1),
+    ("simulation", "n_jobs", 0, 1)])
+def test_block_bounds_are_checked_by_their_dataclass(block, key, bad, edge):
+    with pytest.raises(ConfigError, match="must be >= "):
+        parse_config({"scenario": {block: {key: bad}}})
+    parse_config({"scenario": {block: {key: edge}}})
+
+
+# the config blocks parsed into a dataclass; a block's keys are its fields'
+# names, renamed where CONFIG_KEY says, less the channel's altitude, which is
+# a scenario key
+CONFIG_BLOCKS = ("channel", "power", "quadrature", "simulation", "custom_environment")
+CONFIG_KEY = {"r_max": "r_max_km"}
+# a complete custom environment block: it has no defaults
+CANYON = {f.name: getattr(environment_preset("urban"), f.name)
+          for f in fields(Environment)} | {"name": "canyon"}
+
+
+def _parsed_block(block, node):
+    """(run, the dataclass parse_config built from config block `node`)."""
+    scenario = {block: node}
+    if block == "custom_environment":
+        scenario["environment"] = node["name"]
+    run = parse_config({"scenario": scenario})
+    sc = run.scenario
+    return run, {"channel": sc.channel, "power": sc.power, "quadrature": sc.quadrature,
+                 "simulation": run.sim_options, "custom_environment": sc.env}[block]
+
+
+@pytest.mark.parametrize("block", CONFIG_BLOCKS)
+def test_every_block_field_is_a_config_key(block):
+    base = CANYON if block == "custom_environment" else {}
+    run, default = _parsed_block(block, base)
+    keys = {f.name: CONFIG_KEY.get(f.name, f.name) for f in fields(default)
+            if (block, f.name) != ("channel", "altitude_km")}
+    assert list(dump_config(run)["scenario"][block]) == list(keys.values())
+    # each key sets its own field and leaves the others at their defaults
+    for name, key in keys.items():
+        old = getattr(default, name)
+        new = "gorge" if isinstance(old, str) else 5.0 if old is None else old * 2
+        _, parsed = _parsed_block(block, {**base, key: new})
+        assert getattr(parsed, name) == new and parsed == replace(default, **{name: new})
+
+
+def test_empty_config_takes_every_block_default():
+    run = parse_config({})
+    assert run.scenario.channel == ChannelConfig(altitude_km=1.0)
+    assert run.scenario.power == PowerModel()
+    assert run.scenario.quadrature == QuadratureConfig()
+    assert run.sim_options == SimOptions()
+
+
+def test_example_config_spells_out_every_block_default():
+    example = yaml.safe_load(EXAMPLE_CONFIG.read_text())["scenario"]
+    defaults = dump_config(parse_config({}))["scenario"]
+    for block in ("channel", "power", "quadrature", "simulation"):
+        assert example[block] == defaults[block], block
 
 
 def test_altitude_bound_is_the_same_for_scenario_and_sweep():
@@ -283,6 +348,31 @@ def test_example_config_loads_and_round_trips():
     assert _parsed_fields(parse_config(dump_config(run))) == _parsed_fields(run)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("grid", ["x"]), ("grid", [True, 2]), ("grid", [None]),
+    ("policies", "rcp"), ("environments", "sub_urban"), ("methods", "analytic"),
+    ("policies", []), ("environments", []), ("methods", [])])
+def test_bad_sweep_values_are_config_errors(key, value, tmp_path, capsys):
+    # a grid value is a number as an override is, and a name list is a list,
+    # not a string read character by character; an empty one would make a
+    # sweep of no rows, which validate passed and sweep could not write
+    raw = {"sweeps": [{"name": "s", "variable": "x_cop", "grid": [1.0, 2.0],
+                       key: value}]}
+    with pytest.raises(ConfigError, match=f"sweeps\\[0\\].{key}"):
+        parse_config(raw)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("methods", ["both", ["both"]])
+def test_sweep_methods_both_runs_every_method(methods):
+    raw = {"sweeps": [{"variable": "x_cop", "grid": [1.0], "methods": methods}]}
+    assert parse_config(raw).sweeps[0].methods == METHODS
+
+
 def test_sweep_spec_validation():
     base = parse_config({}).scenario
     with pytest.raises(ConfigError, match="unknown sweep variable"):
@@ -369,6 +459,33 @@ def test_failed_row_records_overrides_and_grid_value():
     assert (cells[4], cells[6], cells[8]) == ("0.01", "2.5", "3")
 
 
+def test_methods_of_one_point_share_its_placement(monkeypatch):
+    # the analytic and Monte Carlo rows of a point evaluate one placement,
+    # built once from the seed of the point's first row
+    placed, calls = [], []
+    monkeypatch.setattr(harness, "_evaluate_row", lambda scenario, method, *rest: (
+        placed.append((method, scenario.policy.probabilities)) or (1.0, 1.0, None, 0)))
+    build = harness.lru_empirical_policy
+    monkeypatch.setattr(harness, "lru_empirical_policy",
+                        lambda *args: calls.append(args) or build(*args))
+    base = parse_config({"scenario": {"library_size": 10, "cache_size": 3}}).scenario
+    spec = SweepSpec(name="pair", variable="x_cop", grid=(1.0,), base=base,
+                     policies=("lru_empirical",), methods=("analytic", "monte_carlo"),
+                     seed=5)
+    rows = run_sweep(spec)
+    assert [r.method for r in rows] == ["analytic", "monte_carlo"]
+    assert [r.seed for r in rows] == [
+        int(np.random.SeedSequence((5, i)).generate_state(1)[0]) for i in range(2)]
+    (_, analytic), (_, monte) = placed
+    assert len(calls) == 1 and np.array_equal(analytic, monte)
+    # the first row's seed is the one a single-method sweep would use
+    single = []
+    monkeypatch.setattr(harness, "_evaluate_row", lambda scenario, *rest: (
+        single.append(scenario.policy.probabilities) or (1.0, 1.0, None, 0)))
+    run_sweep(replace(spec, methods=("analytic",)))
+    assert np.array_equal(single[0], analytic)
+
+
 def test_row_seeds_are_stable_and_distinct():
     base = parse_config({"scenario": {"library_size": 6, "cache_size": 2}}).scenario
     spec = SweepSpec(name="s", variable="x_cop", grid=(0.5, 1.0), base=base,
@@ -401,6 +518,20 @@ def test_emit_csv_layout(tmp_path):
     buf = io.StringIO()
     emit_csv(rows, buf)
     assert buf.getvalue() == text
+
+
+def test_emit_csv_quotes_names_holding_a_comma():
+    base = parse_config({"scenario": {"library_size": 6, "cache_size": 2}}).scenario
+    odd = replace(environment_preset("urban"), name="old town, east")
+    rows = run_sweep(SweepSpec(name="a,b", variable="x_cop", grid=(1.0,), base=base,
+                               environments=("sub_urban", "old town, east"),
+                               environment_map={"old town, east": odd}))
+    buf = io.StringIO()
+    emit_csv(rows, buf)
+    read = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    assert [(r["scenario_id"], r["env"], r["method"]) for r in read] == [
+        ("a,b-000", "sub_urban", "analytic"), ("a,b-001", "old town, east", "analytic")]
+    assert all(len(r) == len(CSV_HEADER.split(",")) and None not in r for r in read)
 
 
 def test_emit_csv_rejects_empty():
