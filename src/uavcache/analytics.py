@@ -110,11 +110,14 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         if self.uav_density < 0:
-            raise ConfigError("UAV density must be >= 0")
+            raise ConfigError(f"UAV density = {self.uav_density} per km^2 out of range "
+                              "(must be >= 0)")
         if self.coop_radius_km < 0:
-            raise ConfigError("cooperation radius must be >= 0")
+            raise ConfigError(f"cooperation radius = {self.coop_radius_km} km out of range "
+                              "(must be >= 0)")
         if self.subchannels < 1:
-            raise ConfigError("subchannel count must be >= 1")
+            raise ConfigError(f"subchannel count = {self.subchannels} out of range "
+                              "(must be >= 1)")
         if self.policy.probabilities.size != self.library.size:
             raise ConfigError("policy length must equal the library size")
 

@@ -36,6 +36,11 @@ class ContentLibrary:
     popularity: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        if not self.size >= 1:
+            raise ConfigError(f"library size = {self.size} out of range (must be >= 1)")
+        if not 0.0 <= self.zipf_exponent <= 2.0:
+            raise ConfigError(f"Zipf exponent = {self.zipf_exponent} out of range "
+                              "(must lie in [0, 2])")
         if self.popularity is None:
             object.__setattr__(self, "popularity", zipf_popularity(self.size, self.zipf_exponent))
         a = np.asarray(self.popularity, dtype=float)

@@ -9,7 +9,7 @@ dimensionless power ratios.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal
 
@@ -99,7 +99,7 @@ class ChannelConfig:
         if not (self.nakagami_los >= self.nakagami_nlos > 0):
             raise ConfigError("Nakagami shapes require nakagami_los >= nakagami_nlos > 0")
         if not self.altitude_km > 0:
-            raise ConfigError("altitude must be positive")
+            raise ConfigError(f"altitude = {self.altitude_km} km out of range (must be > 0)")
 
     def mode_params(self, mode: Mode) -> tuple[float, float, float]:
         """(alpha, intercept, nakagami shape) for the requested link mode."""
@@ -108,9 +108,6 @@ class ChannelConfig:
         if mode == "nlos":
             return self.alpha_nlos, self.k_nlos, self.nakagami_nlos
         raise ValueError(f"unknown mode {mode!r}")
-
-    def with_altitude(self, altitude_km: float) -> "ChannelConfig":
-        return replace(self, altitude_km=altitude_km)
 
 
 def _check_geometry(r, h) -> tuple[np.ndarray, float]:

@@ -5,11 +5,12 @@ evaluation point; every field optional, defaults below) and `sweeps` (list of
 sweep blocks). Unknown keys anywhere are errors, so typos surface instead of
 silently falling back to defaults.
 
-Defaults follow the evaluation setup this library targets: sub_urban
-environment, density 1e-3 per km^2, altitude 1 km, cooperation radius 1 km,
-64 sub-channels, library of 20 contents with Zipf exponent 0.8, cache size 5.
-Each nested block's keys and defaults are its dataclass's fields; the power
-defaults are placeholders for relative comparisons, not measurements.
+Defaults follow the evaluation setup this library targets, in the
+sub_urban environment. The scenario's seven scalar keys, their sweep
+variables, types and defaults are the one table `_SCALARS`; each nested
+block's keys and defaults are its dataclass's fields. The power defaults are
+placeholders for relative comparisons, not measurements. Every value's range
+is checked by the dataclass that holds it.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import io
 import itertools
 import math
 from dataclasses import MISSING, Field, dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -32,7 +34,20 @@ from .errors import ConfigError, UavCacheError
 from .simulator import (_PURPOSE_LRU, SimEstimate, SimOptions, _chunk_rng,
                         draw_interference_field, estimate_capacity, estimate_ee)
 
-SWEEP_VARIABLES = ("x_cop", "kappa", "library_size", "altitude", "density")
+# The scenario's scalar keys in SweepRow's column order, density to kappa:
+# key -> (sweep variable or None, type, ScenarioConfig attribute, default).
+_SCALARS = {
+    "uav_density_per_km2": ("density", "float", "uav_density", ScenarioConfig.uav_density),
+    "altitude_km": ("altitude", "float", "channel.altitude_km", ChannelConfig.altitude_km),
+    "coop_radius_km": ("x_cop", "float", "coop_radius_km", ScenarioConfig.coop_radius_km),
+    "subchannels": (None, "int", "subchannels", ScenarioConfig.subchannels),
+    "library_size": ("library_size", "int", "library.size", 20),
+    "cache_size": (None, "int", "policy.cache_size", 5),
+    "zipf_exponent": ("kappa", "float", "library.zipf_exponent", 0.8),
+}
+# scenario key set by each sweep variable
+_SWEPT = {variable: key for key, (variable, *_) in _SCALARS.items() if variable}
+SWEEP_VARIABLES = tuple(_SWEPT)
 METHODS = ("analytic", "monte_carlo")
 
 _LRU_REQUESTS = 400_000
@@ -80,12 +95,35 @@ class SweepSpec:
                 raise ConfigError(f"sweep {self.name!r}: unknown method {m!r}")
         if "monte_carlo" in self.methods and self.trials < 1:
             raise ConfigError(f"sweep {self.name!r}: monte_carlo requires trials >= 1")
-        for key, val in self.overrides.items():
+        if self.seed < 0:
+            raise ConfigError(f"sweep {self.name!r}: seed = {self.seed} out of range "
+                              "(must be >= 0)")
+        for key in self.overrides:
             if key not in SWEEP_VARIABLES:
                 raise ConfigError(f"sweep {self.name!r}: unknown override {key!r}")
-            _check_variable_value(key, val, f"sweep {self.name!r} override")
-        for g in self.grid:
-            _check_variable_value(self.variable, g, f"sweep {self.name!r} grid")
+        base = self.base
+        for value in self.grid:
+            try:
+                # a library smaller than the cache fails its rows, not the
+                # config, so the values are checked under a one-file cache
+                _scenario({**self.settings(value), "cache_size": 1}, base.env,
+                          base.channel, base.power, base.quadrature)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep {self.name!r}: {exc}") from None
+
+    def settings(self, value: float) -> dict:
+        """Scalar settings of the rows at grid `value`, keyed and ordered as
+        `_SCALARS`: the base's, under the overrides, under `value`."""
+        settings = _settings(self.base)
+        for variable, val in (*self.overrides.items(), (self.variable, value)):
+            key = _SWEPT[variable]
+            val = _read(val, "float", variable)
+            if _SCALARS[key][1] == "int":
+                if val != int(val):
+                    raise ConfigError(f"{variable} must be an integer")
+                val = int(val)
+            settings[key] = val
+        return settings
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,19 +166,6 @@ class RunConfig:
     sim_options: SimOptions = SimOptions()
 
 
-def _check_variable_value(variable: str, value, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: {variable} values must be numbers")
-    if variable == "kappa" and not 0.0 <= value <= 2.0:
-        raise ConfigError(f"{where}: kappa = {value} outside the admissible range [0, 2]")
-    if variable == "library_size" and (value != int(value) or value < 1):
-        raise ConfigError(f"{where}: library_size values must be positive integers")
-    if variable == "altitude" and value <= 0:
-        raise ConfigError(f"{where}: altitude values must be positive")
-    if variable in ("x_cop", "density") and value < 0:
-        raise ConfigError(f"{where}: {variable} values must be >= 0")
-
-
 def _require_mapping(node, where: str) -> dict:
     if node is None:
         return {}
@@ -168,19 +193,10 @@ def _read(value, kind: str, where: str):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where} must be an integer")
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where} must be a finite number")
     return float(value)
-
-
-def _get_number(node: dict, key: str, default: float, where: str,
-                lo: float | None = None, hi: float | None = None) -> float:
-    val = _read(node.get(key, default), "float", f"{where}.{key}")
-    if lo is not None and val < lo:
-        raise ConfigError(f"{where}.{key} = {val} out of range (must be >= {lo})")
-    if hi is not None and val > hi:
-        raise ConfigError(f"{where}.{key} = {val} out of range (must be <= {hi})")
-    return val
 
 
 def _get_int(node: dict, key: str, default: int, where: str, lo: int = 0) -> int:
@@ -224,9 +240,7 @@ def _fields(obj, *omit: str) -> dict:
 # SweepSpec fields that a sweep inherits from the scenario instead of a key
 _FROM_SCENARIO = ("base", "sim_options", "environment_map")
 _SWEEP_KEYS = tuple(key for _, key in _block_keys(SweepSpec, _FROM_SCENARIO))
-_SCENARIO_KEYS = ("environment", "custom_environment", "uav_density_per_km2",
-                  "altitude_km", "coop_radius_km", "subchannels",
-                  "library_size", "zipf_exponent", "cache_size", "policy",
+_SCENARIO_KEYS = ("environment", "custom_environment", *_SCALARS, "policy",
                   "channel", "power", "quadrature", "simulation")
 _TOP_KEYS = ("scenario", "sweeps", "seed", "trials")
 
@@ -235,6 +249,27 @@ def _resolve_environment(name: str, custom: dict[str, Environment]) -> Environme
     if name in custom:
         return custom[name]
     return environment_preset(name)
+
+
+def _settings(scenario: ScenarioConfig) -> dict:
+    """The scalar settings `_scenario` builds `scenario` from."""
+    return {key: attrgetter(attr)(scenario) for key, (_, _, attr, _) in _SCALARS.items()}
+
+
+def _scenario(s: dict, env: Environment, channel: ChannelConfig, power: PowerModel,
+              quadrature: QuadratureConfig) -> ScenarioConfig:
+    """The scenario of scalar settings `s` in the given blocks, with an MPC
+    placeholder placement. The dataclasses check each value's range; the
+    cache budget is the one check across two settings."""
+    library = ContentLibrary(size=s["library_size"], zipf_exponent=s["zipf_exponent"])
+    if not 1 <= s["cache_size"] <= library.size:
+        raise ConfigError(f"cache_size = {s['cache_size']} out of range "
+                          f"(must lie in [1, library_size = {library.size}])")
+    return ScenarioConfig(
+        library=library, policy=mpc_policy(library.popularity, s["cache_size"]),
+        env=env, channel=replace(channel, altitude_km=s["altitude_km"]), power=power,
+        quadrature=quadrature, uav_density=s["uav_density_per_km2"],
+        coop_radius_km=s["coop_radius_km"], subchannels=s["subchannels"])
 
 
 def _rcp_zone_mean(scenario: ScenarioConfig) -> float:
@@ -294,23 +329,13 @@ def parse_config(raw: dict) -> RunConfig:
     except ConfigError:
         raise ConfigError(f"scenario.environment: unknown environment {env_name!r}")
 
-    altitude = _get_number(sc, "altitude_km", ChannelConfig.altitude_km, "scenario")
+    settings = {key: _read(sc.get(key, default), kind, f"scenario.{key}")
+                for key, (_, kind, _, default) in _SCALARS.items()}
     channel = _parse_block(sc.get("channel"), ChannelConfig, "scenario.channel",
-                           altitude_km=altitude)
+                           altitude_km=settings["altitude_km"])
     power = _parse_block(sc.get("power"), PowerModel, "scenario.power")
     quadrature = _parse_block(sc.get("quadrature"), QuadratureConfig,
                               "scenario.quadrature")
-
-    size = _get_int(sc, "library_size", 20, "scenario", lo=1)
-    kappa = _get_number(sc, "zipf_exponent", 0.8, "scenario", lo=0.0, hi=2.0)
-    cache_size = _get_int(sc, "cache_size", 5, "scenario", lo=1)
-    if cache_size > size:
-        raise ConfigError("scenario.cache_size cannot exceed scenario.library_size")
-    library = ContentLibrary(size=size, zipf_exponent=kappa)
-
-    density = _get_number(sc, "uav_density_per_km2", 1e-3, "scenario", lo=0.0)
-    coop_radius = _get_number(sc, "coop_radius_km", 1.0, "scenario", lo=0.0)
-    subchannels = _get_int(sc, "subchannels", 64, "scenario", lo=1)
 
     policy_kind = sc.get("policy", "rcp")
     if policy_kind not in POLICY_KINDS:
@@ -319,10 +344,7 @@ def parse_config(raw: dict) -> RunConfig:
     sim_options = _parse_block(sc.get("simulation"), SimOptions, "scenario.simulation")
 
     # placement is built per row; the base carries an MPC placeholder
-    scenario = ScenarioConfig(
-        library=library, policy=mpc_policy(library.popularity, cache_size),
-        env=env, channel=channel, power=power, quadrature=quadrature,
-        uav_density=density, coop_radius_km=coop_radius, subchannels=subchannels)
+    scenario = _scenario(settings, env, channel, power, quadrature)
 
     sweeps = []
     sweep_nodes = raw.get("sweeps") or []
@@ -353,7 +375,7 @@ def parse_config(raw: dict) -> RunConfig:
                        for j, g in enumerate(grid)),
             base=scenario, **{k: tuple(v) for k, v in lists.items()},
             trials=_get_int(node, "trials", trials, where, lo=1),
-            seed=_get_int(node, "seed", seed, where),
+            seed=_read(node.get("seed", seed), "int", f"{where}.seed"),
             overrides=dict(overrides), sim_options=sim_options,
             environment_map=dict(custom)))
 
@@ -376,13 +398,7 @@ def dump_config(run: RunConfig) -> dict:
         "trials": run.trials,
         "scenario": {
             "environment": sc.env.name,
-            "uav_density_per_km2": sc.uav_density,
-            "altitude_km": sc.channel.altitude_km,
-            "coop_radius_km": sc.coop_radius_km,
-            "subchannels": sc.subchannels,
-            "library_size": sc.library.size,
-            "zipf_exponent": sc.library.zipf_exponent,
-            "cache_size": sc.policy.cache_size,
+            **_settings(sc),
             "policy": run.policy,
             "channel": _fields(sc.channel, "altitude_km"),
             "power": _fields(sc.power),
@@ -398,30 +414,6 @@ def dump_config(run: RunConfig) -> dict:
                           for k, v in _fields(spec, *_FROM_SCENARIO).items()}
                          for spec in run.sweeps]
     return out
-
-
-def _apply_variable(scenario: ScenarioConfig, variable: str,
-                    value: float) -> ScenarioConfig:
-    if variable == "x_cop":
-        return replace(scenario, coop_radius_km=float(value))
-    if variable == "altitude":
-        return replace(scenario, channel=scenario.channel.with_altitude(float(value)))
-    if variable == "density":
-        return replace(scenario, uav_density=float(value))
-    if variable == "kappa":
-        lib = ContentLibrary(size=scenario.library.size, zipf_exponent=float(value))
-        return replace(scenario, library=lib,
-                       policy=mpc_policy(lib.popularity, scenario.policy.cache_size))
-    if variable == "library_size":
-        size = int(value)
-        if size != value or size < 1:
-            raise ConfigError("library_size values must be positive integers")
-        if size < scenario.policy.cache_size:
-            raise ConfigError("library_size cannot drop below the cache size")
-        lib = ContentLibrary(size=size, zipf_exponent=scenario.library.zipf_exponent)
-        return replace(scenario, library=lib,
-                       policy=mpc_policy(lib.popularity, scenario.policy.cache_size))
-    raise ConfigError(f"unknown sweep variable {variable!r}")
 
 
 def _evaluate_row(scenario: ScenarioConfig, method: str, trials: int,
@@ -449,37 +441,13 @@ def _evaluate_row(scenario: ScenarioConfig, method: str, trials: int,
     return row.mean / ln2, ee_est.mean, row.stderr / ln2, trials
 
 
-# SweepRow field written by each sweep variable
-_VARIABLE_COLUMN = {"x_cop": "coop_radius_km", "altitude": "altitude_km",
-                    "density": "density", "kappa": "kappa",
-                    "library_size": "library_size"}
-
-
-def _scenario_columns(scenario: ScenarioConfig) -> tuple:
-    """SweepRow's scenario fields, density through kappa, in field order."""
-    return (scenario.uav_density, scenario.channel.altitude_km,
-            scenario.coop_radius_km, scenario.subchannels,
-            scenario.library.size, scenario.policy.cache_size,
-            scenario.library.zipf_exponent)
-
-
-def _swept_columns(spec: SweepSpec, value: float) -> dict:
-    """Row fields set by the sweep's overrides and grid value, known even when
-    building the scenario from them raised."""
-    settings = {**spec.overrides, spec.variable: value}
-    return {_VARIABLE_COLUMN[k]: int(v) if k == "library_size" else float(v)
-            for k, v in settings.items()}
-
-
-def _placed_scenario(spec: SweepSpec, value: float, env_name: str,
+def _placed_scenario(spec: SweepSpec, settings: dict, env_name: str,
                      policy_kind: str, seed: int) -> ScenarioConfig:
-    """The sweep's base under its overrides, grid value and environment, with
-    the `policy_kind` placement built from `seed`."""
-    scenario = spec.base
-    for key, val in spec.overrides.items():
-        scenario = _apply_variable(scenario, key, val)
-    scenario = _apply_variable(scenario, spec.variable, value)
-    scenario = replace(scenario, env=_resolve_environment(env_name, spec.environment_map))
+    """The scenario of `settings` in the sweep's base blocks and environment
+    `env_name`, with the `policy_kind` placement built from `seed`."""
+    base = spec.base
+    scenario = _scenario(settings, _resolve_environment(env_name, spec.environment_map),
+                         base.channel, base.power, base.quadrature)
     return scenario.with_policy(_build_policy(policy_kind, scenario.library,
                                               scenario, seed))
 
@@ -490,10 +458,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     Row order is the iteration order: grid outermost, then environment,
     policy, method. Each (grid value, environment, policy) builds its
     scenario and placement once, from the seed of its first row, and
-    evaluates every method on them. Rows that raise numeric or configuration
-    errors are recorded with method="failed" and empty metrics, under the
-    scenario columns the overrides and grid value asked for; the sweep
-    continues.
+    evaluates every method on them. Every row's scenario columns are the
+    settings its scenario is built from. Rows that raise numeric or
+    configuration errors are recorded with method="failed" and empty
+    metrics; the sweep continues.
     """
     rows: list[SweepRow] = []
     for value, env_name, policy_kind in itertools.product(
@@ -501,23 +469,20 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         # row i's seed derives from (sweep seed, i); rows are appended in order
         seeds = [int(np.random.SeedSequence((spec.seed, i)).generate_state(1)[0])
                  for i in range(len(rows), len(rows) + len(spec.methods))]
+        settings = spec.settings(value)
         scenario = None
         for method, seed in zip(spec.methods, seeds):
             scenario_id = f"{spec.name}-{len(rows):03d}"
             try:
                 if scenario is None:
-                    scenario = _placed_scenario(spec, value, env_name,
+                    scenario = _placed_scenario(spec, settings, env_name,
                                                 policy_kind, seeds[0])
-                cap, ee, stderr, n_used = _evaluate_row(
-                    scenario, method, spec.trials, seed, spec.sim_options)
-                rows.append(SweepRow(
-                    scenario_id, env_name, policy_kind, method,
-                    *_scenario_columns(scenario), cap, ee, stderr, n_used, seed))
+                metrics = _evaluate_row(scenario, method, spec.trials, seed,
+                                        spec.sim_options)
             except (UavCacheError, ValueError, RuntimeError, FloatingPointError):
-                failed = SweepRow(
-                    scenario_id, env_name, policy_kind, "failed",
-                    *_scenario_columns(spec.base), None, None, None, 0, seed)
-                rows.append(replace(failed, **_swept_columns(spec, value)))
+                method, metrics = "failed", (None, None, None, 0)
+            rows.append(SweepRow(scenario_id, env_name, policy_kind, method,
+                                 *settings.values(), *metrics, seed))
     return rows
 
 

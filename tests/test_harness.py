@@ -2,6 +2,7 @@
 import csv
 import io
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -24,7 +25,13 @@ from uavcache.harness import (CSV_HEADER, METHODS, SWEEP_VARIABLES, SweepSpec,
 from uavcache.simulator import (SimOptions, draw_interference_field,
                                 estimate_capacity)
 
-EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLE_CONFIG = ROOT / "configs" / "example.yaml"
+# every config the repository ships: the example, the package's presets and
+# the benchmark workloads
+SHIPPED_CONFIGS = [EXAMPLE_CONFIG,
+                   *sorted((ROOT / "src" / "uavcache" / "presets").glob("*.yaml")),
+                   *sorted((ROOT / "perfbench" / "workloads").glob("*/*.yaml"))]
 
 MINIMAL_SWEEP_YAML = """\
 scenario:
@@ -196,13 +203,57 @@ def test_example_config_spells_out_every_block_default():
         assert example[block] == defaults[block], block
 
 
-def test_altitude_bound_is_the_same_for_scenario_and_sweep():
-    sweep = {"name": "h", "variable": "altitude", "grid": [1e-10]}
-    parse_config({"scenario": {"altitude_km": 1e-10}, "sweeps": [sweep]})
-    for raw in ({"scenario": {"altitude_km": 0.0}},
-                {"sweeps": [dict(sweep, grid=[0.0])]}):
-        with pytest.raises(ConfigError, match="altitude"):
+@pytest.mark.parametrize("variable,key,bad,edge", [
+    ("altitude", "altitude_km", 0.0, 1e-10),
+    ("x_cop", "coop_radius_km", -1e-9, 0.0),
+    ("density", "uav_density_per_km2", -1e-9, 0.0),
+    ("kappa", "zipf_exponent", 2.0 + 1e-9, 2.0),
+    ("kappa", "zipf_exponent", -1e-9, 0.0),
+    ("library_size", "library_size", 0, 1),
+], ids=["altitude", "x_cop", "density", "kappa", "kappa_low", "library_size"])
+def test_variable_bound_is_the_same_for_scenario_and_sweep(variable, key, bad, edge):
+    # each bound is stated once, by the dataclass holding the value: the
+    # scenario key, a grid value and an override reject the same value with
+    # the same message and accept the edge value alike. mpc and a one-file
+    # cache keep the zone and cache-budget checks out of the way.
+    base = {"policy": "mpc", "cache_size": 1}
+    other = "density" if variable == "x_cop" else "x_cop"
+
+    def raws(value):
+        return [{"scenario": {**base, key: value}},
+                {"scenario": base, "sweeps": [{"variable": variable, "grid": [value]}]},
+                {"scenario": base, "sweeps": [{"variable": other, "grid": [1.0],
+                                               "overrides": {variable: value}}]}]
+    messages = []
+    for raw in raws(bad):
+        with pytest.raises(ConfigError) as exc:
             parse_config(raw)
+        messages.append(str(exc.value))
+    assert messages[1] == messages[2] == f"sweep 'sweep0': {messages[0]}"
+    for raw in raws(edge):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize("where,raw", [
+    ("scenario.coop_radius_km", lambda v: {"scenario": {"coop_radius_km": v}}),
+    ("scenario.power.static_w", lambda v: {"scenario": {"power": {"static_w": v}}}),
+    ("sweeps[0].grid[0]",
+     lambda v: {"sweeps": [{"variable": "library_size", "grid": [v]}]}),
+    ("library_size", lambda v: {"sweeps": [{"variable": "x_cop", "grid": [1.0],
+                                            "overrides": {"library_size": v}}]}),
+], ids=["scenario", "block", "grid", "override"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_config_errors(where, raw, value, tmp_path, capsys):
+    # NaN passes every range check, and int() of a non-finite grid value or
+    # override raised a traceback
+    with pytest.raises(ConfigError, match=re.escape(f"{where} must be a finite number")):
+        parse_config(raw(value))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw(value)))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and where in err
 
 
 def test_custom_environment_round_trip():
@@ -341,10 +392,16 @@ def test_dump_config_is_lossless(raw):
     assert _parsed_fields(again) == _parsed_fields(run)
 
 
-def test_example_config_loads_and_round_trips():
-    # the shipped example must name only live keys, so it parses at all
-    run = load_config(EXAMPLE_CONFIG)
-    assert run.seed == 42 and [spec.name for spec in run.sweeps] == ["demo"]
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS,
+                         ids=[str(p.relative_to(ROOT)) for p in SHIPPED_CONFIGS])
+def test_example_config_loads_and_round_trips(path):
+    # a shipped config must name only live keys, so it parses at all; the
+    # figure script and the benchmark read the presets and workloads
+    run = load_config(path)
+    if path == EXAMPLE_CONFIG:
+        assert run.seed == 42 and [spec.name for spec in run.sweeps] == ["demo"]
+    else:
+        assert run.sweeps
     assert _parsed_fields(parse_config(dump_config(run))) == _parsed_fields(run)
 
 
@@ -387,7 +444,7 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError, match="unknown method"):
         SweepSpec(name="s", variable="x_cop", grid=(1.0,), base=base,
                   methods=("exact",))
-    with pytest.raises(ConfigError, match="admissible range"):
+    with pytest.raises(ConfigError, match="out of range"):
         SweepSpec(name="s", variable="kappa", grid=(0.5, 2.5), base=base)
     with pytest.raises(ConfigError, match="unknown override"):
         SweepSpec(name="s", variable="x_cop", grid=(1.0,), base=base,
@@ -650,6 +707,20 @@ sweeps:
     lines = out.read_text().strip().splitlines()
     assert lines[1].split(",")[3] == "failed"
     assert lines[2].split(",")[3] == "analytic"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_negative_seed_is_a_config_error(command, tmp_path, capsys):
+    # a command-line seed is checked where a config's sweep seed is, before
+    # np.random.SeedSequence sees it
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL_SWEEP_YAML)
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(yaml.safe_load(MINIMAL_SWEEP_YAML.replace("seed: 4", "seed: -1")))
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
+                     "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
 
 
 def test_cli_overrides_reach_rows(tmp_path):
