@@ -38,7 +38,7 @@ def mc_health(sc: ScenarioConfig) -> str:
     x = sc.coop_radius_km
     links = lam_i * math.pi * (r_max * r_max - x * x)
     far = _FarField(sc, lam_i, r_max, _spike_threshold(sc, SimOptions().spike_rel))
-    spikes = sum(md["lam"] for md in far.modes)
+    spikes = sum(md.lam for md in far.modes)
     return (f"window {r_max:.0f} km: {links:.3g} window links, "
             f"{spikes:.3g} far-field spikes per trial")
 

@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Time the Monte Carlo simulator's stages, with a fingerprint of the numbers
+each one produced.
+
+For each (environment, cooperation radius X) the script takes the default
+scenario (`parse_config({})`) in that environment and radius with the
+`lru_che` placement, which makes every content live as in the benchmark's
+20-content mc_crosscheck row, and times five stages at the default
+simulation options:
+
+  far_build     the far-field model (`_FarField`): grid, spike intensities
+                and guide tables, mean floor;
+  far_sample    its spikes for one chunk of --trials trials
+                (`_FarField.sample`);
+  annulus       the window annulus of one chunk: link counts, radii and
+                links on X < r <= r_max (`_field_chunk` without far field);
+  draw_links    `_draw_links` on LINKS radii, area-uniform on r <= r_max;
+  content_chunk one chunk of content 1 (`_capacity_chunk`) against the
+                chunk's shared field (annulus, spikes and floor).
+
+Each run of a stage draws from a fresh Philox stream keyed by SEED, as the
+estimators key theirs, so each of its REPEATS runs returns the same bytes.
+
+One JSON line per (stage, env, X):
+  stage, env, x_cop_km, trials,
+  args      the stage's size: expected spikes or links per chunk,
+  best_s    fastest of REPEATS wall times,
+  sha256    SHA-256 of the float64 bytes the stage returned (for
+            far_build: the floor, then each mode's spike count, CDF and
+            guide table; for draw_links: the LOS flags, then the gains).
+
+Usage: python3 scripts/mc_profile.py [--case ENV:X_KM ...] [--trials N]
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import sys
+import time
+from dataclasses import replace
+
+import numpy as np
+
+from uavcache import environment_preset, lru_che, parse_config
+from uavcache import simulator
+from uavcache.simulator import SimOptions, window_radius
+
+REPEATS = 3
+SEED = 7
+LINKS = 65536
+DEFAULT_CASES = (("sub_urban", 1.0), ("sub_urban", 3.0),
+                 ("high_rise", 1.0), ("high_rise", 3.0))
+
+
+def best_of(fn):
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def rng(purpose: int, content: int = 0) -> np.random.Generator:
+    return simulator._chunk_rng(SEED, purpose, content, 0)
+
+
+def profile(env_name: str, x_cop: float, trials: int) -> list[dict]:
+    base = parse_config({}).scenario
+    cfg = replace(base, env=environment_preset(env_name), coop_radius_km=x_cop)
+    cfg = cfg.with_policy(lru_che(cfg.library.popularity, cfg.policy.cache_size))
+    opts = SimOptions()
+    r_max = window_radius(cfg)
+    lam_i = cfg.interferer_density
+    tau = simulator._spike_threshold(cfg, opts.spike_rel)
+    field_purpose = simulator._PURPOSE_FIELD
+
+    far = simulator._FarField(cfg, lam_i, r_max, tau)
+    spikes = sum(md.lam for md in far.modes) * trials
+    links = lam_i * math.pi * (r_max * r_max - x_cop * x_cop) * trials
+    field = simulator._field_chunk(cfg, trials, rng(field_purpose), r_max, far)
+    p_c = float(cfg.policy.probabilities[0])
+    trunc_cdf = simulator._truncated_poisson_cdf(cfg.coop_mean(p_c))
+
+    def far_digest(f):
+        return digest(f.floor, *[a for md in f.modes for a in (md.lam, md.cum, md.guide)])
+
+    def radii():
+        return r_max * np.sqrt(rng(field_purpose).random(LINKS))
+
+    stages = (
+        ("far_build", {"spikes_per_trial": round(spikes / trials, 2)},
+         lambda: simulator._FarField(cfg, lam_i, r_max, tau), far_digest),
+        ("far_sample", {"spikes": round(spikes)},
+         lambda: far.sample(rng(field_purpose), trials), digest),
+        ("annulus", {"links": round(links)},
+         lambda: simulator._field_chunk(cfg, trials, rng(field_purpose), r_max, None),
+         digest),
+        ("draw_links", {"links": LINKS},
+         lambda: simulator._draw_links(rng(field_purpose), radii(), cfg.env, cfg.channel),
+         lambda res: digest(*res)),
+        ("content_chunk", {"content": 1, "p_c": p_c},
+         lambda: simulator._capacity_chunk(
+             cfg, p_c, trials, rng(simulator._PURPOSE_CAPACITY, 1), trunc_cdf, field),
+         digest),
+    )
+    records = []
+    for name, args, fn, fingerprint in stages:
+        best_s, result = best_of(fn)
+        records.append({"stage": name, "env": env_name, "x_cop_km": x_cop,
+                        "trials": trials, "args": args, "best_s": round(best_s, 4),
+                        "sha256": fingerprint(result)})
+    return records
+
+
+def parse_case(text: str) -> tuple[str, float]:
+    env_name, x_cop = text.split(":")
+    return env_name, float(x_cop)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--case", type=parse_case, action="append",
+                    help="ENV:X_KM, repeatable (default: sub_urban and "
+                         "high_rise at X = 1 and 3 km)")
+    default_trials = SimOptions().chunk_size
+    ap.add_argument("--trials", type=int, default=default_trials,
+                    help=f"trials per chunk (default {default_trials}, "
+                         "the default chunk size)")
+    args = ap.parse_args()
+    for env_name, x_cop in args.case or DEFAULT_CASES:
+        for record in profile(env_name, x_cop, args.trials):
+            print(json.dumps(record), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

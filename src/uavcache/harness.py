@@ -193,10 +193,15 @@ def _read(value, kind: str, where: str):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where} must be an integer")
         return value
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a finite number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number")
+    return value
 
 
 def _get_int(node: dict, key: str, default: int, where: str, lo: int = 0) -> int:

@@ -45,18 +45,28 @@ _PURPOSE_CAPACITY = 1
 _PURPOSE_EE = 2
 _PURPOSE_LRU = 3    # the LRU request trace of lru_empirical placements
 _PURPOSE_FIELD = 4
-# expected far-field spikes per chunk above which a field draw is refused;
-# the spike arrays of one chunk then take about 1.3 GB
+# expected far-field spikes per chunk above which a field draw is refused:
+# sampling holds about 16.5 bytes per spike (CDF levels and gains; the marks
+# are computed _SPIKE_BLOCK spikes at a time), so about 280 MB at the
+# budget, and at the default 1024-trial chunk it refuses above 16384
+# expected spikes per trial
 _SPIKE_BUDGET = 2 ** 24
+_SPIKE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Estimator controls (trial counts and seeds are explicit arguments)."""
+    """Estimator controls (trial counts and seeds are explicit arguments).
+
+    Trials run in chunks of `chunk_size`, each with its own random streams,
+    so the chunk size is part of what a result depends on. A chunk's
+    far-field spikes are bounded by _SPIKE_BUDGET: at the default 1024 a
+    field draw is refused above 16384 expected spikes per trial.
+    """
 
     r_max: float | None = None  # None: 30 max(X, H), see window_radius()
     spike_rel: float = 1e-6
-    chunk_size: int = 256
+    chunk_size: int = 1024
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -171,12 +181,88 @@ def _spike_law(z: np.ndarray, mode: str, env: Environment, ch: ChannelConfig,
     return m_ln, s_ln, loss, a_std
 
 
+class _SpikeMode:
+    """One mode's far-field spikes: their expected count per trial `lam`, the
+    piecewise-linear CDF `cum` of their range over the grid `zg`, and the law
+    of their marks (tail-conditioned log-normal shadowing, Nakagami fading).
+
+    A guide table (Chen & Asau, AIIE Trans. 1974) splits u in [0, 1) into a
+    power of two of at least 16 buckets per CDF node, so a bucket index is
+    exact; each bucket holds the one `cum` cell it lies in, or -1 when a
+    breakpoint falls inside it and the spike's cell is found by searchsorted.
+    Range and spread are then read from that cell: the law of
+    np.interp(u, cum, zg) and np.interp(z, zg, s_ln), to an ulp.
+    """
+
+    def __init__(self, zg: np.ndarray, cum: np.ndarray, s_ln: np.ndarray,
+                 m_ln: float, lam: float, tau: float, h: float, alpha: float,
+                 k: float, wbar: float):
+        self.zg, self.cum, self.s_ln, self.m_ln = zg, cum, s_ln, m_ln
+        self.lam, self.tau = lam, tau
+        self.h2, self.alpha, self.k, self.wbar = h * h, alpha, k, wbar
+        with np.errstate(divide="ignore"):  # a flat cell is never drawn
+            self.z_slope = np.diff(zg) / np.diff(cum)
+        self.s_slope = np.diff(s_ln) / np.diff(zg)
+        n_buckets = 1 << (16 * cum.size - 1).bit_length()
+        edges = np.arange(n_buckets + 1) / n_buckets
+        first = np.searchsorted(cum, edges[:-1], side="right") - 1
+        last = np.searchsorted(cum, edges[1:], side="left") - 1
+        self.guide = np.where(first == last, first, -1)
+
+    def locate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Range z and ln-shadowing spread s_ln of spikes at CDF levels u."""
+        j = self.guide[(u * self.guide.size).astype(np.intp)]
+        miss = np.flatnonzero(j < 0)
+        j[miss] = np.searchsorted(self.cum, u[miss], side="right") - 1
+        # np.interp's slope form on cell j: z bit for bit, s_ln to an ulp
+        d = self.cum[j]
+        np.subtract(u, d, out=d)
+        zj = self.zg[j]
+        z = self.z_slope[j]
+        z *= d
+        z += zj
+        np.subtract(z, zj, out=d)
+        s = self.s_slope[j]
+        s *= d
+        s += np.take(self.s_ln, j, out=d)
+        return z, s
+
+    def gains(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Path loss times shadowing L V of spikes at CDF levels u, with ln V
+        drawn from its normal law conditioned on L V > tau by inversion of the
+        uniforms r: ln V = m_ln - s_ln Phi^-1((1 - r) Phi(-a)), a the
+        standardized threshold. Overwrites r with the result."""
+        loss, s = self.locate(u)
+        # L = k (h^2 + z^2)^(-alpha/2), in the range's buffer
+        loss *= loss
+        loss += self.h2
+        loss **= -self.alpha / 2.0
+        loss *= self.k
+        # Phi(-a), a = (ln(tau/L) - m_ln) / s_ln
+        a = np.divide(self.tau, loss)
+        np.log(a, out=a)
+        a -= self.m_ln
+        a /= s
+        np.negative(a, out=a)
+        ndtr(a, out=a)
+        # ln V = m_ln - s_ln Phi^-1((1 - r) Phi(-a)), then L V
+        np.subtract(1.0, r, out=r)
+        r *= a
+        ndtri(r, out=r)
+        r *= s
+        np.subtract(self.m_ln, r, out=r)
+        np.exp(r, out=r)
+        r *= loss
+        return r
+
+
 class _FarField:
     """Spike intensities and mean floor for interference beyond the window.
 
     Per mode, links with path_loss * V > tau are a Poisson process on a
     log-radius grid (sampled exactly via inverse-CDF radii and tail-conditioned
-    log-normal gains); weaker links contribute their exact sub-threshold mean.
+    log-normal gains, see _SpikeMode); weaker links contribute their exact
+    sub-threshold mean.
     The grid extends adaptively until the expected spike count beyond it is
     negligible, so heavy grazing-angle shadowing cannot park unsampled spikes
     past a fixed horizon. Beyond the grid the power-law tail closes with the
@@ -193,7 +279,6 @@ class _FarField:
                  tau: float):
         env, ch = cfg.env, cfg.channel
         h = ch.altitude_km
-        self.tau = tau
         zg = self._grid(env, ch, lam_i, r_max, tau)
         p_los = los_probability(zg, h, env)
         self.modes = []
@@ -211,10 +296,8 @@ class _FarField:
             pm_inf = float(np.asarray(pm).reshape(-1)[-1])
             floor += (2.0 * math.pi * lam_i * pm_inf * k * float(mean_sub[-1])
                       * float(zg[-1]) ** (2.0 - alpha) / (alpha - 2.0))
-            self.modes.append({"alpha": alpha, "k": k, "wbar": wbar,
-                               "m_ln": m_ln, "zg": zg, "s_ln": s_ln,
-                               "h": h, "lam": lam_tot,
-                               "cum": cum / max(cum[-1], 1e-300)})
+            self.modes.append(_SpikeMode(zg, cum / max(cum[-1], 1e-300), s_ln, m_ln,
+                                         lam_tot, tau, h, alpha, k, wbar))
         self.floor = floor
 
     @classmethod
@@ -240,25 +323,24 @@ class _FarField:
 
     def sample(self, rng: np.random.Generator, n_trials: int) -> np.ndarray:
         """Per-trial spike interference. Fixed draw order per mode: counts,
-        positions, conditioned shadowing, fading."""
+        positions, conditioned shadowing, fading, each one draw for all the
+        mode's spikes; the marks in between are computed _SPIKE_BLOCK spikes
+        at a time."""
         out = np.zeros(n_trials)
         for md in self.modes:
-            if md["lam"] <= 0.0:
+            if md.lam <= 0.0:
                 continue
-            counts = rng.poisson(md["lam"], n_trials)
+            counts = rng.poisson(md.lam, n_trials)
             tot = int(counts.sum())
             if tot == 0:
                 continue
             u = rng.random(tot)
-            z = np.interp(u, md["cum"], md["zg"])
-            s_ln = np.interp(z, md["zg"], md["s_ln"])
-            loss = md["k"] * (md["h"] ** 2 + z * z) ** (-md["alpha"] / 2.0)
-            a_std = (np.log(self.tau / loss) - md["m_ln"]) / s_ln
-            # V | V > tau/L by inverse CDF of the conditioned normal in ln V
-            q = ndtr(a_std) + rng.random(tot) * ndtr(-a_std)
-            v = np.exp(md["m_ln"] + s_ln * ndtri(np.clip(q, 0.0, 1.0 - 1e-16)))
-            w = rng.gamma(md["wbar"], 1.0 / md["wbar"], tot)
-            out += _per_trial_sum(n_trials, counts, loss * v * w)
+            gains = rng.random(tot)
+            for lo in range(0, tot, _SPIKE_BLOCK):
+                md.gains(u[lo:lo + _SPIKE_BLOCK], gains[lo:lo + _SPIKE_BLOCK])
+            del u  # before the fading draw: 16 bytes per spike at most
+            gains *= rng.gamma(md.wbar, 1.0 / md.wbar, tot)
+            out += _per_trial_sum(n_trials, counts, gains)
         return out
 
 
@@ -383,7 +465,7 @@ def draw_interference_field(cfg: ScenarioConfig, n_trials: int, seed: int,
     if cfg.interferer_density > 0:
         far = _FarField(cfg, cfg.interferer_density, r_max,
                         _spike_threshold(cfg, opts.spike_rel))
-        spikes = sum(md["lam"] for md in far.modes) * min(opts.chunk_size, n_trials)
+        spikes = sum(md.lam for md in far.modes) * min(opts.chunk_size, n_trials)
         if spikes > _SPIKE_BUDGET:
             raise ConvergenceError(
                 f"environment {cfg.env.name!r} expects {spikes:.2e} far-field "

@@ -242,11 +242,12 @@ def test_variable_bound_is_the_same_for_scenario_and_sweep(variable, key, bad, e
     ("library_size", lambda v: {"sweeps": [{"variable": "x_cop", "grid": [1.0],
                                             "overrides": {"library_size": v}}]}),
 ], ids=["scenario", "block", "grid", "override"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
-                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400],
+                         ids=["nan", "inf", "-inf", "huge_int", "-huge_int"])
 def test_non_finite_numbers_are_config_errors(where, raw, value, tmp_path, capsys):
     # NaN passes every range check, and int() of a non-finite grid value or
-    # override raised a traceback
+    # override raised a traceback; an int beyond the float range (YAML reads
+    # a 400-digit number as one) raised OverflowError
     with pytest.raises(ConfigError, match=re.escape(f"{where} must be a finite number")):
         parse_config(raw(value))
     cfg = tmp_path / "cfg.yaml"
@@ -616,10 +617,11 @@ def test_cli_validate_and_run(tmp_path, capsys):
 
 def test_cli_run_uses_simulation_block(tmp_path):
     # each chunk of trials owns its own random stream, so 64 trials in chunks
-    # of 16 draw other numbers than in one default chunk of 256, while
-    # spelling out the default chunk size changes nothing
+    # of 16 draw other numbers than in one default chunk, while spelling out
+    # the default chunk size changes nothing
     rows = {}
-    for tag, sim in (("default", ""), ("explicit", "  simulation:\n    chunk_size: 256\n"),
+    explicit = f"  simulation:\n    chunk_size: {SimOptions().chunk_size}\n"
+    for tag, sim in (("default", ""), ("explicit", explicit),
                      ("chunked", "  simulation:\n    chunk_size: 16\n")):
         cfg = tmp_path / f"{tag}.yaml"
         cfg.write_text("scenario:\n  library_size: 4\n  cache_size: 2\n" + sim)

@@ -49,3 +49,22 @@ def test_placement_profile_prints_one_line_per_solver(monkeypatch, capsys):
         assert (record["library_size"], record["cache_size"]) == (10, 5)
         assert len(record["probabilities_sha256"]) == 64
     assert records[2]["args"] == {"n_requests": 2000, "warmup": 500, "seed": 7}
+
+
+def test_mc_profile_prints_one_line_per_stage(monkeypatch, capsys):
+    script = load_script("mc_profile")
+    monkeypatch.setattr("sys.argv", ["mc_profile.py", "--case", "high_rise:1",
+                                     "--trials", "64"])
+    assert script.main() == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["stage"] for r in records] == ["far_build", "far_sample", "annulus",
+                                             "draw_links", "content_chunk"]
+    for record in records:
+        assert (record["env"], record["x_cop_km"], record["trials"]) == ("high_rise", 1.0, 64)
+        assert len(record["sha256"]) == 64
+    # every repeat of a stage returns the same bytes, so a rerun matches
+    monkeypatch.setattr("sys.argv", ["mc_profile.py", "--case", "high_rise:1",
+                                     "--trials", "64"])
+    assert script.main() == 0
+    again = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["sha256"] for r in again] == [r["sha256"] for r in records]

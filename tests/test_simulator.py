@@ -133,12 +133,72 @@ def test_far_field_floor_keeps_the_sir_finite():
                 far = simulator._FarField(cfg, cfg.interferer_density, window_radius(cfg),
                                           simulator._spike_threshold(cfg, spike_rel))
                 assert far.floor > 0.0, (name, x, h)
-    # high_rise at X = 3 km is where about one top-content trial in 1e4
-    # reaches an SIR above 1e6; such trials stay finite and are not clipped
-    est = estimate_capacity(top, 1, 20_000, 3)
-    assert np.isfinite(est.samples).all()
-    nonempty = -math.expm1(-top.coop_mean(float(top.policy.probabilities[0])))
-    assert est.samples.max() > nonempty * math.log1p(1e6)
+    # high_rise at X = 3 km: against the floor alone about one top-content
+    # trial in 1e3 reaches an SIR above 1e6 (15-26 of 20k over seeds 0-4), so
+    # one chunk against a floor-only field holds such trials whatever the
+    # stream layout; they stay finite and are not clipped
+    far = simulator._FarField(top, top.interferer_density, window_radius(top),
+                              simulator._spike_threshold(top, spike_rel))
+    p_c = float(top.policy.probabilities[0])
+    m_c = top.coop_mean(p_c)
+    rng = simulator._chunk_rng(3, simulator._PURPOSE_CAPACITY, 1, 0)
+    nonempty = -math.expm1(-m_c)
+    samples = nonempty * simulator._capacity_chunk(
+        top, p_c, 20_000, rng, simulator._truncated_poisson_cdf(m_c),
+        np.full(20_000, far.floor))
+    assert np.isfinite(samples).all()
+    assert samples.max() > nonempty * math.log1p(1e6)
+
+
+def default_far_field(env_name, x):
+    lib = ContentLibrary(20, 0.8)
+    cfg = ScenarioConfig(library=lib, policy=solve_rcp(lib.popularity, 5, math.pi * 1e-3),
+                         env=environment_preset(env_name), coop_radius_km=x)
+    tau = simulator._spike_threshold(cfg, SimOptions().spike_rel)
+    return cfg, tau, simulator._FarField(cfg, cfg.interferer_density, window_radius(cfg), tau)
+
+
+@pytest.mark.parametrize("x", [1.0, 3.0])
+@pytest.mark.parametrize("env_name", sorted(ENVIRONMENT_PRESETS))
+def test_guide_table_reads_the_interpolated_law(env_name, x):
+    # the guide-table cell lookup gives the spike range and spread of the
+    # piecewise-linear law np.interp gives, on a dense u grid with every CDF
+    # node, u = 0 and the last double below 1
+    *_, far = default_far_field(env_name, x)
+    for md in far.modes:
+        u = np.concatenate([np.linspace(0.0, 1.0, 100_001)[:-1], md.cum[:-1],
+                            [np.nextafter(1.0, 0.0)]])
+        u = u[u < 1.0]
+        z, s_ln = md.locate(u)
+        z_ref = np.interp(u, md.cum, md.zg)
+        s_ref = np.interp(z_ref, md.zg, md.s_ln)
+        assert np.abs(z / z_ref - 1.0).max() <= 4e-16
+        assert np.abs(s_ln / s_ref - 1.0).max() <= 4e-16
+        # about 16 or more buckets per node, a few percent of them mixed
+        assert md.guide.size >= 16 * md.cum.size
+        assert (md.guide < 0).mean() < 0.1
+
+
+def test_every_spike_clears_the_threshold():
+    # spikes are the links with L V > tau; near the grid end the standardized
+    # threshold a exceeds 8.3, where Phi(a) + r Phi(-a) rounds to 1, and its
+    # inversion clipped below 1 pinned ln V at 8.2 spreads, below threshold
+    cfg, tau, far = default_far_field("high_rise", 3.0)
+    md = far.modes[1]  # NLOS
+    u = 1.0 - np.geomspace(1e-3, 1e-12, 2000)
+    r = np.random.default_rng(0).random(u.size)
+    z, s_ln = md.locate(u)
+    *_, loss, a = simulator._spike_law(z, "nlos", cfg.env, cfg.channel, tau)
+    deep = a > 8.3
+    assert deep.sum() > 100
+    clipped = np.clip(simulator.ndtr(a) + r * simulator.ndtr(-a), 0.0, 1.0 - 1e-16)
+    old = loss * np.exp(md.m_ln + s_ln * simulator.ndtri(clipped))
+    assert (old[deep] <= tau).all()
+    gains = md.gains(u, r.copy())
+    assert (gains > tau).all()
+    # drawn spikes, fading aside: every one above the threshold
+    rng = np.random.default_rng(1)
+    assert (md.gains(rng.random(200_000), rng.random(200_000)) > tau).all()
 
 
 def test_estimator_error_scales_as_root_n():
