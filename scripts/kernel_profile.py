@@ -13,7 +13,9 @@ cells live (the other cells set to 0, which the kernel answers without
 work), and once with every cell 0 (`base_s`: masks and gates). Each replay
 is the fastest of REPEATS runs. A branch's seconds are its replay time minus
 `base_s`, so the branch times plus `base_s` approximate `kernel_s`; a branch
-too cheap to separate from timing noise can read slightly below 0. The far
+too cheap to separate from timing noise can read slightly below 0. Within the
+windowed replays, the time spent in the branch's two normal-tail terms
+(`channel.ndtr` and `channel.log_ndtr`) is timed on its own. The far
 table's grazing-limit tail (`analytics._grazing_tails`) evaluates its own
 kernel cells outside `kernel_table`; it is timed and counted on its own and
 left out of the branch split.
@@ -30,6 +32,8 @@ One JSON line per geometry:
   kernel_s       time inside `_shadow_expectation` during the build,
   base_s         replay with every cell 0,
   branches       {linear, gauss_hermite, windowed}: {cells, s},
+  window_tails_s time in the windowed branch's ndtr and log_ndtr calls
+                 (part of branches.windowed.s; fastest replay per call),
   tables_sha256  SHA-256 of the zone table bytes followed by the outside
                  table bytes (the whole 2*v_max build),
   far_sha256     SHA-256 of the far table bytes.
@@ -97,6 +101,35 @@ def timed(fn, *args) -> float:
     return best
 
 
+def timed_normal_tails(fn, *args) -> float:
+    """Fastest of REPEATS runs of fn(*args), counting only the time spent in
+    channel.ndtr and channel.log_ndtr."""
+    tails = {name: getattr(channel, name) for name in ("ndtr", "log_ndtr")}
+    spent = 0.0
+
+    def timing(tail):
+        def run(*a, **k):
+            nonlocal spent
+            t0 = time.perf_counter()
+            out = tail(*a, **k)
+            spent += time.perf_counter() - t0
+            return out
+        return run
+
+    best = float("inf")
+    try:
+        for name, tail in tails.items():
+            setattr(channel, name, timing(tail))
+        for _ in range(REPEATS):
+            spent = 0.0
+            fn(*args)
+            best = min(best, spent)
+    finally:
+        for name, tail in tails.items():
+            setattr(channel, name, tail)
+    return best
+
+
 def profile(env_name: str, x_cop: float, altitude: float,
             hermite_nodes: int | None) -> dict:
     cfg = scenario(env_name, x_cop, altitude, hermite_nodes)
@@ -156,7 +189,7 @@ def profile(env_name: str, x_cop: float, altitude: float,
                      analytics._split_index(x_cop, altitude))
     far_digest = hashlib.sha256(np.ascontiguousarray(far).tobytes())
 
-    base_s = 0.0
+    base_s = window_tails_s = 0.0
     branches = {name: {"cells": 0, "s": 0.0}
                 for name in ("linear", "gauss_hermite", "windowed")}
     for coef, m_ln, s_ln, wbar, n_h in calls:
@@ -168,6 +201,8 @@ def profile(env_name: str, x_cop: float, altitude: float,
             if mask.any():
                 live = np.where(mask, coef, 0.0)
                 branches[name]["s"] += timed(kernel, live, m_ln, s_ln, wbar, n_h) - base
+                if name == "windowed":
+                    window_tails_s += timed_normal_tails(kernel, live, m_ln, s_ln, wbar, n_h)
     for rec in branches.values():
         rec["s"] = round(rec["s"], 4)
     return {"env": env_name, "x_cop_km": x_cop, "altitude_km": altitude,
@@ -176,7 +211,8 @@ def profile(env_name: str, x_cop: float, altitude: float,
             "far_s": round(far_s, 4), "tail_s": round(tail_s, 4),
             "tail_cells": tail_cells, "near_s": round(build_s - far_s, 4),
             "kernel_s": round(kernel_s, 4), "base_s": round(base_s, 4),
-            "branches": branches, "tables_sha256": digest.hexdigest(),
+            "branches": branches, "window_tails_s": round(window_tails_s, 4),
+            "tables_sha256": digest.hexdigest(),
             "far_sha256": far_digest.hexdigest()}
 
 

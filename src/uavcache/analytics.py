@@ -36,7 +36,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammainc, gammaln
 
 from .caching import ContentLibrary, PlacementPolicy
 from .channel import (_DB_TO_LN, ChannelConfig, Environment,
@@ -415,6 +414,39 @@ def system_capacity(cfg: ScenarioConfig) -> CapacityReport:
     return CapacityReport(rates, coop_means, system)
 
 
+# below this k, ln k! comes from a table of math.lgamma; from it on, from
+# Stirling's series, whose first omitted term is below 1e-25 there
+_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(1024)])
+
+
+def _log_factorial(k) -> np.ndarray:
+    """ln k! elementwise over integers k >= 0 (int or integral float)."""
+    k = np.asarray(k)
+    top = _LOG_FACTORIALS.size - 1
+    out = _LOG_FACTORIALS[np.minimum(k, top).astype(np.intp)]
+    big = k > top
+    if big.any():
+        x = k[big] + 1.0
+        inv2 = 1.0 / (x * x)
+        series = (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0))) / x
+        out[big] = (x - 0.5) * np.log(x) - x + 0.5 * math.log(2.0 * math.pi) + series
+    return out
+
+
+def _poisson_tail(k, m: float) -> np.ndarray:
+    """P(N > k) for N ~ Poisson(m), m > 0, elementwise over integers k >= 0.
+
+    The pmf is summed from the top down, from j = max(k, m) + 10 sqrt(m) + 30,
+    where the terms left out are below e^-50 of the last one kept, so a tail
+    far below 1 keeps its relative precision, which 1 - CDF would lose.
+    """
+    k = np.asarray(k, dtype=np.int64)
+    j = np.arange(int(max(k.max(initial=0), m) + 10.0 * math.sqrt(m)) + 31)
+    pmf = np.exp(j * math.log(m) - m - _log_factorial(j))
+    above = np.cumsum(pmf[::-1])[::-1]  # above[i] = P(N >= i)
+    return above[k + 1]
+
+
 def _poisson_k_max(m_max: float, tail: float) -> int:
     """Smallest k with P(Poisson(m) > k) < tail.
 
@@ -431,7 +463,7 @@ def _poisson_k_max(m_max: float, tail: float) -> int:
             f"Poisson tail bound for a cooperator mean of {m_max:g} needs more "
             f"than {_K_MAX_TERMS} terms")
     ks = np.arange(1, math.ceil(k_end) + 1)
-    sf = gammainc(ks + 1.0, m_max)  # upper-tail mass beyond k
+    sf = _poisson_tail(ks, m_max)
     hits = np.nonzero(sf < tail)[0]
     if hits.size == 0:
         raise ConvergenceError(f"Poisson tail bound not reached within {ks.size} terms")
@@ -447,7 +479,7 @@ def _ee_sum(cfg: ScenarioConfig, report: CapacityReport, k_max: int | None,
     if k_max is None:
         k_max = _poisson_k_max(float(report.coop_means.max(initial=0.0)), _K_MAX_TAIL)
     k = np.arange(1, k_max + 1, dtype=float)
-    log_kfact = gammaln(k + 1.0)
+    log_kfact = _log_factorial(k)
     out = 0.0
     for a_c, m_c, r_c in zip(a, report.coop_means, rates_bits):
         if m_c <= 0.0 or r_c <= 0.0:

@@ -24,6 +24,7 @@ from typing import Iterable
 
 import numpy as np
 import yaml
+from numpy.random import SeedSequence
 
 from .analytics import (PowerModel, QuadratureConfig, ScenarioConfig,
                         energy_efficiency, system_capacity)
@@ -472,7 +473,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     for value, env_name, policy_kind in itertools.product(
             spec.grid, spec.environments, spec.policies):
         # row i's seed derives from (sweep seed, i); rows are appended in order
-        seeds = [int(np.random.SeedSequence((spec.seed, i)).generate_state(1)[0])
+        seeds = [int(SeedSequence((spec.seed, i)).generate_state(1)[0])
                  for i in range(len(rows), len(rows) + len(spec.methods))]
         settings = spec.settings(value)
         scenario = None

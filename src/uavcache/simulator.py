@@ -31,11 +31,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, ndtr, ndtri
+from numpy.random import Generator, Philox
 
-from .analytics import ScenarioConfig
-from .channel import (ChannelConfig, Environment, los_probability, path_loss,
-                      shadowing_log_moments, shadowing_sigma_db)
+from .analytics import ScenarioConfig, _poisson_k_max
+from .channel import (ChannelConfig, Environment, los_probability, ndtr, ndtri,
+                      path_loss, shadowing_log_moments, shadowing_sigma_db)
 from .errors import ConfigError, ConvergenceError
 
 _MASK64 = (1 << 64) - 1
@@ -46,12 +46,12 @@ _PURPOSE_EE = 2
 _PURPOSE_LRU = 3    # the LRU request trace of lru_empirical placements
 _PURPOSE_FIELD = 4
 # expected far-field spikes per chunk above which a field draw is refused:
-# sampling holds about 16.5 bytes per spike (CDF levels and gains; the marks
+# sampling holds about 16.8 bytes per spike (CDF levels and gains; the marks
 # are computed _SPIKE_BLOCK spikes at a time), so about 280 MB at the
 # budget, and at the default 1024-trial chunk it refuses above 16384
 # expected spikes per trial
 _SPIKE_BUDGET = 2 ** 24
-_SPIKE_BLOCK = 4096
+_SPIKE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def _chunk_rng(seed: int, purpose: int, content: int, chunk: int) -> np.random.G
     key = np.array([seed & _MASK64, ((purpose << 32) | content) & _MASK64],
                    dtype=np.uint64)
     counter = np.array([0, 0, 0, chunk], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return Generator(Philox(key=key, counter=counter))
 
 
 def _draw_links(rng: np.random.Generator, radii: np.ndarray, env: Environment,
@@ -238,12 +238,11 @@ class _SpikeMode:
         loss += self.h2
         loss **= -self.alpha / 2.0
         loss *= self.k
-        # Phi(-a), a = (ln(tau/L) - m_ln) / s_ln
+        # Phi(-a), -a = (m_ln - ln(tau/L)) / s_ln
         a = np.divide(self.tau, loss)
         np.log(a, out=a)
-        a -= self.m_ln
+        np.subtract(self.m_ln, a, out=a)
         a /= s
-        np.negative(a, out=a)
         ndtr(a, out=a)
         # ln V = m_ln - s_ln Phi^-1((1 - r) Phi(-a)), then L V
         np.subtract(1.0, r, out=r)
@@ -359,8 +358,9 @@ def _truncated_poisson_cdf(m: float) -> np.ndarray:
     The table grows until the tail mass beyond it falls below 1e-15; a table
     that reaches 10000 terms with more tail mass left raises ConvergenceError.
     """
+    k_min = _poisson_k_max(m, 1e-15)
     k_hi = 1
-    while gammainc(k_hi + 1.0, m) > 1e-15:
+    while k_hi < k_min:
         if k_hi >= 10000:
             raise ConvergenceError(
                 f"cooperator count table for mean m_c = {m:.6g} did not reach "

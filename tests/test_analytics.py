@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 
 from uavcache import analytics
 from uavcache.analytics import (CapacityReport, PowerModel, QuadratureConfig,
@@ -473,6 +473,31 @@ def test_poisson_k_max_is_the_smallest_k_at_any_mean():
     for m in (1800.0, 5000.0, 1e5):
         k = analytics._poisson_k_max(m, 1e-12)
         assert gammainc(k + 1.0, m) < 1e-12 <= gammainc(k, m)
+
+
+def test_log_factorial_matches_gammaln():
+    # below 1024 the table holds math.lgamma; above, Stirling's sum has three
+    # rounded terms no larger than the result: each side is within 2 ulp
+    k = np.concatenate([np.arange(5000), np.geomspace(5000, 1e7, 2000).astype(int)])
+    got, ref = analytics._log_factorial(k), gammaln(k + 1.0)
+    assert got[:2].tolist() == [0.0, 0.0]
+    assert (np.abs(got - ref)[2:] / np.spacing(ref[2:])).max() <= 4.0
+
+
+def test_poisson_tail_matches_gammainc():
+    # P(N > k) = gammainc(k + 1, m). Each pmf term's exponent
+    # j ln m - m - ln j! sums three terms rounded to an ulp of their size,
+    # so the tail carries a relative error of a few times
+    # 2^-52 (k |ln m| + m + ln k!), its terms lying a few standard
+    # deviations past k: 16 times that bounds it
+    for m in np.geomspace(1e-6, 1e5, 60):
+        k = np.arange(int(m + 40.0 * math.sqrt(m) + 60.0))
+        ref = gammainc(k + 1.0, m)
+        got = analytics._poisson_tail(k, m)
+        live = ref > 1e-300
+        scale = 2.0 ** -52 * (k * abs(math.log(m)) + m + gammaln(k + 1.0) + 1.0)
+        assert (np.abs(got[live] / ref[live] - 1.0) <= 16.0 * scale[live]).all(), m
+    assert analytics._poisson_tail(3, 2.0) == pytest.approx(gammainc(4.0, 2.0), rel=1e-15)
 
 
 def test_radial_truncation_overflow_names_the_environment():

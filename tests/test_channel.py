@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from uavcache import channel
 from uavcache.analytics import QuadratureConfig
@@ -435,3 +435,75 @@ def test_shadow_expectation_row_gates_match_chunked_oracle():
         assert min(n_lin, n_w) > 0
         got = channel._shadow_expectation(coef, float(m_ln), s_col, wbar, 48)
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+
+
+# The normal family against scipy.special. Distances are in ulps of scipy's
+# value. Both ndtr's evaluate erfc at the same rounded y = |x|/sqrt2, but
+# scipy forms exp(-y*y) from the rounded square, a relative error up to
+# y^2 2^-53 = x^2/2 ulp, which Cody's split of exp(-y^2) avoids; the two
+# rationals, exponentials and products add a few ulp on each side.
+def ulp_distance(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return np.where(got == ref, 0.0, np.abs(got - ref) / np.spacing(np.abs(ref)))
+
+
+def test_ndtr_matches_scipy_within_the_conditioning_bound():
+    x = np.linspace(-37.0, 9.0, 400_001)
+    assert (ulp_distance(channel.ndtr(x), ndtr(x)) <= 16.0 + x * x / 2.0).all()
+
+
+def test_log_ndtr_matches_scipy_into_the_far_tail():
+    # below -0.66, ln Phi = ln(erfcx(y)/2) - y^2 takes no exponential and
+    # -y^2 dominates, so both sides sit within a few ulp of the true value
+    # out to x = -1e150; above 0.66, ln Phi = log1p(-Phi(-x)) inherits
+    # Phi(-x)'s bound
+    lower = np.concatenate([-np.geomspace(1e150, 0.5, 100_001),
+                            np.linspace(-0.5, 0.0, 10_001)])
+    assert ulp_distance(channel.log_ndtr(lower), log_ndtr(lower)).max() <= 8.0
+    upper = np.linspace(0.0, 37.0, 100_001)
+    assert (ulp_distance(channel.log_ndtr(upper), log_ndtr(upper))
+            <= 16.0 + upper * upper / 2.0).all()
+
+
+def test_ndtri_matches_scipy_and_inverts_ndtr():
+    # AS 241 and scipy are each accurate to about 1e-16 before rounding; the
+    # log, square root and two degree-7 polynomials add a few ulp per side
+    p = np.concatenate([np.geomspace(1e-300, 0.5, 200_001),
+                        np.linspace(0.0, 1.0, 200_001)[1:-1],
+                        1.0 - np.geomspace(1e-16, 0.5, 50_001)])
+    assert ulp_distance(channel.ndtri(p), ndtri(p)).max() <= 12.0
+    # round trip on the lower half, where p = Phi(x) keeps full relative
+    # precision: p's relative error of (16 + x^2/2) 2^-52 moves x by that
+    # times Phi(x)/phi(x) <= min(1.26, 1/|x|) (Mills' ratio), plus ndtri's
+    # own 12 ulp of x
+    x = np.linspace(-37.0, 0.0, 200_001)
+    err = np.abs(channel.ndtri(channel.ndtr(x)) - x)
+    assert (err <= 2.0 ** -52 * (21.0 + 21.0 * np.abs(x))).all()
+
+
+@pytest.mark.parametrize("name", ["ndtr", "log_ndtr", "ndtri"])
+def test_normal_family_edge_values_are_scipys(name):
+    # Phi(-a) underflows to 0 deep in the spike sampler's tail, where
+    # ndtri(0) = -inf must follow; nan's sign is not compared
+    from scipy import special
+
+    if name == "ndtri":
+        x = np.array([0.0, -0.0, 1.0, 0.5, -0.1, 1.1, np.inf, -np.inf, np.nan])
+    else:
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300,
+                      -38.0, -40.0, 38.5, 40.0])
+    got, ref = getattr(channel, name)(x), getattr(special, name)(x)
+    np.testing.assert_array_equal(got, ref)
+    assert (np.signbit(got) == np.signbit(ref))[~np.isnan(ref)].all()
+    scalar = getattr(channel, name)(0.25)
+    assert np.ndim(scalar) == 0 and ulp_distance(scalar, getattr(special, name)(0.25)) <= 2
+
+
+def test_normal_family_writes_in_place_and_keeps_shape():
+    x = np.linspace(-9.0, 3.0, 2 * channel._NORMAL_BLOCK + 7).reshape(3, -1)
+    expected = channel.ndtr(x)
+    assert expected.shape == x.shape
+    channel.ndtr(x, out=x)
+    np.testing.assert_array_equal(x, expected)
+    with pytest.raises(ValueError, match="contiguous"):
+        channel.ndtri(np.full(4, 0.3), out=np.empty((4, 2))[:, 0])

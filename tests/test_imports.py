@@ -10,10 +10,16 @@ call is dead code in the program.
 
 The benchmark's tracer rebinds imported names inside package modules, so
 every name it traces must still be bound where it looks for it.
+
+SciPy is a test-only dependency: no package module imports it, and importing
+the package and computing rows leaves it unloaded.
 """
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +110,42 @@ def test_benchmark_traced_names_exist():
                for name in names
                if not hasattr(importlib.import_module(module_name), name)]
     assert child.TRACED and not missing, f"traced names not bound: {missing}"
+
+
+def test_package_never_imports_scipy():
+    found = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found, f"scipy imported by the package: {found}"
+
+
+def test_rows_run_without_loading_scipy():
+    # a fresh interpreter: load a preset, then one analytic and one Monte
+    # Carlo row of it
+    script = """
+import sys
+from dataclasses import replace
+import uavcache
+cfg = uavcache.load_config(sys.argv[1])
+spec = replace(cfg.sweeps[0], grid=(1.0,), environments=("sub_urban",),
+               methods=("analytic", "monte_carlo"), trials=256)
+rows = uavcache.run_sweep(spec)
+assert [row.method for row in rows] == ["analytic", "monte_carlo"], rows
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    preset = ROOT / "src" / "uavcache" / "presets" / "ee_vs_coop_radius.yaml"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script, str(preset)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "", f"scipy modules loaded: {done.stdout}"

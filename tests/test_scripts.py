@@ -29,6 +29,9 @@ def test_kernel_profile_prints_one_line_per_geometry(monkeypatch, capsys):
     record = json.loads(lines[0])
     assert (record["env"], record["x_cop_km"], record["altitude_km"]) == ("sub_urban", 1.0, 1.0)
     assert len(record["tables_sha256"]) == 64
+    # the windowed branch's normal tails are timed inside its replay
+    assert record["branches"]["windowed"]["cells"] > 0
+    assert 0.0 < record["window_tails_s"]
 
 
 def test_acceptance_diagnostics_diagonal_is_the_system_rate():

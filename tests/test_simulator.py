@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gammainc, ndtr, ndtri
 
 from uavcache import simulator
 from uavcache.analytics import (PowerModel, ScenarioConfig, content_capacity,
@@ -191,8 +192,8 @@ def test_every_spike_clears_the_threshold():
     *_, loss, a = simulator._spike_law(z, "nlos", cfg.env, cfg.channel, tau)
     deep = a > 8.3
     assert deep.sum() > 100
-    clipped = np.clip(simulator.ndtr(a) + r * simulator.ndtr(-a), 0.0, 1.0 - 1e-16)
-    old = loss * np.exp(md.m_ln + s_ln * simulator.ndtri(clipped))
+    clipped = np.clip(ndtr(a) + r * ndtr(-a), 0.0, 1.0 - 1e-16)
+    old = loss * np.exp(md.m_ln + s_ln * ndtri(clipped))
     assert (old[deep] <= tau).all()
     gains = md.gains(u, r.copy())
     assert (gains > tau).all()
@@ -262,7 +263,7 @@ def test_cooperator_table_below_the_cap_is_unchanged():
     # same sums, so every reachable mean gets the same bytes
     def table(m):
         k_hi = 1
-        while simulator.gammainc(k_hi + 1.0, m) > 1e-15 and k_hi < 10000:
+        while gammainc(k_hi + 1.0, m) > 1e-15 and k_hi < 10000:
             k_hi = max(k_hi + 1, int(1.5 * k_hi))
         ks = np.arange(1, k_hi + 1, dtype=float)
         log_pmf = ks * math.log(m) - m - np.cumsum(np.log(ks))
