@@ -2,8 +2,7 @@
 """Cross-validate the semi-analytic capacity against the Monte Carlo
 estimator for the most popular content in two contrasting environments and
 two cooperation radii. Prints a z-score per setting, then the Monte Carlo
-load behind it: the window radius, the expected window links per trial and
-the expected far-field spikes per trial.
+load behind it: the expected far-field spikes per trial.
 
 Usage: python3 scripts/crosscheck.py [trials]
 """
@@ -16,8 +15,7 @@ import time
 from uavcache import (ContentLibrary, ScenarioConfig, content_capacity,
                       environment_preset, estimate_capacity, mpc_policy,
                       solve_rcp)
-from uavcache.simulator import (SimOptions, _FarField, _spike_threshold,
-                                window_radius)
+from uavcache.simulator import SimOptions, _FarField
 
 LN2 = math.log(2.0)
 
@@ -31,16 +29,11 @@ def base_scenario(env_name: str, x_cop: float) -> ScenarioConfig:
 
 
 def mc_health(sc: ScenarioConfig) -> str:
-    """Window radius, expected window links and far-field spikes per trial
-    at the default simulation options."""
-    r_max = window_radius(sc)
-    lam_i = sc.interferer_density
-    x = sc.coop_radius_km
-    links = lam_i * math.pi * (r_max * r_max - x * x)
-    far = _FarField(sc, lam_i, r_max, _spike_threshold(sc, SimOptions().spike_rel))
+    """Expected far-field spikes per trial at the default simulation
+    options."""
+    far = _FarField(sc, SimOptions().spike_rel)
     spikes = sum(md.lam for md in far.modes)
-    return (f"window {r_max:.0f} km: {links:.3g} window links, "
-            f"{spikes:.3g} far-field spikes per trial")
+    return f"{spikes:.3g} far-field spikes per trial"
 
 
 def main() -> int:

@@ -5,25 +5,24 @@ each one produced.
 For each (environment, cooperation radius X) the script takes the default
 scenario (`parse_config({})`) in that environment and radius with the
 `lru_che` placement, which makes every content live as in the benchmark's
-20-content mc_crosscheck row, and times five stages at the default
+20-content mc_crosscheck row, and times four stages at the default
 simulation options:
 
   far_build     the far-field model (`_FarField`): grid, spike intensities
                 and guide tables, mean floor;
   far_sample    its spikes for one chunk of --trials trials
                 (`_FarField.sample`);
-  annulus       the window annulus of one chunk: link counts, radii and
-                links on X < r <= r_max (`_field_chunk` without far field);
-  draw_links    `_draw_links` on LINKS radii, area-uniform on r <= r_max;
+  draw_links    `_draw_links` on LINKS radii, area-uniform on the zone
+                r <= X, where every link it draws lies;
   content_chunk one chunk of content 1 (`_capacity_chunk`) against the
-                chunk's shared field (annulus, spikes and floor).
+                chunk's shared field (spikes and floor).
 
 Each run of a stage draws from a fresh Philox stream keyed by SEED, as the
 estimators key theirs, so each of its REPEATS runs returns the same bytes.
 
 One JSON line per (stage, env, X):
   stage, env, x_cop_km, trials,
-  args      the stage's size: expected spikes or links per chunk,
+  args      the stage's size: expected spikes per trial or chunk, or links,
   best_s    fastest of REPEATS wall times,
   sha256    SHA-256 of the float64 bytes the stage returned (for
             far_build: the floor, then each mode's spike count, CDF and
@@ -36,7 +35,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -45,7 +43,7 @@ import numpy as np
 
 from uavcache import environment_preset, lru_che, parse_config
 from uavcache import simulator
-from uavcache.simulator import SimOptions, window_radius
+from uavcache.simulator import SimOptions
 
 REPEATS = 3
 SEED = 7
@@ -78,16 +76,12 @@ def profile(env_name: str, x_cop: float, trials: int) -> list[dict]:
     base = parse_config({}).scenario
     cfg = replace(base, env=environment_preset(env_name), coop_radius_km=x_cop)
     cfg = cfg.with_policy(lru_che(cfg.library.popularity, cfg.policy.cache_size))
-    opts = SimOptions()
-    r_max = window_radius(cfg)
-    lam_i = cfg.interferer_density
-    tau = simulator._spike_threshold(cfg, opts.spike_rel)
+    spike_rel = SimOptions().spike_rel
     field_purpose = simulator._PURPOSE_FIELD
 
-    far = simulator._FarField(cfg, lam_i, r_max, tau)
+    far = simulator._FarField(cfg, spike_rel)
     spikes = sum(md.lam for md in far.modes) * trials
-    links = lam_i * math.pi * (r_max * r_max - x_cop * x_cop) * trials
-    field = simulator._field_chunk(cfg, trials, rng(field_purpose), r_max, far)
+    field = far.sample(rng(field_purpose), trials) + far.floor
     p_c = float(cfg.policy.probabilities[0])
     trunc_cdf = simulator._truncated_poisson_cdf(cfg.coop_mean(p_c))
 
@@ -95,16 +89,13 @@ def profile(env_name: str, x_cop: float, trials: int) -> list[dict]:
         return digest(f.floor, *[a for md in f.modes for a in (md.lam, md.cum, md.guide)])
 
     def radii():
-        return r_max * np.sqrt(rng(field_purpose).random(LINKS))
+        return x_cop * np.sqrt(rng(field_purpose).random(LINKS))
 
     stages = (
         ("far_build", {"spikes_per_trial": round(spikes / trials, 2)},
-         lambda: simulator._FarField(cfg, lam_i, r_max, tau), far_digest),
+         lambda: simulator._FarField(cfg, spike_rel), far_digest),
         ("far_sample", {"spikes": round(spikes)},
          lambda: far.sample(rng(field_purpose), trials), digest),
-        ("annulus", {"links": round(links)},
-         lambda: simulator._field_chunk(cfg, trials, rng(field_purpose), r_max, None),
-         digest),
         ("draw_links", {"links": LINKS},
          lambda: simulator._draw_links(rng(field_purpose), radii(), cfg.env, cfg.channel),
          lambda res: digest(*res)),

@@ -18,7 +18,7 @@ from .harness import (CSV_HEADER, RunConfig, SweepRow, SweepSpec, dump_config,
                       emit_csv, load_config, parse_config, run_sweep)
 from .simulator import (InterferenceField, SimEstimate, SimOptions,
                         draw_interference_field, estimate_capacity,
-                        estimate_ee, window_radius)
+                        estimate_ee)
 
 __version__ = "0.1.0"
 
@@ -36,6 +36,5 @@ __all__ = [
     "emit_csv", "load_config", "parse_config", "run_sweep",
     "InterferenceField", "SimEstimate", "SimOptions",
     "draw_interference_field", "estimate_capacity", "estimate_ee",
-    "window_radius",
     "__version__",
 ]

@@ -139,12 +139,7 @@ def los_probability(r, h: float, env: Environment):
 
 def path_loss(r, h: float, mode: Mode, cfg: ChannelConfig):
     """Distance attenuation K * (h^2 + r^2)^(-alpha/2) for the given mode."""
-    r = np.asarray(r, dtype=float)
-    h = float(h)
-    if h == 0 and np.any(r == 0):
-        raise ValueError("path loss is singular at zero distance")
-    if not np.all(np.isfinite(r)) or np.any(r < 0) or h < 0:
-        raise ValueError("invalid geometry")
+    r, h = _check_geometry(r, h)
     alpha, k, _ = cfg.mode_params(mode)
     out = k * (h * h + r * r) ** (-alpha / 2.0)
     return out if out.ndim else float(out)

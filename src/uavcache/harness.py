@@ -182,14 +182,12 @@ def _check_keys(node: dict, allowed: Iterable[str], where: str) -> None:
 
 
 def _read(value, kind: str, where: str):
-    """`value` checked against a field annotation: "str", "int", "float" or
-    "float | None"; an int is read as a float where a float is expected."""
+    """`value` checked against a field annotation: "str", "int" or "float";
+    an int is read as a float where a float is expected."""
     if kind == "str":
         if not isinstance(value, str) or not value:
             raise ConfigError(f"{where} must be a nonempty string")
         return value
-    if value is None and kind.endswith("| None"):
-        return None
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where} must be an integer")
@@ -212,13 +210,10 @@ def _get_int(node: dict, key: str, default: int, where: str, lo: int = 0) -> int
     return val
 
 
-# config key of each dataclass field stored under another name
-_RENAMED = {"r_max": "r_max_km"}
-
-
-def _block_keys(cls, omit: Iterable[str] = ()) -> list[tuple[Field, str]]:
-    """(field, config key) of each field of dataclass `cls` not in `omit`."""
-    return [(f, _RENAMED.get(f.name, f.name)) for f in fields(cls) if f.name not in omit]
+def _block_fields(cls, omit: Iterable[str] = ()) -> list[Field]:
+    """The fields of dataclass `cls` not in `omit`; each is a config key of
+    its block under its own name."""
+    return [f for f in fields(cls) if f.name not in omit]
 
 
 def _parse_block(node, cls, where: str, **given):
@@ -229,23 +224,23 @@ def _parse_block(node, cls, where: str, **given):
     dataclass itself checks the values' ranges.
     """
     node = _require_mapping(node, where)
-    keyed = _block_keys(cls, given)
-    _check_keys(node, [key for _, key in keyed], where)
-    missing = [key for f, key in keyed if key not in node and f.default is MISSING]
+    block = _block_fields(cls, given)
+    _check_keys(node, [f.name for f in block], where)
+    missing = [f.name for f in block if f.name not in node and f.default is MISSING]
     if missing:
         raise ConfigError(f"{where} missing key(s): {', '.join(missing)}")
-    return cls(**given, **{f.name: _read(node[key], f.type, f"{where}.{key}")
-                           for f, key in keyed if key in node})
+    return cls(**given, **{f.name: _read(node[f.name], f.type, f"{where}.{f.name}")
+                           for f in block if f.name in node})
 
 
 def _fields(obj, *omit: str) -> dict:
     """Config block of dataclass `obj` less the fields `omit`: `_parse_block`'s inverse."""
-    return {key: getattr(obj, f.name) for f, key in _block_keys(type(obj), omit)}
+    return {f.name: getattr(obj, f.name) for f in _block_fields(type(obj), omit)}
 
 
 # SweepSpec fields that a sweep inherits from the scenario instead of a key
 _FROM_SCENARIO = ("base", "sim_options", "environment_map")
-_SWEEP_KEYS = tuple(key for _, key in _block_keys(SweepSpec, _FROM_SCENARIO))
+_SWEEP_KEYS = tuple(f.name for f in _block_fields(SweepSpec, _FROM_SCENARIO))
 _SCENARIO_KEYS = ("environment", "custom_environment", *_SCALARS, "policy",
                   "channel", "power", "quadrature", "simulation")
 _TOP_KEYS = ("scenario", "sweeps", "seed", "trials")
@@ -434,7 +429,10 @@ def _evaluate_row(scenario: ScenarioConfig, method: str, trials: int,
         report = system_capacity(scenario)
         ee = energy_efficiency(scenario, report)
         return report.system_rate_bits, ee, None, 0
-    field = draw_interference_field(scenario, trials, seed, opts)
+    # an empty zone has no cooperators: every rate is zero, as in
+    # system_capacity, and no trial reads an interference field
+    field = (draw_interference_field(scenario, trials, seed, opts)
+             if scenario.zone_mean_uavs > 0 else None)
     per_content = np.zeros(scenario.library.size)
     system = np.zeros(trials)
     for c in range(1, scenario.library.size + 1):

@@ -1,22 +1,22 @@
 """Monte Carlo network simulator.
 
 Independent oracle for the analytic capacity/EE pipeline: per trial, samples
-the cooperators inside the zone and the same-sub-channel interferers on a
-disc around the typical user (in-zone UAVs thinned by the placement
-probability), draws per-link channels, and estimates rates empirically.
+the cooperators and the same-sub-channel interferers inside the zone (the
+interferers thinned by the placement probability), draws per-link channels,
+adds the interference from beyond the zone, and estimates rates empirically.
 
-Interference beyond the finite sampling window is compensated by a far-field
-model: links whose path-loss-times-median-shadowing product exceeds a small
-threshold are sampled explicitly as a Poisson "spike" process on a log-radius
-grid, the remainder enters as a deterministic mean floor computed from exact
-log-normal partial moments, and the tail beyond the grid is added analytically.
+Interference from beyond the cooperation zone is the far-field model, from
+the zone edge outward: links whose path-loss-times-shadowing product exceeds a
+small threshold form a Poisson "spike" process of their own (the marking
+theorem), sampled exactly on a log-radius grid; the remainder enters as a
+deterministic mean floor computed from exact log-normal partial moments, and
+the tail beyond the grid is added analytically.
 
 A capacity trial splits in two. Beyond the cooperation zone every UAV on the
-sub-channel interferes whatever it caches, so the window annulus and the far
-field form one content-independent interference field, drawn once per trial
-and shared by every content of a system row (common random numbers). Per
-content, only the cooperators and the non-caching interferers inside the zone
-are drawn.
+sub-channel interferes whatever it caches, so the far field is one
+content-independent interference field, drawn once per trial and shared by
+every content of a system row (common random numbers). Per content, only the
+cooperators and the non-caching interferers inside the zone are drawn.
 
 Determinism contract: every estimator derives its randomness from
 counter-based Philox substreams keyed by (master seed, purpose, content) with
@@ -64,14 +64,11 @@ class SimOptions:
     field draw is refused above 16384 expected spikes per trial.
     """
 
-    r_max: float | None = None  # None: 30 max(X, H), see window_radius()
     spike_rel: float = 1e-6
     chunk_size: int = 1024
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.r_max is not None and not self.r_max >= 1e-9:
-            raise ConfigError(f"r_max = {self.r_max} out of range (must be >= 1e-9)")
         if not self.spike_rel >= 1e-12:
             raise ConfigError(f"spike_rel = {self.spike_rel} out of range (must be >= 1e-12)")
         if self.chunk_size < 1 or self.n_jobs < 1:
@@ -106,31 +103,19 @@ class InterferenceField:
     """Per-trial interference from the UAVs beyond the cooperation zone,
     shared by every content, and the key it was drawn for.
 
-    `interference` sums, per trial, the window links on the annulus
-    coop_radius_km < r <= r_max, the far-field spikes and the far-field floor.
+    `interference` sums, per trial, the far-field spikes and the far-field
+    floor beyond coop_radius_km.
     """
 
     env: Environment
     channel: ChannelConfig
     interferer_density: float
     coop_radius_km: float
-    r_max: float
     spike_rel: float
     chunk_size: int
     n_trials: int
     seed: int
     interference: np.ndarray
-
-
-def window_radius(cfg: ScenarioConfig) -> float:
-    """Default sampling-window radius, 30x the zone/altitude scale.
-
-    Links beyond it are carried by the far-field model (_FarField): those
-    above the spike threshold are sampled exactly and the rest enter as their
-    exact sub-threshold mean, so the slowly decaying LOS tail needs no wider
-    window.
-    """
-    return 30.0 * max(cfg.coop_radius_km, cfg.channel.altitude_km)
 
 
 def _chunk_rng(seed: int, purpose: int, content: int, chunk: int) -> np.random.Generator:
@@ -144,8 +129,8 @@ def _draw_links(rng: np.random.Generator, radii: np.ndarray, env: Environment,
                 ch: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-link LOS flags and gains L * V * W: mode draw, shadowing
     V = 10^(-U/10) with U ~ Normal(mu, sigma(r)^2) in dB, unit-mean Nakagami
-    power fading W ~ Gamma(W_n, 1/W_n), and path loss L. Every Monte Carlo
-    link is drawn here.
+    power fading W ~ Gamma(W_n, 1/W_n), and path loss L. Every link inside
+    the cooperation zone is drawn here.
 
     Draw order (mode uniforms, then one normal block, then one gamma block) is
     part of the determinism contract.
@@ -256,12 +241,13 @@ class _SpikeMode:
 
 
 class _FarField:
-    """Spike intensities and mean floor for interference beyond the window.
+    """Spike intensities and mean floor for interference beyond the
+    cooperation zone, at the interferer density and spike threshold of cfg.
 
     Per mode, links with path_loss * V > tau are a Poisson process on a
-    log-radius grid (sampled exactly via inverse-CDF radii and tail-conditioned
-    log-normal gains, see _SpikeMode); weaker links contribute their exact
-    sub-threshold mean.
+    log-radius grid from the zone edge (sampled exactly via inverse-CDF radii
+    and tail-conditioned log-normal gains, see _SpikeMode); weaker links
+    contribute their exact sub-threshold mean.
     The grid extends adaptively until the expected spike count beyond it is
     negligible, so heavy grazing-angle shadowing cannot park unsampled spikes
     past a fixed horizon. Beyond the grid the power-law tail closes with the
@@ -274,11 +260,12 @@ class _FarField:
     _PROBE_STEP = 0.05
     _SPIKE_TAIL = 1e-6   # expected spikes allowed beyond the grid
 
-    def __init__(self, cfg: ScenarioConfig, lam_i: float, r_max: float,
-                 tau: float):
+    def __init__(self, cfg: ScenarioConfig, spike_rel: float):
         env, ch = cfg.env, cfg.channel
         h = ch.altitude_km
-        zg = self._grid(env, ch, lam_i, r_max, tau)
+        lam_i = cfg.interferer_density
+        tau = _spike_threshold(cfg, spike_rel)
+        zg = self._grid(env, ch, lam_i, cfg.coop_radius_km, tau)
         p_los = los_probability(zg, h, env)
         self.modes = []
         floor = 0.0
@@ -301,10 +288,11 @@ class _FarField:
 
     @classmethod
     def _grid(cls, env: Environment, ch: ChannelConfig, lam_i: float,
-              r_max: float, tau: float) -> np.ndarray:
-        """Log-radius grid ending where the residual spike intensity dies."""
+              x: float, tau: float) -> np.ndarray:
+        """Log-radius grid from the zone edge x to where the residual spike
+        intensity dies."""
         h = ch.altitude_km
-        u = math.log(r_max) + cls._PROBE_STEP * np.arange(
+        u = math.log(x) + cls._PROBE_STEP * np.arange(
             int(cls._PROBE_SPAN / cls._PROBE_STEP) + 1)
         zp = np.exp(u)
         p_los = los_probability(zp, h, env)
@@ -348,7 +336,7 @@ def _spike_threshold(cfg: ScenarioConfig, spike_rel: float) -> float:
     zone-edge LOS signal gain (path loss times median shadowing)."""
     env, ch = cfg.env, cfg.channel
     x = cfg.coop_radius_km
-    m_ln, _ = shadowing_log_moments(max(x, 1e-9), ch.altitude_km, "los", env)
+    m_ln, _ = shadowing_log_moments(x, ch.altitude_km, "los", env)
     return spike_rel * float(path_loss(x, ch.altitude_km, "los", ch)) * math.exp(float(m_ln))
 
 
@@ -377,20 +365,6 @@ def _per_trial_sum(n: int, counts: np.ndarray, gains: np.ndarray) -> np.ndarray:
     Always float64: with no entries at all, bincount would return int64."""
     return np.bincount(np.repeat(np.arange(n), counts), weights=gains,
                        minlength=n).astype(float, copy=False)
-
-
-def _field_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator,
-                 r_max: float, far: _FarField | None) -> np.ndarray:
-    """Per-trial interference beyond the zone for one chunk (canonical draw
-    order: annulus counts, radii, links, far-field spikes)."""
-    x = cfg.coop_radius_km
-    counts = rng.poisson(cfg.interferer_density * math.pi * (r_max * r_max - x * x), n)
-    radii = np.sqrt(x * x + (r_max * r_max - x * x) * rng.random(int(counts.sum())))
-    _, gains = _draw_links(rng, radii, cfg.env, cfg.channel)
-    out = _per_trial_sum(n, counts, gains)
-    if far is not None:
-        out += far.sample(rng, n) + far.floor
-    return out
 
 
 def _capacity_chunk(cfg: ScenarioConfig, p_c: float, n: int,
@@ -441,10 +415,9 @@ def _run_chunks(worker, n_trials: int, chunk_size: int, n_jobs: int,
 def _field_key(cfg: ScenarioConfig, n_trials: int, seed: int,
                opts: SimOptions) -> dict:
     """What a shared field depends on: InterferenceField's key fields."""
-    r_max = opts.r_max if opts.r_max is not None else window_radius(cfg)
     return {"env": cfg.env, "channel": cfg.channel,
             "interferer_density": cfg.interferer_density,
-            "coop_radius_km": cfg.coop_radius_km, "r_max": r_max,
+            "coop_radius_km": cfg.coop_radius_km,
             "spike_rel": opts.spike_rel, "chunk_size": opts.chunk_size,
             "n_trials": n_trials, "seed": seed}
 
@@ -453,32 +426,33 @@ def draw_interference_field(cfg: ScenarioConfig, n_trials: int, seed: int,
                             options: SimOptions | None = None) -> InterferenceField:
     """Draw the content-independent interference of n_trials trials once, for
     estimate_capacity calls on any content of cfg with the same trial count,
-    seed and options (a placement change keeps it valid)."""
+    seed and options (a placement change keeps it valid).
+
+    The field starts at the zone edge. An empty zone (no UAV expected in it)
+    raises ValueError: its rates are all zero, and estimate_capacity reads no
+    field for them.
+    """
     opts = options or SimOptions()
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    key = _field_key(cfg, n_trials, seed, opts)
-    r_max = key["r_max"]
-    if r_max <= cfg.coop_radius_km:
-        raise ValueError("window radius must exceed the cooperation radius")
-    far = None
-    if cfg.interferer_density > 0:
-        far = _FarField(cfg, cfg.interferer_density, r_max,
-                        _spike_threshold(cfg, opts.spike_rel))
-        spikes = sum(md.lam for md in far.modes) * min(opts.chunk_size, n_trials)
-        if spikes > _SPIKE_BUDGET:
-            raise ConvergenceError(
-                f"environment {cfg.env.name!r} expects {spikes:.2e} far-field "
-                f"spikes per chunk (> {_SPIKE_BUDGET}); its grazing-angle "
-                "shadowing spread is too wide at spike_rel = "
-                f"{opts.spike_rel:g}, raise spike_rel")
+    if not cfg.zone_mean_uavs > 0:
+        raise ValueError("an empty cooperation zone has no interference field")
+    far = _FarField(cfg, opts.spike_rel)
+    spikes = sum(md.lam for md in far.modes) * min(opts.chunk_size, n_trials)
+    if spikes > _SPIKE_BUDGET:
+        raise ConvergenceError(
+            f"environment {cfg.env.name!r} expects {spikes:.2e} far-field "
+            f"spikes per chunk (> {_SPIKE_BUDGET}); its grazing-angle "
+            "shadowing spread is too wide at spike_rel = "
+            f"{opts.spike_rel:g}, raise spike_rel")
 
     def worker(rng: np.random.Generator, trials: slice) -> np.ndarray:
-        return _field_chunk(cfg, trials.stop - trials.start, rng, r_max, far)
+        return far.sample(rng, trials.stop - trials.start) + far.floor
 
     vals = _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
                        lambda i: _chunk_rng(seed, _PURPOSE_FIELD, 0, i))
-    return InterferenceField(interference=vals, **key)
+    return InterferenceField(interference=vals,
+                             **_field_key(cfg, n_trials, seed, opts))
 
 
 def estimate_capacity(cfg: ScenarioConfig, content: int, n_trials: int,

@@ -144,8 +144,11 @@ def test_path_loss_scales_with_intercept():
 
 
 def test_path_loss_singular_origin():
-    with pytest.raises(ValueError):
-        path_loss(0.0, 0.0, "los", ChannelConfig())
+    # path loss checks its geometry as its siblings do: a nonpositive or
+    # non-finite altitude raises instead of returning nan, 0 or 1
+    for r, h in ((0.0, 0.0), (1.0, 0.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="altitude"):
+            path_loss(r, h, "los", ChannelConfig())
 
 
 def test_path_loss_strictly_decreasing_on_grid():

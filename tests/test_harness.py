@@ -122,10 +122,9 @@ def test_out_of_range_scenario_values():
 @pytest.mark.parametrize("block,key,bad,edge,build", [
     ("quadrature", "v_max", 0.5, 1.0, lambda v: QuadratureConfig(v_max=v)),
     ("quadrature", "rel_tol", 1e-20, 1e-16, lambda v: QuadratureConfig(rel_tol=v)),
-    ("simulation", "r_max_km", -1.0, 1e-9, lambda v: SimOptions(r_max=v)),
     ("simulation", "spike_rel", 1e-13, 1e-12, lambda v: SimOptions(spike_rel=v)),
     (None, "altitude_km", 0.0, 1e-10, lambda v: ChannelConfig(altitude_km=v)),
-], ids=["v_max", "rel_tol", "r_max_km", "spike_rel", "altitude_km"])
+], ids=["v_max", "rel_tol", "spike_rel", "altitude_km"])
 def test_config_and_api_share_each_bound(block, key, bad, edge, build):
     # each bound is stated once, in its dataclass: a value the API rejects
     # is rejected from the config and the edge value passes both
@@ -153,10 +152,8 @@ def test_block_bounds_are_checked_by_their_dataclass(block, key, bad, edge):
 
 
 # the config blocks parsed into a dataclass; a block's keys are its fields'
-# names, renamed where CONFIG_KEY says, less the channel's altitude, which is
-# a scenario key
+# names, less the channel's altitude, which is a scenario key
 CONFIG_BLOCKS = ("channel", "power", "quadrature", "simulation", "custom_environment")
-CONFIG_KEY = {"r_max": "r_max_km"}
 # a complete custom environment block: it has no defaults
 CANYON = {f.name: getattr(environment_preset("urban"), f.name)
           for f in fields(Environment)} | {"name": "canyon"}
@@ -177,14 +174,14 @@ def _parsed_block(block, node):
 def test_every_block_field_is_a_config_key(block):
     base = CANYON if block == "custom_environment" else {}
     run, default = _parsed_block(block, base)
-    keys = {f.name: CONFIG_KEY.get(f.name, f.name) for f in fields(default)
-            if (block, f.name) != ("channel", "altitude_km")}
-    assert list(dump_config(run)["scenario"][block]) == list(keys.values())
+    keys = [f.name for f in fields(default)
+            if (block, f.name) != ("channel", "altitude_km")]
+    assert list(dump_config(run)["scenario"][block]) == keys
     # each key sets its own field and leaves the others at their defaults
-    for name, key in keys.items():
+    for name in keys:
         old = getattr(default, name)
-        new = "gorge" if isinstance(old, str) else 5.0 if old is None else old * 2
-        _, parsed = _parsed_block(block, {**base, key: new})
+        new = "gorge" if isinstance(old, str) else old * 2
+        _, parsed = _parsed_block(block, {**base, name: new})
         assert getattr(parsed, name) == new and parsed == replace(default, **{name: new})
 
 
@@ -366,7 +363,7 @@ def raw_configs(draw):
             hermite_nodes=st.integers(2, 100), rel_tol=_number(1e-12, 1e-2),
             v_max=_number(1.0, 1e9)),
         simulation=_optional_block(
-            r_max_km=st.none() | _number(1e-3, 1e4), spike_rel=_number(1e-9, 1.0),
+            spike_rel=_number(1e-9, 1.0),
             chunk_size=st.integers(1, 4096), n_jobs=st.integers(1, 8))))
     environments = sorted(ENVIRONMENT_PRESETS)
     if draw(st.booleans()):
@@ -750,12 +747,14 @@ def test_both_methods_agree_on_one_point():
     assert monte.ee_bits_per_joule > 0
 
 
-def test_monte_carlo_row_survives_an_empty_window_annulus():
-    # with r_max just beyond the zone, whole chunks draw no annulus link
+def test_monte_carlo_row_survives_chunks_without_spikes():
+    # at 1e-6 UAVs per km^2 the far field expects 0.037 spikes per trial, so
+    # about three chunks in four of 8 trials draw none and hold the floor alone
     run = parse_config(yaml.safe_load("""\
 scenario:
+  uav_density_per_km2: 1.0e-6
   simulation:
-    r_max_km: 1.05
+    chunk_size: 8
 sweeps:
   - name: thin
     variable: x_cop
@@ -767,6 +766,26 @@ sweeps:
     (row,) = run_sweep(run.sweeps[0])
     assert row.method == "monte_carlo"
     assert row.capacity_bits > 0 and row.stderr > 0
+
+
+def test_monte_carlo_row_of_an_empty_zone_is_zero():
+    # with no zone there is no cooperator: every rate is zero, as in the
+    # analytic row
+    run = parse_config(yaml.safe_load("""\
+scenario:
+  policy: mpc
+sweeps:
+  - name: empty
+    variable: x_cop
+    grid: [0.0]
+    methods: [monte_carlo, analytic]
+    trials: 256
+    seed: 1
+"""))
+    monte, analytic = run_sweep(run.sweeps[0])
+    assert (monte.method, monte.capacity_bits, monte.ee_bits_per_joule,
+            monte.stderr, monte.n_trials) == ("monte_carlo", 0.0, 0.0, 0.0, 256)
+    assert (analytic.method, analytic.capacity_bits) == ("analytic", 0.0)
 
 
 def test_monte_carlo_row_fails_on_spike_overload_and_sweep_continues():

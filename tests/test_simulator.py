@@ -16,7 +16,7 @@ from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig,
 from uavcache.errors import ConfigError, ConvergenceError
 from uavcache.simulator import (SimEstimate, SimOptions,
                                 draw_interference_field, estimate_capacity,
-                                estimate_ee, window_radius)
+                                estimate_ee)
 
 SU = environment_preset("sub_urban")
 
@@ -51,20 +51,10 @@ def test_sim_estimate_half_width():
     assert est.half_width == pytest.approx(1.96 * 0.5)
 
 
-def test_window_radius_rules():
-    # the geometric rule 30 max(X, H); the far field carries the rest
-    assert window_radius(dense_scenario()) == pytest.approx(90.0, rel=1e-12)
-    # an altitude above the zone radius sets the scale
-    high = dense_scenario(coop_radius_km=0.5, channel=ChannelConfig(altitude_km=2.0))
-    assert window_radius(high) == pytest.approx(60.0, rel=1e-12)
-    wide = dense_scenario(coop_radius_km=10.0)
-    assert window_radius(wide) == pytest.approx(300.0, rel=1e-12)
-
-
-def interferer_radii(monkeypatch, cfg, r_max, n_trials):
-    """Radii of the interferers that enter content 1's interference in a
-    one-chunk run: the shared field's annulus links, then content 1's in-zone
-    links, as passed to the link sampler."""
+def zone_radii(monkeypatch, cfg, content, n_trials):
+    """Radii passed to the link sampler in a one-chunk run of `content`: its
+    cooperators', then its in-zone interferers'. The shared field draws no
+    link there: its far-field spikes carry their own gains."""
     calls = []
     inner = simulator._draw_links
 
@@ -73,40 +63,46 @@ def interferer_radii(monkeypatch, cfg, r_max, n_trials):
         return inner(rng, radii, env, ch)
 
     monkeypatch.setattr(simulator, "_draw_links", recording)
-    opts = SimOptions(r_max=r_max, chunk_size=n_trials, **DENSE_OPTS)
+    opts = SimOptions(chunk_size=n_trials, **DENSE_OPTS)
     field = draw_interference_field(cfg, n_trials, 42, opts)
-    assert len(calls) == 1  # the annulus beyond the zone
-    estimate_capacity(cfg, 1, n_trials, 42, opts, field=field)
-    assert len(calls) == 3  # then cooperators, then in-zone interferers
-    return np.concatenate([calls[0], calls[2]])
+    assert not calls
+    estimate_capacity(cfg, content, n_trials, 42, opts, field=field)
+    assert len(calls) == 2
+    return calls
 
 
 def test_sample_network_poisson_count(monkeypatch):
-    # oracle: the mean count per trial is lambda_I * pi * (r_max^2 - p_c X^2),
-    # a Poisson field of same-sub-channel UAVs on the window less the caching
-    # ones inside the zone, which cooperate instead; at r_max = 6 km leaving
-    # the thinning out moves the mean by about 20 SE
+    # oracle: per trial the cooperator count is the zero-truncated Poisson of
+    # mean m_c / (1 - exp(-m_c)), and the in-zone interferer count the
+    # Poisson of mean lambda_I * pi * (1 - p_c) X^2, the same-sub-channel UAVs
+    # in the zone less the caching ones, which cooperate instead; leaving the
+    # thinning out moves the interferer mean by about 14 SE
     cfg = dense_scenario()
-    p_c = float(cfg.policy.probabilities[0])
-    n, r_max = 4000, 6.0
-    radii = interferer_radii(monkeypatch, cfg, r_max, n)
-    target = cfg.interferer_density * math.pi * (r_max ** 2 - p_c * 3.0 ** 2)
-    z = (radii.size / n - target) / math.sqrt(target / n)
-    assert abs(z) < 3.0
+    p_c = float(cfg.policy.probabilities[2])
+    m_c = cfg.coop_mean(p_c)
+    nonempty = -math.expm1(-m_c)
+    coop_mean = m_c / nonempty
+    coop_var = m_c * (1.0 + m_c) / nonempty - coop_mean ** 2
+    interferer_mean = cfg.interferer_density * math.pi * (1.0 - p_c) * 3.0 ** 2
+    n = 4000
+    coop, interferers = zone_radii(monkeypatch, cfg, 3, n)
+    for count, mean, var in ((coop.size, coop_mean, coop_var),
+                             (interferers.size, interferer_mean, interferer_mean)):
+        z = (count / n - mean) / math.sqrt(var / n)
+        assert abs(z) < 3.0
 
 
 def test_sample_network_radial_law(monkeypatch):
-    # area-uniform placement, thinned by p_c inside the zone: the CDF at r is
-    # (r^2 - p_c min(r, X)^2) / (r_max^2 - p_c X^2)
+    # cooperators and in-zone interferers are area-uniform on the zone: the
+    # CDF at r is (r / X)^2
     cfg = dense_scenario()
-    p_c = float(cfg.policy.probabilities[0])
-    x, r_max = 3.0, 12.0
-    radii = interferer_radii(monkeypatch, cfg, r_max, 1000)
-    assert radii.min() >= 0.0 and radii.max() <= r_max
-    for r in (1.5, 3.0, 6.0, 9.0):
-        cdf = (r ** 2 - p_c * min(r, x) ** 2) / (r_max ** 2 - p_c * x ** 2)
-        frac = (radii <= r).mean()
-        assert abs(frac - cdf) < 3.0 * math.sqrt(cdf * (1 - cdf) / radii.size), r
+    x = 3.0
+    for radii in zone_radii(monkeypatch, cfg, 3, 2000):
+        assert radii.min() >= 0.0 and radii.max() <= x
+        for r in (0.75, 1.5, 2.25):
+            cdf = (r / x) ** 2
+            frac = (radii <= r).mean()
+            assert abs(frac - cdf) < 3.0 * math.sqrt(cdf * (1 - cdf) / radii.size), r
 
 
 # --- capacity estimator -------------------------------------------------------
@@ -131,15 +127,13 @@ def test_far_field_floor_keeps_the_sir_finite():
             for h in (0.5, 1.0, 3.0):
                 cfg = replace(top, env=environment_preset(name), coop_radius_km=x,
                               channel=ChannelConfig(altitude_km=h))
-                far = simulator._FarField(cfg, cfg.interferer_density, window_radius(cfg),
-                                          simulator._spike_threshold(cfg, spike_rel))
+                far = simulator._FarField(cfg, spike_rel)
                 assert far.floor > 0.0, (name, x, h)
     # high_rise at X = 3 km: against the floor alone about one top-content
     # trial in 1e3 reaches an SIR above 1e6 (15-26 of 20k over seeds 0-4), so
     # one chunk against a floor-only field holds such trials whatever the
     # stream layout; they stay finite and are not clipped
-    far = simulator._FarField(top, top.interferer_density, window_radius(top),
-                              simulator._spike_threshold(top, spike_rel))
+    far = simulator._FarField(top, spike_rel)
     p_c = float(top.policy.probabilities[0])
     m_c = top.coop_mean(p_c)
     rng = simulator._chunk_rng(3, simulator._PURPOSE_CAPACITY, 1, 0)
@@ -155,8 +149,19 @@ def default_far_field(env_name, x):
     lib = ContentLibrary(20, 0.8)
     cfg = ScenarioConfig(library=lib, policy=solve_rcp(lib.popularity, 5, math.pi * 1e-3),
                          env=environment_preset(env_name), coop_radius_km=x)
-    tau = simulator._spike_threshold(cfg, SimOptions().spike_rel)
-    return cfg, tau, simulator._FarField(cfg, cfg.interferer_density, window_radius(cfg), tau)
+    spike_rel = SimOptions().spike_rel
+    return cfg, simulator._spike_threshold(cfg, spike_rel), simulator._FarField(cfg, spike_rel)
+
+
+def test_far_field_starts_at_the_zone_edge():
+    # beyond X every link is the far field's: at the default sub_urban
+    # scenario every link in X < r < 2X clears the spike threshold, so the
+    # spikes expected there are all lambda_I * pi * 3 X^2 links of that ring
+    cfg, _, far = default_far_field("sub_urban", 1.0)
+    for md in far.modes:
+        assert md.zg[0] == pytest.approx(1.0, rel=1e-15)
+    ring = sum(md.lam * np.interp(2.0, md.zg, md.cum) for md in far.modes)
+    assert ring == pytest.approx(cfg.interferer_density * math.pi * 3.0, rel=1e-3)
 
 
 @pytest.mark.parametrize("x", [1.0, 3.0])
@@ -228,11 +233,9 @@ def test_estimator_seed_reproducibility():
 
 @pytest.mark.parametrize("env_name", ["sub_urban", "high_rise"])
 def test_spike_refinement_is_invisible(env_name):
-    # the far field, not the window, carries the interference beyond
-    # 30 max(X, H): at the default scenario, resolving its spikes ten times
-    # deeper must not move the estimate; dropping the spikes (floor kept)
-    # moves it by 5-7 half-widths, which window doubling sees only for
-    # sub_urban
+    # the far field carries the interference beyond the zone edge: at the
+    # default scenario, resolving its spikes ten times deeper must not move
+    # the estimate
     lib = ContentLibrary(20, 0.8)
     cfg = ScenarioConfig(library=lib, policy=solve_rcp(lib.popularity, 5, math.pi * 1e-3),
                          env=environment_preset(env_name))
@@ -243,8 +246,9 @@ def test_spike_refinement_is_invisible(env_name):
 
 
 def test_per_trial_sum_is_float_without_entries():
-    # a chunk whose window annulus draws no link has all-zero counts; the sum
-    # must still be float64 so the far-field part can be added in place
+    # a chunk that draws no in-zone interferer (a content cached with p = 1)
+    # has all-zero counts; the sum must still be float64 so the shared field
+    # can be added to it
     out = simulator._per_trial_sum(4, np.zeros(4, dtype=np.int64), np.empty(0))
     assert out.dtype == np.float64
     assert np.array_equal(out, np.zeros(4))
@@ -319,7 +323,7 @@ def test_shared_field_parallelism_is_invisible():
 @pytest.mark.parametrize("change", [
     dict(seed=8), dict(n_trials=300), dict(cfg=dense_scenario(uav_density=0.04)),
     dict(cfg=dense_scenario(coop_radius_km=2.5)),
-    dict(opts=SimOptions(r_max=20.0, **DENSE_OPTS))])
+    dict(opts=SimOptions(spike_rel=1e-2))])
 def test_shared_field_key_is_checked(change):
     cfg = dense_scenario()
     field = draw_interference_field(cfg, 200, 7, SimOptions(**DENSE_OPTS))
@@ -336,8 +340,9 @@ def test_estimator_validation():
         estimate_capacity(cfg, 1, 0, 0, SimOptions())
     with pytest.raises(ValueError):
         estimate_capacity(cfg, 9, 10, 0, SimOptions())
-    with pytest.raises(ValueError, match="window radius"):
-        estimate_capacity(cfg, 1, 10, 0, SimOptions(r_max=2.0))
+    # the far field starts at the zone edge, so an empty zone has none
+    with pytest.raises(ValueError, match="empty cooperation zone"):
+        draw_interference_field(dense_scenario(coop_radius_km=0.0), 10, 0)
 
 
 # --- energy efficiency estimator ----------------------------------------------
