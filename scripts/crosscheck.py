@@ -31,7 +31,8 @@ def base_scenario(env_name: str, x_cop: float) -> ScenarioConfig:
 def mc_health(sc: ScenarioConfig) -> str:
     """Expected far-field spikes per trial at the default simulation
     options."""
-    far = _FarField(sc, SimOptions().spike_rel)
+    far = _FarField(sc.env, sc.channel, sc.interferer_density,
+                    sc.coop_radius_km, SimOptions().spike_rel)
     spikes = sum(md.lam for md in far.modes)
     return f"{spikes:.3g} far-field spikes per trial"
 

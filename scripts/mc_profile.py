@@ -79,7 +79,8 @@ def profile(env_name: str, x_cop: float, trials: int) -> list[dict]:
     spike_rel = SimOptions().spike_rel
     field_purpose = simulator._PURPOSE_FIELD
 
-    far = simulator._FarField(cfg, spike_rel)
+    far_args = (cfg.env, cfg.channel, cfg.interferer_density, x_cop, spike_rel)
+    far = simulator._FarField(*far_args)
     spikes = sum(md.lam for md in far.modes) * trials
     field = far.sample(rng(field_purpose), trials) + far.floor
     p_c = float(cfg.policy.probabilities[0])
@@ -93,7 +94,7 @@ def profile(env_name: str, x_cop: float, trials: int) -> list[dict]:
 
     stages = (
         ("far_build", {"spikes_per_trial": round(spikes / trials, 2)},
-         lambda: simulator._FarField(cfg, spike_rel), far_digest),
+         lambda: simulator._FarField(*far_args), far_digest),
         ("far_sample", {"spikes": round(spikes)},
          lambda: far.sample(rng(field_purpose), trials), digest),
         ("draw_links", {"links": LINKS},

@@ -16,9 +16,7 @@ from .channel import (ENVIRONMENT_PRESETS, ChannelConfig, Environment,
 from .errors import ConfigError, ConvergenceError, UavCacheError
 from .harness import (CSV_HEADER, RunConfig, SweepRow, SweepSpec, dump_config,
                       emit_csv, load_config, parse_config, run_sweep)
-from .simulator import (InterferenceField, SimEstimate, SimOptions,
-                        draw_interference_field, estimate_capacity,
-                        estimate_ee)
+from .simulator import SimEstimate, SimOptions, estimate_capacity, estimate_ee
 
 __version__ = "0.1.0"
 
@@ -34,7 +32,6 @@ __all__ = [
     "ConfigError", "ConvergenceError", "UavCacheError",
     "CSV_HEADER", "RunConfig", "SweepRow", "SweepSpec", "dump_config",
     "emit_csv", "load_config", "parse_config", "run_sweep",
-    "InterferenceField", "SimEstimate", "SimOptions",
-    "draw_interference_field", "estimate_capacity", "estimate_ee",
+    "SimEstimate", "SimOptions", "estimate_capacity", "estimate_ee",
     "__version__",
 ]

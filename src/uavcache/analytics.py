@@ -31,6 +31,7 @@ bits and reads the dynamic-power slope as W per (bit/channel use).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -397,6 +398,7 @@ def content_capacity(cfg: ScenarioConfig, content: int) -> float:
     vanishes exactly when the zone is empty, so no extra void-probability
     prefactor belongs in it.
     """
+    content = operator.index(content)
     if not 1 <= content <= cfg.library.size:
         raise ValueError("content index out of range")
     return float(system_capacity(cfg).per_content_nats[content - 1])

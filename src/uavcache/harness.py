@@ -33,7 +33,7 @@ from .caching import (POLICY_KINDS, ContentLibrary, PlacementPolicy, lru_che,
 from .channel import ChannelConfig, Environment, environment_preset
 from .errors import ConfigError, UavCacheError
 from .simulator import (_PURPOSE_LRU, SimEstimate, SimOptions, _chunk_rng,
-                        draw_interference_field, estimate_capacity, estimate_ee)
+                        estimate_capacity, estimate_ee)
 
 # The scenario's scalar keys in SweepRow's column order, density to kappa:
 # key -> (sweep variable or None, type, ScenarioConfig attribute, default).
@@ -429,14 +429,10 @@ def _evaluate_row(scenario: ScenarioConfig, method: str, trials: int,
         report = system_capacity(scenario)
         ee = energy_efficiency(scenario, report)
         return report.system_rate_bits, ee, None, 0
-    # an empty zone has no cooperators: every rate is zero, as in
-    # system_capacity, and no trial reads an interference field
-    field = (draw_interference_field(scenario, trials, seed, opts)
-             if scenario.zone_mean_uavs > 0 else None)
     per_content = np.zeros(scenario.library.size)
     system = np.zeros(trials)
     for c in range(1, scenario.library.size + 1):
-        est = estimate_capacity(scenario, c, trials, seed, opts, field=field)
+        est = estimate_capacity(scenario, c, trials, seed, opts)
         per_content[c - 1] = est.mean
         system += float(scenario.library.popularity[c - 1]) * est.samples
     row = SimEstimate.of(system)

@@ -14,9 +14,12 @@ the tail beyond the grid is added analytically.
 
 A capacity trial splits in two. Beyond the cooperation zone every UAV on the
 sub-channel interferes whatever it caches, so the far field is one
-content-independent interference field, drawn once per trial and shared by
-every content of a system row (common random numbers). Per content, only the
-cooperators and the non-caching interferers inside the zone are drawn.
+content-independent interference field per trial, shared by every content of
+a system row (common random numbers). It is drawn once and memoized on
+exactly what it reads (`_interference_field`), so the calls for the contents
+of one scenario, trial count, seed and options all read one draw; a cleared
+memo redraws the same bytes. Per content, only the cooperators and the
+non-caching interferers inside the zone are drawn.
 
 Determinism contract: every estimator derives its randomness from
 counter-based Philox substreams keyed by (master seed, purpose, content) with
@@ -27,8 +30,10 @@ results are bit-identical for any chunk execution order or thread count.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -98,27 +103,9 @@ class SimEstimate:
         return 1.96 * self.stderr
 
 
-@dataclass(frozen=True, eq=False)
-class InterferenceField:
-    """Per-trial interference from the UAVs beyond the cooperation zone,
-    shared by every content, and the key it was drawn for.
-
-    `interference` sums, per trial, the far-field spikes and the far-field
-    floor beyond coop_radius_km.
-    """
-
-    env: Environment
-    channel: ChannelConfig
-    interferer_density: float
-    coop_radius_km: float
-    spike_rel: float
-    chunk_size: int
-    n_trials: int
-    seed: int
-    interference: np.ndarray
-
-
 def _chunk_rng(seed: int, purpose: int, content: int, chunk: int) -> np.random.Generator:
+    # as Python ints: numpy integers overflow against the 64-bit mask
+    seed, content = operator.index(seed), operator.index(content)
     key = np.array([seed & _MASK64, ((purpose << 32) | content) & _MASK64],
                    dtype=np.uint64)
     counter = np.array([0, 0, 0, chunk], dtype=np.uint64)
@@ -242,7 +229,8 @@ class _SpikeMode:
 
 class _FarField:
     """Spike intensities and mean floor for interference beyond the
-    cooperation zone, at the interferer density and spike threshold of cfg.
+    cooperation zone X at interferer density lam_i, with spikes resolved
+    down to spike_rel (`_spike_threshold`).
 
     Per mode, links with path_loss * V > tau are a Poisson process on a
     log-radius grid from the zone edge (sampled exactly via inverse-CDF radii
@@ -260,12 +248,11 @@ class _FarField:
     _PROBE_STEP = 0.05
     _SPIKE_TAIL = 1e-6   # expected spikes allowed beyond the grid
 
-    def __init__(self, cfg: ScenarioConfig, spike_rel: float):
-        env, ch = cfg.env, cfg.channel
+    def __init__(self, env: Environment, ch: ChannelConfig, lam_i: float,
+                 x: float, spike_rel: float):
         h = ch.altitude_km
-        lam_i = cfg.interferer_density
-        tau = _spike_threshold(cfg, spike_rel)
-        zg = self._grid(env, ch, lam_i, cfg.coop_radius_km, tau)
+        tau = _spike_threshold(env, ch, x, spike_rel)
+        zg = self._grid(env, ch, lam_i, x, tau)
         p_los = los_probability(zg, h, env)
         self.modes = []
         floor = 0.0
@@ -331,11 +318,10 @@ class _FarField:
         return out
 
 
-def _spike_threshold(cfg: ScenarioConfig, spike_rel: float) -> float:
+def _spike_threshold(env: Environment, ch: ChannelConfig, x: float,
+                     spike_rel: float) -> float:
     """Far-field spikes are resolved down to spike_rel times the typical
-    zone-edge LOS signal gain (path loss times median shadowing)."""
-    env, ch = cfg.env, cfg.channel
-    x = cfg.coop_radius_km
+    zone-edge LOS signal gain (path loss times median shadowing) at radius x."""
     m_ln, _ = shadowing_log_moments(x, ch.altitude_km, "los", env)
     return spike_rel * float(path_loss(x, ch.altitude_km, "los", ch)) * math.exp(float(m_ln))
 
@@ -412,36 +398,23 @@ def _run_chunks(worker, n_trials: int, chunk_size: int, n_jobs: int,
     return np.concatenate(parts)
 
 
-def _field_key(cfg: ScenarioConfig, n_trials: int, seed: int,
-               opts: SimOptions) -> dict:
-    """What a shared field depends on: InterferenceField's key fields."""
-    return {"env": cfg.env, "channel": cfg.channel,
-            "interferer_density": cfg.interferer_density,
-            "coop_radius_km": cfg.coop_radius_km,
-            "spike_rel": opts.spike_rel, "chunk_size": opts.chunk_size,
-            "n_trials": n_trials, "seed": seed}
+@lru_cache(maxsize=1)
+def _interference_field(env: Environment, ch: ChannelConfig, lam_i: float,
+                        x: float, n_trials: int, seed: int,
+                        opts: SimOptions) -> np.ndarray:
+    """Per-trial interference from the UAVs beyond the cooperation zone x at
+    interferer density lam_i: far-field spikes plus floor, read-only.
 
-
-def draw_interference_field(cfg: ScenarioConfig, n_trials: int, seed: int,
-                            options: SimOptions | None = None) -> InterferenceField:
-    """Draw the content-independent interference of n_trials trials once, for
-    estimate_capacity calls on any content of cfg with the same trial count,
-    seed and options (a placement change keeps it valid).
-
-    The field starts at the zone edge. An empty zone (no UAV expected in it)
-    raises ValueError: its rates are all zero, and estimate_capacity reads no
-    field for them.
+    Memoized on exactly what the draw reads, placement excluded, so every
+    content of a row reads one draw; one entry holds a row's n_trials
+    floats. The options go in whole: n_jobs moves no byte, but keeps a
+    serial and a threaded run from sharing one draw.
     """
-    opts = options or SimOptions()
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if not cfg.zone_mean_uavs > 0:
-        raise ValueError("an empty cooperation zone has no interference field")
-    far = _FarField(cfg, opts.spike_rel)
+    far = _FarField(env, ch, lam_i, x, opts.spike_rel)
     spikes = sum(md.lam for md in far.modes) * min(opts.chunk_size, n_trials)
     if spikes > _SPIKE_BUDGET:
         raise ConvergenceError(
-            f"environment {cfg.env.name!r} expects {spikes:.2e} far-field "
+            f"environment {env.name!r} expects {spikes:.2e} far-field "
             f"spikes per chunk (> {_SPIKE_BUDGET}); its grazing-angle "
             "shadowing spread is too wide at spike_rel = "
             f"{opts.spike_rel:g}, raise spike_rel")
@@ -451,13 +424,12 @@ def draw_interference_field(cfg: ScenarioConfig, n_trials: int, seed: int,
 
     vals = _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
                        lambda i: _chunk_rng(seed, _PURPOSE_FIELD, 0, i))
-    return InterferenceField(interference=vals,
-                             **_field_key(cfg, n_trials, seed, opts))
+    vals.flags.writeable = False
+    return vals
 
 
 def estimate_capacity(cfg: ScenarioConfig, content: int, n_trials: int,
-                      seed: int, options: SimOptions | None = None,
-                      field: InterferenceField | None = None) -> SimEstimate:
+                      seed: int, options: SimOptions | None = None) -> SimEstimate:
     """Monte Carlo estimate of the average rate of one content (1-based
     index), nats per channel use, with its per-trial values as `samples`.
 
@@ -466,32 +438,27 @@ def estimate_capacity(cfg: ScenarioConfig, content: int, n_trials: int,
     every trial has a signal, and the mean is scaled by the nonempty-zone
     probability 1 - exp(-m_c); an empty zone contributes rate zero.
 
-    `field` is the shared interference beyond the zone from
-    draw_interference_field; without one the call draws its own, with the
-    same result. A field drawn for other arguments raises ValueError.
+    The interference beyond the zone is `_interference_field`'s memoized
+    draw, so the estimates of a scenario's contents at one trial count, seed
+    and options are correlated: combine them per trial through `samples`.
     """
     opts = options or SimOptions()
+    content = operator.index(content)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if not 1 <= content <= cfg.library.size:
         raise ValueError("content index out of range")
-    if field is not None:
-        key = _field_key(cfg, n_trials, seed, opts)
-        wrong = [name for name, value in key.items() if getattr(field, name) != value]
-        if wrong:
-            raise ValueError("interference field was drawn for another "
-                             + ", ".join(wrong))
     p_c = float(cfg.policy.probabilities[content - 1])
     m_c = cfg.coop_mean(p_c)
     if p_c <= 0.0 or m_c <= 0.0:
         return SimEstimate.of(np.zeros(n_trials))
-    if field is None:
-        field = draw_interference_field(cfg, n_trials, seed, opts)
+    field = _interference_field(cfg.env, cfg.channel, cfg.interferer_density,
+                                cfg.coop_radius_km, n_trials, seed, opts)
     trunc_cdf = _truncated_poisson_cdf(m_c)
 
     def worker(rng: np.random.Generator, trials: slice) -> np.ndarray:
         return _capacity_chunk(cfg, p_c, trials.stop - trials.start, rng,
-                               trunc_cdf, field.interference[trials])
+                               trunc_cdf, field[trials])
 
     vals = _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
                        lambda i: _chunk_rng(seed, _PURPOSE_CAPACITY, content, i))

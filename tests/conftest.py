@@ -1,10 +1,11 @@
 """Shared pytest wiring for the acceptance battery: each acceptance test
 records a one-line verdict here, and the terminal summary echoes them all so
 the per-criterion outcome is visible without -s. The `cold_tables` fixture
-empties the analytic engine's table memos."""
+empties the analytic engine's table memos, and `cold_field` the simulator's
+far-field memo."""
 import pytest
 
-from uavcache import analytics
+from uavcache import analytics, simulator
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -19,6 +20,18 @@ def cold_tables():
         analytics._geometry_tables.cache_clear()
         analytics._far_radial.cache_clear()
 
+    clear()
+    yield clear
+    clear()
+
+
+@pytest.fixture
+def cold_field():
+    """Empty the simulator's far-field memo on entry and exit, and yield the
+    function that empties it. Two runs that must each draw their field, or a
+    run under a patched simulator internal, clear it first: otherwise the
+    later run reads the earlier run's draw."""
+    clear = simulator._interference_field.cache_clear
     clear()
     yield clear
     clear()

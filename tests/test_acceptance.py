@@ -367,7 +367,7 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables):
     assert ok, line
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, cold_field):
     template = """\
 scenario:
   environment: sub_urban
@@ -387,6 +387,7 @@ sweeps:
 """
     outputs = {}
     for tag, jobs in (("first", 1), ("second", 1), ("threaded", 4)):
+        cold_field()  # each run draws its own far fields
         cfg_path = tmp_path / f"{tag}.yaml"
         out_path = tmp_path / f"{tag}.csv"
         cfg_path.write_text(template.format(jobs=jobs))

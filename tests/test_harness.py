@@ -22,8 +22,7 @@ from uavcache.errors import ConfigError
 from uavcache.harness import (CSV_HEADER, METHODS, SWEEP_VARIABLES, SweepSpec,
                               dump_config, emit_csv, load_config, parse_config,
                               run_sweep)
-from uavcache.simulator import (SimOptions, draw_interference_field,
-                                estimate_capacity)
+from uavcache.simulator import SimOptions, estimate_capacity
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLE_CONFIG = ROOT / "configs" / "example.yaml"
@@ -810,10 +809,9 @@ def test_monte_carlo_stderr_is_that_of_the_system_rate():
                      methods=("monte_carlo",), trials=400, seed=9)
     (row,) = run_sweep(spec)
     opts = SimOptions()
-    field = draw_interference_field(base, 400, row.seed, opts)
     system = np.zeros(400)
     for c in range(1, base.library.size + 1):
-        est = estimate_capacity(base, c, 400, row.seed, opts, field=field)
+        est = estimate_capacity(base, c, 400, row.seed, opts)
         system += float(base.library.popularity[c - 1]) * est.samples
     ln2 = math.log(2.0)
     assert row.capacity_bits == pytest.approx(system.mean() / ln2, rel=1e-12)

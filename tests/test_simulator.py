@@ -1,21 +1,21 @@
 """Monte Carlo network simulator: sampling distributions, estimator
 agreement with the analytic rate, parallelism, and input validation."""
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.special import gammainc, ndtr, ndtri
 
 from uavcache import simulator
-from uavcache.analytics import (PowerModel, ScenarioConfig, content_capacity,
-                                energy_efficiency_exact, system_capacity)
-from uavcache.caching import ContentLibrary, solve_rcp
+from uavcache.analytics import (PowerModel, QuadratureConfig, ScenarioConfig,
+                                content_capacity, energy_efficiency_exact,
+                                system_capacity)
+from uavcache.caching import ContentLibrary, mpc_policy, solve_rcp
 from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig,
                               environment_preset)
 from uavcache.errors import ConfigError, ConvergenceError
-from uavcache.simulator import (SimEstimate, SimOptions,
-                                draw_interference_field, estimate_capacity,
+from uavcache.simulator import (SimEstimate, SimOptions, estimate_capacity,
                                 estimate_ee)
 
 SU = environment_preset("sub_urban")
@@ -35,6 +35,18 @@ def dense_scenario(**kwargs):
     return ScenarioConfig(**base)
 
 
+def far_field(cfg, spike_rel=SimOptions().spike_rel):
+    """The far-field model beyond cfg's cooperation zone."""
+    return simulator._FarField(cfg.env, cfg.channel, cfg.interferer_density,
+                               cfg.coop_radius_km, spike_rel)
+
+
+def interference_field(cfg, n_trials, seed, opts):
+    """The memoized per-trial interference beyond cfg's cooperation zone."""
+    return simulator._interference_field(cfg.env, cfg.channel, cfg.interferer_density,
+                                         cfg.coop_radius_km, n_trials, seed, opts)
+
+
 # --- options and sampling primitives -----------------------------------------
 
 def test_sim_options_validation():
@@ -51,10 +63,11 @@ def test_sim_estimate_half_width():
     assert est.half_width == pytest.approx(1.96 * 0.5)
 
 
-def zone_radii(monkeypatch, cfg, content, n_trials):
+def zone_radii(monkeypatch, cold_field, cfg, content, n_trials):
     """Radii passed to the link sampler in a one-chunk run of `content`: its
-    cooperators', then its in-zone interferers'. The shared field draws no
-    link there: its far-field spikes carry their own gains."""
+    cooperators', then its in-zone interferers'. The run draws its field on
+    an emptied memo, and that draw passes no link there: its far-field
+    spikes carry their own gains."""
     calls = []
     inner = simulator._draw_links
 
@@ -64,14 +77,14 @@ def zone_radii(monkeypatch, cfg, content, n_trials):
 
     monkeypatch.setattr(simulator, "_draw_links", recording)
     opts = SimOptions(chunk_size=n_trials, **DENSE_OPTS)
-    field = draw_interference_field(cfg, n_trials, 42, opts)
-    assert not calls
-    estimate_capacity(cfg, content, n_trials, 42, opts, field=field)
+    cold_field()
+    estimate_capacity(cfg, content, n_trials, 42, opts)
+    assert simulator._interference_field.cache_info().misses == 1
     assert len(calls) == 2
     return calls
 
 
-def test_sample_network_poisson_count(monkeypatch):
+def test_sample_network_poisson_count(monkeypatch, cold_field):
     # oracle: per trial the cooperator count is the zero-truncated Poisson of
     # mean m_c / (1 - exp(-m_c)), and the in-zone interferer count the
     # Poisson of mean lambda_I * pi * (1 - p_c) X^2, the same-sub-channel UAVs
@@ -85,19 +98,19 @@ def test_sample_network_poisson_count(monkeypatch):
     coop_var = m_c * (1.0 + m_c) / nonempty - coop_mean ** 2
     interferer_mean = cfg.interferer_density * math.pi * (1.0 - p_c) * 3.0 ** 2
     n = 4000
-    coop, interferers = zone_radii(monkeypatch, cfg, 3, n)
+    coop, interferers = zone_radii(monkeypatch, cold_field, cfg, 3, n)
     for count, mean, var in ((coop.size, coop_mean, coop_var),
                              (interferers.size, interferer_mean, interferer_mean)):
         z = (count / n - mean) / math.sqrt(var / n)
         assert abs(z) < 3.0
 
 
-def test_sample_network_radial_law(monkeypatch):
+def test_sample_network_radial_law(monkeypatch, cold_field):
     # cooperators and in-zone interferers are area-uniform on the zone: the
     # CDF at r is (r / X)^2
     cfg = dense_scenario()
     x = 3.0
-    for radii in zone_radii(monkeypatch, cfg, 3, 2000):
+    for radii in zone_radii(monkeypatch, cold_field, cfg, 3, 2000):
         assert radii.min() >= 0.0 and radii.max() <= x
         for r in (0.75, 1.5, 2.25):
             cdf = (r / x) ** 2
@@ -121,19 +134,17 @@ def test_far_field_floor_keeps_the_sir_finite():
     lib = ContentLibrary(20, 0.8)
     top = ScenarioConfig(library=lib, policy=solve_rcp(lib.popularity, 5, math.pi * 9e-3),
                          env=environment_preset("high_rise"), coop_radius_km=3.0)
-    spike_rel = SimOptions().spike_rel
     for name in ENVIRONMENT_PRESETS:
         for x in (0.5, 1.0, 3.0):
             for h in (0.5, 1.0, 3.0):
                 cfg = replace(top, env=environment_preset(name), coop_radius_km=x,
                               channel=ChannelConfig(altitude_km=h))
-                far = simulator._FarField(cfg, spike_rel)
-                assert far.floor > 0.0, (name, x, h)
+                assert far_field(cfg).floor > 0.0, (name, x, h)
     # high_rise at X = 3 km: against the floor alone about one top-content
     # trial in 1e3 reaches an SIR above 1e6 (15-26 of 20k over seeds 0-4), so
     # one chunk against a floor-only field holds such trials whatever the
     # stream layout; they stay finite and are not clipped
-    far = simulator._FarField(top, spike_rel)
+    far = far_field(top)
     p_c = float(top.policy.probabilities[0])
     m_c = top.coop_mean(p_c)
     rng = simulator._chunk_rng(3, simulator._PURPOSE_CAPACITY, 1, 0)
@@ -149,8 +160,8 @@ def default_far_field(env_name, x):
     lib = ContentLibrary(20, 0.8)
     cfg = ScenarioConfig(library=lib, policy=solve_rcp(lib.popularity, 5, math.pi * 1e-3),
                          env=environment_preset(env_name), coop_radius_km=x)
-    spike_rel = SimOptions().spike_rel
-    return cfg, simulator._spike_threshold(cfg, spike_rel), simulator._FarField(cfg, spike_rel)
+    tau = simulator._spike_threshold(cfg.env, cfg.channel, x, SimOptions().spike_rel)
+    return cfg, tau, far_field(cfg)
 
 
 def test_far_field_starts_at_the_zone_edge():
@@ -214,17 +225,20 @@ def test_estimator_error_scales_as_root_n():
     assert 1.6 < small.stderr / large.stderr < 2.5
 
 
-def test_estimator_parallelism_is_invisible():
+def test_estimator_parallelism_is_invisible(cold_field):
     cfg = dense_scenario()
     serial = estimate_capacity(cfg, 1, 2000, 5, SimOptions(n_jobs=1, **DENSE_OPTS))
+    cold_field()
     threaded = estimate_capacity(cfg, 1, 2000, 5, SimOptions(n_jobs=3, **DENSE_OPTS))
     assert serial.mean == threaded.mean
     assert serial.stderr == threaded.stderr
+    assert serial.samples.tobytes() == threaded.samples.tobytes()
 
 
-def test_estimator_seed_reproducibility():
+def test_estimator_seed_reproducibility(cold_field):
     cfg = dense_scenario()
     a = estimate_capacity(cfg, 1, 500, 123, SimOptions(**DENSE_OPTS))
+    cold_field()
     b = estimate_capacity(cfg, 1, 500, 123, SimOptions(**DENSE_OPTS))
     c = estimate_capacity(cfg, 1, 500, 124, SimOptions(**DENSE_OPTS))
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
@@ -279,7 +293,7 @@ def test_cooperator_table_below_the_cap_is_unchanged():
     assert simulator._truncated_poisson_cdf(5.0)[-1] == pytest.approx(1.0, abs=1e-14)
 
 
-def test_field_draw_refuses_a_spike_overload():
+def test_field_draw_refuses_a_spike_overload(cold_field):
     # a 60 dB grazing-angle NLOS spread expects about 2.4e8 far-field spikes
     # per trial, hundreds of GiB per chunk: the draw must refuse before it
     # samples rather than ask numpy for the arrays
@@ -288,7 +302,7 @@ def test_field_draw_refuses_a_spike_overload():
     cfg = ScenarioConfig(library=lib, policy=solve_rcp(lib.popularity, 5, math.pi * 1e-3),
                          env=canyon)
     with pytest.raises(ConvergenceError, match="'canyon'.*raise spike_rel"):
-        draw_interference_field(cfg, 256, 0)
+        estimate_capacity(cfg, 1, 256, 0)
 
 
 def test_stream_purposes_are_distinct():
@@ -299,50 +313,143 @@ def test_stream_purposes_are_distinct():
     assert len(set(purposes.values())) == len(purposes)
 
 
-def test_shared_field_matches_own_draw():
+def test_shared_field_matches_own_draw(cold_field):
+    # the contents of a row read one memoized field; a cleared memo draws it
+    # again from the same stream, so each estimate keeps its bytes
     cfg = dense_scenario()
     opts = SimOptions(chunk_size=200, **DENSE_OPTS)
-    field = draw_interference_field(cfg, 500, 17, opts)
-    for content in (1, 2):
-        shared = estimate_capacity(cfg, content, 500, 17, opts, field=field)
+    shared = [estimate_capacity(cfg, content, 500, 17, opts) for content in (1, 2)]
+    info = simulator._interference_field.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for content, est in zip((1, 2), shared):
+        cold_field()
         own = estimate_capacity(cfg, content, 500, 17, opts)
-        assert (shared.mean, shared.stderr) == (own.mean, own.stderr)
-        assert np.array_equal(shared.samples, own.samples)
-        assert shared.mean == shared.samples.mean()
+        assert (est.mean, est.stderr) == (own.mean, own.stderr)
+        assert est.samples.tobytes() == own.samples.tobytes()
+        assert est.mean == est.samples.mean()
 
 
-def test_shared_field_parallelism_is_invisible():
+def test_shared_field_parallelism_is_invisible(cold_field):
     cfg = dense_scenario()
-    serial = draw_interference_field(cfg, 700, 5, SimOptions(chunk_size=100, **DENSE_OPTS))
-    threaded = draw_interference_field(
+    serial = interference_field(cfg, 700, 5, SimOptions(chunk_size=100, **DENSE_OPTS))
+    threaded = interference_field(
         cfg, 700, 5, SimOptions(chunk_size=100, n_jobs=3, **DENSE_OPTS))
-    assert np.array_equal(serial.interference, threaded.interference)
-    assert serial.interference.shape == (700,)
+    assert simulator._interference_field.cache_info().misses == 2
+    assert serial.tobytes() == threaded.tobytes()
+    assert serial.shape == (700,)
 
 
-@pytest.mark.parametrize("change", [
-    dict(seed=8), dict(n_trials=300), dict(cfg=dense_scenario(uav_density=0.04)),
-    dict(cfg=dense_scenario(coop_radius_km=2.5)),
-    dict(opts=SimOptions(spike_rel=1e-2))])
-def test_shared_field_key_is_checked(change):
+def bumped(value):
+    """A nearby admissible value of a config field."""
+    return value + 1 if isinstance(value, int) else value * 1.1 + 0.01
+
+
+def count_field_draws(monkeypatch):
+    """Patch _FarField.sample to record one entry per chunk it samples."""
+    draws = []
+    sample = simulator._FarField.sample
+
+    def counting(self, rng, n_trials):
+        draws.append(n_trials)
+        return sample(self, rng, n_trials)
+
+    monkeypatch.setattr(simulator._FarField, "sample", counting)
+    return draws
+
+
+def field_changes(cfg, opts):
+    """Every number the field draw reads, each moved alone, as changes to the
+    (cfg, n_trials, seed, opts) of a call: the call's own, the environment's
+    but its name, the channel's, the scenario's, the options'."""
+    def config_fields(attr):
+        config = getattr(cfg, attr)
+        return [dict(cfg=replace(cfg, **{attr: replace(
+                    config, **{f.name: bumped(getattr(config, f.name))})}))
+                for f in fields(config) if (attr, f.name) != ("env", "name")]
+
+    return [
+        [dict(n_trials=65), dict(seed=8)],
+        config_fields("env"),
+        config_fields("channel"),
+        [dict(cfg=replace(cfg, **{name: bumped(getattr(cfg, name))}))
+         for name in ("uav_density", "subchannels", "coop_radius_km")],
+        # the options go in whole, n_jobs included
+        [dict(opts=replace(opts, **{f.name: bumped(getattr(opts, f.name))}))
+         for f in fields(opts)],
+    ]
+
+
+@pytest.mark.parametrize("change", field_changes(dense_scenario(), SimOptions(**DENSE_OPTS)))
+def test_shared_field_key_is_checked(monkeypatch, cold_field, change):
+    # the field memo is keyed on every number the draw reads: moving any one
+    # of them draws a new field, one chunk of 64 or 65 trials here
+    draws = count_field_draws(monkeypatch)
+    base = dict(cfg=dense_scenario(), n_trials=64, seed=7, opts=SimOptions(**DENSE_OPTS))
+    for moved in change:
+        estimate_capacity(base["cfg"], 1, 64, 7, base["opts"])
+        call = {**base, **moved}
+        before = len(draws)
+        estimate_capacity(call["cfg"], 1, call["n_trials"], call["seed"], call["opts"])
+        assert len(draws) - before == 1, moved
+
+
+def test_field_memo_skips_what_the_draw_never_reads(monkeypatch, cold_field):
+    # the environment's name, the placement, library, power and quadrature
+    # take no part in the draw, so they read the memoized field; the field is
+    # shared, so it is read-only
+    draws = count_field_draws(monkeypatch)
     cfg = dense_scenario()
-    field = draw_interference_field(cfg, 200, 7, SimOptions(**DENSE_OPTS))
-    call = dict(cfg=cfg, n_trials=200, seed=7, opts=SimOptions(**DENSE_OPTS))
-    call.update(change)
-    with pytest.raises(ValueError, match="interference field was drawn for another"):
-        estimate_capacity(call["cfg"], 1, call["n_trials"], call["seed"],
-                          call["opts"], field=field)
+    opts = SimOptions(**DENSE_OPTS)
+    estimate_capacity(cfg, 1, 64, 7, opts)
+    assert len(draws) == 1
+    for other in (replace(cfg, env=replace(cfg.env, name="renamed")),
+                  cfg.with_policy(mpc_policy(cfg.library.popularity, 2)),
+                  replace(cfg, library=ContentLibrary(5, 1.2)),
+                  replace(cfg, power=PowerModel(0.0, 0.0, 0.0, 1.0)),
+                  replace(cfg, quadrature=QuadratureConfig(v_max=1e4))):
+        estimate_capacity(other, 1, 64, 7, opts)
+    assert len(draws) == 1
+    field = interference_field(cfg, 64, 7, opts)
+    assert len(draws) == 1
+    assert not field.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        field[0] = 0.0
 
 
-def test_estimator_validation():
+def test_numpy_integers_read_as_python_ints(cold_field):
+    # a numpy integer content or seed gives the bytes of the Python int it
+    # equals (the stream key once overflowed on them); a float content is no
+    # index and is refused
+    cfg = dense_scenario()
+    opts = SimOptions(**DENSE_OPTS)
+    ref = estimate_capacity(cfg, 2, 50, 3, opts)
+    for content, seed in ((np.int64(2), 3), (2, np.int64(3)), (2, np.uint32(3))):
+        cold_field()
+        est = estimate_capacity(cfg, content, 50, seed, opts)
+        assert est.samples.tobytes() == ref.samples.tobytes(), (content, seed)
+    rates = system_capacity(cfg).per_content_bits
+    ee = estimate_ee(cfg, rates, 50, 3, opts)
+    for seed in (np.int64(3), np.uint32(3)):
+        assert estimate_ee(cfg, rates, 50, seed, opts).samples.tobytes() == ee.samples.tobytes()
+    assert content_capacity(cfg, np.int64(2)) == content_capacity(cfg, 2)
+    for content in (1.5, 2.0):
+        with pytest.raises(TypeError):
+            estimate_capacity(cfg, content, 50, 3, opts)
+        with pytest.raises(TypeError):
+            content_capacity(cfg, content)
+
+
+def test_estimator_validation(cold_field):
     cfg = dense_scenario()
     with pytest.raises(ValueError):
         estimate_capacity(cfg, 1, 0, 0, SimOptions())
     with pytest.raises(ValueError):
         estimate_capacity(cfg, 9, 10, 0, SimOptions())
-    # the far field starts at the zone edge, so an empty zone has none
-    with pytest.raises(ValueError, match="empty cooperation zone"):
-        draw_interference_field(dense_scenario(coop_radius_km=0.0), 10, 0)
+    # the far field starts at the zone edge, so an empty zone has none: its
+    # rates are zero and it draws no field
+    empty = estimate_capacity(dense_scenario(coop_radius_km=0.0), 1, 10, 0)
+    assert empty.samples.tobytes() == np.zeros(10).tobytes()
+    assert simulator._interference_field.cache_info().misses == 0
 
 
 # --- energy efficiency estimator ----------------------------------------------
