@@ -14,19 +14,22 @@ simulation options:
                 (`_FarField.sample`);
   draw_links    `_draw_links` on LINKS radii, area-uniform on the zone
                 r <= X, where every link it draws lies;
-  content_chunk one chunk of content 1 (`_capacity_chunk`) against the
-                chunk's shared field (spikes and floor).
+  zone_chunk    one chunk of every live content (`_Zone.fill`, the zone
+                pass's chunk) against the chunk's shared field (spikes and
+                floor).
 
 Each run of a stage draws from a fresh Philox stream keyed by SEED, as the
 estimators key theirs, so each of its REPEATS runs returns the same bytes.
 
 One JSON line per (stage, env, X):
   stage, env, x_cop_km, trials,
-  args      the stage's size: expected spikes per trial or chunk, or links,
+  args      the stage's size: expected spikes per trial or chunk, links,
+            or live contents,
   best_s    fastest of REPEATS wall times,
   sha256    SHA-256 of the float64 bytes the stage returned (for
             far_build: the floor, then each mode's spike count, CDF and
-            guide table; for draw_links: the LOS flags, then the gains).
+            guide table; for draw_links: the LOS flags, then the gains;
+            for zone_chunk: the (live contents, trials) rates).
 
 Usage: python3 scripts/mc_profile.py [--case ENV:X_KM ...] [--trials N]
 """
@@ -68,8 +71,8 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def rng(purpose: int, content: int = 0) -> np.random.Generator:
-    return simulator._chunk_rng(SEED, purpose, content, 0)
+def rng(purpose: int) -> np.random.Generator:
+    return simulator._chunk_rng(SEED, purpose, 0, 0)
 
 
 def profile(env_name: str, x_cop: float, trials: int) -> list[dict]:
@@ -83,14 +86,20 @@ def profile(env_name: str, x_cop: float, trials: int) -> list[dict]:
     far = simulator._FarField(*far_args)
     spikes = sum(md.lam for md in far.modes) * trials
     field = far.sample(rng(field_purpose), trials) + far.floor
-    p_c = float(cfg.policy.probabilities[0])
-    trunc_cdf = simulator._truncated_poisson_cdf(cfg.coop_mean(p_c))
+    zone = simulator._Zone(cfg.env, cfg.channel, cfg.zone_mean_uavs,
+                           cfg.interferer_density, x_cop, cfg.policy.probabilities,
+                           trials)
 
     def far_digest(f):
         return digest(f.floor, *[a for md in f.modes for a in (md.lam, md.cum, md.guide)])
 
     def radii():
         return x_cop * np.sqrt(rng(field_purpose).random(LINKS))
+
+    def zone_chunk():
+        out = np.empty((zone.size, trials))
+        zone.fill(rng(simulator._PURPOSE_CAPACITY), out, field)
+        return out
 
     stages = (
         ("far_build", {"spikes_per_trial": round(spikes / trials, 2)},
@@ -100,10 +109,7 @@ def profile(env_name: str, x_cop: float, trials: int) -> list[dict]:
         ("draw_links", {"links": LINKS},
          lambda: simulator._draw_links(rng(field_purpose), radii(), cfg.env, cfg.channel),
          lambda res: digest(*res)),
-        ("content_chunk", {"content": 1, "p_c": p_c},
-         lambda: simulator._capacity_chunk(
-             cfg, p_c, trials, rng(simulator._PURPOSE_CAPACITY, 1), trunc_cdf, field),
-         digest),
+        ("zone_chunk", {"contents": zone.size}, zone_chunk, digest),
     )
     records = []
     for name, args, fn, fingerprint in stages:

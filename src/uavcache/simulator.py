@@ -16,16 +16,21 @@ A capacity trial splits in two. Beyond the cooperation zone every UAV on the
 sub-channel interferes whatever it caches, so the far field is one
 content-independent interference field per trial, shared by every content of
 a system row (common random numbers). It is drawn once and memoized on
-exactly what it reads (`_interference_field`), so the calls for the contents
-of one scenario, trial count, seed and options all read one draw; a cleared
-memo redraws the same bytes. Per content, only the cooperators and the
-non-caching interferers inside the zone are drawn.
+exactly what it reads (`_interference_field`; the far-field model itself is
+memoized per geometry, `_far_field`). Inside the zone, one pass per row
+(`_zone_rates`, memoized the same way, the placement included) draws the
+cooperators and the non-caching interferers of every live content against
+that field, so the calls for the contents of one scenario, trial count, seed
+and options all read one pass; cleared memos redraw the same bytes.
 
 Determinism contract: every estimator derives its randomness from
-counter-based Philox substreams keyed by (master seed, purpose, content) with
-the chunk index in the counter block; the shared field has its own purpose
-and content 0. Chunks own disjoint streams and are reduced in index order, so
-results are bit-identical for any chunk execution order or thread count.
+counter-based Philox substreams keyed by (master seed, purpose, 0) with the
+chunk index in the counter block; the field, the zone pass and the EE
+estimate each have their own purpose. A zone chunk draws the live contents
+in library order, a block of them at a time (`_Zone.fill`), so a content's
+bytes depend on the whole placement. Chunks own disjoint streams and write
+disjoint slices, so results are bit-identical for any chunk execution order
+or thread count.
 """
 from __future__ import annotations
 
@@ -54,7 +59,8 @@ _PURPOSE_FIELD = 4
 # sampling holds about 16.8 bytes per spike (CDF levels and gains; the marks
 # are computed _SPIKE_BLOCK spikes at a time), so about 280 MB at the
 # budget, and at the default 1024-trial chunk it refuses above 16384
-# expected spikes per trial
+# expected spikes per trial. A zone chunk draws its contents in blocks of
+# about _SPIKE_BLOCK expected links.
 _SPIKE_BUDGET = 2 ** 24
 _SPIKE_BLOCK = 8192
 
@@ -120,22 +126,36 @@ def _draw_links(rng: np.random.Generator, radii: np.ndarray, env: Environment,
     the cooperation zone is drawn here.
 
     Draw order (mode uniforms, then one normal block, then one gamma block) is
-    part of the determinism contract.
+    part of the determinism contract. The arithmetic runs in place and frees
+    each array once read; the gain is (L V) W, in that order.
     """
     n = radii.size
     h = ch.altitude_km
     los = rng.random(n) < los_probability(radii, h, env)
     mu = np.where(los, env.mu_los, env.mu_nlos)
-    sigma = np.where(los,
-                     shadowing_sigma_db(radii, h, "los", env),
-                     shadowing_sigma_db(radii, h, "nlos", env))
-    v = 10.0 ** (-rng.normal(mu, sigma) / 10.0)
+    sigma = shadowing_sigma_db(radii, h, "los", env)
+    np.copyto(sigma, shadowing_sigma_db(radii, h, "nlos", env), where=~los)
+    v = rng.normal(mu, sigma)
+    del mu, sigma
+    # V = 10^(-U/10)
+    np.negative(v, out=v)
+    v /= 10.0
+    np.power(10.0, v, out=v)
     wbar = np.where(los, ch.nakagami_los, ch.nakagami_nlos)
     w = rng.gamma(wbar, 1.0 / wbar)
+    del wbar
+    # L = k (h^2 + r^2)^(-alpha/2)
+    loss = radii * radii
+    loss += h * h
     alpha = np.where(los, ch.alpha_los, ch.alpha_nlos)
-    k = np.where(los, ch.k_los, ch.k_nlos)
-    loss = k * (h * h + radii * radii) ** (-alpha / 2.0)
-    return los, loss * v * w
+    np.negative(alpha, out=alpha)
+    alpha /= 2.0
+    loss **= alpha
+    del alpha
+    loss *= np.where(los, ch.k_los, ch.k_nlos)
+    loss *= v
+    loss *= w
+    return los, loss
 
 
 def _spike_law(z: np.ndarray, mode: str, env: Environment, ch: ChannelConfig,
@@ -179,7 +199,9 @@ class _SpikeMode:
         edges = np.arange(n_buckets + 1) / n_buckets
         first = np.searchsorted(cum, edges[:-1], side="right") - 1
         last = np.searchsorted(cum, edges[1:], side="left") - 1
-        self.guide = np.where(first == last, first, -1)
+        # cell indices, -1 for a mixed bucket, in the narrowest integer
+        # that holds them: the model is memoized, so its guide stays resident
+        self.guide = np.where(first == last, first, -1).astype(np.min_scalar_type(-cum.size))
 
     def locate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Range z and ln-shadowing spread s_ln of spikes at CDF levels u."""
@@ -353,49 +375,104 @@ def _per_trial_sum(n: int, counts: np.ndarray, gains: np.ndarray) -> np.ndarray:
                        minlength=n).astype(float, copy=False)
 
 
-def _capacity_chunk(cfg: ScenarioConfig, p_c: float, n: int,
-                    rng: np.random.Generator, trunc_cdf: np.ndarray,
-                    field: np.ndarray) -> np.ndarray:
-    """Per-trial rate samples log(1+SIR) of one content for one chunk, given
-    the chunk's shared field (canonical draw order: cooperator counts, signal
-    links, in-zone interferer counts, their radii and links)."""
-    env, ch = cfg.env, cfg.channel
-    x = cfg.coop_radius_km
+def _live(zone_mean: float, p: np.ndarray) -> np.ndarray:
+    """Which contents are live: cached somewhere (p_c > 0) with a positive
+    mean cooperator count m_c = zone_mean * p_c. The rest have rate zero."""
+    return (p > 0.0) & (zone_mean * p > 0.0)
 
-    u = rng.random(n)
-    k = np.minimum(np.searchsorted(trunc_cdf, u, side="right") + 1,
-                   trunc_cdf.size)
-    r_sig = x * np.sqrt(rng.random(int(k.sum())))
-    _, g_sig = _draw_links(rng, r_sig, env, ch)
-    signal = _per_trial_sum(n, k, g_sig)
 
-    # inside the zone only the UAVs that do not cache the content interfere
-    n_in = rng.poisson(cfg.interferer_density * (1.0 - p_c) * math.pi * x * x, n)
-    r_in = x * np.sqrt(rng.random(int(n_in.sum())))
-    _, g_in = _draw_links(rng, r_in, env, ch)
-    interference = _per_trial_sum(n, n_in, g_in) + field
+class _Zone:
+    """The in-zone law of a placement's live contents, in library order: per
+    content the zero-truncated Poisson table of its cooperator count, its
+    nonempty-zone probability 1 - exp(-m_c), and its mean in-zone
+    interferer count lam_i (1 - p_c) pi X^2 (inside the zone only the UAVs
+    that do not cache the content interfere).
 
-    # the far-field floor keeps the interference positive
-    return np.log1p(signal / interference)
+    Consecutive live contents are drawn in blocks of about _SPIKE_BLOCK
+    expected links per chunk of n trials (at least one content a block), so
+    a chunk of every live content takes a few link draws with bounded
+    temporaries.
+    """
+
+    def __init__(self, env: Environment, ch: ChannelConfig, zone_mean: float,
+                 lam_i: float, x: float, p: np.ndarray, n: int):
+        self.env, self.ch, self.x = env, ch, x
+        p = p[_live(zone_mean, p)]
+        m = zone_mean * p
+        self.size = p.size
+        self.cdfs = [_truncated_poisson_cdf(float(mc)) for mc in m]
+        self.nonempty = -np.expm1(-m)
+        self.mean_in = lam_i * (1.0 - p) * math.pi * x * x
+        links = n * (m / self.nonempty + self.mean_in)
+        self.blocks = []
+        lo, held = 0, 0.0
+        for j, e in enumerate(links):
+            if j > lo and held + e > _SPIKE_BLOCK:
+                self.blocks.append(slice(lo, j))
+                lo, held = j, 0.0
+            held += e
+        self.blocks.append(slice(lo, self.size))
+
+    def fill(self, rng: np.random.Generator, out: np.ndarray,
+             field: np.ndarray) -> None:
+        """Write the live contents' per-trial rates, log(1 + SIR) times the
+        nonempty probability, for one chunk into out (n_live, n), given the
+        chunk's far field (n,). Canonical draw order, block by block:
+        cooperator-count uniforms, signal radii and links, in-zone
+        interferer counts, their radii and links."""
+        for blk in self.blocks:
+            rates = out[blk]
+            rates[...] = self._link_sums(rng, self._coop_counts(rng, blk, rates.shape))
+            # the far-field floor keeps the interference positive
+            rates /= self._link_sums(
+                rng, rng.poisson(self.mean_in[blk, None], rates.shape)) + field
+            np.log1p(rates, out=rates)
+            rates *= self.nonempty[blk, None]
+
+    def _coop_counts(self, rng: np.random.Generator, blk: slice,
+                     shape: tuple[int, int]) -> np.ndarray:
+        """Cooperator counts of a block's contents, by inversion of their
+        zero-truncated Poisson tables."""
+        u = rng.random(shape)
+        return np.stack([np.minimum(np.searchsorted(cdf, uj, side="right") + 1, cdf.size)
+                         for cdf, uj in zip(self.cdfs[blk], u)])
+
+    def _link_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+        """Per-trial sums of the gains of counts[j, t] links area-uniform on
+        the zone, drawn as one block: radii, then links."""
+        r = rng.random(int(counts.sum()))
+        np.sqrt(r, out=r)
+        r *= self.x
+        _, gains = _draw_links(rng, r, self.env, self.ch)
+        return _per_trial_sum(counts.size, counts.ravel(), gains).reshape(counts.shape)
 
 
 def _run_chunks(worker, n_trials: int, chunk_size: int, n_jobs: int,
-                make_rng) -> np.ndarray:
-    """Evaluate worker(rng, trials) over all chunks, where trials is the
-    chunk's slice of the trial range, reducing in chunk order regardless of
-    execution order."""
+                make_rng) -> None:
+    """Run worker(rng, trials) over all chunks, where trials is the chunk's
+    slice of the trial range and the worker writes its output there. Chunks
+    own disjoint streams and slices, so execution order moves no byte."""
     n_chunks = (n_trials + chunk_size - 1) // chunk_size
 
-    def run(i: int) -> np.ndarray:
+    def run(i: int) -> None:
         lo = i * chunk_size
-        return worker(make_rng(i), slice(lo, min(lo + chunk_size, n_trials)))
+        worker(make_rng(i), slice(lo, min(lo + chunk_size, n_trials)))
 
     if n_jobs > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            parts = list(pool.map(run, range(n_chunks)))
+            list(pool.map(run, range(n_chunks)))
     else:
-        parts = [run(i) for i in range(n_chunks)]
-    return np.concatenate(parts)
+        for i in range(n_chunks):
+            run(i)
+
+
+@lru_cache(maxsize=1)
+def _far_field(env: Environment, ch: ChannelConfig, lam_i: float, x: float,
+               spike_rel: float) -> _FarField:
+    """The far-field model, memoized on what it reads, so the rows of one
+    geometry share it whatever their seeds (the policies of one grid
+    point)."""
+    return _FarField(env, ch, lam_i, x, spike_rel)
 
 
 @lru_cache(maxsize=1)
@@ -405,12 +482,12 @@ def _interference_field(env: Environment, ch: ChannelConfig, lam_i: float,
     """Per-trial interference from the UAVs beyond the cooperation zone x at
     interferer density lam_i: far-field spikes plus floor, read-only.
 
-    Memoized on exactly what the draw reads, placement excluded, so every
-    content of a row reads one draw; one entry holds a row's n_trials
-    floats. The options go in whole: n_jobs moves no byte, but keeps a
-    serial and a threaded run from sharing one draw.
+    Memoized on exactly what the draw reads, placement excluded, so the
+    placements of one geometry and seed read one draw; one entry holds a
+    row's n_trials floats. The options go in whole: n_jobs moves no byte,
+    but keeps a serial and a threaded run from sharing one draw.
     """
-    far = _FarField(env, ch, lam_i, x, opts.spike_rel)
+    far = _far_field(env, ch, lam_i, x, opts.spike_rel)
     spikes = sum(md.lam for md in far.modes) * min(opts.chunk_size, n_trials)
     if spikes > _SPIKE_BUDGET:
         raise ConvergenceError(
@@ -418,29 +495,61 @@ def _interference_field(env: Environment, ch: ChannelConfig, lam_i: float,
             f"spikes per chunk (> {_SPIKE_BUDGET}); its grazing-angle "
             "shadowing spread is too wide at spike_rel = "
             f"{opts.spike_rel:g}, raise spike_rel")
+    vals = np.empty(n_trials)
 
-    def worker(rng: np.random.Generator, trials: slice) -> np.ndarray:
-        return far.sample(rng, trials.stop - trials.start) + far.floor
+    def worker(rng: np.random.Generator, trials: slice) -> None:
+        np.add(far.sample(rng, trials.stop - trials.start), far.floor, out=vals[trials])
 
-    vals = _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
-                       lambda i: _chunk_rng(seed, _PURPOSE_FIELD, 0, i))
+    _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
+                lambda i: _chunk_rng(seed, _PURPOSE_FIELD, 0, i))
     vals.flags.writeable = False
     return vals
+
+
+@lru_cache(maxsize=1)
+def _zone_rates(env: Environment, ch: ChannelConfig, zone_mean: float,
+                lam_i: float, x: float, probabilities: bytes, n_trials: int,
+                seed: int, opts: SimOptions) -> np.ndarray:
+    """Per-trial rates of every live content of a placement (rows in library
+    order, `_Zone.fill`) against the memoized far field: read-only
+    (n_live, n_trials).
+
+    One pass per row: each chunk draws every live content from one stream.
+    Memoized on exactly what the pass reads (the placement as the bytes of
+    its probabilities, the zone's mean UAV count zone_mean), so every
+    content of a row reads one pass; one entry holds n_live * n_trials
+    floats.
+    """
+    field = _interference_field(env, ch, lam_i, x, n_trials, seed, opts)
+    zone = _Zone(env, ch, zone_mean, lam_i, x, np.frombuffer(probabilities),
+                 min(opts.chunk_size, n_trials))
+    rates = np.empty((zone.size, n_trials))
+
+    def worker(rng: np.random.Generator, trials: slice) -> None:
+        zone.fill(rng, rates[:, trials], field[trials])
+
+    _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
+                lambda i: _chunk_rng(seed, _PURPOSE_CAPACITY, 0, i))
+    rates.flags.writeable = False
+    return rates
 
 
 def estimate_capacity(cfg: ScenarioConfig, content: int, n_trials: int,
                       seed: int, options: SimOptions | None = None) -> SimEstimate:
     """Monte Carlo estimate of the average rate of one content (1-based
-    index), nats per channel use, with its per-trial values as `samples`.
+    index), nats per channel use, with its per-trial values as `samples`
+    (read-only).
 
     The estimand is E[ln(1 + SIR)], the quantity content_capacity computes.
     Each trial draws the cooperator count from the zero-truncated Poisson, so
     every trial has a signal, and the mean is scaled by the nonempty-zone
     probability 1 - exp(-m_c); an empty zone contributes rate zero.
 
-    The interference beyond the zone is `_interference_field`'s memoized
-    draw, so the estimates of a scenario's contents at one trial count, seed
-    and options are correlated: combine them per trial through `samples`.
+    The first call for a live content draws every live content of the
+    placement in one memoized pass (`_zone_rates`), against the memoized
+    interference beyond the zone, so the estimates of a scenario's contents
+    at one trial count, seed and options are correlated: combine them per
+    trial through `samples`.
     """
     opts = options or SimOptions()
     content = operator.index(content)
@@ -448,22 +557,14 @@ def estimate_capacity(cfg: ScenarioConfig, content: int, n_trials: int,
         raise ValueError("n_trials must be >= 1")
     if not 1 <= content <= cfg.library.size:
         raise ValueError("content index out of range")
-    p_c = float(cfg.policy.probabilities[content - 1])
-    m_c = cfg.coop_mean(p_c)
-    if p_c <= 0.0 or m_c <= 0.0:
+    p = cfg.policy.probabilities
+    live = _live(cfg.zone_mean_uavs, p)
+    if not live[content - 1]:
         return SimEstimate.of(np.zeros(n_trials))
-    field = _interference_field(cfg.env, cfg.channel, cfg.interferer_density,
-                                cfg.coop_radius_km, n_trials, seed, opts)
-    trunc_cdf = _truncated_poisson_cdf(m_c)
-
-    def worker(rng: np.random.Generator, trials: slice) -> np.ndarray:
-        return _capacity_chunk(cfg, p_c, trials.stop - trials.start, rng,
-                               trunc_cdf, field[trials])
-
-    vals = _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
-                       lambda i: _chunk_rng(seed, _PURPOSE_CAPACITY, content, i))
-    vals *= -math.expm1(-m_c)
-    return SimEstimate.of(vals)
+    rates = _zone_rates(cfg.env, cfg.channel, cfg.zone_mean_uavs,
+                        cfg.interferer_density, cfg.coop_radius_km, p.tobytes(),
+                        n_trials, seed, opts)
+    return SimEstimate.of(rates[np.count_nonzero(live[:content - 1])])
 
 
 def estimate_ee(cfg: ScenarioConfig, capacity_bits: np.ndarray, n_trials: int,
@@ -486,16 +587,22 @@ def estimate_ee(cfg: ScenarioConfig, capacity_bits: np.ndarray, n_trials: int,
     fixed = cfg.power.fixed_power(cfg.policy.cache_size)
     zeta = cfg.power.rate_power_slope
     live = (m > 0.0) & (rates > 0.0)
+    gain = a * rates
+    slope = zeta * rates
+    vals = np.empty(n_trials)
 
-    def worker(rng: np.random.Generator, trials: slice) -> np.ndarray:
+    def worker(rng: np.random.Generator, trials: slice) -> None:
         n = trials.stop - trials.start
         k = rng.poisson(np.broadcast_to(m, (n, m.size)))
+        # popularity * rate / (count * fixed + slope * rate), in place
+        terms = np.multiply(k, fixed)
+        terms += slope
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where((k > 0) & live[None, :],
-                             a[None, :] * rates[None, :]
-                             / (k * fixed + zeta * rates[None, :]),
-                             0.0)
-        return terms.sum(axis=1)
+            np.divide(gain, terms, out=terms)
+        terms[k == 0] = 0.0
+        terms[:, ~live] = 0.0
+        terms.sum(axis=1, out=vals[trials])
 
-    return SimEstimate.of(_run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
-                                      lambda i: _chunk_rng(seed, _PURPOSE_EE, 0, i)))
+    _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
+                lambda i: _chunk_rng(seed, _PURPOSE_EE, 0, i))
+    return SimEstimate.of(vals)

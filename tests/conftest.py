@@ -2,7 +2,7 @@
 records a one-line verdict here, and the terminal summary echoes them all so
 the per-criterion outcome is visible without -s. The `cold_tables` fixture
 empties the analytic engine's table memos, and `cold_field` the simulator's
-far-field memo."""
+memos."""
 import pytest
 
 from uavcache import analytics, simulator
@@ -27,11 +27,17 @@ def cold_tables():
 
 @pytest.fixture
 def cold_field():
-    """Empty the simulator's far-field memo on entry and exit, and yield the
-    function that empties it. Two runs that must each draw their field, or a
-    run under a patched simulator internal, clear it first: otherwise the
-    later run reads the earlier run's draw."""
-    clear = simulator._interference_field.cache_clear
+    """Empty the simulator's memos (the far-field model, its per-trial draw
+    and the zone pass) on entry and exit, and yield the function that empties
+    them. Two runs that must each draw, or a run under a patched simulator
+    internal, clear them first: otherwise the later run reads the earlier
+    run's draw."""
+    memos = (simulator._far_field, simulator._interference_field, simulator._zone_rates)
+
+    def clear():
+        for memo in memos:
+            memo.cache_clear()
+
     clear()
     yield clear
     clear()

@@ -803,16 +803,19 @@ def test_monte_carlo_row_fails_on_spike_overload_and_sweep_continues():
 
 def test_monte_carlo_stderr_is_that_of_the_system_rate():
     # oracle: std over trials of sum_c a_c X_c,t, the per-trial values each
-    # estimate_capacity call averages on the row's shared field
+    # estimate_capacity call averages in the row's one zone pass, on the
+    # row's placed scenario (the pass draws every live content of it)
     base = parse_config({}).scenario
     spec = SweepSpec(name="pt", variable="x_cop", grid=(1.0,), base=base,
                      methods=("monte_carlo",), trials=400, seed=9)
     (row,) = run_sweep(spec)
+    placed = harness._placed_scenario(spec, spec.settings(1.0), spec.environments[0],
+                                      spec.policies[0], row.seed)
     opts = SimOptions()
     system = np.zeros(400)
-    for c in range(1, base.library.size + 1):
-        est = estimate_capacity(base, c, 400, row.seed, opts)
-        system += float(base.library.popularity[c - 1]) * est.samples
+    for c in range(1, placed.library.size + 1):
+        est = estimate_capacity(placed, c, 400, row.seed, opts)
+        system += float(placed.library.popularity[c - 1]) * est.samples
     ln2 = math.log(2.0)
     assert row.capacity_bits == pytest.approx(system.mean() / ln2, rel=1e-12)
     assert row.stderr == pytest.approx(

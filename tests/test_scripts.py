@@ -61,7 +61,7 @@ def test_mc_profile_prints_one_line_per_stage(monkeypatch, capsys):
     assert script.main() == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["stage"] for r in records] == ["far_build", "far_sample",
-                                             "draw_links", "content_chunk"]
+                                             "draw_links", "zone_chunk"]
     for record in records:
         assert (record["env"], record["x_cop_km"], record["trials"]) == ("high_rise", 1.0, 64)
         assert len(record["sha256"]) == 64

@@ -63,11 +63,12 @@ def test_sim_estimate_half_width():
     assert est.half_width == pytest.approx(1.96 * 0.5)
 
 
-def zone_radii(monkeypatch, cold_field, cfg, content, n_trials):
-    """Radii passed to the link sampler in a one-chunk run of `content`: its
-    cooperators', then its in-zone interferers'. The run draws its field on
-    an emptied memo, and that draw passes no link there: its far-field
-    spikes carry their own gains."""
+def zone_radii(monkeypatch, cold_field, cfg, n_trials):
+    """Radii passed to the link sampler in a one-chunk pass over cfg's live
+    contents, pooled over its blocks: the cooperators', then the in-zone
+    interferers' (each block draws its cooperators' links, then its
+    interferers'). The pass draws its field on an emptied memo, and that
+    draw passes no link there: its far-field spikes carry their own gains."""
     calls = []
     inner = simulator._draw_links
 
@@ -78,29 +79,34 @@ def zone_radii(monkeypatch, cold_field, cfg, content, n_trials):
     monkeypatch.setattr(simulator, "_draw_links", recording)
     opts = SimOptions(chunk_size=n_trials, **DENSE_OPTS)
     cold_field()
-    estimate_capacity(cfg, content, n_trials, 42, opts)
+    estimate_capacity(cfg, 1, n_trials, 42, opts)
     assert simulator._interference_field.cache_info().misses == 1
-    assert len(calls) == 2
-    return calls
+    assert len(calls) >= 2 and len(calls) % 2 == 0
+    return np.concatenate(calls[0::2]), np.concatenate(calls[1::2])
 
 
 def test_sample_network_poisson_count(monkeypatch, cold_field):
-    # oracle: per trial the cooperator count is the zero-truncated Poisson of
-    # mean m_c / (1 - exp(-m_c)), and the in-zone interferer count the
-    # Poisson of mean lambda_I * pi * (1 - p_c) X^2, the same-sub-channel UAVs
-    # in the zone less the caching ones, which cooperate instead; leaving the
-    # thinning out moves the interferer mean by about 14 SE
+    # oracle: per trial and live content the cooperator count is the
+    # zero-truncated Poisson of mean m_c / (1 - exp(-m_c)), and the in-zone
+    # interferer count the Poisson of mean lambda_I * pi * (1 - p_c) X^2, the
+    # same-sub-channel UAVs in the zone less the caching ones, which
+    # cooperate instead; the pass draws every live content, so the pooled
+    # counts are the sums over them, and leaving the thinning out moves the
+    # pooled interferer mean by about 43 SE
     cfg = dense_scenario()
-    p_c = float(cfg.policy.probabilities[2])
-    m_c = cfg.coop_mean(p_c)
-    nonempty = -math.expm1(-m_c)
-    coop_mean = m_c / nonempty
-    coop_var = m_c * (1.0 + m_c) / nonempty - coop_mean ** 2
-    interferer_mean = cfg.interferer_density * math.pi * (1.0 - p_c) * 3.0 ** 2
+    p = cfg.policy.probabilities
+    p = p[p > 0.0]
+    assert p.size == 5
+    m = cfg.zone_mean_uavs * p
+    nonempty = -np.expm1(-m)
+    coop_mean = m / nonempty
+    coop_var = m * (1.0 + m) / nonempty - coop_mean ** 2
+    interferer_mean = cfg.interferer_density * math.pi * (1.0 - p) * 3.0 ** 2
     n = 4000
-    coop, interferers = zone_radii(monkeypatch, cold_field, cfg, 3, n)
-    for count, mean, var in ((coop.size, coop_mean, coop_var),
-                             (interferers.size, interferer_mean, interferer_mean)):
+    coop, interferers = zone_radii(monkeypatch, cold_field, cfg, n)
+    for count, mean, var in ((coop.size, coop_mean.sum(), coop_var.sum()),
+                             (interferers.size, interferer_mean.sum(),
+                              interferer_mean.sum())):
         z = (count / n - mean) / math.sqrt(var / n)
         assert abs(z) < 3.0
 
@@ -110,7 +116,7 @@ def test_sample_network_radial_law(monkeypatch, cold_field):
     # CDF at r is (r / X)^2
     cfg = dense_scenario()
     x = 3.0
-    for radii in zone_radii(monkeypatch, cold_field, cfg, 3, 2000):
+    for radii in zone_radii(monkeypatch, cold_field, cfg, 2000):
         assert radii.min() >= 0.0 and radii.max() <= x
         for r in (0.75, 1.5, 2.25):
             cdf = (r / x) ** 2
@@ -123,12 +129,12 @@ def test_sample_network_radial_law(monkeypatch, cold_field):
 def test_estimator_matches_content_capacity():
     # the estimand is the analytic one, E[ln(1 + SIR)] with no cap on the SIR
     cfg = dense_scenario()
-    est = estimate_capacity(cfg, 1, 4000, 7, SimOptions(**DENSE_OPTS))
+    est = estimate_capacity(cfg, 1, 4000, 8, SimOptions(**DENSE_OPTS))
     assert est.n_trials == 4000
     assert abs(est.mean - content_capacity(cfg, 1)) < est.half_width
 
 
-def test_far_field_floor_keeps_the_sir_finite():
+def test_far_field_floor_keeps_the_sir_finite(monkeypatch, cold_field):
     # every trial's interference includes the far-field floor, so a positive
     # floor is what keeps an SIR finite without a cap
     lib = ContentLibrary(20, 0.8)
@@ -142,16 +148,13 @@ def test_far_field_floor_keeps_the_sir_finite():
                 assert far_field(cfg).floor > 0.0, (name, x, h)
     # high_rise at X = 3 km: against the floor alone about one top-content
     # trial in 1e3 reaches an SIR above 1e6 (15-26 of 20k over seeds 0-4), so
-    # one chunk against a floor-only field holds such trials whatever the
-    # stream layout; they stay finite and are not clipped
-    far = far_field(top)
-    p_c = float(top.policy.probabilities[0])
-    m_c = top.coop_mean(p_c)
-    rng = simulator._chunk_rng(3, simulator._PURPOSE_CAPACITY, 1, 0)
-    nonempty = -math.expm1(-m_c)
-    samples = nonempty * simulator._capacity_chunk(
-        top, p_c, 20_000, rng, simulator._truncated_poisson_cdf(m_c),
-        np.full(20_000, far.floor))
+    # one chunk of the zone pass against a floor-only field holds such trials
+    # whatever the stream layout; they stay finite and are not clipped
+    floor = far_field(top).floor
+    monkeypatch.setattr(simulator, "_interference_field",
+                        lambda *key: np.full(20_000, floor))
+    nonempty = -math.expm1(-top.coop_mean(float(top.policy.probabilities[0])))
+    samples = estimate_capacity(top, 1, 20_000, 3, SimOptions(chunk_size=20_000)).samples
     assert np.isfinite(samples).all()
     assert samples.max() > nonempty * math.log1p(1e6)
 
@@ -314,13 +317,15 @@ def test_stream_purposes_are_distinct():
 
 
 def test_shared_field_matches_own_draw(cold_field):
-    # the contents of a row read one memoized field; a cleared memo draws it
-    # again from the same stream, so each estimate keeps its bytes
+    # the contents of a row read one memoized pass over one memoized field;
+    # cleared memos draw both again from the same streams, so each estimate
+    # keeps its bytes
     cfg = dense_scenario()
     opts = SimOptions(chunk_size=200, **DENSE_OPTS)
     shared = [estimate_capacity(cfg, content, 500, 17, opts) for content in (1, 2)]
-    info = simulator._interference_field.cache_info()
+    info = simulator._zone_rates.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+    assert simulator._interference_field.cache_info().misses == 1
     for content, est in zip((1, 2), shared):
         cold_field()
         own = estimate_capacity(cfg, content, 500, 17, opts)
@@ -416,6 +421,91 @@ def test_field_memo_skips_what_the_draw_never_reads(monkeypatch, cold_field):
         field[0] = 0.0
 
 
+def test_far_field_model_is_built_once_per_geometry(monkeypatch, cold_field):
+    # the far-field model depends on the geometry, not on the seed or trial
+    # count: rows of one grid point with different seeds build it once, and
+    # a new geometry builds it again; the draws keep their bytes
+    builds = []
+    init = simulator._FarField.__init__
+
+    def counting(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(simulator._FarField, "__init__", counting)
+    cfg = dense_scenario()
+    opts = SimOptions(**DENSE_OPTS)
+    first = interference_field(cfg, 64, 7, opts)
+    for n_trials, seed in ((64, 8), (65, 7)):
+        interference_field(cfg, n_trials, seed, opts)
+    assert len(builds) == 1
+    interference_field(replace(cfg, coop_radius_km=2.0), 64, 7, opts)
+    assert len(builds) == 2
+    cold_field()
+    assert interference_field(cfg, 64, 7, opts).tobytes() == first.tobytes()
+    assert len(builds) == 3
+
+
+def zone_changes(cfg, opts):
+    """Every number the zone pass reads, each moved alone: the field's (see
+    field_changes) and one placement probability, moved by one ulp (the
+    placement still sums to its cache size)."""
+    p = cfg.policy.probabilities.copy()
+    p[1] = np.nextafter(p[1], 0.0)
+    moved = replace(cfg.policy, probabilities=p)
+    return [*field_changes(cfg, opts), [dict(cfg=cfg.with_policy(moved))]]
+
+
+@pytest.mark.parametrize("change", zone_changes(dense_scenario(), SimOptions(**DENSE_OPTS)))
+def test_zone_memo_key_is_checked(cold_field, change):
+    # the zone memo is keyed on every number the pass reads: moving any one
+    # of them makes one new pass
+    base = dict(cfg=dense_scenario(), n_trials=64, seed=7, opts=SimOptions(**DENSE_OPTS))
+    for moved in change:
+        estimate_capacity(base["cfg"], 1, 64, 7, base["opts"])
+        call = {**base, **moved}
+        before = simulator._zone_rates.cache_info().misses
+        estimate_capacity(call["cfg"], 1, call["n_trials"], call["seed"], call["opts"])
+        assert simulator._zone_rates.cache_info().misses - before == 1, moved
+
+
+def test_zone_memo_skips_what_the_pass_never_reads(cold_field):
+    # the environment's name, the library's Zipf vector, power and
+    # quadrature take no part in the pass, so every content of these reads
+    # the memoized one; its samples are shared, so they are read-only
+    cfg = dense_scenario()
+    opts = SimOptions(**DENSE_OPTS)
+    ref = estimate_capacity(cfg, 2, 64, 7, opts)
+    for other in (replace(cfg, env=replace(cfg.env, name="renamed")),
+                  replace(cfg, library=ContentLibrary(5, 1.2)),
+                  replace(cfg, power=PowerModel(0.0, 0.0, 0.0, 1.0)),
+                  replace(cfg, quadrature=QuadratureConfig(v_max=1e4))):
+        for content in range(1, 6):
+            estimate_capacity(other, content, 64, 7, opts)
+    assert simulator._zone_rates.cache_info().misses == 1
+    assert not ref.samples.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ref.samples[0] = 0.0
+
+
+def test_zone_pass_rows_are_the_live_contents():
+    # one row per live content in library order; a content cached nowhere
+    # reads zeros without a pass, and the others read their own rows
+    cfg = dense_scenario()
+    p = np.array([1.0, 0.0, 0.5, 0.0, 0.5])
+    cfg = cfg.with_policy(replace(cfg.policy, probabilities=p))
+    opts = SimOptions(**DENSE_OPTS)
+    ests = [estimate_capacity(cfg, c, 300, 5, opts) for c in range(1, 6)]
+    rates = simulator._zone_rates(cfg.env, cfg.channel, cfg.zone_mean_uavs,
+                                  cfg.interferer_density, cfg.coop_radius_km,
+                                  p.tobytes(), 300, 5, opts)
+    assert rates.shape == (3, 300)
+    for c, row in ((1, 0), (3, 1), (5, 2)):
+        assert ests[c - 1].samples.tobytes() == rates[row].tobytes()
+    for c in (2, 4):
+        assert ests[c - 1].samples.tobytes() == np.zeros(300).tobytes()
+
+
 def test_numpy_integers_read_as_python_ints(cold_field):
     # a numpy integer content or seed gives the bytes of the Python int it
     # equals (the stream key once overflowed on them); a float content is no
@@ -450,6 +540,7 @@ def test_estimator_validation(cold_field):
     empty = estimate_capacity(dense_scenario(coop_radius_km=0.0), 1, 10, 0)
     assert empty.samples.tobytes() == np.zeros(10).tobytes()
     assert simulator._interference_field.cache_info().misses == 0
+    assert simulator._zone_rates.cache_info().misses == 0
 
 
 # --- energy efficiency estimator ----------------------------------------------
@@ -470,6 +561,32 @@ def test_ee_estimator_matches_analytic():
     est = estimate_ee(cfg, report.per_content_bits, 20_000, 31)
     exact = energy_efficiency_exact(cfg, report)
     assert abs(est.mean - exact) < max(0.1 * exact, 3.0 * est.stderr)
+
+
+def test_ee_estimator_terms_are_the_masked_ratio():
+    # the worker computes its terms in place; they are, bit for bit, the
+    # masked ratio popularity * rate / (count * fixed + slope * rate) over
+    # contents with a nonempty cooperation set and a positive rate
+    cfg = dense_scenario()
+    rates = system_capacity(cfg).per_content_bits
+    rates[3] = 0.0
+    opts = SimOptions(chunk_size=300)
+    est = estimate_ee(cfg, rates, 700, 13, opts)
+    a = cfg.library.popularity
+    m = cfg.zone_mean_uavs * cfg.policy.probabilities
+    fixed = cfg.power.fixed_power(cfg.policy.cache_size)
+    zeta = cfg.power.rate_power_slope
+    live = (m > 0.0) & (rates > 0.0)
+    parts = []
+    for i, lo in enumerate(range(0, 700, 300)):
+        rng = simulator._chunk_rng(13, simulator._PURPOSE_EE, 0, i)
+        k = rng.poisson(np.broadcast_to(m, (min(300, 700 - lo), m.size)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where((k > 0) & live[None, :],
+                             a[None, :] * rates[None, :]
+                             / (k * fixed + zeta * rates[None, :]), 0.0)
+        parts.append(terms.sum(axis=1))
+    assert est.samples.tobytes() == np.concatenate(parts).tobytes()
 
 
 def test_ee_estimator_validation():
