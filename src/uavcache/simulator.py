@@ -16,9 +16,8 @@ A capacity trial splits in two. Beyond the cooperation zone every UAV on the
 sub-channel interferes whatever it caches, so the far field is one
 content-independent interference field per trial, shared by every content of
 a system row (common random numbers). It is drawn once and memoized on
-exactly what it reads (`_interference_field`; the far-field model itself is
-memoized per geometry, `_far_field`). Inside the zone, one pass per row
-(`_zone_rates`, memoized the same way, the placement included) draws the
+exactly what it reads (`_interference_field`). Inside the zone, one pass per
+row (`_zone_rates`, memoized the same way, the placement included) draws the
 cooperators and the non-caching interferers of every live content against
 that field, so the calls for the contents of one scenario, trial count, seed
 and options all read one pass; cleared memos redraw the same bytes.
@@ -199,9 +198,7 @@ class _SpikeMode:
         edges = np.arange(n_buckets + 1) / n_buckets
         first = np.searchsorted(cum, edges[:-1], side="right") - 1
         last = np.searchsorted(cum, edges[1:], side="left") - 1
-        # cell indices, -1 for a mixed bucket, in the narrowest integer
-        # that holds them: the model is memoized, so its guide stays resident
-        self.guide = np.where(first == last, first, -1).astype(np.min_scalar_type(-cum.size))
+        self.guide = np.where(first == last, first, -1)
 
     def locate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Range z and ln-shadowing spread s_ln of spikes at CDF levels u."""
@@ -467,15 +464,6 @@ def _run_chunks(worker, n_trials: int, chunk_size: int, n_jobs: int,
 
 
 @lru_cache(maxsize=1)
-def _far_field(env: Environment, ch: ChannelConfig, lam_i: float, x: float,
-               spike_rel: float) -> _FarField:
-    """The far-field model, memoized on what it reads, so the rows of one
-    geometry share it whatever their seeds (the policies of one grid
-    point)."""
-    return _FarField(env, ch, lam_i, x, spike_rel)
-
-
-@lru_cache(maxsize=1)
 def _interference_field(env: Environment, ch: ChannelConfig, lam_i: float,
                         x: float, n_trials: int, seed: int,
                         opts: SimOptions) -> np.ndarray:
@@ -487,7 +475,7 @@ def _interference_field(env: Environment, ch: ChannelConfig, lam_i: float,
     row's n_trials floats. The options go in whole: n_jobs moves no byte,
     but keeps a serial and a threaded run from sharing one draw.
     """
-    far = _far_field(env, ch, lam_i, x, opts.spike_rel)
+    far = _FarField(env, ch, lam_i, x, opts.spike_rel)
     spikes = sum(md.lam for md in far.modes) * min(opts.chunk_size, n_trials)
     if spikes > _SPIKE_BUDGET:
         raise ConvergenceError(

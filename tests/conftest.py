@@ -27,12 +27,11 @@ def cold_tables():
 
 @pytest.fixture
 def cold_field():
-    """Empty the simulator's memos (the far-field model, its per-trial draw
-    and the zone pass) on entry and exit, and yield the function that empties
-    them. Two runs that must each draw, or a run under a patched simulator
-    internal, clear them first: otherwise the later run reads the earlier
-    run's draw."""
-    memos = (simulator._far_field, simulator._interference_field, simulator._zone_rates)
+    """Empty the simulator's memos (the far-field draw and the zone pass) on
+    entry and exit, and yield the function that empties them. Two runs that
+    must each draw, or a run under a patched simulator internal, clear them
+    first: otherwise the later run reads the earlier run's draw."""
+    memos = (simulator._interference_field, simulator._zone_rates)
 
     def clear():
         for memo in memos:

@@ -63,52 +63,63 @@ def test_sim_estimate_half_width():
     assert est.half_width == pytest.approx(1.96 * 0.5)
 
 
-def zone_radii(monkeypatch, cold_field, cfg, n_trials):
-    """Radii passed to the link sampler in a one-chunk pass over cfg's live
-    contents, pooled over its blocks: the cooperators', then the in-zone
-    interferers' (each block draws its cooperators' links, then its
-    interferers'). The pass draws its field on an emptied memo, and that
-    draw passes no link there: its far-field spikes carry their own gains."""
-    calls = []
-    inner = simulator._draw_links
+def zone_draws(monkeypatch, cold_field, cfg, n_trials):
+    """What a one-chunk pass over cfg's live contents draws, block by block
+    (each block draws its cooperators, then its in-zone interferers): the
+    per-trial counts, one row per live content in library order, and the
+    radii passed to the link sampler, pooled over the blocks. The pass draws
+    its field on an emptied memo, and that draw passes no link there: its
+    far-field spikes carry their own gains."""
+    counts, radii = [], []
+    link_sums = simulator._Zone._link_sums
+    draw_links = simulator._draw_links
 
-    def recording(rng, radii, env, ch):
-        calls.append(radii.copy())
-        return inner(rng, radii, env, ch)
+    def recording_sums(self, rng, c):
+        counts.append(c.copy())
+        return link_sums(self, rng, c)
 
-    monkeypatch.setattr(simulator, "_draw_links", recording)
+    def recording_links(rng, r, env, ch):
+        radii.append(r.copy())
+        return draw_links(rng, r, env, ch)
+
+    monkeypatch.setattr(simulator._Zone, "_link_sums", recording_sums)
+    monkeypatch.setattr(simulator, "_draw_links", recording_links)
     opts = SimOptions(chunk_size=n_trials, **DENSE_OPTS)
     cold_field()
     estimate_capacity(cfg, 1, n_trials, 42, opts)
     assert simulator._interference_field.cache_info().misses == 1
-    assert len(calls) >= 2 and len(calls) % 2 == 0
-    return np.concatenate(calls[0::2]), np.concatenate(calls[1::2])
+    assert len(counts) == len(radii) and len(counts) % 2 == 0
+    assert [c.sum() for c in counts] == [r.size for r in radii]
+    return (np.concatenate(counts[0::2]), np.concatenate(counts[1::2]),
+            np.concatenate(radii[0::2]), np.concatenate(radii[1::2]))
 
 
 def test_sample_network_poisson_count(monkeypatch, cold_field):
-    # oracle: per trial and live content the cooperator count is the
-    # zero-truncated Poisson of mean m_c / (1 - exp(-m_c)), and the in-zone
-    # interferer count the Poisson of mean lambda_I * pi * (1 - p_c) X^2, the
-    # same-sub-channel UAVs in the zone less the caching ones, which
-    # cooperate instead; the pass draws every live content, so the pooled
-    # counts are the sums over them, and leaving the thinning out moves the
-    # pooled interferer mean by about 43 SE
+    # oracle, per live content (one row each): per trial the cooperator
+    # count is the zero-truncated Poisson of mean m_c / (1 - exp(-m_c)), and
+    # the in-zone interferer count the Poisson of mean
+    # lambda_I * pi * (1 - p_c) X^2, the same-sub-channel UAVs in the zone
+    # less the caching ones, which cooperate instead; leaving the thinning
+    # out moves content 3's interferer mean by about 15 SE (content 1's by
+    # about 147), and giving a content another's law moves its cooperator
+    # mean by 16 SE or more
     cfg = dense_scenario()
     p = cfg.policy.probabilities
-    p = p[p > 0.0]
-    assert p.size == 5
+    assert (p > 0.0).all()
     m = cfg.zone_mean_uavs * p
     nonempty = -np.expm1(-m)
     coop_mean = m / nonempty
     coop_var = m * (1.0 + m) / nonempty - coop_mean ** 2
     interferer_mean = cfg.interferer_density * math.pi * (1.0 - p) * 3.0 ** 2
     n = 4000
-    coop, interferers = zone_radii(monkeypatch, cold_field, cfg, n)
-    for count, mean, var in ((coop.size, coop_mean.sum(), coop_var.sum()),
-                             (interferers.size, interferer_mean.sum(),
-                              interferer_mean.sum())):
-        z = (count / n - mean) / math.sqrt(var / n)
-        assert abs(z) < 3.0
+    coop, interferers, *_ = zone_draws(monkeypatch, cold_field, cfg, n)
+    assert coop.shape == interferers.shape == (p.size, n)
+    for c in range(p.size):
+        for counts, mean, var in ((coop[c], coop_mean[c], coop_var[c]),
+                                  (interferers[c], interferer_mean[c],
+                                   interferer_mean[c])):
+            z = (counts.mean() - mean) / math.sqrt(var / n)
+            assert abs(z) < 3.0, c + 1
 
 
 def test_sample_network_radial_law(monkeypatch, cold_field):
@@ -116,7 +127,7 @@ def test_sample_network_radial_law(monkeypatch, cold_field):
     # CDF at r is (r / X)^2
     cfg = dense_scenario()
     x = 3.0
-    for radii in zone_radii(monkeypatch, cold_field, cfg, 2000):
+    for radii in zone_draws(monkeypatch, cold_field, cfg, 2000)[2:]:
         assert radii.min() >= 0.0 and radii.max() <= x
         for r in (0.75, 1.5, 2.25):
             cdf = (r / x) ** 2
@@ -127,11 +138,18 @@ def test_sample_network_radial_law(monkeypatch, cold_field):
 # --- capacity estimator -------------------------------------------------------
 
 def test_estimator_matches_content_capacity():
-    # the estimand is the analytic one, E[ln(1 + SIR)] with no cap on the SIR
+    # the estimand is the analytic one, E[ln(1 + SIR)] with no cap on the
+    # SIR: over four seeds fixed in advance, the top content's mean z lies
+    # within three of its standard errors, 3 / sqrt(4), of zero (a gap under
+    # 1.5 single-seed SEs)
     cfg = dense_scenario()
-    est = estimate_capacity(cfg, 1, 4000, 8, SimOptions(**DENSE_OPTS))
-    assert est.n_trials == 4000
-    assert abs(est.mean - content_capacity(cfg, 1)) < est.half_width
+    exact = content_capacity(cfg, 1)
+    zs = []
+    for seed in (7, 8, 9, 10):
+        est = estimate_capacity(cfg, 1, 4000, seed, SimOptions(**DENSE_OPTS))
+        assert est.n_trials == 4000
+        zs.append((est.mean - exact) / est.stderr)
+    assert abs(np.mean(zs)) < 3.0 / math.sqrt(len(zs)), zs
 
 
 def test_far_field_floor_keeps_the_sir_finite(monkeypatch, cold_field):
@@ -419,31 +437,6 @@ def test_field_memo_skips_what_the_draw_never_reads(monkeypatch, cold_field):
     assert not field.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         field[0] = 0.0
-
-
-def test_far_field_model_is_built_once_per_geometry(monkeypatch, cold_field):
-    # the far-field model depends on the geometry, not on the seed or trial
-    # count: rows of one grid point with different seeds build it once, and
-    # a new geometry builds it again; the draws keep their bytes
-    builds = []
-    init = simulator._FarField.__init__
-
-    def counting(self, *args):
-        builds.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(simulator._FarField, "__init__", counting)
-    cfg = dense_scenario()
-    opts = SimOptions(**DENSE_OPTS)
-    first = interference_field(cfg, 64, 7, opts)
-    for n_trials, seed in ((64, 8), (65, 7)):
-        interference_field(cfg, n_trials, seed, opts)
-    assert len(builds) == 1
-    interference_field(replace(cfg, coop_radius_km=2.0), 64, 7, opts)
-    assert len(builds) == 2
-    cold_field()
-    assert interference_field(cfg, 64, 7, opts).tobytes() == first.tobytes()
-    assert len(builds) == 3
 
 
 def zone_changes(cfg, opts):
