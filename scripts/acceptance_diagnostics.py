@@ -28,10 +28,9 @@ from uavcache import (ChannelConfig, ContentLibrary, ScenarioConfig,
                       elevation_deg, energy_efficiency, environment_preset,
                       los_probability, path_loss, shadowing_log_moments,
                       solve_rcp, system_capacity)
-from uavcache.analytics import (_GL_NODES, _INNER_PANELS, _far_edges,
-                                _gl_panels, _grazing_radius, _grazing_tails,
-                                _laplace_factors, _near_edges, _split_index,
-                                _tables_for, _v_panel_count)
+from uavcache.analytics import (_GL_NODES, _gl_panels, _grazing_tails,
+                                _laplace_factors, _radial_table, _tables_for,
+                                _v_panel_count)
 from uavcache.channel import _shadow_expectation
 
 ENVS = ("high_rise", "dense_urban", "urban", "sub_urban")
@@ -81,16 +80,15 @@ def rate_matrix(title: str, envs: dict) -> None:
 
 def mode_radials(v: np.ndarray, cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     """Whole-plane int z p_n(z) E_n(z, v) dz per link mode n at any v, on the
-    node layout and with the per-mode grazing-limit tails of the engine's
-    zone, near and far tables."""
+    node layout of the engine's zone and outside tables (the radial table's
+    panels, with the one that holds X split there) and with its per-mode
+    grazing-limit tails."""
     env, ch, quad, x = cfg.env, cfg.channel, cfg.quadrature, cfg.coop_radius_km
     h = ch.altitude_km
-    far = _far_edges(_split_index(x, h), _grazing_radius(env, ch, quad.rel_tol))
-    zi, wi = _gl_panels(np.linspace(0.0, x, _INNER_PANELS + 1), _GL_NODES)
-    zn, wn = _gl_panels(_near_edges(x, h), _GL_NODES)
-    zf, wf = _gl_panels(far, _GL_NODES)
-    z, w = np.concatenate([zi, zn, zf]), np.concatenate([wi, wn, wf])
-    tails = _grazing_tails(v, env, ch, quad, float(far[-1]))
+    edges = _radial_table(env, ch, quad)[0]
+    z, w = _gl_panels(np.insert(edges, np.searchsorted(edges, x, side="right"), x),
+                      _GL_NODES)
+    tails = _grazing_tails(v, env, ch, quad, float(edges[-1]))
     p_los = los_probability(z, h, env)
     out = {}
     for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):

@@ -2,12 +2,13 @@
 """Time analytic table builds and split the Laplace kernel's cost by branch,
 with a fingerprint of the tables each build produced.
 
-The script empties the table caches once, then builds the radial tables of
-each geometry in the order given, as a sweep over them would: a geometry's
-zone and near-outside tables are always built, and its far-outside table
-(beyond the split radius Z0, independent of the cooperation radius) is built
-unless an earlier geometry with the same environment, altitude and Z0 left
-it in the cache. Every `_shadow_expectation` call made during a build is
+The script empties the table caches once, then builds the tables of each
+geometry in the order given, as a sweep over them would: a geometry's read
+of the radial table at its cooperation radius (the two partial panels
+around X) is always made, and the radial table itself (prefix and suffix
+sums on every panel edge, independent of the cooperation radius) is built
+unless an earlier geometry with the same environment and altitude left it in
+the cache. Every `_shadow_expectation` call made during a build is
 recorded and then replayed once per kernel branch with only that branch's
 cells live (the other cells set to 0, which the kernel answers without
 work), and once with every cell 0 (`base_s`: masks and gates). Each replay
@@ -15,7 +16,7 @@ is the fastest of REPEATS runs. A branch's seconds are its replay time minus
 `base_s`, so the branch times plus `base_s` approximate `kernel_s`; a branch
 too cheap to separate from timing noise can read slightly below 0. Within the
 windowed replays, the time spent in the branch's two normal-tail terms
-(`channel.ndtr` and `channel.log_ndtr`) is timed on its own. The far
+(`channel.ndtr` and `channel.log_ndtr`) is timed on its own. The radial
 table's grazing-limit tail (`analytics._grazing_tails`) evaluates its own
 kernel cells outside `kernel_table`; it is timed and counted on its own and
 left out of the branch split.
@@ -24,11 +25,12 @@ One JSON line per geometry:
   env, x_cop_km, altitude_km, hermite_nodes,
   build_s        table build, rate assembly and v_max guard
                  (`analytics.system_capacity`),
-  far_hit        whether the far table came from the cache,
-  far_s          time in `_far_radial` (a cache lookup on a hit),
-  tail_s         time in the far table's grazing-limit tail (part of far_s),
+  table_hit      whether the radial table came from the cache,
+  table_s        time in `_radial_table` (a cache lookup on a hit),
+  tail_s         time in the radial table's grazing-limit tail (part of
+                 table_s),
   tail_cells     kernel cells the tail evaluated,
-  near_s         build_s - far_s: zone and near tables, assembly and guard,
+  read_s         build_s - table_s: the read at X, assembly and guard,
   kernel_s       time inside `_shadow_expectation` during the build,
   base_s         replay with every cell 0,
   branches       {linear, gauss_hermite, windowed}: {cells, s},
@@ -36,12 +38,13 @@ One JSON line per geometry:
                  (part of branches.windowed.s; fastest replay per call),
   tables_sha256  SHA-256 of the zone table bytes followed by the outside
                  table bytes (the whole 2*v_max build),
-  far_sha256     SHA-256 of the far table bytes.
+  table_sha256   SHA-256 of the radial table's prefix bytes followed by its
+                 suffix bytes.
 
 The default geometries are the six builds of the benchmark's
 figures_analytic workload: high_rise and sub_urban at X = 1 and 3 km with
 H = 1 km, and at X = 3 km with H = 2 km; the X = 3 km, H = 1 km builds reuse
-the far tables of X = 1 km.
+the radial tables of X = 1 km.
 
 Usage: python3 scripts/kernel_profile.py [--hermite-nodes N]
            [--geometry ENV:X_KM:H_KM ...]
@@ -134,10 +137,10 @@ def profile(env_name: str, x_cop: float, altitude: float,
             hermite_nodes: int | None) -> dict:
     cfg = scenario(env_name, x_cop, altitude, hermite_nodes)
     kernel = channel._shadow_expectation
-    far_radial = analytics._far_radial
+    radial_table = analytics._radial_table
     tails, tail_kernel = analytics._grazing_tails, analytics._shadow_expectation
     calls = []
-    kernel_s = far_s = tail_s = 0.0
+    kernel_s = table_s = tail_s = 0.0
     tail_cells = 0
 
     def recording(coef, m_ln, s_ln, wbar, n_h):
@@ -148,11 +151,11 @@ def profile(env_name: str, x_cop: float, altitude: float,
         calls.append((coef, m_ln, s_ln, wbar, n_h))
         return out
 
-    def timed_far(*args, **kwargs):
-        nonlocal far_s
+    def timed_table(*args, **kwargs):
+        nonlocal table_s
         t0 = time.perf_counter()
-        out = far_radial(*args, **kwargs)
-        far_s += time.perf_counter() - t0
+        out = radial_table(*args, **kwargs)
+        table_s += time.perf_counter() - t0
         return out
 
     def timed_tails(*args, **kwargs):
@@ -167,9 +170,9 @@ def profile(env_name: str, x_cop: float, altitude: float,
         tail_cells += np.size(coef)
         return tail_kernel(coef, *args)
 
-    far_hits = far_radial.cache_info().hits
+    table_hits = radial_table.cache_info().hits
     channel._shadow_expectation = recording
-    analytics._far_radial = timed_far
+    analytics._radial_table = timed_table
     analytics._grazing_tails = timed_tails
     analytics._shadow_expectation = counted_tail_kernel
     try:
@@ -178,16 +181,15 @@ def profile(env_name: str, x_cop: float, altitude: float,
         build_s = time.perf_counter() - t0
     finally:
         channel._shadow_expectation = kernel
-        analytics._far_radial = far_radial
+        analytics._radial_table = radial_table
         analytics._grazing_tails = tails
         analytics._shadow_expectation = tail_kernel
-    far_hit = far_radial.cache_info().hits > far_hits
+    table_hit = radial_table.cache_info().hits > table_hits
     tables = analytics._tables_for(cfg)
     digest = hashlib.sha256(np.ascontiguousarray(tables.zone).tobytes()
                             + np.ascontiguousarray(tables.outside).tobytes())
-    far = far_radial(cfg.env, cfg.channel, cfg.quadrature,
-                     analytics._split_index(x_cop, altitude))
-    far_digest = hashlib.sha256(np.ascontiguousarray(far).tobytes())
+    _, prefix, suffix = radial_table(cfg.env, cfg.channel, cfg.quadrature)
+    table_digest = hashlib.sha256(prefix.tobytes() + suffix.tobytes())
 
     base_s = window_tails_s = 0.0
     branches = {name: {"cells": 0, "s": 0.0}
@@ -207,13 +209,13 @@ def profile(env_name: str, x_cop: float, altitude: float,
         rec["s"] = round(rec["s"], 4)
     return {"env": env_name, "x_cop_km": x_cop, "altitude_km": altitude,
             "hermite_nodes": cfg.quadrature.hermite_nodes,
-            "build_s": round(build_s, 4), "far_hit": far_hit,
-            "far_s": round(far_s, 4), "tail_s": round(tail_s, 4),
-            "tail_cells": tail_cells, "near_s": round(build_s - far_s, 4),
+            "build_s": round(build_s, 4), "table_hit": table_hit,
+            "table_s": round(table_s, 4), "tail_s": round(tail_s, 4),
+            "tail_cells": tail_cells, "read_s": round(build_s - table_s, 4),
             "kernel_s": round(kernel_s, 4), "base_s": round(base_s, 4),
             "branches": branches, "window_tails_s": round(window_tails_s, 4),
             "tables_sha256": digest.hexdigest(),
-            "far_sha256": far_digest.hexdigest()}
+            "table_sha256": table_digest.hexdigest()}
 
 
 def parse_geometry(text: str) -> tuple[str, float, float]:
@@ -230,7 +232,7 @@ def main() -> int:
                          "figures_analytic builds)")
     args = ap.parse_args()
     analytics._geometry_tables.cache_clear()
-    analytics._far_radial.cache_clear()
+    analytics._radial_table.cache_clear()
     for env_name, x_cop, altitude in args.geometry or DEFAULT_GEOMETRIES:
         print(json.dumps(profile(env_name, x_cop, altitude, args.hermite_nodes)),
               flush=True)

@@ -11,19 +11,17 @@ enter only the final assembly of each rate, never the radial integrals. That
 assembly is one block, a row per distinct placement probability plus one for
 the v_max guard's probe, over the geometry's tables (`_assemble_rates`).
 
-The outside integral splits at a radius Z0 >= max(64 km, 2X, 2H) on a fixed
-ln z lattice. Its far part, beyond Z0, does not depend on the cooperation
-radius X, only on Z0's lattice index. Both builders are memoized with
-`functools.lru_cache` on exactly what they read: `_far_radial` on
-(environment, channel, quadrature, Z0 index) and `_geometry_tables` on
-(environment, channel, quadrature, X). A sweep over X at one environment and
-altitude thus builds the far table once and rebuilds only the zone and
-X -> Z0 panels. An environment's name takes no part in its equality, so it
-keys nothing. The far part runs in panels two lattice steps wide out to
-z_far, where P_LOS and the shadowing spread sit at their grazing-angle
-limits within rel_tol; beyond z_far each link mode's kernel is a fixed
-function of v L(z), and the rest of the integral is one power-law integral
-per mode (`_grazing_tails`).
+Every radial integral is read from one table per (environment, channel,
+quadrature), `_radial_table`: panels on the lattice of powers of 1.6 km, one
+from 0 to the first edge at or above H/4, then every edge up to 64 km, then
+every second edge out to z_far, where P_LOS and the shadowing spread sit at
+their grazing-angle limits within rel_tol; beyond z_far each link mode's
+kernel is a fixed function of v L(z), and the rest is one power-law integral
+per mode (`_grazing_tails`). The table keeps the prefix and suffix sums at
+every edge, so neither side of a split cancels. `_geometry_tables` reads it
+at a cooperation radius X from the two partial panels around X. Both are
+memoized with `functools.lru_cache` on exactly what they read, the read also
+on X; an environment's name takes no part in its equality, so it keys nothing.
 
 Rates are in nats per channel use internally; energy efficiency converts to
 bits and reads the dynamic-power slope as W per (bit/channel use).
@@ -47,16 +45,15 @@ from .errors import ConfigError, ConvergenceError
 # validated by the v_max doubling guard, these only set the base resolution.
 _V_MIN = 1e-10
 _GL_NODES = 12
-_INNER_PANELS = 8
 _OUTER_RATIO = 1.6
-_FAR_STEP = 2  # lattice steps per panel beyond Z0 (ratio 1.6**2 = 2.56)
+_FAR_STEP = 2  # lattice steps per panel beyond _Z_COARSE (ratio 1.6**2 = 2.56)
 _V_PANELS_PER_DECADE = 2
-# split radius floor (km), Poisson tail mass for the EE sums and the most
-# terms one EE sum may take
-_Z_FLOOR = 64.0
+# radius (km) from which radial panels take _FAR_STEP lattice steps, Poisson
+# tail mass for the EE sums and the most terms one EE sum may take
+_Z_COARSE = 64.0
 _K_MAX_TAIL = 1e-12
 _K_MAX_TERMS = 1_000_000
-# most tables each memo keeps (far tables; whole-geometry tables)
+# most tables each memo keeps (radial tables; whole-geometry reads of them)
 _TABLE_CACHE_SIZE = 64
 
 
@@ -166,26 +163,6 @@ def _gl_panels(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
            (half[:, None] * w[None, :]).ravel()
 
 
-# outside panel edges sit on an absolute lattice in ln z, the powers of
-# _OUTER_RATIO, so the panels beyond a split radius Z0 are the same for every
-# cooperation radius X with the same Z0 (as the v panels below are for v_max)
-_OUTER_LOG = math.log(_OUTER_RATIO)
-
-
-def _split_index(x_cop: float, h: float) -> int:
-    """Lattice index j0 of the split radius Z0 = _OUTER_RATIO**j0, the first
-    lattice edge >= max(_Z_FLOOR, 2X, 2H)."""
-    return math.ceil(math.log(max(_Z_FLOOR, 2.0 * x_cop, 2.0 * h)) / _OUTER_LOG)
-
-
-def _near_edges(x_cop: float, h: float) -> np.ndarray:
-    """Outside panel edges from X through every lattice edge up to Z0."""
-    j0 = _split_index(x_cop, h)
-    lattice = _OUTER_RATIO ** np.arange(math.floor(math.log(x_cop) / _OUTER_LOG) + 1,
-                                        j0 + 1)
-    return np.concatenate([[x_cop], lattice[lattice > x_cop]])
-
-
 def _grazing_radius(env: Environment, cfg: ChannelConfig, rel_tol: float) -> float:
     """Range beyond which the mark law sits at its grazing (theta -> 0) limit
     within rel_tol.
@@ -202,19 +179,30 @@ def _grazing_radius(env: Environment, cfg: ChannelConfig, rel_tol: float) -> flo
     return math.degrees(cfg.altitude_km) * scale / rel_tol
 
 
-def _far_edges(j0: int, z_far: float) -> np.ndarray:
-    """Every _FAR_STEP-th lattice edge from Z0 = _OUTER_RATIO**j0 to the
-    first one >= z_far (at least one panel)."""
-    n = max(1, math.ceil((math.log(z_far) / _OUTER_LOG - j0) / _FAR_STEP))
-    return _OUTER_RATIO ** (j0 + _FAR_STEP * np.arange(n + 1))
+# radial panel edges sit on an absolute lattice in ln z, the powers of
+# _OUTER_RATIO, so one table serves every cooperation radius
+_OUTER_LOG = math.log(_OUTER_RATIO)
 
 
-def _panel_integral(v: np.ndarray, env: Environment, cfg: ChannelConfig,
-                    quad: QuadratureConfig, edges: np.ndarray) -> np.ndarray:
-    """int z k(z,v) dz over the panels between consecutive edges."""
+def _radial_edges(h: float, z_far: float) -> np.ndarray:
+    """0, then every lattice edge from the first at or above H/4 to the first
+    at or above _Z_COARSE, then every _FAR_STEP-th one to the first at or
+    beyond z_far (at least one such panel)."""
+    j_lo = math.ceil(math.log(h / 4.0) / _OUTER_LOG)
+    j_mid = max(j_lo, math.ceil(math.log(_Z_COARSE) / _OUTER_LOG))
+    n_far = max(1, math.ceil((math.log(z_far) / _OUTER_LOG - j_mid) / _FAR_STEP))
+    j = np.concatenate([np.arange(j_lo, j_mid), j_mid + _FAR_STEP * np.arange(n_far + 1)])
+    return np.concatenate([[0.0], _OUTER_RATIO ** j])
+
+
+def _panel_integrals(v: np.ndarray, env: Environment, cfg: ChannelConfig,
+                     quad: QuadratureConfig, edges) -> np.ndarray:
+    """int z k(z,v) dz over each panel between consecutive edges, a row per
+    panel, from one kernel table."""
     z, w = _gl_panels(edges, _GL_NODES)
-    return (w[:, None] * z[:, None]
-            * kernel_table(z, v, env, cfg, quad.hermite_nodes)).sum(axis=0)
+    cells = kernel_table(z, v, env, cfg, quad.hermite_nodes)
+    cells *= (w * z)[:, None]
+    return cells.reshape(-1, _GL_NODES, v.size).sum(axis=1)
 
 
 def _grazing_tails(v: np.ndarray, env: Environment, cfg: ChannelConfig,
@@ -301,44 +289,48 @@ def _v_rule(v_max: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _far_radial(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig,
-                j0: int) -> np.ndarray:
-    """int_{Z0}^inf z k(z,v) dz on the v grid up to 2*v_max, Z0 =
-    _OUTER_RATIO**j0: panels of _FAR_STEP lattice steps from Z0 to z_far,
-    the first of their edges at or beyond the grazing radius, then the
-    grazing-limit tail of each mode.
-
-    The cooperation radius enters only through j0, so every X sharing Z0
-    shares this table.
-    """
+def _radial_table(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edges e_i, prefix P_i, suffix S_i) on the v grid up to 2*v_max, a row
+    per edge of `_radial_edges`: P_i = int_0^{e_i} z k(z,v) dz and S_i =
+    int_{e_i}^inf z k(z,v) dz, whose part beyond the last edge, z_far, is the
+    grazing-limit tail of each mode. It serves every cooperation radius."""
     v = _v_rule(2.0 * quad.v_max)[0]
-    edges = _far_edges(j0, _grazing_radius(env, cfg, quad.rel_tol))
+    edges = _radial_edges(cfg.altitude_km, _grazing_radius(env, cfg, quad.rel_tol))
     # the tail first: it refuses a spread too wide to evaluate before any
     # panel is integrated
     tails = _grazing_tails(v, env, cfg, quad, float(edges[-1]))
-    far = _panel_integral(v, env, cfg, quad, edges) + tails["los"] + tails["nlos"]
-    far.flags.writeable = False  # memoized and shared, as _ScenarioTables
-    return far
+    panels = _panel_integrals(v, env, cfg, quad, edges)
+    prefix = np.cumsum(np.vstack([np.zeros(v.size), panels]), axis=0)
+    suffix = np.cumsum(np.vstack([tails["los"] + tails["nlos"], panels[::-1]]),
+                       axis=0)[::-1]
+    for table in (edges, prefix, suffix):
+        table.flags.writeable = False  # memoized and shared, as _ScenarioTables
+    return edges, prefix, suffix
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _geometry_tables(env: Environment, cfg: ChannelConfig,
                      quad: QuadratureConfig, x_cop: float) -> _ScenarioTables:
-    """Radial tables on the v grid up to 2*v_max:
+    """Radial tables on the v grid up to 2*v_max, read from `_radial_table`
+    at X = x_cop in the panel [e_i, e_{i+1}) that holds it:
 
-    zone(v)    = int_0^{x_cop} z k(z,v) dz
-    outside(v) = int_{x_cop}^{Z0} z k(z,v) dz + `_far_radial`(v).
+    zone(v)    = int_0^X z k(z,v) dz   = P_i + int_{e_i}^X
+    outside(v) = int_X^inf z k(z,v) dz = int_X^{e_{i+1}} + S_{i+1}.
 
     Density, sub-channel count and placement enter only the rate assembly,
     guard included, so they are not arguments.
     """
-    h = cfg.altitude_km
-    far = _far_radial(env, cfg, quad, _split_index(x_cop, h))
+    edges, prefix, suffix = _radial_table(env, cfg, quad)
+    i = int(np.searchsorted(edges, x_cop, side="right")) - 1
+    if i >= edges.size - 1:
+        raise ConvergenceError(
+            f"cooperation radius {x_cop:g} km is at or beyond the last radial "
+            f"panel edge z_far = {edges[-1]:.3g} km")
     v_grid, weights = _v_rule(2.0 * quad.v_max)
-    zone = _panel_integral(v_grid, env, cfg, quad,
-                           np.linspace(0.0, x_cop, _INNER_PANELS + 1))
-    near = _panel_integral(v_grid, env, cfg, quad, _near_edges(x_cop, h))
-    return _ScenarioTables(v_grid, weights, zone, near + far)
+    inner, outer = _panel_integrals(v_grid, env, cfg, quad,
+                                    [edges[i], x_cop, edges[i + 1]])
+    return _ScenarioTables(v_grid, weights, prefix[i] + inner, outer + suffix[i + 1])
 
 
 def _laplace_factors(zone: np.ndarray, outside: np.ndarray, cfg: ScenarioConfig,

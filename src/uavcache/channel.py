@@ -453,6 +453,7 @@ _WIN_Y_HI = 12.0
 _WIN_PANELS = 8
 _WIN_BLOCK = 1024
 _GH_BLOCK = 8192
+_TABLE_BLOCK = 32768  # cells per kernel_table pass: bounds its temporaries
 
 
 @lru_cache(maxsize=8)
@@ -584,15 +585,18 @@ def kernel_table(z, v, env: Environment, cfg: ChannelConfig,
     if np.any(z < 0) or np.any(v < 0):
         raise ValueError("ranges and transform variables must be >= 0")
     h = cfg.altitude_km
-    p_los = los_probability(z, h, env)
     out = np.zeros((z.size, v.size))
-    for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):
-        _, _, wbar = cfg.mode_params(mode)
-        loss = path_loss(z, h, mode, cfg)
-        m_ln, s_ln = shadowing_log_moments(z, h, mode, env)
-        acc = _shadow_expectation(np.outer(loss, v), float(m_ln),
-                                  np.asarray(s_ln)[:, None], wbar,
-                                  hermite_nodes)
-        out += np.atleast_1d(p_mode)[:, None] * acc
+    rows = max(1, _TABLE_BLOCK // max(1, v.size))
+    for lo in range(0, z.size, rows):
+        zb, ob = z[lo:lo + rows], out[lo:lo + rows]
+        p_los = los_probability(zb, h, env)
+        for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):
+            _, _, wbar = cfg.mode_params(mode)
+            loss = path_loss(zb, h, mode, cfg)
+            m_ln, s_ln = shadowing_log_moments(zb, h, mode, env)
+            acc = _shadow_expectation(np.outer(loss, v), float(m_ln),
+                                      np.asarray(s_ln)[:, None], wbar,
+                                      hermite_nodes)
+            ob += np.atleast_1d(p_mode)[:, None] * acc
     return out
 

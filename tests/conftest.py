@@ -12,13 +12,13 @@ ACCEPTANCE_LINES: list[str] = []
 
 @pytest.fixture
 def cold_tables():
-    """Empty the far and geometry table memos on entry and exit, and yield the
+    """Empty the radial and geometry table memos on entry and exit, and yield the
     function that empties them. A memo does not restore itself as a patched
     attribute does, so tables built under a patched engine internal must be
     cleared before the next test reads them."""
     def clear():
         analytics._geometry_tables.cache_clear()
-        analytics._far_radial.cache_clear()
+        analytics._radial_table.cache_clear()
 
     clear()
     yield clear

@@ -326,11 +326,11 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables):
                                  policy=base_cfg.policy, env=base_cfg.env,
                                  quadrature=quad, coop_radius_km=1.0)
         rel_changes[name] = abs(content_capacity(alt_cfg, 1) - base) / base
-    # the far radial table: its panels run ten times farther out before the
+    # the radial table: its panels run ten times farther out before the
     # grazing-limit tail takes over, or put an edge on every lattice step
-    # instead of every second one; the table memos are emptied before and
-    # after each patch, so each patch builds the far table once and no
-    # patched table outlives it
+    # beyond 64 km instead of every second one; the table memos are emptied
+    # before and after each patch, so each patch builds the radial table once
+    # and no patched table outlives it
     grazing_radius = analytics._grazing_radius
     for name, attr, value in (
             ("grazing_radius", "_grazing_radius",
@@ -340,9 +340,19 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables):
             cold_tables()
             patch.setattr(analytics, attr, value)
             rel_changes[name] = abs(content_capacity(base_cfg, 1) - base) / base
-            far_builds = analytics._far_radial.cache_info().misses
+            table_builds = analytics._radial_table.cache_info().misses
         cold_tables()
-        assert far_builds == 1, f"the {name} leg must rebuild the far table"
+        assert table_builds == 1, f"the {name} leg must rebuild the radial table"
+    # the zone: at a low altitude and a wide zone (X/H = 400) the zone
+    # integral spans the most panels; 20 Gauss-Legendre nodes per panel in
+    # place of 12 must not move the rate either
+    zone_cfg = rcp_scenario("urban", 20.0, channel=ChannelConfig(altitude_km=0.05))
+    zone_base = content_capacity(zone_cfg, 1)
+    with monkeypatch.context() as patch:
+        cold_tables()
+        patch.setattr(analytics, "_GL_NODES", 20)
+        rel_changes["zone"] = abs(content_capacity(zone_cfg, 1) - zone_base) / zone_base
+    cold_tables()
     rel_tol = QuadratureConfig().rel_tol
     ok_analytic = all(c < rel_tol for c in rel_changes.values())
 

@@ -1,6 +1,7 @@
 """Semi-analytic capacity and energy efficiency: factor behavior, frozen
 regression points, the per-geometry table memos and the EE sums."""
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -75,19 +76,17 @@ def test_scenario_validation():
 
 def laplace_factors(v, cfg, p_c):
     """(noncaching interference, caching interference outside the zone, zone
-    signal) at any v, from the engine's zone, near and far panels and its
-    grazing-limit tails."""
+    signal) at any v, from the engine's radial panels, split at X as its
+    reader splits them, and its grazing-limit tails."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     env, ch, quad, x = cfg.env, cfg.channel, cfg.quadrature, cfg.coop_radius_km
-    h = ch.altitude_km
-    far = analytics._far_edges(analytics._split_index(x, h),
-                               analytics._grazing_radius(env, ch, quad.rel_tol))
-    tails = analytics._grazing_tails(v, env, ch, quad, float(far[-1]))
-    zone = analytics._panel_integral(
-        v, env, ch, quad, np.linspace(0.0, x, analytics._INNER_PANELS + 1))
-    near = analytics._panel_integral(v, env, ch, quad, analytics._near_edges(x, h))
-    outside = near + (analytics._panel_integral(v, env, ch, quad, far)
-                      + tails["los"] + tails["nlos"])
+    edges = analytics._radial_edges(ch.altitude_km,
+                                    analytics._grazing_radius(env, ch, quad.rel_tol))
+    i = int(np.searchsorted(edges, x, side="right"))
+    panels = analytics._panel_integrals(v, env, ch, quad, np.insert(edges, i, x))
+    tails = analytics._grazing_tails(v, env, ch, quad, float(edges[-1]))
+    zone = panels[:i].sum(axis=0)
+    outside = panels[i:].sum(axis=0) + tails["los"] + tails["nlos"]
     return analytics._laplace_factors(zone, outside, cfg, p_c)
 
 
@@ -210,22 +209,21 @@ def test_capacity_grows_with_cooperation_radius():
 
 # --- far radial table ----------------------------------------------------------
 
-def lattice_far_radial(v, env, ch, quad, x_cop, v_max):
-    """The far radial integral by panels on every lattice edge out to where
-    v_max * L(z) sits below half the kernel's grazing linear gate, plus the
-    analytic linear remainder beyond: an independent oracle for the grazing-
-    limit tail and the two-step far panels."""
+def lattice_far_radial(v, env, ch, quad, j0, v_max):
+    """The radial integral beyond the lattice edge 1.6**j0 by panels on every
+    lattice edge out to where v_max * L(z) sits below half the kernel's
+    grazing linear gate, plus the analytic linear remainder beyond: an
+    independent oracle for the grazing-limit tail and the two-step panels."""
     h = ch.altitude_km
-    z_end = max(analytics._Z_FLOOR, 2.0 * x_cop, 2.0 * h)
+    z_end = 2.0 * h
     for mode in ("los", "nlos"):
         alpha, k, _ = ch.mode_params(mode)
         m_ln, s_ln = shadowing_log_moments(1e9, h, mode, env)
         c_lin = float(linear_threshold(float(m_ln), float(s_ln)))
         z_end = max(z_end, math.sqrt((2.0 * v_max * k / c_lin) ** (2.0 / alpha) - h * h))
-    j0 = analytics._split_index(x_cop, h)
     j_end = max(j0 + 1, math.ceil(math.log(z_end) / analytics._OUTER_LOG))
     edges = analytics._OUTER_RATIO ** np.arange(j0, j_end + 1)
-    far = analytics._panel_integral(v, env, ch, quad, edges)
+    far = analytics._panel_integrals(v, env, ch, quad, edges).sum(axis=0)
     z_far = float(edges[-1])
     p_los = los_probability(z_far, h, env)
     for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):
@@ -238,15 +236,76 @@ def lattice_far_radial(v, env, ch, quad, x_cop, v_max):
 
 @pytest.mark.parametrize("env_name", sorted(ENVIRONMENT_PRESETS))
 def test_far_radial_matches_lattice_oracle(env_name):
+    # the radial table's suffix from the edge where its panels turn two
+    # lattice steps wide (1.6**9 km), against the every-edge oracle
     quad = QuadratureConfig()
     v_max = 2.0 * quad.v_max
     v = analytics._v_rule(v_max)[0]
     env = environment_preset(env_name)
+    j0 = math.ceil(math.log(analytics._Z_COARSE) / analytics._OUTER_LOG)
     for h in (0.5, 1.0, 3.0):
         ch = ChannelConfig(altitude_km=h)
-        got = analytics._far_radial(env, ch, quad, analytics._split_index(1.0, h))
-        want = lattice_far_radial(v, env, ch, quad, 1.0, v_max)
-        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0, err_msg=f"H={h}")
+        edges, _, suffix = analytics._radial_table(env, ch, quad)
+        i = int(np.searchsorted(edges, analytics._Z_COARSE))
+        assert edges[i] == analytics._OUTER_RATIO ** j0
+        want = lattice_far_radial(v, env, ch, quad, j0, v_max)
+        np.testing.assert_allclose(suffix[i], want, rtol=1e-8, atol=0, err_msg=f"H={h}")
+
+
+# --- radial table reader ---------------------------------------------------------
+
+@pytest.mark.parametrize("env_name", sorted(ENVIRONMENT_PRESETS))
+def test_reader_splits_the_whole_plane(env_name):
+    # zone(X) + outside(X) is the whole-plane integral at any X: the two
+    # partial panels stand in for the table panel that holds X, so the sum
+    # moves only by that panel's quadrature error; the kernel steps where a
+    # shadowing spread crosses its Gauss-Hermite/windowed switch, which holds
+    # that error near 1e-9 of the panel, below 3e-11 of the whole
+    quad = QuadratureConfig()
+    env = environment_preset(env_name)
+    for h in (0.05, 1.0):
+        ch = ChannelConfig(altitude_km=h)
+        _, prefix, suffix = analytics._radial_table(env, ch, quad)
+        whole = prefix[-1] + suffix[-1]
+        for x in (0.1, 1.0, 3.0, 20.0, 100.0, 400.0, 1e4):
+            tables = analytics._geometry_tables(env, ch, quad, x)
+            np.testing.assert_allclose(tables.zone + tables.outside, whole,
+                                       rtol=1e-10, atol=0, err_msg=f"H={h} X={x}")
+
+
+def test_reader_edge_cases():
+    quad = QuadratureConfig()
+    env, ch = environment_preset("sub_urban"), ChannelConfig(altitude_km=1.0)
+    edges, prefix, _ = analytics._radial_table(env, ch, quad)
+    v = analytics._v_rule(2.0 * quad.v_max)[0]
+
+    def zone_oracle(edges):
+        return analytics._panel_integrals(v, env, ch, quad, edges).sum(axis=0)
+
+    # below the first edge (1.6**-2 km, the first at or above H/4) the zone
+    # is one partial panel from 0
+    assert edges[1] > 0.1
+    np.testing.assert_allclose(analytics._geometry_tables(env, ch, quad, 0.1).zone,
+                               zone_oracle(np.linspace(0.0, 0.1, 5)), rtol=1e-12)
+    # on a lattice edge (1.6**0 km) the inner partial panel is empty
+    on_edge = int(np.flatnonzero(edges == 1.0)[0])
+    assert np.array_equal(analytics._geometry_tables(env, ch, quad, 1.0).zone,
+                          prefix[on_edge])
+    # beyond 64 km X sits inside a two-step panel; the finer oracle agrees
+    # to the kernel's step at its branch switch, near 1e-9
+    i = int(np.searchsorted(edges, 100.0)) - 1
+    assert edges[i + 1] / edges[i] == pytest.approx(1.6 ** 2)
+    np.testing.assert_allclose(
+        analytics._geometry_tables(env, ch, quad, 100.0).zone,
+        zone_oracle(np.concatenate([[0.0], np.geomspace(0.05, 100.0, 97)])),
+        rtol=1e-8)
+    # at or beyond the last edge, z_far, there is no panel to read
+    for x in (float(edges[-1]), 10.0 * edges[-1]):
+        with pytest.raises(ConvergenceError, match=re.escape(f"cooperation radius {x:g} km")):
+            analytics._geometry_tables(env, ch, quad, x)
+    cfg = replace(reference_scenario("sub_urban", 1.0), coop_radius_km=float(edges[-1]))
+    with pytest.raises(ConvergenceError, match="cooperation radius"):
+        system_capacity(cfg)
 
 
 # --- per-geometry table memos ----------------------------------------------------
@@ -267,49 +326,48 @@ def kernel_calls(monkeypatch, cold_tables):
 
 
 def test_density_sweep_builds_tables_once(kernel_calls):
-    # one build per geometry: zone, near-outside and far-outside kernel
-    # tables, shared by both sides of the v_max guard and by every density
+    # one build per geometry: the radial table and its read at X, shared by
+    # both sides of the v_max guard and by every density
     cfg = reference_scenario("sub_urban", 1.0)
     for density in (1e-4, 1e-3, 1e-2):
         assert system_capacity(replace(cfg, uav_density=density)).system_rate_nats > 0
-    assert len(kernel_calls) == 3
+    assert len(kernel_calls) == 2
 
 
 def test_coop_radius_sweep_shares_far_table(kernel_calls, cold_tables):
-    # the far outside table depends on X only through the split radius Z0,
-    # which is the same lattice edge (1.6**9 km) for every X up to 34.4 km:
-    # a second X builds only its zone and near tables
+    # the radial table does not depend on X: a sweep over X builds it once,
+    # and each X adds one kernel table, its read of the two partial panels
     cfg = reference_scenario("sub_urban", 1.0)
     at_3 = replace(cfg, coop_radius_km=3.0)
     system_capacity(cfg)
-    assert len(kernel_calls) == 3
+    assert len(kernel_calls) == 2
     shared = system_capacity(at_3).per_content_nats
-    assert len(kernel_calls) == 3 + 2
+    assert len(kernel_calls) == 2 + 1
     cold_tables()
     cold = system_capacity(at_3).per_content_nats
     assert np.array_equal(shared, cold)
-    # a new altitude or environment builds its own far table
+    # a new altitude or environment builds its own radial table
     for other in (replace(at_3, channel=ChannelConfig(altitude_km=2.0)),
                   replace(at_3, env=environment_preset("high_rise"))):
         before = len(kernel_calls)
         system_capacity(other)
-        assert len(kernel_calls) - before == 3
-    # past X = 1.6**9 / 2 km, 2X moves Z0 to the next lattice edge
-    far_tables = analytics._far_radial.cache_info().currsize
+        assert len(kernel_calls) - before == 2
+    # an X beyond the one-step panels (64 km) reads the same table
+    tables = analytics._radial_table.cache_info().currsize
     before = len(kernel_calls)
-    system_capacity(replace(cfg, coop_radius_km=40.0))
-    assert len(kernel_calls) - before == 3
-    assert analytics._far_radial.cache_info().currsize == far_tables + 1
+    system_capacity(replace(cfg, coop_radius_km=100.0))
+    assert len(kernel_calls) - before == 1
+    assert analytics._radial_table.cache_info().currsize == tables
 
 
 def test_far_table_is_keyed_on_rel_tol(kernel_calls):
-    # rel_tol sets the grazing radius where the far panels end, so two
-    # tolerances at one geometry build two far tables
+    # rel_tol sets the grazing radius where the radial panels end, so two
+    # tolerances at one geometry build two radial tables
     cfg = reference_scenario("sub_urban", 1.0)
     for rel_tol in (1e-6, 1e-8):
         system_capacity(replace(cfg, quadrature=QuadratureConfig(rel_tol=rel_tol)))
-    assert len(kernel_calls) == 3 + 3
-    assert analytics._far_radial.cache_info().currsize == 2
+    assert len(kernel_calls) == 2 + 2
+    assert analytics._radial_table.cache_info().currsize == 2
 
 
 def bumped(value):
@@ -324,12 +382,13 @@ def test_table_memos_key_on_every_number_they_read(kernel_calls):
     # and placement are not, and cost no table build
     cfg = reference_scenario("sub_urban", 1.0)
     system_capacity(cfg)
-    assert len(kernel_calls) == 3
+    assert len(kernel_calls) == 2
     for other in (replace(cfg, env=replace(cfg.env, name="renamed")),
                   replace(cfg, uav_density=2e-3), replace(cfg, subchannels=16),
                   cfg.with_policy(mpc_policy(cfg.library.popularity, 5))):
         system_capacity(other)
-    assert len(kernel_calls) == 3
+    assert len(kernel_calls) == 2
+    assert analytics._radial_table.cache_info().misses == 1
     for attr in ("env", "channel", "quadrature"):
         config = getattr(cfg, attr)
         for f in fields(config):
@@ -337,9 +396,10 @@ def test_table_memos_key_on_every_number_they_read(kernel_calls):
                 continue
             perturbed = replace(cfg, **{attr: replace(
                 config, **{f.name: bumped(getattr(config, f.name))})})
-            before = len(kernel_calls)
+            builds, before = analytics._radial_table.cache_info().misses, len(kernel_calls)
             analytics._tables_for(perturbed)
-            assert len(kernel_calls) - before == 3, f"{attr}.{f.name}"
+            assert len(kernel_calls) - before == 2, f"{attr}.{f.name}"
+            assert analytics._radial_table.cache_info().misses == builds + 1, f"{attr}.{f.name}"
 
 
 def test_empty_zone_rates_are_zero_without_tables(kernel_calls):
@@ -364,7 +424,7 @@ def test_guard_fires_on_cache_served_tables(kernel_calls, cold_tables):
     for density in (1e-3, 1e-4, 1e-3):
         with pytest.raises(ConvergenceError, match="doubling v_max"):
             system_capacity(replace(cfg, uav_density=density))
-    assert len(kernel_calls) == 3
+    assert len(kernel_calls) == 2
     cold_tables()
     with pytest.raises(ConvergenceError, match="doubling v_max"):
         system_capacity(replace(cfg, uav_density=1e-3))

@@ -440,6 +440,19 @@ def test_shadow_expectation_row_gates_match_chunked_oracle():
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("block", [1, 90, 7 * 90 + 1])
+def test_kernel_table_blocks_agree_with_one_pass(monkeypatch, block):
+    # one row at a time, one row per block, and blocks that do not divide
+    # the 40 rows agree with one pass over the whole table; not to the byte,
+    # since the normal family's matmul rounds by the width of its operand
+    env, cfg = environment_preset("high_rise"), ChannelConfig()
+    z, v = np.geomspace(0.1, 1e6, 40), np.geomspace(1e-10, 1e8, 90)
+    whole = kernel_table(z, v, env, cfg, NODES)
+    monkeypatch.setattr(channel, "_TABLE_BLOCK", block)
+    np.testing.assert_allclose(kernel_table(z, v, env, cfg, NODES), whole,
+                               rtol=1e-15, atol=0.0)
+
+
 # The normal family against scipy.special. Distances are in ulps of scipy's
 # value. Both ndtr's evaluate erfc at the same rounded y = |x|/sqrt2, but
 # scipy forms exp(-y*y) from the rounded square, a relative error up to
