@@ -28,9 +28,9 @@ from uavcache import (ChannelConfig, ContentLibrary, ScenarioConfig,
                       elevation_deg, energy_efficiency, environment_preset,
                       los_probability, path_loss, shadowing_log_moments,
                       solve_rcp, system_capacity)
-from uavcache.analytics import (_GL_NODES, _gl_panels, _grazing_tails,
-                                _laplace_factors, _radial_table, _tables_for,
-                                _v_panel_count)
+from uavcache.analytics import (_GL_NODES, _gl_panels, _grazing_radius,
+                                _grazing_tails, _laplace_factors, _radial_edges,
+                                _tables_for, _v_panel_count)
 from uavcache.channel import _shadow_expectation
 
 ENVS = ("high_rise", "dense_urban", "urban", "sub_urban")
@@ -81,11 +81,13 @@ def rate_matrix(title: str, envs: dict) -> None:
 def mode_radials(v: np.ndarray, cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     """Whole-plane int z p_n(z) E_n(z, v) dz per link mode n at any v, on the
     node layout of the engine's zone and outside tables (the radial table's
-    panels, with the one that holds X split there) and with its per-mode
-    grazing-limit tails."""
+    panels at H times its zeta edges, with the one that holds X split there)
+    and with its per-mode grazing-limit tails, all evaluated at the altitude
+    H itself; at H = 1 km the engine reads its unit-altitude table unshifted,
+    so the two agree to rounding."""
     env, ch, quad, x = cfg.env, cfg.channel, cfg.quadrature, cfg.coop_radius_km
     h = ch.altitude_km
-    edges = _radial_table(env, ch, quad)[0]
+    edges = h * _radial_edges(_grazing_radius(env, quad.rel_tol))
     z, w = _gl_panels(np.insert(edges, np.searchsorted(edges, x, side="right"), x),
                       _GL_NODES)
     tails = _grazing_tails(v, env, ch, quad, float(edges[-1]))

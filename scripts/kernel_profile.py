@@ -5,16 +5,18 @@ with a fingerprint of the tables each build produced.
 The script empties the table caches once, then builds the tables of each
 geometry in the order given, as a sweep over them would: a geometry's read
 of the radial table at its cooperation radius (the two partial panels
-around X) is always made, and the radial table itself (prefix and suffix
-sums on every panel edge, independent of the cooperation radius) is built
-unless an earlier geometry with the same environment and altitude left it in
-the cache. Every `_shadow_expectation` call made during a build is
-recorded and then replayed once per kernel branch with only that branch's
-cells live (the other cells set to 0, which the kernel answers without
-work), and once with every cell 0 (`base_s`: masks and gates). Each replay
-is the fastest of REPEATS runs. A branch's seconds are its replay time minus
-`base_s`, so the branch times plus `base_s` approximate `kernel_s`; a branch
-too cheap to separate from timing noise can read slightly below 0. Within the
+around X) is always made. The radial table itself (prefix and suffix sums on
+every panel edge, independent of the cooperation radius and held at unit
+altitude, in groups of ln u panels) is read at u = v H^-alpha; a group is
+built unless an earlier geometry with the same environment and channel left
+it in the cache, whatever its altitude. Every `_shadow_expectation` call made
+during a build is recorded and then replayed once per kernel branch with
+only that branch's cells live (the other cells set to 0, which the kernel
+answers without work), and once with every cell 0 (`base_s`: masks and
+gates). Each replay is the fastest of REPEATS runs. A branch's seconds are
+its replay time minus `base_s`, so the branch times plus `base_s`
+approximate `kernel_s`; a branch too cheap to separate from timing noise
+can read slightly below 0. Within the
 windowed replays, the time spent in the branch's two normal-tail terms
 (`channel.ndtr` and `channel.log_ndtr`) is timed on its own. The radial
 table's grazing-limit tail (`analytics._grazing_tails`) evaluates its own
@@ -25,9 +27,11 @@ One JSON line per geometry:
   env, x_cop_km, altitude_km, hermite_nodes,
   build_s        table build, rate assembly and v_max guard
                  (`analytics.system_capacity`),
-  table_hit      whether the radial table came from the cache,
-  table_s        time in `_radial_table` (a cache lookup on a hit),
-  tail_s         time in the radial table's grazing-limit tail (part of
+  groups_built   radial table groups this geometry built,
+  groups_reused  radial table groups it read that were already cached (each
+                 distinct group once, though both link modes may read it),
+  table_s        time in `_radial_group` (cache lookups included),
+  tail_s         time in the radial table's grazing-limit tails (part of
                  table_s),
   tail_cells     kernel cells the tail evaluated,
   read_s         build_s - table_s: the read at X, assembly and guard,
@@ -39,12 +43,13 @@ One JSON line per geometry:
   tables_sha256  SHA-256 of the zone table bytes followed by the outside
                  table bytes (the whole 2*v_max build),
   table_sha256   SHA-256 of the radial table's prefix bytes followed by its
-                 suffix bytes.
+                 suffix bytes, as read at the geometry's altitude.
 
 The default geometries are the six builds of the benchmark's
 figures_analytic workload: high_rise and sub_urban at X = 1 and 3 km with
-H = 1 km, and at X = 3 km with H = 2 km; the X = 3 km, H = 1 km builds reuse
-the radial tables of X = 1 km.
+H = 1 km, and at X = 3 km with H = 2 km; the X = 3 km builds reuse the
+radial table groups of X = 1 km, and at H = 2 km build only the group its
+shifted range reaches below them.
 
 Usage: python3 scripts/kernel_profile.py [--hermite-nodes N]
            [--geometry ENV:X_KM:H_KM ...]
@@ -137,9 +142,10 @@ def profile(env_name: str, x_cop: float, altitude: float,
             hermite_nodes: int | None) -> dict:
     cfg = scenario(env_name, x_cop, altitude, hermite_nodes)
     kernel = channel._shadow_expectation
-    radial_table = analytics._radial_table
+    radial_group = analytics._radial_group
     tails, tail_kernel = analytics._grazing_tails, analytics._shadow_expectation
     calls = []
+    groups_read = set()
     kernel_s = table_s = tail_s = 0.0
     tail_cells = 0
 
@@ -151,10 +157,11 @@ def profile(env_name: str, x_cop: float, altitude: float,
         calls.append((coef, m_ln, s_ln, wbar, n_h))
         return out
 
-    def timed_table(*args, **kwargs):
+    def timed_group(*args, **kwargs):
         nonlocal table_s
+        groups_read.add(args)
         t0 = time.perf_counter()
-        out = radial_table(*args, **kwargs)
+        out = radial_group(*args, **kwargs)
         table_s += time.perf_counter() - t0
         return out
 
@@ -170,9 +177,9 @@ def profile(env_name: str, x_cop: float, altitude: float,
         tail_cells += np.size(coef)
         return tail_kernel(coef, *args)
 
-    table_hits = radial_table.cache_info().hits
+    built = radial_group.cache_info().misses
     channel._shadow_expectation = recording
-    analytics._radial_table = timed_table
+    analytics._radial_group = timed_group
     analytics._grazing_tails = timed_tails
     analytics._shadow_expectation = counted_tail_kernel
     try:
@@ -181,14 +188,14 @@ def profile(env_name: str, x_cop: float, altitude: float,
         build_s = time.perf_counter() - t0
     finally:
         channel._shadow_expectation = kernel
-        analytics._radial_table = radial_table
+        analytics._radial_group = radial_group
         analytics._grazing_tails = tails
         analytics._shadow_expectation = tail_kernel
-    table_hit = radial_table.cache_info().hits > table_hits
+    built = radial_group.cache_info().misses - built
     tables = analytics._tables_for(cfg)
     digest = hashlib.sha256(np.ascontiguousarray(tables.zone).tobytes()
                             + np.ascontiguousarray(tables.outside).tobytes())
-    _, prefix, suffix = radial_table(cfg.env, cfg.channel, cfg.quadrature)
+    _, prefix, suffix = analytics._radial_table(cfg.env, cfg.channel, cfg.quadrature)
     table_digest = hashlib.sha256(prefix.tobytes() + suffix.tobytes())
 
     base_s = window_tails_s = 0.0
@@ -209,7 +216,8 @@ def profile(env_name: str, x_cop: float, altitude: float,
         rec["s"] = round(rec["s"], 4)
     return {"env": env_name, "x_cop_km": x_cop, "altitude_km": altitude,
             "hermite_nodes": cfg.quadrature.hermite_nodes,
-            "build_s": round(build_s, 4), "table_hit": table_hit,
+            "build_s": round(build_s, 4),
+            "groups_built": built, "groups_reused": len(groups_read) - built,
             "table_s": round(table_s, 4), "tail_s": round(tail_s, 4),
             "tail_cells": tail_cells, "read_s": round(build_s - table_s, 4),
             "kernel_s": round(kernel_s, 4), "base_s": round(base_s, 4),
@@ -232,7 +240,7 @@ def main() -> int:
                          "figures_analytic builds)")
     args = ap.parse_args()
     analytics._geometry_tables.cache_clear()
-    analytics._radial_table.cache_clear()
+    analytics._radial_group.cache_clear()
     for env_name, x_cop, altitude in args.geometry or DEFAULT_GEOMETRIES:
         print(json.dumps(profile(env_name, x_cop, altitude, args.hermite_nodes)),
               flush=True)

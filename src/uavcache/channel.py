@@ -568,9 +568,10 @@ def _window_sum(x0: np.ndarray, sw: np.ndarray, wbar: float,
 
 
 def kernel_table(z, v, env: Environment, cfg: ChannelConfig,
-                 hermite_nodes: int) -> np.ndarray:
+                 hermite_nodes: int, per_mode: bool = False) -> np.ndarray:
     """Laplace kernel evaluated on the outer grid of ranges z and transform
-    variables v; returns shape (len(z), len(v)). hermite_nodes has no default
+    variables v; returns shape (len(z), len(v)), or with per_mode the LOS and
+    NLOS terms apart, shape (2, len(z), len(v)). hermite_nodes has no default
     of its own: callers pass QuadratureConfig().hermite_nodes.
 
     kernel(z, v) = sum_n p_n(z) * E_V[1 - (1 + v*L_n(z)*V/W_n)^(-W_n)]
@@ -585,18 +586,19 @@ def kernel_table(z, v, env: Environment, cfg: ChannelConfig,
     if np.any(z < 0) or np.any(v < 0):
         raise ValueError("ranges and transform variables must be >= 0")
     h = cfg.altitude_km
-    out = np.zeros((z.size, v.size))
+    out = np.zeros((2, z.size, v.size) if per_mode else (z.size, v.size))
     rows = max(1, _TABLE_BLOCK // max(1, v.size))
     for lo in range(0, z.size, rows):
-        zb, ob = z[lo:lo + rows], out[lo:lo + rows]
+        zb = z[lo:lo + rows]
         p_los = los_probability(zb, h, env)
-        for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):
+        for n, (mode, p_mode) in enumerate((("los", p_los), ("nlos", 1.0 - p_los))):
             _, _, wbar = cfg.mode_params(mode)
             loss = path_loss(zb, h, mode, cfg)
             m_ln, s_ln = shadowing_log_moments(zb, h, mode, env)
             acc = _shadow_expectation(np.outer(loss, v), float(m_ln),
                                       np.asarray(s_ln)[:, None], wbar,
                                       hermite_nodes)
+            ob = out[n, lo:lo + rows] if per_mode else out[lo:lo + rows]
             ob += np.atleast_1d(p_mode)[:, None] * acc
     return out
 

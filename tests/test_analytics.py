@@ -80,8 +80,8 @@ def laplace_factors(v, cfg, p_c):
     reader splits them, and its grazing-limit tails."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     env, ch, quad, x = cfg.env, cfg.channel, cfg.quadrature, cfg.coop_radius_km
-    edges = analytics._radial_edges(ch.altitude_km,
-                                    analytics._grazing_radius(env, ch, quad.rel_tol))
+    edges = ch.altitude_km * analytics._radial_edges(
+        analytics._grazing_radius(env, quad.rel_tol))
     i = int(np.searchsorted(edges, x, side="right"))
     panels = analytics._panel_integrals(v, env, ch, quad, np.insert(edges, i, x))
     tails = analytics._grazing_tails(v, env, ch, quad, float(edges[-1]))
@@ -210,10 +210,11 @@ def test_capacity_grows_with_cooperation_radius():
 # --- far radial table ----------------------------------------------------------
 
 def lattice_far_radial(v, env, ch, quad, j0, v_max):
-    """The radial integral beyond the lattice edge 1.6**j0 by panels on every
-    lattice edge out to where v_max * L(z) sits below half the kernel's
-    grazing linear gate, plus the analytic linear remainder beyond: an
-    independent oracle for the grazing-limit tail and the two-step panels."""
+    """The radial integral beyond the lattice edge H * 1.6**j0 by panels on
+    every lattice edge out to where v_max * L(z) sits below half the kernel's
+    grazing linear gate, plus the analytic linear remainder beyond, all at the
+    altitude H itself: an independent oracle for the grazing-limit tail, the
+    two-step panels and the table's read at u = v H^-alpha."""
     h = ch.altitude_km
     z_end = 2.0 * h
     for mode in ("los", "nlos"):
@@ -221,8 +222,8 @@ def lattice_far_radial(v, env, ch, quad, j0, v_max):
         m_ln, s_ln = shadowing_log_moments(1e9, h, mode, env)
         c_lin = float(linear_threshold(float(m_ln), float(s_ln)))
         z_end = max(z_end, math.sqrt((2.0 * v_max * k / c_lin) ** (2.0 / alpha) - h * h))
-    j_end = max(j0 + 1, math.ceil(math.log(z_end) / analytics._OUTER_LOG))
-    edges = analytics._OUTER_RATIO ** np.arange(j0, j_end + 1)
+    j_end = max(j0 + 1, math.ceil(math.log(z_end / h) / analytics._OUTER_LOG))
+    edges = h * analytics._OUTER_RATIO ** np.arange(j0, j_end + 1)
     far = analytics._panel_integrals(v, env, ch, quad, edges).sum(axis=0)
     z_far = float(edges[-1])
     p_los = los_probability(z_far, h, env)
@@ -237,7 +238,7 @@ def lattice_far_radial(v, env, ch, quad, j0, v_max):
 @pytest.mark.parametrize("env_name", sorted(ENVIRONMENT_PRESETS))
 def test_far_radial_matches_lattice_oracle(env_name):
     # the radial table's suffix from the edge where its panels turn two
-    # lattice steps wide (1.6**9 km), against the every-edge oracle
+    # lattice steps wide (H * 1.6**9 km), against the every-edge oracle
     quad = QuadratureConfig()
     v_max = 2.0 * quad.v_max
     v = analytics._v_rule(v_max)[0]
@@ -246,8 +247,8 @@ def test_far_radial_matches_lattice_oracle(env_name):
     for h in (0.5, 1.0, 3.0):
         ch = ChannelConfig(altitude_km=h)
         edges, _, suffix = analytics._radial_table(env, ch, quad)
-        i = int(np.searchsorted(edges, analytics._Z_COARSE))
-        assert edges[i] == analytics._OUTER_RATIO ** j0
+        i = int(np.searchsorted(edges, h * analytics._Z_COARSE))
+        assert edges[i] == h * analytics._OUTER_RATIO ** j0
         want = lattice_far_radial(v, env, ch, quad, j0, v_max)
         np.testing.assert_allclose(suffix[i], want, rtol=1e-8, atol=0, err_msg=f"H={h}")
 
@@ -325,39 +326,78 @@ def kernel_calls(monkeypatch, cold_tables):
     return calls
 
 
-def test_density_sweep_builds_tables_once(kernel_calls):
-    # one build per geometry: the radial table and its read at X, shared by
-    # both sides of the v_max guard and by every density
+@pytest.fixture
+def group_builds(monkeypatch, cold_tables):
+    """Empty table memos for the test, and the key (environment, unit-altitude
+    channel, hermite_nodes, rel_tol, u-group index) of every radial table
+    group built, in build order."""
+    built = []
+    memo = analytics._radial_group
+
+    def recording(*key):
+        misses = memo.cache_info().misses
+        out = memo(*key)
+        if memo.cache_info().misses > misses:
+            built.append(key)
+        return out
+
+    recording.cache_clear, recording.cache_info = memo.cache_clear, memo.cache_info
+    monkeypatch.setattr(analytics, "_radial_group", recording)
+    return built
+
+
+def unit_groups(quad=QuadratureConfig()):
+    """The u-groups a 1 km altitude reads: its v grid's ln v lattice panels
+    up to 2*v_max, _GROUP_PANELS to a group (35 panels in 9 groups at the
+    default v_max 1e7)."""
+    lo = analytics._V_K_LO
+    hi = lo + analytics._v_panel_count(2.0 * quad.v_max)
+    size = analytics._GROUP_PANELS
+    return list(range(lo // size, (hi - 1) // size + 1))
+
+
+def test_density_sweep_builds_tables_once(kernel_calls, group_builds):
+    # one build per geometry: the radial table (one kernel call per u-group)
+    # and its read at X, shared by both sides of the v_max guard and by every
+    # density
     cfg = reference_scenario("sub_urban", 1.0)
     for density in (1e-4, 1e-3, 1e-2):
         assert system_capacity(replace(cfg, uav_density=density)).system_rate_nats > 0
-    assert len(kernel_calls) == 2
+    assert [key[-1] for key in group_builds] == unit_groups()
+    assert len(kernel_calls) == len(unit_groups()) + 1
 
 
-def test_coop_radius_sweep_shares_far_table(kernel_calls, cold_tables):
+def test_coop_radius_sweep_shares_far_table(kernel_calls, group_builds, cold_tables):
     # the radial table does not depend on X: a sweep over X builds it once,
     # and each X adds one kernel table, its read of the two partial panels
     cfg = reference_scenario("sub_urban", 1.0)
     at_3 = replace(cfg, coop_radius_km=3.0)
+    groups = len(unit_groups())
     system_capacity(cfg)
-    assert len(kernel_calls) == 2
+    assert len(kernel_calls) == groups + 1
     shared = system_capacity(at_3).per_content_nats
-    assert len(kernel_calls) == 2 + 1
+    assert len(kernel_calls) == groups + 2
     cold_tables()
     cold = system_capacity(at_3).per_content_nats
     assert np.array_equal(shared, cold)
-    # a new altitude or environment builds its own radial table
-    for other in (replace(at_3, channel=ChannelConfig(altitude_km=2.0)),
-                  replace(at_3, env=environment_preset("high_rise"))):
-        before = len(kernel_calls)
-        system_capacity(other)
-        assert len(kernel_calls) - before == 2
+    # a new environment builds its own radial table
+    before, built = len(kernel_calls), len(group_builds)
+    system_capacity(replace(at_3, env=environment_preset("high_rise")))
+    assert len(kernel_calls) - before == groups + 1
+    assert [key[-1] for key in group_builds[built:]] == unit_groups()
+    # a new altitude reads the same table at u = v H^-alpha: 2 km shifts
+    # the LOS range 1.3 and the NLOS range 2.4 lattice panels down, so it
+    # builds only the u-group below the 1 km range, and one kernel call reads
+    before, built = len(kernel_calls), len(group_builds)
+    system_capacity(replace(at_3, channel=ChannelConfig(altitude_km=2.0)))
+    assert [key[-1] for key in group_builds[built:]] == [unit_groups()[0] - 1]
+    assert len(kernel_calls) - before == 1 + 1
     # an X beyond the one-step panels (64 km) reads the same table
-    tables = analytics._radial_table.cache_info().currsize
+    tables = analytics._radial_group.cache_info().currsize
     before = len(kernel_calls)
     system_capacity(replace(cfg, coop_radius_km=100.0))
     assert len(kernel_calls) - before == 1
-    assert analytics._radial_table.cache_info().currsize == tables
+    assert analytics._radial_group.cache_info().currsize == tables
 
 
 def test_far_table_is_keyed_on_rel_tol(kernel_calls):
@@ -366,8 +406,9 @@ def test_far_table_is_keyed_on_rel_tol(kernel_calls):
     cfg = reference_scenario("sub_urban", 1.0)
     for rel_tol in (1e-6, 1e-8):
         system_capacity(replace(cfg, quadrature=QuadratureConfig(rel_tol=rel_tol)))
-    assert len(kernel_calls) == 2 + 2
-    assert analytics._radial_table.cache_info().currsize == 2
+    groups = len(unit_groups())
+    assert len(kernel_calls) == 2 * (groups + 1)
+    assert analytics._radial_group.cache_info().currsize == 2 * groups
 
 
 def bumped(value):
@@ -375,20 +416,24 @@ def bumped(value):
     return value + 1 if isinstance(value, int) else value * 1.1 + 0.01
 
 
-def test_table_memos_key_on_every_number_they_read(kernel_calls):
+def test_table_memos_key_on_every_number_they_read(kernel_calls, group_builds):
     # the memos are keyed on the frozen config objects themselves, so every
     # field of Environment, ChannelConfig and QuadratureConfig but the
     # environment's name is in the key; the name, density, sub-channel count
-    # and placement are not, and cost no table build
+    # and placement are not, and cost no table build. The radial table's
+    # groups hold it at unit altitude on fixed ln u panels, so the altitude
+    # and v_max key only the read: neither builds a group inside the range
+    # already covered
     cfg = reference_scenario("sub_urban", 1.0)
+    groups = unit_groups()
     system_capacity(cfg)
-    assert len(kernel_calls) == 2
+    assert len(kernel_calls) == len(groups) + 1
     for other in (replace(cfg, env=replace(cfg.env, name="renamed")),
                   replace(cfg, uav_density=2e-3), replace(cfg, subchannels=16),
                   cfg.with_policy(mpc_policy(cfg.library.popularity, 5))):
         system_capacity(other)
-    assert len(kernel_calls) == 2
-    assert analytics._radial_table.cache_info().misses == 1
+    assert len(kernel_calls) == len(groups) + 1
+    assert len(group_builds) == len(groups)
     for attr in ("env", "channel", "quadrature"):
         config = getattr(cfg, attr)
         for f in fields(config):
@@ -396,10 +441,18 @@ def test_table_memos_key_on_every_number_they_read(kernel_calls):
                 continue
             perturbed = replace(cfg, **{attr: replace(
                 config, **{f.name: bumped(getattr(config, f.name))})})
-            builds, before = analytics._radial_table.cache_info().misses, len(kernel_calls)
+            built, before = len(group_builds), len(kernel_calls)
             analytics._tables_for(perturbed)
-            assert len(kernel_calls) - before == 2, f"{attr}.{f.name}"
-            assert analytics._radial_table.cache_info().misses == builds + 1, f"{attr}.{f.name}"
+            new = [key[-1] for key in group_builds[built:]]
+            if (attr, f.name) == ("channel", "altitude_km"):
+                # 1.11 km shifts both modes' ranges down by under a panel
+                assert new == [groups[0] - 1], f"{attr}.{f.name}"
+            elif (attr, f.name) == ("quadrature", "v_max"):
+                # 2 * 1.1e7 ends in the last panel 2e7 reads
+                assert new == [], f"{attr}.{f.name}"
+            else:
+                assert new == groups, f"{attr}.{f.name}"
+            assert len(kernel_calls) - before == len(new) + 1, f"{attr}.{f.name}"
 
 
 def test_empty_zone_rates_are_zero_without_tables(kernel_calls):
@@ -424,10 +477,42 @@ def test_guard_fires_on_cache_served_tables(kernel_calls, cold_tables):
     for density in (1e-3, 1e-4, 1e-3):
         with pytest.raises(ConvergenceError, match="doubling v_max"):
             system_capacity(replace(cfg, uav_density=density))
-    assert len(kernel_calls) == 2
+    assert len(kernel_calls) == len(unit_groups(cfg.quadrature)) + 1
     cold_tables()
     with pytest.raises(ConvergenceError, match="doubling v_max"):
         system_capacity(replace(cfg, uav_density=1e-3))
+
+
+def test_altitude_sweep_builds_one_table_per_environment(kernel_calls, group_builds,
+                                                          cold_tables):
+    # the ee_vs_altitude preset's rows: four environments at H = 0.5-3 km,
+    # X = 3 km. Every altitude reads its environment's one unit-altitude
+    # table, so the groups built belong to four tables, each built once by
+    # one kernel call; each row adds one call, its read at X. Shifted by
+    # -alpha_n ln H, the ranges reach one group above the 1 km range's
+    # (LOS at 0.5 km) and one below it (both modes at 3 km)
+    heights = (0.5, 1.0, 2.0, 3.0)
+    envs = sorted(ENVIRONMENT_PRESETS)
+
+    def rates(order):
+        return {(name, h): system_capacity(reference_scenario(
+                    name, 3.0, altitude_km=h)).per_content_nats
+                for name in envs for h in order}
+
+    forward = rates(heights)
+    assert len({key[:-1] for key in group_builds}) == len(envs)
+    assert len(set(group_builds)) == len(group_builds)
+    groups = unit_groups()
+    span = list(range(groups[0] - 1, groups[-1] + 2))
+    for name in envs:
+        env = environment_preset(name)
+        assert sorted(key[-1] for key in group_builds if key[0] == env) == span, name
+    assert len(kernel_calls) == len(group_builds) + len(envs) * len(heights)
+    # a group's bits do not depend on which altitude built it first
+    cold_tables()
+    backward = rates(heights[::-1])
+    for key, want in forward.items():
+        assert np.array_equal(backward[key], want), key
 
 
 def loop_rates(cfg):
@@ -567,3 +652,29 @@ def test_radial_truncation_overflow_names_the_environment():
     cfg = replace(reference_scenario("urban", 1.0), env=env)
     with pytest.raises(ConvergenceError, match="shadowing spread of environment 'canyon'"):
         system_capacity(cfg)
+
+
+# --- exact invariances --------------------------------------------------------
+
+@pytest.mark.parametrize("env_name", ["sub_urban", "high_rise"])
+def test_rates_are_invariant_under_length_scaling(env_name):
+    # the SIR has no noise term, so scaling every length (altitude and
+    # cooperation radius) by a, density by 1/a^2 and each path-loss
+    # intercept k_n by a^alpha_n leaves every rate unchanged; the engine
+    # reads the one unit-altitude table of each intercept at u = v H^-alpha_n,
+    # so this exercises the zeta/u identity and its interpolation in ln u
+    for x in (1.0, 3.0):
+        cfg = reference_scenario(env_name, x)
+        ch = cfg.channel
+        base = system_capacity(cfg).per_content_nats
+        live = base > 0.0
+        for a in (0.5, 2.0, 4.0):
+            scaled = replace(
+                cfg, uav_density=cfg.uav_density / a ** 2, coop_radius_km=a * x,
+                channel=replace(ch, altitude_km=a * ch.altitude_km,
+                                k_los=ch.k_los * a ** ch.alpha_los,
+                                k_nlos=ch.k_nlos * a ** ch.alpha_nlos))
+            rates = system_capacity(scaled).per_content_nats
+            assert np.array_equal(rates > 0.0, live)
+            gap = np.max(np.abs(rates[live] / base[live] - 1.0))
+            assert gap < cfg.quadrature.rel_tol, f"X={x} a={a}: {gap:.2e}"

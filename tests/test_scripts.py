@@ -28,7 +28,9 @@ def test_kernel_profile_prints_one_line_per_geometry(monkeypatch, capsys):
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert (record["env"], record["x_cop_km"], record["altitude_km"]) == ("sub_urban", 1.0, 1.0)
-    assert len(record["tables_sha256"]) == 64
+    assert len(record["tables_sha256"]) == len(record["table_sha256"]) == 64
+    # one cold geometry builds every radial table group it reads
+    assert record["groups_built"] > 0 and record["groups_reused"] == 0
     # the windowed branch's normal tails are timed inside its replay
     assert record["branches"]["windowed"]["cells"] > 0
     assert 0.0 < record["window_tails_s"]
