@@ -28,8 +28,8 @@ from uavcache import (ChannelConfig, ContentLibrary, ScenarioConfig,
                       elevation_deg, energy_efficiency, environment_preset,
                       los_probability, path_loss, shadowing_log_moments,
                       solve_rcp, system_capacity)
-from uavcache.analytics import (_GL_NODES, _gl_panels, _grazing_radius,
-                                _grazing_tails, _laplace_factors, _radial_edges,
+from uavcache.analytics import (_GL_NODES, _grazing_radius, _grazing_tails,
+                                _laplace_factors, _radial_edges, _radial_nodes,
                                 _tables_for, _v_panel_count)
 from uavcache.channel import _shadow_expectation
 
@@ -81,15 +81,15 @@ def rate_matrix(title: str, envs: dict) -> None:
 def mode_radials(v: np.ndarray, cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     """Whole-plane int z p_n(z) E_n(z, v) dz per link mode n at any v, on the
     node layout of the engine's zone and outside tables (the radial table's
-    panels at H times its zeta edges, with the one that holds X split there)
-    and with its per-mode grazing-limit tails, all evaluated at the altitude
-    H itself; at H = 1 km the engine reads its unit-altitude table unshifted,
-    so the two agree to rounding."""
+    panels at H times its zeta edges, with the one that holds X split there,
+    on the engine's nodes and weights, `_radial_nodes`) and with its per-mode
+    grazing-limit tails, all evaluated at the altitude H itself; at H = 1 km
+    the engine reads its unit-altitude table unshifted, so the two agree to
+    rounding."""
     env, ch, quad, x = cfg.env, cfg.channel, cfg.quadrature, cfg.coop_radius_km
     h = ch.altitude_km
     edges = h * _radial_edges(_grazing_radius(env, quad.rel_tol))
-    z, w = _gl_panels(np.insert(edges, np.searchsorted(edges, x, side="right"), x),
-                      _GL_NODES)
+    z, w = _radial_nodes(np.insert(edges, np.searchsorted(edges, x, side="right"), x), h)
     tails = _grazing_tails(v, env, ch, quad, float(edges[-1]))
     p_los = los_probability(z, h, env)
     out = {}
@@ -99,7 +99,7 @@ def mode_radials(v: np.ndarray, cfg: ScenarioConfig) -> dict[str, np.ndarray]:
         e_mode = _shadow_expectation(np.outer(path_loss(z, h, mode, ch), v),
                                      float(m_ln), np.asarray(s_ln)[:, None],
                                      wbar, quad.hermite_nodes)
-        out[mode] = ((w * z * p_mode)[:, None] * e_mode).sum(axis=0) + tails[mode]
+        out[mode] = ((w * p_mode)[:, None] * e_mode).sum(axis=0) + tails[mode]
     return out
 
 

@@ -18,12 +18,14 @@ k_n H^-alpha_n (1 + zeta^2)^(-alpha_n/2), so each link mode's integral at
 altitude H is H^2 times its unit-altitude integral at u = v H^-alpha_n. The
 table holds those per mode at unit altitude (`_radial_group`): panels on the
 lattice of powers of 1.6 in zeta, one from 0 to the first edge at or above
-1/4, then every edge up to 64, then every second edge out to zeta_far, where
-P_LOS and the shadowing spread sit at their grazing-angle limits within
-rel_tol; beyond zeta_far each link mode's kernel is a fixed function of
-u L(zeta), and the rest is one power-law integral per mode
-(`_grazing_tails`). It keeps the prefix and suffix sums at every edge, so
-neither side of a split cancels, on the Gauss-Legendre nodes of the same
+1/4, then every edge up to 64, then every sixth, in ln zeta, out to
+zeta_far, where P_LOS and the shadowing spread sit at their grazing-angle
+limits within rel_tol. Out there the integrand is a power law times slowly
+varying marks, smooth in ln zeta, so those wide panels take their nodes in
+ln zeta (`_radial_nodes`). Beyond zeta_far each link mode's kernel is a
+fixed function of u L(zeta), and the rest is one power-law integral per
+mode (`_grazing_tails`). It keeps the prefix and suffix sums at every edge,
+so neither side of a split cancels, on the Gauss-Legendre nodes of the same
 absolute ln u panel lattice as the v grid, memoized in fixed groups of
 _GROUP_PANELS panels, one kernel_table call each, so an altitude builds only
 the groups its shifted range needs that no other altitude built.
@@ -62,10 +64,11 @@ from .errors import ConfigError, ConvergenceError
 _V_MIN = 1e-10
 _GL_NODES = 12
 _OUTER_RATIO = 1.6
-_FAR_STEP = 2  # lattice steps per panel beyond _Z_COARSE (ratio 1.6**2 = 2.56)
+_FAR_STEP = 6  # lattice steps per panel beyond _Z_COARSE (ratio 1.6**6 = 16.8), in ln zeta
 _V_PANELS_PER_DECADE = 2
-# radius (km) from which radial panels take _FAR_STEP lattice steps, Poisson
-# tail mass for the EE sums and the most terms one EE sum may take
+# range zeta = z/H from which radial panels take _FAR_STEP lattice steps and
+# are integrated in ln zeta (`_radial_nodes`), Poisson tail mass for the EE
+# sums and the most terms one EE sum may take
 _Z_COARSE = 64.0
 _K_MAX_TAIL = 1e-12
 _K_MAX_TERMS = 1_000_000
@@ -222,14 +225,28 @@ def _radial_edges(zeta_far: float) -> np.ndarray:
     return np.concatenate([[0.0], _OUTER_RATIO ** j])
 
 
+def _radial_nodes(edges, altitude_km: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z and weights w with sum w f(z) = int z f(z) dz over each panel
+    between consecutive (increasing) edges, _GL_NODES per panel: in z on a
+    panel whose left edge is below _Z_COARSE * altitude_km, in ln z (where
+    z dz = z^2 d ln z) on one at or beyond it, out where the integrand is a
+    power law times slowly varying marks and so smooth in ln z."""
+    e = np.asarray(edges, dtype=float)
+    near = int(np.count_nonzero(e[:-1] < _Z_COARSE * altitude_km))
+    z, w = _gl_panels(e[:near + 1], _GL_NODES)
+    t, w_log = _gl_panels(np.log(e[near:]), _GL_NODES)
+    z_log = np.exp(t)
+    return np.concatenate([z, z_log]), np.concatenate([w * z, w_log * z_log * z_log])
+
+
 def _panel_integrals(v: np.ndarray, env: Environment, cfg: ChannelConfig,
                      quad: QuadratureConfig, edges, per_mode: bool = False) -> np.ndarray:
     """int z k(z,v) dz over each panel between consecutive edges, a row per
     panel (with per_mode, per link mode: shape (2, panels, v)), from one
-    kernel table."""
-    z, w = _gl_panels(edges, _GL_NODES)
+    kernel table on the `_radial_nodes` at cfg's altitude."""
+    z, w = _radial_nodes(edges, cfg.altitude_km)
     cells = kernel_table(z, v, env, cfg, quad.hermite_nodes, per_mode)
-    cells *= (w * z)[:, None]
+    cells *= w[:, None]
     return cells.reshape(*cells.shape[:-2], -1, _GL_NODES, v.size).sum(axis=-2)
 
 

@@ -88,6 +88,20 @@ def _check_budget(a: np.ndarray, cache_size: int) -> np.ndarray:
     return a
 
 
+def _bisect(above, lo: float, hi: float) -> tuple[float, float]:
+    """Bracket [lo, hi] after up to 200 halvings at mid = (lo + hi) / 2,
+    moving hi to mid where above(mid) and lo to mid otherwise. It returns at
+    the first halving that leaves (lo, hi) unchanged: every later one would
+    repeat it, so the bracket is the one 200 halvings reach."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        bracket = (lo, mid) if above(mid) else (mid, hi)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
+    return lo, hi
+
+
 def solve_rcp(a, cache_size: int, beta: float, tolerance: float = 1e-10) -> PlacementPolicy:
     """Optimal randomized placement maximizing sum a_c (1 - exp(-beta p_c))
     subject to sum p_c = cache_size and p_c in [0, 1].
@@ -110,12 +124,7 @@ def solve_rcp(a, cache_size: int, beta: float, tolerance: float = 1e-10) -> Plac
 
     lo = -offsets.max()          # residual = -cache_size < 0
     hi = 1.0 - offsets.min()     # residual = size - cache_size >= 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if clipped(mid).sum() - cache_size > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(lambda omega: clipped(omega).sum() - cache_size > 0.0, lo, hi)
     p = clipped(0.5 * (lo + hi))
     # Equal-increment polish: spreading the residual over the interior set
     # preserves equal marginals; a second pass covers clip boundary crossings.
@@ -152,13 +161,7 @@ def lru_che(a, cache_size: int, tolerance: float = 1e-10) -> PlacementPolicy:
     hi = 1.0
     while occupancy(hi).sum() < cache_size:
         hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if occupancy(mid).sum() > cache_size:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(lambda t: occupancy(t).sum() > cache_size, 0.0, hi)
     q = occupancy(0.5 * (lo + hi))
     q += (cache_size - q.sum()) / q.size  # distribute the residual bisection gap
     return PlacementPolicy(np.clip(q, 0.0, 1.0), cache_size, "lru_che")

@@ -342,23 +342,33 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables):
                                  policy=base_cfg.policy, env=base_cfg.env,
                                  quadrature=quad, coop_radius_km=1.0)
         rel_changes[name] = abs(content_capacity(alt_cfg, 1) - base) / base
-    # the radial table: its panels run ten times farther out before the
-    # grazing-limit tail takes over, or put an edge on every lattice step
-    # beyond 64 km instead of every second one; the table memos are emptied
-    # before and after each patch, so each patch builds every u-group of the
-    # radial table once and no patched table outlives it
+    # the radial table: its panels run 1.6**(2*_FAR_STEP) times farther out
+    # (two more far panels) before the grazing-limit tail takes over, or put
+    # an edge on every lattice step beyond 64 km instead of every
+    # _FAR_STEP-th one; each patch must add edges. The table memos are
+    # emptied before and after each patch, so each patch builds every
+    # u-group of the radial table once and no patched table outlives it
     grazing_radius = analytics._grazing_radius
+    rel_tol = QuadratureConfig().rel_tol
+
+    def edge_count():
+        return analytics._radial_edges(analytics._grazing_radius(base_cfg.env, rel_tol)).size
+
+    edges = edge_count()
+    far_ratio = analytics._OUTER_RATIO ** analytics._FAR_STEP
     for name, attr, value in (
             ("grazing_radius", "_grazing_radius",
-             lambda *args: 10.0 * grazing_radius(*args)),
+             lambda *args: far_ratio ** 2 * grazing_radius(*args)),
             ("far_panels", "_FAR_STEP", 1)):
         with monkeypatch.context() as patch:
             cold_tables()
             patch.setattr(analytics, attr, value)
             rel_changes[name] = abs(content_capacity(base_cfg, 1) - base) / base
             table_builds = analytics._radial_group.cache_info().misses
+            patched_edges = edge_count()
         cold_tables()
         assert table_builds == groups > 0, f"the {name} leg must rebuild the radial table"
+        assert patched_edges > edges, f"the {name} leg must add radial panel edges"
     # the zone: at a low altitude and a wide zone (X/H = 400) the zone
     # integral spans the most panels; 20 Gauss-Legendre nodes per panel in
     # place of 12 must not move the rate either
@@ -383,7 +393,6 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables):
     cold_tables()
     rel_changes["altitude"] = max(float(np.max(np.abs(r - d)[d > 0] / d[d > 0]))
                                   for r, d in zip(read, direct))
-    rel_tol = QuadratureConfig().rel_tol
     ok_analytic = all(c < rel_tol for c in rel_changes.values())
 
     # the far field carries the interference beyond the zone: resolving its

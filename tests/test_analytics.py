@@ -16,8 +16,9 @@ from uavcache.analytics import (CapacityReport, PowerModel, QuadratureConfig,
 from uavcache.caching import (ContentLibrary, PlacementPolicy, lru_che,
                               mpc_policy, solve_rcp)
 from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig,
-                              environment_preset, linear_threshold,
-                              los_probability, shadowing_log_moments)
+                              environment_preset, kernel_table,
+                              linear_threshold, los_probability,
+                              shadowing_log_moments)
 from uavcache.errors import ConfigError, ConvergenceError
 
 
@@ -213,8 +214,9 @@ def lattice_far_radial(v, env, ch, quad, j0, v_max):
     """The radial integral beyond the lattice edge H * 1.6**j0 by panels on
     every lattice edge out to where v_max * L(z) sits below half the kernel's
     grazing linear gate, plus the analytic linear remainder beyond, all at the
-    altitude H itself: an independent oracle for the grazing-limit tail, the
-    two-step panels and the table's read at u = v H^-alpha."""
+    altitude H itself and integrated in z: an independent oracle for the
+    grazing-limit tail, the wide ln zeta panels and the table's read at
+    u = v H^-alpha."""
     h = ch.altitude_km
     z_end = 2.0 * h
     for mode in ("los", "nlos"):
@@ -224,7 +226,8 @@ def lattice_far_radial(v, env, ch, quad, j0, v_max):
         z_end = max(z_end, math.sqrt((2.0 * v_max * k / c_lin) ** (2.0 / alpha) - h * h))
     j_end = max(j0 + 1, math.ceil(math.log(z_end / h) / analytics._OUTER_LOG))
     edges = h * analytics._OUTER_RATIO ** np.arange(j0, j_end + 1)
-    far = analytics._panel_integrals(v, env, ch, quad, edges).sum(axis=0)
+    z, w = analytics._gl_panels(edges, analytics._GL_NODES)
+    far = (w * z) @ kernel_table(z, v, env, ch, quad.hermite_nodes)
     z_far = float(edges[-1])
     p_los = los_probability(z_far, h, env)
     for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):
@@ -237,8 +240,9 @@ def lattice_far_radial(v, env, ch, quad, j0, v_max):
 
 @pytest.mark.parametrize("env_name", sorted(ENVIRONMENT_PRESETS))
 def test_far_radial_matches_lattice_oracle(env_name):
-    # the radial table's suffix from the edge where its panels turn two
-    # lattice steps wide (H * 1.6**9 km), against the every-edge oracle
+    # the radial table's suffix from the edge where its panels turn
+    # _FAR_STEP lattice steps wide and take their nodes in ln zeta
+    # (H * 1.6**9 km), against the every-edge oracle in z
     quad = QuadratureConfig()
     v_max = 2.0 * quad.v_max
     v = analytics._v_rule(v_max)[0]
@@ -266,9 +270,11 @@ def test_reader_splits_the_whole_plane(env_name):
     env = environment_preset(env_name)
     for h in (0.05, 1.0):
         ch = ChannelConfig(altitude_km=h)
-        _, prefix, suffix = analytics._radial_table(env, ch, quad)
+        edges, prefix, suffix = analytics._radial_table(env, ch, quad)
         whole = prefix[-1] + suffix[-1]
-        for x in (0.1, 1.0, 3.0, 20.0, 100.0, 400.0, 1e4):
+        # the last X lies inside the last (widest) panel before z_far
+        last = math.sqrt(edges[-2] * edges[-1])
+        for x in (0.1, 1.0, 3.0, 20.0, 100.0, 400.0, 1e4, last):
             tables = analytics._geometry_tables(env, ch, quad, x)
             np.testing.assert_allclose(tables.zone + tables.outside, whole,
                                        rtol=1e-10, atol=0, err_msg=f"H={h} X={x}")
@@ -292,10 +298,11 @@ def test_reader_edge_cases():
     on_edge = int(np.flatnonzero(edges == 1.0)[0])
     assert np.array_equal(analytics._geometry_tables(env, ch, quad, 1.0).zone,
                           prefix[on_edge])
-    # beyond 64 km X sits inside a two-step panel; the finer oracle agrees
-    # to the kernel's step at its branch switch, near 1e-9
+    # beyond 64 km X sits inside a _FAR_STEP-step panel integrated in ln z;
+    # the finer oracle agrees to the kernel's step at its branch switch,
+    # near 1e-9
     i = int(np.searchsorted(edges, 100.0)) - 1
-    assert edges[i + 1] / edges[i] == pytest.approx(1.6 ** 2)
+    assert edges[i + 1] / edges[i] == pytest.approx(1.6 ** analytics._FAR_STEP)
     np.testing.assert_allclose(
         analytics._geometry_tables(env, ch, quad, 100.0).zone,
         zone_oracle(np.concatenate([[0.0], np.geomspace(0.05, 100.0, 97)])),

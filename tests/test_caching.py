@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavcache import caching
 from uavcache.caching import (ContentLibrary, PlacementPolicy, _check_budget,
                               lru_che, lru_empirical_policy, lru_simulate,
                               mpc_policy, rcp_objective, solve_rcp,
@@ -209,6 +210,96 @@ def test_lru_empirical_policy_wraps_simulation():
     assert pol.cache_size == 3
     assert pol.probabilities.sum() == pytest.approx(3.0, abs=1e-9)
 
+
+# --- bisection stop ----------------------------------------------------------
+
+def rcp_200(a, cache_size, beta, tolerance=1e-10):
+    """Oracle: `solve_rcp` with its bisection run for all 200 iterations."""
+    a = _check_budget(a, cache_size)
+    if cache_size == a.size:
+        return np.ones(a.size)
+    offsets = np.log(a) / beta
+
+    def clipped(omega):
+        return np.clip(omega + offsets, 0.0, 1.0)
+
+    lo = -offsets.max()
+    hi = 1.0 - offsets.min()
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if clipped(mid).sum() - cache_size > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    p = clipped(0.5 * (lo + hi))
+    for _ in range(2):
+        interior = (p > 0.0) & (p < 1.0)
+        gap = cache_size - p.sum()
+        if abs(gap) <= tolerance or not interior.any():
+            break
+        p[interior] += gap / interior.sum()
+        p = np.clip(p, 0.0, 1.0)
+    if abs(p.sum() - cache_size) > max(tolerance, 1e-9):
+        raise RuntimeError("placement bisection failed to meet the budget tolerance")
+    return PlacementPolicy(p, cache_size, "rcp").probabilities
+
+
+def che_200(a, cache_size):
+    """Oracle: `lru_che` with its bisection run for all 200 iterations."""
+    a = _check_budget(a, cache_size)
+    if cache_size == a.size:
+        return np.ones(a.size)
+
+    def occupancy(t):
+        return -np.expm1(-a * t)
+
+    hi = 1.0
+    while occupancy(hi).sum() < cache_size:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if occupancy(mid).sum() > cache_size:
+            hi = mid
+        else:
+            lo = mid
+    q = occupancy(0.5 * (lo + hi))
+    q += (cache_size - q.sum()) / q.size
+    return PlacementPolicy(np.clip(q, 0.0, 1.0), cache_size, "lru_che").probabilities
+
+
+def test_bisections_stop_at_their_fixed_point(monkeypatch):
+    # stopping at the first halving that leaves the bracket unchanged gives
+    # the bytes of 200 halvings, in far fewer residual evaluations
+    evaluations = []
+    bisect = caching._bisect
+
+    def counted(above, lo, hi):
+        evaluations.append(0)
+
+        def counting(x):
+            evaluations[-1] += 1
+            return above(x)
+        return bisect(counting, lo, hi)
+
+    monkeypatch.setattr(caching, "_bisect", counted)
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for size in (2, 3, 10, 100, 1000):
+        for cache_size in sorted({1, size - 1, int(rng.integers(1, size))}):
+            for beta in (1e-6, 1e6, 10.0 ** rng.uniform(-6.0, 6.0)):
+                kappa = rng.uniform(0.0, 2.0)
+                cases.append((zipf_popularity(size, kappa), cache_size, beta))
+            cases.append((rng.dirichlet(np.ones(size)), cache_size,
+                          10.0 ** rng.uniform(-6.0, 6.0)))
+    for a, cache_size, beta in cases:
+        label = f"L={a.size} S={cache_size} beta={beta:g}"
+        for solve, oracle, args in (
+                (lambda *x: solve_rcp(*x).probabilities, rcp_200, (a, cache_size, beta)),
+                (lambda *x: lru_che(*x).probabilities, che_200, (a, cache_size))):
+            evaluations.clear()
+            assert np.array_equal(solve(*args), oracle(*args)), label
+            assert len(evaluations) == 1 and 0 < evaluations[0] < 200, label
 
 
 def replayed_lru(a, cache_size: int, n_requests: int, warmup: int,

@@ -5,6 +5,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uavcache import environment_preset, system_capacity
@@ -41,6 +42,20 @@ def test_acceptance_diagnostics_diagonal_is_the_system_rate():
     cfg = script.scenario(environment_preset("sub_urban"))
     assert script.mixed_rate_bits(cfg, cfg) == pytest.approx(
         system_capacity(cfg).system_rate_bits, rel=1e-12, abs=0)
+
+
+def test_acceptance_diagnostics_mode_split_is_the_engine_table():
+    # the per-mode radials take the engine's radial nodes: at H = 1 km the
+    # engine reads its unit-altitude table unshifted, so they agree to
+    # rounding; at another altitude, to the script's own 1e-9 check
+    script = load_script("acceptance_diagnostics")
+    for altitude, rtol in ((1.0, 1e-12), (0.5, 1e-9)):
+        cfg = script.scenario(environment_preset("sub_urban"), altitude)
+        tables = script._tables_for(cfg)
+        parts = script.mode_radials(tables.v_grid, cfg)
+        np.testing.assert_allclose(parts["los"] + parts["nlos"],
+                                   tables.zone + tables.outside, rtol=rtol, atol=0,
+                                   err_msg=f"H={altitude}")
 
 
 def test_placement_profile_prints_one_line_per_solver(monkeypatch, capsys):
