@@ -28,9 +28,9 @@ from uavcache import (ChannelConfig, ContentLibrary, ScenarioConfig,
                       elevation_deg, energy_efficiency, environment_preset,
                       los_probability, path_loss, shadowing_log_moments,
                       solve_rcp, system_capacity)
-from uavcache.analytics import (_GL_NODES, _grazing_radius, _grazing_tails,
-                                _laplace_factors, _radial_edges, _radial_nodes,
-                                _tables_for, _v_panel_count)
+from uavcache.analytics import (_GL_NODES, _assemble_rates, _geometry_tables,
+                                _grazing_radius, _grazing_tails, _laplace_factors,
+                                _radial_edges, _radial_nodes)
 from uavcache.channel import _shadow_expectation
 
 ENVS = ("high_rise", "dense_urban", "urban", "sub_urban")
@@ -50,18 +50,27 @@ def scenario(env, altitude=1.0) -> ScenarioConfig:
                           channel=ChannelConfig(altitude_km=altitude))
 
 
+def accepted_tables(cfg: ScenarioConfig):
+    """The geometry's tables on the transform window its rates accepted."""
+    return _assemble_rates(cfg, cfg.policy.probabilities)[1]
+
+
 def mixed_rate_bits(sig_cfg: ScenarioConfig, int_cfg: ScenarioConfig) -> float:
     """System rate with the zone (signal) integral of sig_cfg and the
     interference integrals of int_cfg, assembled as system_capacity does:
-    one row per content, summed over the v_max prefix of the cached tables."""
-    sig, intf = _tables_for(sig_cfg), _tables_for(int_cfg)
+    one row per content, summed over the wider of the two accepted transform
+    windows at each end, guard panels left out."""
+    windows = [accepted_tables(cfg).panels for cfg in (sig_cfg, int_cfg)]
+    window = (min(w[0] for w in windows), max(w[1] for w in windows))
+    sig, intf = (_geometry_tables(cfg.env, cfg.channel, cfg.quadrature,
+                                  cfg.coop_radius_km, *window) for cfg in (sig_cfg, int_cfg))
     assert np.array_equal(sig.v_grid, intf.v_grid)
-    n = _v_panel_count(sig_cfg.quadrature.v_max) * _GL_NODES
     probs = sig_cfg.policy.probabilities
     noncaching, caching_out, _ = _laplace_factors(intf.zone, intf.outside,
                                                   sig_cfg, probs[:, None])
     signal = _laplace_factors(sig.zone, sig.outside, sig_cfg, probs[:, None])[2]
-    rates = (sig.weights * noncaching * caching_out * signal)[:, :n].sum(axis=1)
+    block = sig.weights * noncaching * caching_out * signal
+    rates = block[:, _GL_NODES:-_GL_NODES].sum(axis=1)
     rates = np.where(probs > 0.0, rates, 0.0)
     return float(np.dot(sig_cfg.library.popularity, rates)) / LN2
 
@@ -111,7 +120,7 @@ def exponent_split() -> None:
     for name in ENVS:
         cfg = scenario(environment_preset(name))
         # the per-mode split must add up to the engine's own tables
-        tables = _tables_for(cfg)
+        tables = accepted_tables(cfg)
         on_grid = mode_radials(tables.v_grid, cfg)
         assert np.allclose(on_grid["los"] + on_grid["nlos"],
                            tables.zone + tables.outside, rtol=1e-9, atol=0)

@@ -7,17 +7,17 @@ geometry in the order given, as a sweep over them would: a geometry's read
 of the radial table at its cooperation radius (the two partial panels
 around X) is always made. The radial table itself (prefix and suffix sums on
 every panel edge, independent of the cooperation radius and held at unit
-altitude, in groups of ln u panels) is read at u = v H^-alpha; a group is
-built unless an earlier geometry with the same environment and channel left
-it in the cache, whatever its altitude. Every `_shadow_expectation` call made
-during a build is recorded and then replayed once per kernel branch with
-only that branch's cells live (the other cells set to 0, which the kernel
-answers without work), and once with every cell 0 (`base_s`: masks and
-gates). Each replay is the fastest of REPEATS runs. A branch's seconds are
-its replay time minus `base_s`, so the branch times plus `base_s`
-approximate `kernel_s`; a branch too cheap to separate from timing noise
-can read slightly below 0. Within the
-windowed replays, the time spent in the branch's two normal-tail terms
+altitude and intercept, in groups of ln u panels) is read at
+u = v k_n H^-alpha_n; a group is built unless an earlier geometry with the
+same environment and channel left it in the cache, whatever its altitude.
+Every `_shadow_expectation` call made during a build is recorded and then
+replayed once per kernel branch with only that branch's cells live (the
+other cells set to 0, which the kernel answers without work), and once
+with every cell 0 (`base_s`: masks and gates). Each replay is the fastest
+of REPEATS runs. A branch's seconds are its replay time minus `base_s`, so
+the branch times plus `base_s` approximate `kernel_s`; a branch too cheap to
+separate from timing noise can read slightly below 0. Within the windowed
+replays, the time spent in the branch's two normal-tail terms
 (`channel.ndtr` and `channel.log_ndtr`) is timed on its own. The radial
 table's grazing-limit tail (`analytics._grazing_tails`) evaluates its own
 kernel cells outside `kernel_table`; it is timed and counted on its own and
@@ -25,7 +25,7 @@ left out of the branch split.
 
 One JSON line per geometry:
   env, x_cop_km, altitude_km, hermite_nodes,
-  build_s        table build, rate assembly and v_max guard
+  build_s        table build, rate assembly and window guard
                  (`analytics.system_capacity`),
   groups_built   radial table groups this geometry built,
   groups_reused  radial table groups it read that were already cached (each
@@ -40,8 +40,12 @@ One JSON line per geometry:
   branches       {linear, gauss_hermite, windowed}: {cells, s},
   window_tails_s time in the windowed branch's ndtr and log_ndtr calls
                  (part of branches.windowed.s; fastest replay per call),
+  v_window       first and last ln w lattice panel of the transform window
+                 the rates were accepted on, guard panels included; panel k
+                 spans w = v k_los H^-alpha_los from 10^(k/2) to
+                 10^((k+1)/2), and [-20, 14] unless the geometry moved an end,
   tables_sha256  SHA-256 of the zone table bytes followed by the outside
-                 table bytes (the whole 2*v_max build),
+                 table bytes (the whole window, guard panels included),
   table_sha256   SHA-256 of the radial table's prefix bytes followed by its
                  suffix bytes, as read at the geometry's altitude.
 
@@ -192,10 +196,11 @@ def profile(env_name: str, x_cop: float, altitude: float,
         analytics._grazing_tails = tails
         analytics._shadow_expectation = tail_kernel
     built = radial_group.cache_info().misses - built
-    tables = analytics._tables_for(cfg)
+    tables = analytics._assemble_rates(cfg, cfg.policy.probabilities)[1]
     digest = hashlib.sha256(np.ascontiguousarray(tables.zone).tobytes()
                             + np.ascontiguousarray(tables.outside).tobytes())
-    _, prefix, suffix = analytics._radial_table(cfg.env, cfg.channel, cfg.quadrature)
+    _, prefix, suffix = analytics._radial_table(cfg.env, cfg.channel, cfg.quadrature,
+                                                *tables.panels)
     table_digest = hashlib.sha256(prefix.tobytes() + suffix.tobytes())
 
     base_s = window_tails_s = 0.0
@@ -222,7 +227,7 @@ def profile(env_name: str, x_cop: float, altitude: float,
             "tail_cells": tail_cells, "read_s": round(build_s - table_s, 4),
             "kernel_s": round(kernel_s, 4), "base_s": round(base_s, 4),
             "branches": branches, "window_tails_s": round(window_tails_s, 4),
-            "tables_sha256": digest.hexdigest(),
+            "v_window": list(tables.panels), "tables_sha256": digest.hexdigest(),
             "table_sha256": table_digest.hexdigest()}
 
 

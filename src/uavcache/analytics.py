@@ -9,37 +9,40 @@ here with composite Gauss-Legendre panels, and shared across contents,
 policies, densities and sub-channel counts: density and sub-channel count
 enter only the final assembly of each rate, never the radial integrals. That
 assembly is one block, a row per distinct placement probability plus one for
-the v_max guard's probe, over the geometry's tables (`_assemble_rates`).
+the window guard's probe, over the geometry's tables (`_assemble_rates`).
+Its ln v panels sit on a lattice in w = v k_los H^-alpha_los, the scenario's
+own LOS gain scale, with a guard panel beyond each end of the window summed.
 
 Every radial integral is read from one table per (environment, channel
-without its altitude, quadrature). With zeta = z/H the LOS probability and
-the shadowing spread depend on zeta alone and the path loss is
-k_n H^-alpha_n (1 + zeta^2)^(-alpha_n/2), so each link mode's integral at
-altitude H is H^2 times its unit-altitude integral at u = v H^-alpha_n. The
-table holds those per mode at unit altitude (`_radial_group`): panels on the
-lattice of powers of 1.6 in zeta, one from 0 to the first edge at or above
-1/4, then every edge up to 64, then every sixth, in ln zeta, out to
-zeta_far, where P_LOS and the shadowing spread sit at their grazing-angle
+without its altitude and intercepts, quadrature). With zeta = z/H the LOS
+probability and the shadowing spread depend on zeta alone and the path loss
+is k_n H^-alpha_n (1 + zeta^2)^(-alpha_n/2), so each link mode's integral at
+altitude H is H^2 times its integral at unit altitude and intercept at
+u = v k_n H^-alpha_n. The table holds those per mode (`_radial_group`):
+panels on the lattice of powers of 1.6 in zeta, one from 0 to the first edge
+at or above 1/4, then every edge up to 64, then every sixth, in ln zeta, out
+to zeta_far, where P_LOS and the shadowing spread sit at their grazing-angle
 limits within rel_tol. Out there the integrand is a power law times slowly
 varying marks, smooth in ln zeta, so those wide panels take their nodes in
 ln zeta (`_radial_nodes`). Beyond zeta_far each link mode's kernel is a
 fixed function of u L(zeta), and the rest is one power-law integral per
 mode (`_grazing_tails`). It keeps the prefix and suffix sums at every edge,
 so neither side of a split cancels, on the Gauss-Legendre nodes of the same
-absolute ln u panel lattice as the v grid, memoized in fixed groups of
-_GROUP_PANELS panels, one kernel_table call each, so an altitude builds only
-the groups its shifted range needs that no other altitude built.
-`_radial_table` reads it at an altitude: the shift by -alpha_n ln H is the
-same for every node, so each v panel's nodes come from the two u panels
-they fall in by one fixed barycentric Legendre interpolation matrix per mode
-(`_shift_matrix`); at H = 1 km nothing is interpolated. Against the same
+absolute ln u panel lattice as the w grid, memoized in fixed groups of
+_GROUP_PANELS panels, one kernel_table call each, so a geometry builds only
+the groups its shifted range needs that no other geometry built.
+`_radial_table` reads it at a geometry: LOS reads u = w, and the NLOS shift
+by ln(k_nlos/k_los) - (alpha_nlos - alpha_los) ln H is the same for every
+node, so each w panel's nodes come from the two u panels they fall in by one
+fixed barycentric Legendre interpolation matrix (`_shift_matrix`); at
+H = 1 km with equal intercepts nothing is interpolated. Against the same
 panels evaluated at the altitude itself the read agrees within 1.2e-9
 relative (4 environments, H = 0.05-3 km). `_geometry_tables` reads it at a
 cooperation radius X from the two partial panels around X, evaluated at the
 scenario's own altitude. The groups and the reads are memoized with
 `functools.lru_cache` on exactly what they read, the read also on the
-altitude, v_max and X; an environment's name takes no part in its equality,
-so it keys nothing.
+altitude, the intercepts, X and the window; an environment's name takes no
+part in its equality, so it keys nothing.
 
 Rates are in nats per channel use internally; energy efficiency converts to
 bits and reads the dynamic-power slope as W per (bit/channel use).
@@ -60,12 +63,18 @@ from .channel import (_DB_TO_LN, ChannelConfig, Environment,
 from .errors import ConfigError, ConvergenceError
 
 # Radial/transform grid layout; accuracy is governed by QuadratureConfig and
-# validated by the v_max doubling guard, these only set the base resolution.
-_V_MIN = 1e-10
+# validated by the transform window's guard panels, these only set the base
+# resolution.
 _GL_NODES = 12
 _OUTER_RATIO = 1.6
 _FAR_STEP = 6  # lattice steps per panel beyond _Z_COARSE (ratio 1.6**6 = 16.8), in ln zeta
 _V_PANELS_PER_DECADE = 2
+# the ln w lattice panels a rate assembly starts on, w from 1e-10 to 10^7.5
+# (the outermost two are guard panels), the panels a window end moves out by
+# and the most moves the window may make
+_W_START = (-20, 14)
+_W_STEP = 6
+_W_MOVES = 8
 # range zeta = z/H from which radial panels take _FAR_STEP lattice steps and
 # are integrated in ln zeta (`_radial_nodes`), Poisson tail mass for the EE
 # sums and the most terms one EE sum may take
@@ -85,15 +94,12 @@ class QuadratureConfig:
 
     hermite_nodes: int = 32
     rel_tol: float = 1e-6
-    v_max: float = 1e7
 
     def __post_init__(self) -> None:
         if self.hermite_nodes < 2:
             raise ConfigError("hermite_nodes must be >= 2")
         if not self.rel_tol >= 1e-16:
             raise ConfigError(f"rel_tol = {self.rel_tol} out of range (must be >= 1e-16)")
-        if not self.v_max >= 1.0:
-            raise ConfigError(f"v_max = {self.v_max} out of range (must be >= 1)")
 
 
 @dataclass(frozen=True)
@@ -303,6 +309,7 @@ def _grazing_tails(v: np.ndarray, env: Environment, cfg: ChannelConfig,
 class _ScenarioTables:
     """Cached v-grid and radial integrals; placement-independent."""
 
+    panels: tuple[int, int]  # first and last ln w lattice panel, guards included
     v_grid: np.ndarray
     weights: np.ndarray  # for integration in ln v
     zone: np.ndarray
@@ -314,22 +321,14 @@ class _ScenarioTables:
             table.flags.writeable = False
 
 
-# panel edges sit on an absolute lattice in ln v, so growing v_max adds
-# panels without moving existing ones: the table for v_max is a prefix of
-# the table for 2*v_max, node for node and weight for weight
+# panel edges sit on an absolute lattice in ln w, so moving a window end adds
+# panels without moving existing ones, node for node and weight for weight
 _V_PANEL_WIDTH = math.log(10.0) / _V_PANELS_PER_DECADE
-_V_K_LO = math.floor(math.log(_V_MIN) / _V_PANEL_WIDTH)
 
 
-def _v_panel_count(v_max: float) -> int:
-    """Number of lattice panels covering ln v from ln _V_MIN up to ln v_max."""
-    return max(1, math.ceil(math.log(v_max) / _V_PANEL_WIDTH) - _V_K_LO)
-
-
-def _v_rule(v_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """v nodes on the lattice up to v_max, with their weights in ln v."""
-    s_edges = _V_PANEL_WIDTH * np.arange(_V_K_LO, _V_K_LO + _v_panel_count(v_max) + 1)
-    s_nodes, weights = _gl_panels(s_edges, _GL_NODES)
+def _v_rule(k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on the lattice panels k_lo to k_hi, with their weights in ln w."""
+    s_nodes, weights = _gl_panels(_V_PANEL_WIDTH * np.arange(k_lo, k_hi + 2), _GL_NODES)
     return np.exp(s_nodes), weights
 
 
@@ -341,14 +340,12 @@ def _radial_group(env: Environment, unit: ChannelConfig, hermite_nodes: int,
     _GROUP_PANELS*(g+1) - 1, each of shape (mode, edge, u): per link mode n,
     P[n, i] = int_0^{zeta_i} zeta k_n(zeta, u) dzeta and S[n, i] =
     int_{zeta_i}^inf, whose part beyond the last edge, zeta_far, is the
-    grazing-limit tail. `unit` is the channel with altitude_km = 1; of the
-    quadrature, a group reads only hermite_nodes and rel_tol. A group is one
-    kernel_table call, so its bits do not depend on which altitude asked for
-    it first."""
+    grazing-limit tail. `unit` is the channel with altitude_km, k_los and
+    k_nlos all 1; of the quadrature, a group reads only hermite_nodes and
+    rel_tol. A group is one kernel_table call, so its bits do not depend on
+    which geometry asked for it first."""
     quad = QuadratureConfig(hermite_nodes=hermite_nodes, rel_tol=rel_tol)
-    k_lo = _GROUP_PANELS * g
-    u = np.exp(_gl_panels(_V_PANEL_WIDTH * np.arange(k_lo, k_lo + _GROUP_PANELS + 1),
-                          _GL_NODES)[0])
+    u = _v_rule(_GROUP_PANELS * g, _GROUP_PANELS * (g + 1) - 1)[0]
     edges = _radial_edges(_grazing_radius(env, rel_tol))
     # the tail first: it refuses a spread too wide to evaluate before any
     # panel is integrated
@@ -381,28 +378,30 @@ def _shift_matrix(frac: float) -> np.ndarray:
     return out
 
 
-def _radial_table(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _radial_table(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig,
+                  k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(edges e_i in km, prefix P_i, suffix S_i) of the radial table at the
-    altitude H of cfg on the v grid up to 2*v_max, a row per edge:
-    P_i = int_0^{e_i} z k(z,v) dz and S_i = int_{e_i}^inf, with e_i = H zeta_i.
+    altitude H of cfg on the ln w lattice panels k_lo to k_hi, a row per
+    edge: P_i = int_0^{e_i} z k(z,v) dz and S_i = int_{e_i}^inf, with
+    e_i = H zeta_i and w = v k_los H^-alpha_los.
 
-    With z = H zeta, each mode's part is H^2 times the unit-altitude table
-    at u = v H^-alpha_n, which `_radial_group` holds. The shift moves every
-    v node by the same d = -alpha_n ln H / (panel width) panels on the ln u
-    lattice, so each v panel reads its nodes from the u panels k + floor(d)
-    and k + floor(d) + 1 through one `_shift_matrix`; at H = 1 it reads
-    them as they are."""
+    With z = H zeta, each mode's part is H^2 times the table at unit
+    altitude and intercept at u = v k_n H^-alpha_n, which `_radial_group`
+    holds: u = w for LOS, and for NLOS every node shifts by the same
+    d = [ln(k_nlos/k_los) - (alpha_nlos - alpha_los) ln H] / (panel width)
+    panels on the ln u lattice, so each w panel reads its nodes from the u
+    panels k + floor(d) and k + floor(d) + 1 through one `_shift_matrix`."""
     h = cfg.altitude_km
-    unit = replace(cfg, altitude_km=1.0)
+    unit = replace(cfg, altitude_km=1.0, k_los=1.0, k_nlos=1.0)
     edges = h * _radial_edges(_grazing_radius(env, quad.rel_tol))
-    n_v = _v_panel_count(2.0 * quad.v_max)
+    alpha_los, k_los, _ = cfg.mode_params("los")
     sums = [0.0, 0.0]  # prefix, suffix
     for n, mode in enumerate(("los", "nlos")):
-        d = -cfg.mode_params(mode)[0] * math.log(h) / _V_PANEL_WIDTH
+        alpha, k, _ = cfg.mode_params(mode)
+        d = (math.log(k / k_los) - (alpha - alpha_los) * math.log(h)) / _V_PANEL_WIDTH
         frac = d - math.floor(d)
-        lo = _V_K_LO + math.floor(d)
-        hi = lo + n_v + (frac > 0.0)  # the u panels read: [lo, hi)
+        lo = k_lo + math.floor(d)
+        hi = lo + k_hi - k_lo + 1 + (frac > 0.0)  # the u panels read: [lo, hi)
         groups = [_radial_group(env, unit, quad.hermite_nodes, quad.rel_tol, g)
                   for g in range(lo // _GROUP_PANELS, (hi - 1) // _GROUP_PANELS + 1)]
         start = (lo % _GROUP_PANELS) * _GL_NODES
@@ -419,10 +418,10 @@ def _radial_table(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _geometry_tables(env: Environment, cfg: ChannelConfig,
-                     quad: QuadratureConfig, x_cop: float) -> _ScenarioTables:
-    """Radial tables on the v grid up to 2*v_max, read from `_radial_table`
-    at X = x_cop in the panel [e_i, e_{i+1}) that holds it:
+def _geometry_tables(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig,
+                     x_cop: float, k_lo: int, k_hi: int) -> _ScenarioTables:
+    """Radial tables on the ln w lattice panels k_lo to k_hi, read from
+    `_radial_table` at X = x_cop in the panel [e_i, e_{i+1}) that holds it:
 
     zone(v)    = int_0^X z k(z,v) dz   = P_i + int_{e_i}^X
     outside(v) = int_X^inf z k(z,v) dz = int_X^{e_{i+1}} + S_{i+1},
@@ -431,16 +430,19 @@ def _geometry_tables(env: Environment, cfg: ChannelConfig,
     Density, sub-channel count and placement enter only the rate assembly,
     guard included, so they are not arguments.
     """
-    edges, prefix, suffix = _radial_table(env, cfg, quad)
+    edges, prefix, suffix = _radial_table(env, cfg, quad, k_lo, k_hi)
     i = int(np.searchsorted(edges, x_cop, side="right")) - 1
     if i >= edges.size - 1:
         raise ConvergenceError(
             f"cooperation radius {x_cop:g} km is at or beyond the last radial "
             f"panel edge z_far = {edges[-1]:.3g} km")
-    v_grid, weights = _v_rule(2.0 * quad.v_max)
+    w, weights = _v_rule(k_lo, k_hi)
+    alpha, k, _ = cfg.mode_params("los")
+    v_grid = w * (cfg.altitude_km ** alpha / k)
     inner, outer = _panel_integrals(v_grid, env, cfg, quad,
                                     [edges[i], x_cop, edges[i + 1]])
-    return _ScenarioTables(v_grid, weights, prefix[i] + inner, outer + suffix[i + 1])
+    return _ScenarioTables((k_lo, k_hi), v_grid, weights, prefix[i] + inner,
+                           outer + suffix[i + 1])
 
 
 def _laplace_factors(zone: np.ndarray, outside: np.ndarray, cfg: ScenarioConfig,
@@ -455,42 +457,48 @@ def _laplace_factors(zone: np.ndarray, outside: np.ndarray, cfg: ScenarioConfig,
     return noncaching, caching_out, signal
 
 
-def _tables_for(cfg: ScenarioConfig) -> _ScenarioTables:
-    """The geometry's tables on the v grid up to 2*v_max, built or fetched:
-    the rates integrate over its v_max prefix (`_assemble_rates`)."""
-    return _geometry_tables(cfg.env, cfg.channel, cfg.quadrature,
-                            cfg.coop_radius_km)
-
-
-def _assemble_rates(cfg: ScenarioConfig, probs: np.ndarray) -> np.ndarray:
-    """Rates, nats per channel use, for placement probabilities probs, with
-    the v_max truncation guard.
+def _assemble_rates(cfg: ScenarioConfig, probs: np.ndarray
+                    ) -> tuple[np.ndarray, _ScenarioTables]:
+    """Rates, nats per channel use, for placement probabilities probs, and
+    the tables of the transform window they were summed on.
 
     One block holds v^-1 * (interference factors) * (signal factor) on the
-    2*v_max table for each p_c and for a probe p_c = 0.5. A rate is its
-    row's sum over the v_max prefix; the probe's prefix sum and whole sum
-    must agree within rel_tol, else ConvergenceError. Both sums share the
-    radial integrals, so the guard measures v truncation alone; the radial
-    integral has no truncation to guard, since the grazing-limit tail runs
-    to infinity from a z_far placed by rel_tol.
+    tables for each p_c and for a probe p_c = 0.5. A rate is its row's sum
+    over every panel but the guard panel at each end. Below the window the
+    signal factor is linear in v and the others are 1 within rel_tol, so each
+    panel holds r = e^-(panel width) = 10^-1/2 of the one above it; above it
+    the interference exponents grow as v^(2/alpha), so the panels fall faster.
+    A guard panel holding m thus bounds its end's truncation by m/(1 - r),
+    and a probe guard mass at most (1 - r) rel_tol / 2 of the probe's rate
+    keeps both ends together within rel_tol. An end over that budget moves
+    out _W_STEP panels and the assembly retries; after _W_MOVES moves it
+    raises ConvergenceError naming the end. Every try starts from _W_START,
+    so the window does not depend on which scenario built the tables first.
+    The radial integrals have no truncation to guard: the grazing-limit tail
+    runs to infinity from a z_far placed by rel_tol.
     """
-    tables = _tables_for(cfg)
-    n = _v_panel_count(cfg.quadrature.v_max) * _GL_NODES
+    k_lo, k_hi = _W_START
     p_c = np.append(probs, 0.5)[:, None]  # the last row is the guard's probe
-    noncaching, caching_out, signal = _laplace_factors(tables.zone, tables.outside,
-                                                       cfg, p_c)
-    # the integrand v^-1 ... dv becomes (...) ds on the ln v grid
-    block = tables.weights * noncaching * caching_out * signal
-    rates = block[:, :n].sum(axis=1)
-    doubled = block[-1].sum()
-    if not (np.all(np.isfinite(rates)) and np.isfinite(doubled)):
-        raise ConvergenceError("capacity integral did not evaluate to a finite value")
-    base = rates[-1]
-    moved = abs(doubled - base) / base if base > 0.0 else 0.0
-    if moved > cfg.quadrature.rel_tol:
-        raise ConvergenceError(
-            f"doubling v_max moved the capacity probe by {moved:.2e} (> rel_tol)")
-    return np.where(probs > 0.0, rates[:-1], 0.0)
+    budget = 0.5 * (1.0 - math.exp(-_V_PANEL_WIDTH)) * cfg.quadrature.rel_tol
+    for _ in range(_W_MOVES + 1):
+        tables = _geometry_tables(cfg.env, cfg.channel, cfg.quadrature,
+                                  cfg.coop_radius_km, k_lo, k_hi)
+        noncaching, caching_out, signal = _laplace_factors(tables.zone, tables.outside,
+                                                           cfg, p_c)
+        # the integrand v^-1 ... dv becomes (...) ds on the ln v grid
+        block = tables.weights * noncaching * caching_out * signal
+        if not np.all(np.isfinite(block)):
+            raise ConvergenceError("capacity integral did not evaluate to a finite value")
+        rates = block[:, _GL_NODES:-_GL_NODES].sum(axis=1)
+        guards = (block[-1, :_GL_NODES].sum(), block[-1, -_GL_NODES:].sum())
+        ends = [end for end, mass in zip(("lower", "upper"), guards)
+                if mass > budget * rates[-1]]
+        if not ends:
+            return np.where(probs > 0.0, rates[:-1], 0.0), tables
+        k_lo, k_hi = k_lo - _W_STEP * ("lower" in ends), k_hi + _W_STEP * ("upper" in ends)
+    raise ConvergenceError(
+        f"the {' and '.join(ends)} end of the transform window still holds more than "
+        f"its share of rel_tol after {_W_MOVES} moves of {_W_STEP} ln w panels")
 
 
 def content_capacity(cfg: ScenarioConfig, content: int) -> float:
@@ -513,7 +521,7 @@ def system_capacity(cfg: ScenarioConfig) -> CapacityReport:
         # no cooperator can ever be in the zone: every rate is zero
         return CapacityReport(np.zeros(cfg.library.size), coop_means, 0.0)
     probs, inverse = np.unique(cfg.policy.probabilities, return_inverse=True)
-    rates = _assemble_rates(cfg, probs)[inverse]
+    rates = _assemble_rates(cfg, probs)[0][inverse]
     system = float(np.sum(cfg.library.popularity * rates))
     return CapacityReport(rates, coop_means, system)
 

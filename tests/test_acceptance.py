@@ -315,11 +315,13 @@ def test_criterion_08_channel_statistics():
     assert ok, line
 
 
-def direct_radial_table(env, cfg, quad):
+def direct_radial_table(env, cfg, quad, k_lo, k_hi):
     """`analytics._radial_table` without the unit-altitude table: the same
     edges and panels, with the kernel and the grazing-limit tail evaluated at
-    cfg's own altitude on the v grid, so nothing is interpolated."""
-    v = analytics._v_rule(2.0 * quad.v_max)[0]
+    cfg's own altitude on the v grid of the ln w lattice panels k_lo to k_hi,
+    w = v k_los H^-alpha_los, so nothing is interpolated."""
+    alpha, k, _ = cfg.mode_params("los")
+    v = analytics._v_rule(k_lo, k_hi)[0] * cfg.altitude_km ** alpha / k
     edges = cfg.altitude_km * analytics._radial_edges(
         analytics._grazing_radius(env, quad.rel_tol))
     panels = analytics._panel_integrals(v, env, cfg, quad, edges)
@@ -335,13 +337,16 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables):
     base = content_capacity(base_cfg, 1)
     groups = analytics._radial_group.cache_info().misses
     rel_changes = {}
-    for name, quad in (("v_max", QuadratureConfig(v_max=2e7)),
-                       ("hermite_nodes", QuadratureConfig(
-                           hermite_nodes=2 * QuadratureConfig().hermite_nodes))):
-        alt_cfg = ScenarioConfig(library=base_cfg.library,
-                                 policy=base_cfg.policy, env=base_cfg.env,
-                                 quadrature=quad, coop_radius_km=1.0)
-        rel_changes[name] = abs(content_capacity(alt_cfg, 1) - base) / base
+    # the transform window: both ends start one move further out
+    lo, hi = analytics._W_START
+    with monkeypatch.context() as patch:
+        patch.setattr(analytics, "_W_START", (lo - analytics._W_STEP, hi + analytics._W_STEP))
+        rel_changes["window"] = abs(content_capacity(base_cfg, 1) - base) / base
+    alt_cfg = ScenarioConfig(library=base_cfg.library, policy=base_cfg.policy,
+                             env=base_cfg.env, coop_radius_km=1.0,
+                             quadrature=QuadratureConfig(
+                                 hermite_nodes=2 * QuadratureConfig().hermite_nodes))
+    rel_changes["hermite_nodes"] = abs(content_capacity(alt_cfg, 1) - base) / base
     # the radial table: its panels run 1.6**(2*_FAR_STEP) times farther out
     # (two more far panels) before the grazing-limit tail takes over, or put
     # an edge on every lattice step beyond 64 km instead of every

@@ -95,10 +95,12 @@ def test_removed_keys_rejected(block, key, value, tmp_path, capsys):
     assert f"scenario.{block}" in err and key in err
 
 
-@pytest.mark.parametrize("key,value", [("z_max", 64.0), ("k_max_tail", 1e-12)])
+@pytest.mark.parametrize("key,value", [("z_max", 64.0), ("k_max_tail", 1e-12),
+                                       ("v_max", 1e7)])
 def test_retired_quadrature_keys_rejected(key, value, tmp_path, capsys):
     # the radial truncation floor and the EE Poisson tail are fixed constants,
-    # so their old keys are unknown even at their old default values
+    # and the transform window's ends move by its guard panels, so their old
+    # keys are unknown even at their old default values
     raw = {"scenario": {"quadrature": {key: value}}}
     with pytest.raises(ConfigError, match=key):
         parse_config(raw)
@@ -119,11 +121,10 @@ def test_out_of_range_scenario_values():
 
 
 @pytest.mark.parametrize("block,key,bad,edge,build", [
-    ("quadrature", "v_max", 0.5, 1.0, lambda v: QuadratureConfig(v_max=v)),
     ("quadrature", "rel_tol", 1e-20, 1e-16, lambda v: QuadratureConfig(rel_tol=v)),
     ("simulation", "spike_rel", 1e-13, 1e-12, lambda v: SimOptions(spike_rel=v)),
     (None, "altitude_km", 0.0, 1e-10, lambda v: ChannelConfig(altitude_km=v)),
-], ids=["v_max", "rel_tol", "spike_rel", "altitude_km"])
+], ids=["rel_tol", "spike_rel", "altitude_km"])
 def test_config_and_api_share_each_bound(block, key, bad, edge, build):
     # each bound is stated once, in its dataclass: a value the API rejects
     # is rejected from the config and the edge value passes both
@@ -359,8 +360,7 @@ def raw_configs(draw):
             transmit_w=_number(0.0, 10.0), cache_per_file_w=_number(0.0, 1.0),
             static_w=_number(0.0, 10.0), rate_power_slope=_number(0.0, 5.0)),
         quadrature=_optional_block(
-            hermite_nodes=st.integers(2, 100), rel_tol=_number(1e-12, 1e-2),
-            v_max=_number(1.0, 1e9)),
+            hermite_nodes=st.integers(2, 100), rel_tol=_number(1e-12, 1e-2)),
         simulation=_optional_block(
             spike_rel=_number(1e-9, 1.0),
             chunk_size=st.integers(1, 4096), n_jobs=st.integers(1, 8))))

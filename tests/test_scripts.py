@@ -30,6 +30,8 @@ def test_kernel_profile_prints_one_line_per_geometry(monkeypatch, capsys):
     record = json.loads(lines[0])
     assert (record["env"], record["x_cop_km"], record["altitude_km"]) == ("sub_urban", 1.0, 1.0)
     assert len(record["tables_sha256"]) == len(record["table_sha256"]) == 64
+    # the default geometry is summed on the window every assembly starts on
+    assert record["v_window"] == [-20, 14]
     # one cold geometry builds every radial table group it reads
     assert record["groups_built"] > 0 and record["groups_reused"] == 0
     # the windowed branch's normal tails are timed inside its replay
@@ -51,7 +53,7 @@ def test_acceptance_diagnostics_mode_split_is_the_engine_table():
     script = load_script("acceptance_diagnostics")
     for altitude, rtol in ((1.0, 1e-12), (0.5, 1e-9)):
         cfg = script.scenario(environment_preset("sub_urban"), altitude)
-        tables = script._tables_for(cfg)
+        tables = script.accepted_tables(cfg)
         parts = script.mode_radials(tables.v_grid, cfg)
         np.testing.assert_allclose(parts["los"] + parts["nlos"],
                                    tables.zone + tables.outside, rtol=rtol, atol=0,

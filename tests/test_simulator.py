@@ -266,6 +266,18 @@ def test_estimator_seed_reproducibility(cold_field):
     assert a.mean != c.mean
 
 
+def test_samples_are_invariant_under_intercept_scaling(cold_field):
+    # a power-of-two factor on both path-loss intercepts scales every sampled
+    # gain, and the far field's spike threshold, exactly: every SIR sample,
+    # and so every rate sample, is unchanged
+    cfg = dense_scenario()
+    opts = SimOptions(**DENSE_OPTS)
+    base = estimate_capacity(cfg, 1, 500, 7, opts).samples
+    for c in (2.0 ** 20, 2.0 ** -30):
+        scaled = replace(cfg, channel=ChannelConfig(k_los=c, k_nlos=c))
+        assert np.array_equal(estimate_capacity(scaled, 1, 500, 7, opts).samples, base), c
+
+
 @pytest.mark.parametrize("env_name", ["sub_urban", "high_rise"])
 def test_spike_refinement_is_invisible(env_name):
     # the far field carries the interference beyond the zone edge: at the
@@ -429,7 +441,7 @@ def test_field_memo_skips_what_the_draw_never_reads(monkeypatch, cold_field):
                   cfg.with_policy(mpc_policy(cfg.library.popularity, 2)),
                   replace(cfg, library=ContentLibrary(5, 1.2)),
                   replace(cfg, power=PowerModel(0.0, 0.0, 0.0, 1.0)),
-                  replace(cfg, quadrature=QuadratureConfig(v_max=1e4))):
+                  replace(cfg, quadrature=QuadratureConfig(rel_tol=1e-4))):
         estimate_capacity(other, 1, 64, 7, opts)
     assert len(draws) == 1
     field = interference_field(cfg, 64, 7, opts)
@@ -472,7 +484,7 @@ def test_zone_memo_skips_what_the_pass_never_reads(cold_field):
     for other in (replace(cfg, env=replace(cfg.env, name="renamed")),
                   replace(cfg, library=ContentLibrary(5, 1.2)),
                   replace(cfg, power=PowerModel(0.0, 0.0, 0.0, 1.0)),
-                  replace(cfg, quadrature=QuadratureConfig(v_max=1e4))):
+                  replace(cfg, quadrature=QuadratureConfig(rel_tol=1e-4))):
         for content in range(1, 6):
             estimate_capacity(other, content, 64, 7, opts)
     assert simulator._zone_rates.cache_info().misses == 1
