@@ -28,7 +28,7 @@ from uavcache import (ChannelConfig, ContentLibrary, ScenarioConfig,
                       elevation_deg, energy_efficiency, environment_preset,
                       los_probability, path_loss, shadowing_log_moments,
                       solve_rcp, system_capacity)
-from uavcache.analytics import (_GL_NODES, _assemble_rates, _geometry_tables,
+from uavcache.analytics import (_V_NODES, _assemble_rates, _geometry_tables,
                                 _grazing_radius, _grazing_tails, _laplace_factors,
                                 _radial_edges, _radial_nodes)
 from uavcache.channel import _shadow_expectation
@@ -70,7 +70,7 @@ def mixed_rate_bits(sig_cfg: ScenarioConfig, int_cfg: ScenarioConfig) -> float:
                                                   sig_cfg, probs[:, None])
     signal = _laplace_factors(sig.zone, sig.outside, sig_cfg, probs[:, None])[2]
     block = sig.weights * noncaching * caching_out * signal
-    rates = block[:, _GL_NODES:-_GL_NODES].sum(axis=1)
+    rates = block[:, _V_NODES:-_V_NODES].sum(axis=1)
     rates = np.where(probs > 0.0, rates, 0.0)
     return float(np.dot(sig_cfg.library.popularity, rates)) / LN2
 

@@ -12,6 +12,8 @@ assembly is one block, a row per distinct placement probability plus one for
 the window guard's probe, over the geometry's tables (`_assemble_rates`).
 Its ln v panels sit on a lattice in w = v k_los H^-alpha_los, the scenario's
 own LOS gain scale, with a guard panel beyond each end of the window summed.
+Each ln w panel takes _V_NODES = 8 Gauss-Legendre nodes, and each radial
+and grazing-tail panel takes _GL_NODES = 12.
 
 Every radial integral is read from one table per (environment, channel
 without its altitude and intercepts, quadrature). With zeta = z/H the LOS
@@ -36,10 +38,10 @@ by ln(k_nlos/k_los) - (alpha_nlos - alpha_los) ln H is the same for every
 node, so each w panel's nodes come from the two u panels they fall in by one
 fixed barycentric Legendre interpolation matrix (`_shift_matrix`); at
 H = 1 km with equal intercepts nothing is interpolated. Against the same
-panels evaluated at the altitude itself the read agrees within 1.2e-9
-relative (4 environments, H = 0.05-3 km). `_geometry_tables` reads it at a
-cooperation radius X from the two partial panels around X, evaluated at the
-scenario's own altitude. The groups and the reads are memoized with
+panels evaluated at the altitude itself the read's prefix and suffix sums
+agree within 3.3e-9 relative (4 environments, H = 0.05-3 km).
+`_geometry_tables` reads it at a cooperation radius X from the two partial
+panels around X, evaluated at the scenario's own altitude. The groups and the reads are memoized with
 `functools.lru_cache` on exactly what they read, the read also on the
 altitude, the intercepts, X and the window; an environment's name takes no
 part in its equality, so it keys nothing.
@@ -68,7 +70,10 @@ from .errors import ConfigError, ConvergenceError
 _GL_NODES = 12
 _OUTER_RATIO = 1.6
 _FAR_STEP = 6  # lattice steps per panel beyond _Z_COARSE (ratio 1.6**6 = 16.8), in ln zeta
+# the transform rule: ln w lattice panels per decade and Gauss-Legendre nodes
+# per panel (the radial and grazing-tail panels take _GL_NODES)
 _V_PANELS_PER_DECADE = 2
+_V_NODES = 8
 # the ln w lattice panels a rate assembly starts on, w from 1e-10 to 10^7.5
 # (the outermost two are guard panels), the panels a window end moves out by
 # and the most moves the window may make
@@ -328,7 +333,7 @@ _V_PANEL_WIDTH = math.log(10.0) / _V_PANELS_PER_DECADE
 
 def _v_rule(k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes on the lattice panels k_lo to k_hi, with their weights in ln w."""
-    s_nodes, weights = _gl_panels(_V_PANEL_WIDTH * np.arange(k_lo, k_hi + 2), _GL_NODES)
+    s_nodes, weights = _gl_panels(_V_PANEL_WIDTH * np.arange(k_lo, k_hi + 2), _V_NODES)
     return np.exp(s_nodes), weights
 
 
@@ -364,7 +369,7 @@ def _shift_matrix(frac: float) -> np.ndarray:
     Gauss-Legendre nodes of two adjacent ln u panels to the nodes of the
     first panel shifted by frac (0 < frac < 1) of a panel: barycentric
     Lagrange interpolation on the nodes of the panel holding each point."""
-    x = _legendre_rule(_GL_NODES)[0]
+    x = _legendre_rule(_V_NODES)[0]
     bary = 1.0 / np.prod(x[:, None] - x[None, :] + np.eye(x.size), axis=1)
     out = np.zeros((x.size, 2 * x.size))
     for j, t in enumerate(x + 2.0 * frac):  # in the first panel's [-1, 1]
@@ -404,12 +409,12 @@ def _radial_table(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig,
         hi = lo + k_hi - k_lo + 1 + (frac > 0.0)  # the u panels read: [lo, hi)
         groups = [_radial_group(env, unit, quad.hermite_nodes, quad.rel_tol, g)
                   for g in range(lo // _GROUP_PANELS, (hi - 1) // _GROUP_PANELS + 1)]
-        start = (lo % _GROUP_PANELS) * _GL_NODES
+        start = (lo % _GROUP_PANELS) * _V_NODES
         shift = _shift_matrix(frac) if frac > 0.0 else None
         for side in (0, 1):
             cols = np.concatenate([group[side][n] for group in groups], axis=-1)
-            panels = cols[:, start:start + (hi - lo) * _GL_NODES].reshape(
-                edges.size, hi - lo, _GL_NODES)
+            panels = cols[:, start:start + (hi - lo) * _V_NODES].reshape(
+                edges.size, hi - lo, _V_NODES)
             if shift is not None:
                 panels = np.concatenate([panels[..., :-1, :], panels[..., 1:, :]],
                                         axis=-1) @ shift.T
@@ -489,8 +494,8 @@ def _assemble_rates(cfg: ScenarioConfig, probs: np.ndarray
         block = tables.weights * noncaching * caching_out * signal
         if not np.all(np.isfinite(block)):
             raise ConvergenceError("capacity integral did not evaluate to a finite value")
-        rates = block[:, _GL_NODES:-_GL_NODES].sum(axis=1)
-        guards = (block[-1, :_GL_NODES].sum(), block[-1, -_GL_NODES:].sum())
+        rates = block[:, _V_NODES:-_V_NODES].sum(axis=1)
+        guards = (block[-1, :_V_NODES].sum(), block[-1, -_V_NODES:].sum())
         ends = [end for end, mass in zip(("lower", "upper"), guards)
                 if mass > budget * rates[-1]]
         if not ends:

@@ -7,7 +7,9 @@
 `run` evaluates the configured scenario at a single point, one row per
 method. `sweep` executes every sweep block in the config. Both exit 0 only
 when every row succeeded; any failed row yields exit status 3. `validate`
-parses the config and reports what would run without running it.
+parses the config and reports what would run without running it. A config
+that is missing, unreadable or invalid, or an output path that cannot be
+written, prints `error: ...` and exits 2.
 """
 from __future__ import annotations
 
@@ -118,10 +120,7 @@ def main(argv: list[str] | None = None) -> int:
                "validate": _cmd_validate}[args.command]
     try:
         return handler(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UavCacheError as exc:
+    except (OSError, UavCacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -301,9 +301,19 @@ def _build_policy(kind: str, library: ContentLibrary, scenario: ScenarioConfig,
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a YAML config; an empty file yields full defaults."""
+    """Parse and validate a YAML config; an empty file yields full defaults.
+    A file that is not UTF-8 text or not valid YAML raises ConfigError
+    naming it (and, for YAML, the line)."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f", line {mark.line + 1}" if mark is not None else ""
+            problem = getattr(exc, "problem", None) or exc
+            raise ConfigError(f"{path}{where}: not valid YAML: {problem}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text") from exc
     return parse_config(raw if raw is not None else {})
 
 

@@ -374,9 +374,17 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables):
         cold_tables()
         assert table_builds == groups > 0, f"the {name} leg must rebuild the radial table"
         assert patched_edges > edges, f"the {name} leg must add radial panel edges"
+    # the transform rule: 20 Gauss-Legendre nodes per ln w panel in place of
+    # _V_NODES must not move the rate
+    with monkeypatch.context() as patch:
+        cold_tables()
+        patch.setattr(analytics, "_V_NODES", 20)
+        rel_changes["v_nodes"] = abs(content_capacity(base_cfg, 1) - base) / base
+    cold_tables()
     # the zone: at a low altitude and a wide zone (X/H = 400) the zone
-    # integral spans the most panels; 20 Gauss-Legendre nodes per panel in
-    # place of 12 must not move the rate either
+    # integral spans the most panels; 20 Gauss-Legendre nodes per radial
+    # panel in place of 12 must not move the rate either (_GL_NODES moves
+    # only the radial and grazing-tail nodes, not the transform rule's)
     zone_cfg = rcp_scenario("urban", 20.0, channel=ChannelConfig(altitude_km=0.05))
     zone_base = content_capacity(zone_cfg, 1)
     with monkeypatch.context() as patch:

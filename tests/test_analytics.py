@@ -555,6 +555,41 @@ def test_window_cap_names_the_end(monkeypatch):
         system_capacity(reference_scenario("high_rise", 1.0, uav_density=1e-4))
 
 
+def test_transform_rule_is_converged_at_its_node_count(monkeypatch, cold_tables):
+    # 20 Gauss-Legendre nodes per ln w panel in place of _V_NODES, over the
+    # corners of the scenario space: every scenario must accept the same
+    # window, whether the start window or one moved out at either end, and
+    # every per-content rate must agree within 1e-10
+    scenarios = [("high_rise", 0.05, 0.1, 10.0), ("high_rise", 3.0, 1.0, 10.0),
+                 ("high_rise", 0.05, 20.0, 10.0), ("high_rise", 0.05, 1.0, 1e-8),
+                 ("dense_urban", 3.0, 20.0, 10.0), ("dense_urban", 1.0, 0.1, 1e-8),
+                 ("dense_urban", 0.05, 1.0, 1e-3), ("urban", 3.0, 1.0, 10.0),
+                 ("urban", 0.05, 20.0, 1e-8), ("sub_urban", 0.05, 20.0, 1e-3),
+                 ("sub_urban", 3.0, 0.1, 10.0), ("sub_urban", 1.0, 1.0, 1e-3)]
+    cfgs = [reference_scenario(name, x, altitude_km=h, uav_density=density)
+            for name, h, x, density in scenarios]
+
+    def accepted():
+        cold_tables()
+        out = []
+        for cfg in cfgs:
+            rates, tables = analytics._assemble_rates(cfg, cfg.policy.probabilities)
+            out.append((rates, tables.panels))
+        cold_tables()
+        return out
+
+    base = accepted()
+    monkeypatch.setattr(analytics, "_V_NODES", 20)
+    fine = accepted()
+    windows = {panels for _, panels in base}
+    assert analytics._W_START in windows
+    assert {lo for lo, _ in windows} != {analytics._W_START[0]}
+    assert {hi for _, hi in windows} != {analytics._W_START[1]}
+    for scenario, (rates, panels), (want, want_panels) in zip(scenarios, base, fine):
+        assert panels == want_panels, scenario
+        np.testing.assert_allclose(rates, want, rtol=1e-10, atol=0, err_msg=str(scenario))
+
+
 def test_altitude_sweep_builds_one_table_per_environment(kernel_calls, group_builds,
                                                           cold_tables):
     # the ee_vs_altitude preset's rows: four environments at H = 0.5-3 km,
@@ -593,7 +628,7 @@ def loop_rates(cfg):
     integrated alone over the window the block accepted, its guard panels
     left out."""
     tables = analytics._assemble_rates(cfg, cfg.policy.probabilities)[1]
-    inner = slice(analytics._GL_NODES, -analytics._GL_NODES)
+    inner = slice(analytics._V_NODES, -analytics._V_NODES)
     weights, zone, outside = tables.weights[inner], tables.zone[inner], tables.outside[inner]
     lam_i = cfg.interferer_density
     by_p = {}

@@ -681,9 +681,30 @@ def test_package_exports_resolve():
     assert missing == []
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # missing config file
     assert cli.main(["validate", "--config", str(tmp_path / "nope.yaml")]) == 2
+    # malformed YAML is a config error naming the file and the line, and
+    # bytes that are not UTF-8 one naming the file
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text("scenario:\n  library_size: 6\n  cache_size: [2\n  seed: 1\n")
+    with pytest.raises(ConfigError, match=r"malformed\.yaml, line 4: not valid YAML"):
+        load_config(malformed)
+    assert cli.main(["validate", "--config", str(malformed)]) == 2
+    assert "malformed.yaml, line 4" in capsys.readouterr().err
+    binary = tmp_path / "binary.yaml"
+    binary.write_bytes(b"scenario:\n  environment: \xff\n")
+    with pytest.raises(ConfigError, match=r"binary\.yaml: not UTF-8 text"):
+        load_config(binary)
+    # a path that cannot be opened as the config or the output exits 2
+    # with the operating system's reason, not a traceback
+    not_a_dir = tmp_path / "file.txt"
+    not_a_dir.write_text("")
+    for argv in (["validate", "--config", str(tmp_path)],
+                 ["validate", "--config", str(not_a_dir / "cfg.yaml")],
+                 ["run", "--out", str(tmp_path)]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: [Errno"), argv
     # config without sweeps cannot drive the sweep subcommand
     empty = tmp_path / "empty.yaml"
     empty.write_text("scenario:\n  library_size: 6\n  cache_size: 2\n")
@@ -705,6 +726,15 @@ sweeps:
     lines = out.read_text().strip().splitlines()
     assert lines[1].split(",")[3] == "failed"
     assert lines[2].split(",")[3] == "analytic"
+
+    # a config the process may not read exits 2 as well (raised in place of
+    # open, which mode bits do not stop for a superuser)
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "load_config", unreadable)
+    assert cli.main(["validate", "--config", str(empty)]) == 2
+    assert "Permission denied" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
