@@ -19,9 +19,8 @@ the branch times plus `base_s` approximate `kernel_s`; a branch too cheap to
 separate from timing noise can read slightly below 0. Within the windowed
 replays, the time spent in the branch's two normal-tail terms
 (`channel.ndtr` and `channel.log_ndtr`) is timed on its own. The radial
-table's grazing-limit tail (`analytics._grazing_tails`) evaluates its own
-kernel cells outside `kernel_table`; it is timed and counted on its own and
-left out of the branch split.
+table's far tail is more panels in each group's one `kernel_table` call, so
+its cells fall in the branch split with the rest.
 
 One JSON line per geometry:
   env, x_cop_km, altitude_km, hermite_nodes,
@@ -31,9 +30,6 @@ One JSON line per geometry:
   groups_reused  radial table groups it read that were already cached (each
                  distinct group once, though both link modes may read it),
   table_s        time in `_radial_group` (cache lookups included),
-  tail_s         time in the radial table's grazing-limit tails (part of
-                 table_s),
-  tail_cells     kernel cells the tail evaluated,
   read_s         build_s - table_s: the read at X, assembly and guard,
   kernel_s       time inside `_shadow_expectation` during the build,
   base_s         replay with every cell 0,
@@ -147,11 +143,9 @@ def profile(env_name: str, x_cop: float, altitude: float,
     cfg = scenario(env_name, x_cop, altitude, hermite_nodes)
     kernel = channel._shadow_expectation
     radial_group = analytics._radial_group
-    tails, tail_kernel = analytics._grazing_tails, analytics._shadow_expectation
     calls = []
     groups_read = set()
-    kernel_s = table_s = tail_s = 0.0
-    tail_cells = 0
+    kernel_s = table_s = 0.0
 
     def recording(coef, m_ln, s_ln, wbar, n_h):
         nonlocal kernel_s
@@ -169,23 +163,9 @@ def profile(env_name: str, x_cop: float, altitude: float,
         table_s += time.perf_counter() - t0
         return out
 
-    def timed_tails(*args, **kwargs):
-        nonlocal tail_s
-        t0 = time.perf_counter()
-        out = tails(*args, **kwargs)
-        tail_s += time.perf_counter() - t0
-        return out
-
-    def counted_tail_kernel(coef, *args):
-        nonlocal tail_cells
-        tail_cells += np.size(coef)
-        return tail_kernel(coef, *args)
-
     built = radial_group.cache_info().misses
     channel._shadow_expectation = recording
     analytics._radial_group = timed_group
-    analytics._grazing_tails = timed_tails
-    analytics._shadow_expectation = counted_tail_kernel
     try:
         t0 = time.perf_counter()
         analytics.system_capacity(cfg)
@@ -193,8 +173,6 @@ def profile(env_name: str, x_cop: float, altitude: float,
     finally:
         channel._shadow_expectation = kernel
         analytics._radial_group = radial_group
-        analytics._grazing_tails = tails
-        analytics._shadow_expectation = tail_kernel
     built = radial_group.cache_info().misses - built
     tables = analytics._assemble_rates(cfg, cfg.policy.probabilities)[1]
     digest = hashlib.sha256(np.ascontiguousarray(tables.zone).tobytes()
@@ -223,8 +201,7 @@ def profile(env_name: str, x_cop: float, altitude: float,
             "hermite_nodes": cfg.quadrature.hermite_nodes,
             "build_s": round(build_s, 4),
             "groups_built": built, "groups_reused": len(groups_read) - built,
-            "table_s": round(table_s, 4), "tail_s": round(tail_s, 4),
-            "tail_cells": tail_cells, "read_s": round(build_s - table_s, 4),
+            "table_s": round(table_s, 4), "read_s": round(build_s - table_s, 4),
             "kernel_s": round(kernel_s, 4), "base_s": round(base_s, 4),
             "branches": branches, "window_tails_s": round(window_tails_s, 4),
             "v_window": list(tables.panels), "tables_sha256": digest.hexdigest(),

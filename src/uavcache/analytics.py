@@ -13,7 +13,7 @@ the window guard's probe, over the geometry's tables (`_assemble_rates`).
 Its ln v panels sit on a lattice in w = v k_los H^-alpha_los, the scenario's
 own LOS gain scale, with a guard panel beyond each end of the window summed.
 Each ln w panel takes _V_NODES = 8 Gauss-Legendre nodes, and each radial
-and grazing-tail panel takes _GL_NODES = 12.
+panel takes _GL_NODES = 12.
 
 Every radial integral is read from one table per (environment, channel
 without its altitude and intercepts, quadrature). With zeta = z/H the LOS
@@ -26,20 +26,23 @@ at or above 1/4, then every edge up to 64, then every sixth, in ln zeta, out
 to zeta_far, where P_LOS and the shadowing spread sit at their grazing-angle
 limits within rel_tol. Out there the integrand is a power law times slowly
 varying marks, smooth in ln zeta, so those wide panels take their nodes in
-ln zeta (`_radial_nodes`). Beyond zeta_far each link mode's kernel is a
-fixed function of u L(zeta), and the rest is one power-law integral per
-mode (`_grazing_tails`). It keeps the prefix and suffix sums at every edge,
-so neither side of a split cancels, on the Gauss-Legendre nodes of the same
-absolute ln u panel lattice as the w grid, memoized in fixed groups of
-_GROUP_PANELS panels, one kernel_table call each, so a geometry builds only
-the groups its shifted range needs that no other geometry built.
+ln zeta (`_radial_nodes`). They go on past zeta_far to where every kernel
+is linear in u (`_tail_edges`), and the rest is one power-law integral per
+mode (`_linear_rest`). It keeps the prefix and suffix sums at every edge up
+to zeta_far, so neither side of a split cancels, on the Gauss-Legendre
+nodes of the same absolute ln u panel lattice as the w grid, memoized in
+fixed groups of _GROUP_PANELS panels, one kernel_table call each, so a
+geometry builds only the groups its shifted range needs that no other
+geometry built.
 `_radial_table` reads it at a geometry: LOS reads u = w, and the NLOS shift
 by ln(k_nlos/k_los) - (alpha_nlos - alpha_los) ln H is the same for every
 node, so each w panel's nodes come from the two u panels they fall in by one
 fixed barycentric Legendre interpolation matrix (`_shift_matrix`); at
 H = 1 km with equal intercepts nothing is interpolated. Against the same
 panels evaluated at the altitude itself the read's prefix and suffix sums
-agree within 3.3e-9 relative (4 environments, H = 0.05-3 km).
+agree within 3.3e-9 relative (4 environments, H = 0.05-3 km), but for the
+urban suffix, 7.5e-8, where a group's own tail edges end its far panels
+sooner than the whole grid's do.
 `_geometry_tables` reads it at a cooperation radius X from the two partial
 panels around X, evaluated at the scenario's own altitude. The groups and the reads are memoized with
 `functools.lru_cache` on exactly what they read, the read also on the
@@ -60,8 +63,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .caching import ContentLibrary, PlacementPolicy
-from .channel import (_DB_TO_LN, ChannelConfig, Environment,
-                      _shadow_expectation, kernel_table, linear_threshold)
+from .channel import (_DB_TO_LN, ChannelConfig, Environment, kernel_table,
+                      linear_threshold, los_probability, shadowing_log_moments)
 from .errors import ConfigError, ConvergenceError
 
 # Radial/transform grid layout; accuracy is governed by QuadratureConfig and
@@ -71,7 +74,7 @@ _GL_NODES = 12
 _OUTER_RATIO = 1.6
 _FAR_STEP = 6  # lattice steps per panel beyond _Z_COARSE (ratio 1.6**6 = 16.8), in ln zeta
 # the transform rule: ln w lattice panels per decade and Gauss-Legendre nodes
-# per panel (the radial and grazing-tail panels take _GL_NODES)
+# per panel (the radial panels take _GL_NODES)
 _V_PANELS_PER_DECADE = 2
 _V_NODES = 8
 # the ln w lattice panels a rate assembly starts on, w from 1e-10 to 10^7.5
@@ -261,24 +264,14 @@ def _panel_integrals(v: np.ndarray, env: Environment, cfg: ChannelConfig,
     return cells.reshape(*cells.shape[:-2], -1, _GL_NODES, v.size).sum(axis=-2)
 
 
-def _grazing_tails(v: np.ndarray, env: Environment, cfg: ChannelConfig,
-                   quad: QuadratureConfig, z_far: float) -> dict[str, np.ndarray]:
-    """int_{z_far}^inf z p_n K_n(z, v) dz per link mode n, with P_LOS and the
-    shadowing spread at their grazing limits.
-
-    With rho^2 = H^2 + z^2 (so z dz = rho drho) and u = v k_n rho^-alpha_n,
-    each mode is p_n (v k_n)^delta / alpha_n * G_n(c_far), delta = 2/alpha_n,
-    c_far = v k_n rho_far^-alpha_n and G_n(c) = int_0^c u^(-delta-1) K_n(u) du
-    for the grazing-limit kernel K_n. Below the kernel's linear gate K_n(u) is
-    u E[V], so G_n is E[V] c^(1-delta)/(1-delta) there; above it G_n is
-    accumulated by Gauss-Legendre panels in ln u, from the gate through a
-    lead-in lattice to the smallest c_far and then between consecutive ones.
-    """
-    rho_far = math.hypot(cfg.altitude_km, z_far)
-    p_los = 1.0 / (1.0 + env.phi * math.exp(env.psi * env.phi))
-    tails = {}
-    for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):
-        alpha, k, wbar = cfg.mode_params(mode)
+def _tail_edges(env: Environment, cfg: ChannelConfig, v_max: float,
+                z_far: float) -> np.ndarray:
+    """The far panel edges beyond z_far: every _FAR_STEP-th lattice edge out
+    to the first at which v_max L_n(z) sits below half of each link mode's
+    linear gate at its grazing spread, the smallest gate at any elevation, so
+    beyond it every mode's kernel is linear (`_linear_rest`)."""
+    edges = [z_far]
+    for mode in ("los", "nlos"):
         mu, a, _ = env.mode_params(mode)
         m_ln, s_ln = -_DB_TO_LN * mu, _DB_TO_LN * a
         c_lin = float(linear_threshold(m_ln, s_ln))
@@ -288,26 +281,27 @@ def _grazing_tails(v: np.ndarray, env: Environment, cfg: ChannelConfig,
             raise ConvergenceError(
                 "far radial tail overflowed; the grazing-angle shadowing spread "
                 f"of environment {env.name!r} is too wide to evaluate")
-        delta = 2.0 / alpha
-        c_far = v * k * rho_far ** -alpha
-        g = mean_gain * c_far ** (1.0 - delta) / (1.0 - delta)
-        above = np.flatnonzero(c_far >= c_lin)
-        if above.size:
-            order = above[np.argsort(c_far[above])]
-            t_far = np.log(c_far[order])
-            t_lin = math.log(c_lin)
-            # lead-in panels no wider than the ln v panels
-            n_lead = max(1, math.ceil((t_far[0] - t_lin) / _V_PANEL_WIDTH))
-            edges = np.concatenate([np.linspace(t_lin, t_far[0], n_lead + 1)[:-1],
-                                    t_far])
-            t, w = _gl_panels(edges, _GL_NODES)
-            u = np.exp(t)
-            kern = _shadow_expectation(u, m_ln, s_ln, wbar, quad.hermite_nodes)
-            panels = (w * u ** -delta * kern).reshape(-1, _GL_NODES).sum(axis=1)
-            g[order] = (mean_gain * c_lin ** (1.0 - delta) / (1.0 - delta)
-                        + np.cumsum(panels)[n_lead - 1:])
-        tails[mode] = p_mode * (v * k) ** delta / alpha * g
-    return tails
+        alpha, k, _ = cfg.mode_params(mode)
+        while v_max * k * math.hypot(cfg.altitude_km, edges[-1]) ** -alpha >= 0.5 * c_lin:
+            edges.append(edges[-1] * _OUTER_RATIO ** _FAR_STEP)
+    return np.array(edges[1:])
+
+
+def _linear_rest(v: np.ndarray, env: Environment, cfg: ChannelConfig,
+                 z_e: float) -> np.ndarray:
+    """int_{z_e}^inf z k_n(z, v) dz per link mode n, shape (2, v), beyond the
+    last `_tail_edges` edge z_e, where each kernel is its linear limit
+    v L_n(z) E[V_n]: p_n E[V_n] k_n v (H^2 + z_e^2)^(1 - alpha_n/2) /
+    (alpha_n - 2), with the marks p_n and E[V_n] read at z_e."""
+    h = cfg.altitude_km
+    p_los = los_probability(z_e, h, env)
+    rest = np.empty((2, v.size))
+    for n, (mode, p_mode) in enumerate((("los", p_los), ("nlos", 1.0 - p_los))):
+        alpha, k, _ = cfg.mode_params(mode)
+        m_ln, s_ln = shadowing_log_moments(z_e, h, mode, env)
+        rest[n] = (p_mode * math.exp(m_ln + 0.5 * float(s_ln) ** 2) * k
+                   * math.hypot(h, z_e) ** (2.0 - alpha) / (alpha - 2.0)) * v
+    return rest
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,21 +338,23 @@ def _radial_group(env: Environment, unit: ChannelConfig, hermite_nodes: int,
     Gauss-Legendre nodes u of the ln u lattice panels _GROUP_PANELS*g to
     _GROUP_PANELS*(g+1) - 1, each of shape (mode, edge, u): per link mode n,
     P[n, i] = int_0^{zeta_i} zeta k_n(zeta, u) dzeta and S[n, i] =
-    int_{zeta_i}^inf, whose part beyond the last edge, zeta_far, is the
-    grazing-limit tail. `unit` is the channel with altitude_km, k_los and
-    k_nlos all 1; of the quadrature, a group reads only hermite_nodes and
-    rel_tol. A group is one kernel_table call, so its bits do not depend on
+    int_{zeta_i}^inf, whose part beyond the last edge, zeta_far, is more far
+    panels out to the group's `_tail_edges` and the `_linear_rest` beyond
+    them. `unit` is the channel with altitude_km, k_los and k_nlos all 1; of
+    the quadrature, a group reads only hermite_nodes and rel_tol. A group is one kernel_table call, so its bits do not depend on
     which geometry asked for it first."""
     quad = QuadratureConfig(hermite_nodes=hermite_nodes, rel_tol=rel_tol)
     u = _v_rule(_GROUP_PANELS * g, _GROUP_PANELS * (g + 1) - 1)[0]
     edges = _radial_edges(_grazing_radius(env, rel_tol))
-    # the tail first: it refuses a spread too wide to evaluate before any
-    # panel is integrated
-    tails = _grazing_tails(u, env, unit, quad, float(edges[-1]))
-    panels = _panel_integrals(u, env, unit, quad, edges, per_mode=True)
-    prefix = np.cumsum(np.concatenate([np.zeros((2, 1, u.size)), panels], axis=1), axis=1)
-    suffix = np.cumsum(np.concatenate([np.stack([tails["los"], tails["nlos"]])[:, None],
-                                       panels[:, ::-1]], axis=1), axis=1)[:, ::-1]
+    # the tail edges first: they refuse a spread too wide to evaluate before
+    # any panel is integrated
+    every = np.append(edges, _tail_edges(env, unit, float(u[-1]), float(edges[-1])))
+    panels = _panel_integrals(u, env, unit, quad, every, per_mode=True)
+    rest = _linear_rest(u, env, unit, float(every[-1]))
+    prefix = np.cumsum(np.concatenate([np.zeros((2, 1, u.size)), panels[:, :edges.size - 1]],
+                                      axis=1), axis=1)
+    suffix = np.cumsum(np.concatenate([rest[:, None], panels[:, ::-1]], axis=1),
+                       axis=1)[:, ::-1][:, :edges.size]
     for table in (prefix, suffix):
         table.flags.writeable = False  # memoized and shared, as _ScenarioTables
     return prefix, suffix
@@ -479,8 +475,9 @@ def _assemble_rates(cfg: ScenarioConfig, probs: np.ndarray
     out _W_STEP panels and the assembly retries; after _W_MOVES moves it
     raises ConvergenceError naming the end. Every try starts from _W_START,
     so the window does not depend on which scenario built the tables first.
-    The radial integrals have no truncation to guard: the grazing-limit tail
-    runs to infinity from a z_far placed by rel_tol.
+    The radial integrals have no truncation to guard: their far panels run
+    to where every kernel is linear, and the closed-form linear rest runs
+    from there to infinity.
     """
     k_lo, k_hi = _W_START
     p_c = np.append(probs, 0.5)[:, None]  # the last row is the guard's probe

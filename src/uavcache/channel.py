@@ -425,8 +425,8 @@ def ndtri(p, out=None):
 # ~ c*E[V^2]/E[V] = c*exp(m + 1.5 s^2), and the saturation deficit from the
 # log-normal mass beyond the 1/c saturation point, a fraction Phi(s - t) of
 # the mean with t = (ln(1/c) - m)/s. Both stay below ~1e-8 under this gate.
-# The far radial tail reuses the same gate: below it the tail's grazing-limit
-# integral is closed-form, above it the tail evaluates this kernel.
+# The far radial tail reuses the same gate: its panels run out to where every
+# cell sits below half of it, and the rest beyond is closed-form.
 _LIN_QUAD = 1e-8
 _LIN_TAIL = 5.6
 

@@ -9,11 +9,12 @@ method. `sweep` executes every sweep block in the config. Both exit 0 only
 when every row succeeded; any failed row yields exit status 3. `validate`
 parses the config and reports what would run without running it. A config
 that is missing, unreadable or invalid, or an output path that cannot be
-written, prints `error: ...` and exits 2.
+written, prints `error: ...` and exits 2 before any row runs.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 
@@ -65,8 +66,12 @@ def _apply_cli_overrides(spec: SweepSpec, args: argparse.Namespace) -> SweepSpec
     return replace(spec, **changes) if changes else spec
 
 
-def _emit(rows, out: str | None) -> int:
-    emit_csv(rows, sys.stdout if out is None else out)
+def _run_sweeps(specs: list[SweepSpec], out: str | None) -> int:
+    # the output opens before any row runs, so an unwritable path fails fast
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w", encoding="utf-8", newline="")) as stream:
+        rows = [row for spec in specs for row in run_sweep(spec)]
+        emit_csv(rows, stream)
     return 3 if any(r.method == "failed" for r in rows) else 0
 
 
@@ -81,7 +86,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed if args.seed is not None else run_cfg.seed,
         sim_options=run_cfg.sim_options,
         environment_map=dict(run_cfg.custom_environments))
-    return _emit(run_sweep(spec), args.out)
+    return _run_sweeps([spec], args.out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -89,10 +94,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not run_cfg.sweeps:
         raise UavCacheError("config defines no sweeps; add a `sweeps:` section "
                             "or use `uavcache run`")
-    rows = []
-    for spec in run_cfg.sweeps:
-        rows.extend(run_sweep(_apply_cli_overrides(spec, args)))
-    return _emit(rows, args.out)
+    return _run_sweeps([_apply_cli_overrides(spec, args) for spec in run_cfg.sweeps], args.out)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -317,18 +317,19 @@ def test_criterion_08_channel_statistics():
 
 def direct_radial_table(env, cfg, quad, k_lo, k_hi):
     """`analytics._radial_table` without the unit-altitude table: the same
-    edges and panels, with the kernel and the grazing-limit tail evaluated at
-    cfg's own altitude on the v grid of the ln w lattice panels k_lo to k_hi,
+    edges and panels, the far panels out to the tail edges of the grid's
+    largest v and the linear rest beyond them, evaluated at cfg's own
+    altitude on the v grid of the ln w lattice panels k_lo to k_hi,
     w = v k_los H^-alpha_los, so nothing is interpolated."""
     alpha, k, _ = cfg.mode_params("los")
     v = analytics._v_rule(k_lo, k_hi)[0] * cfg.altitude_km ** alpha / k
     edges = cfg.altitude_km * analytics._radial_edges(
         analytics._grazing_radius(env, quad.rel_tol))
-    panels = analytics._panel_integrals(v, env, cfg, quad, edges)
-    tails = analytics._grazing_tails(v, env, cfg, quad, float(edges[-1]))
-    prefix = np.cumsum(np.vstack([np.zeros(v.size), panels]), axis=0)
-    suffix = np.cumsum(np.vstack([tails["los"] + tails["nlos"], panels[::-1]]),
-                       axis=0)[::-1]
+    every = np.append(edges, analytics._tail_edges(env, cfg, float(v[-1]), float(edges[-1])))
+    panels = analytics._panel_integrals(v, env, cfg, quad, every)
+    rest = analytics._linear_rest(v, env, cfg, float(every[-1])).sum(axis=0)
+    prefix = np.cumsum(np.vstack([np.zeros(v.size), panels[:edges.size - 1]]), axis=0)
+    suffix = np.cumsum(np.vstack([rest, panels[::-1]]), axis=0)[::-1][:edges.size]
     return edges, prefix, suffix
 
 
@@ -347,10 +348,10 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables):
                              quadrature=QuadratureConfig(
                                  hermite_nodes=2 * QuadratureConfig().hermite_nodes))
     rel_changes["hermite_nodes"] = abs(content_capacity(alt_cfg, 1) - base) / base
-    # the radial table: its panels run 1.6**(2*_FAR_STEP) times farther out
-    # (two more far panels) before the grazing-limit tail takes over, or put
-    # an edge on every lattice step beyond 64 km instead of every
-    # _FAR_STEP-th one; each patch must add edges. The table memos are
+    # the radial table: its edges run 1.6**(2*_FAR_STEP) times farther out
+    # (two more far panels) before its far tail begins, or put an edge on
+    # every lattice step beyond 64 km, the far tail's included, instead of
+    # every _FAR_STEP-th one; each patch must add edges. The table memos are
     # emptied before and after each patch, so each patch builds every
     # u-group of the radial table once and no patched table outlives it
     grazing_radius = analytics._grazing_radius
@@ -384,7 +385,8 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables):
     # the zone: at a low altitude and a wide zone (X/H = 400) the zone
     # integral spans the most panels; 20 Gauss-Legendre nodes per radial
     # panel in place of 12 must not move the rate either (_GL_NODES moves
-    # only the radial and grazing-tail nodes, not the transform rule's)
+    # only the radial nodes, the far tail's included, not the transform
+    # rule's)
     zone_cfg = rcp_scenario("urban", 20.0, channel=ChannelConfig(altitude_km=0.05))
     zone_base = content_capacity(zone_cfg, 1)
     with monkeypatch.context() as patch:

@@ -78,17 +78,19 @@ def test_scenario_validation():
 
 def laplace_factors(v, cfg, p_c):
     """(noncaching interference, caching interference outside the zone, zone
-    signal) at any v, from the engine's radial panels, split at X as its
-    reader splits them, and its grazing-limit tails."""
+    signal) at any v, from the engine's radial panels and its far panels out
+    to the tail edges of v's largest value, split at X as its reader splits
+    them, and the linear rest beyond them."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     env, ch, quad, x = cfg.env, cfg.channel, cfg.quadrature, cfg.coop_radius_km
     edges = ch.altitude_km * analytics._radial_edges(
         analytics._grazing_radius(env, quad.rel_tol))
+    edges = np.append(edges, analytics._tail_edges(env, ch, float(v.max()), float(edges[-1])))
     i = int(np.searchsorted(edges, x, side="right"))
     panels = analytics._panel_integrals(v, env, ch, quad, np.insert(edges, i, x))
-    tails = analytics._grazing_tails(v, env, ch, quad, float(edges[-1]))
     zone = panels[:i].sum(axis=0)
-    outside = panels[i:].sum(axis=0) + tails["los"] + tails["nlos"]
+    outside = (panels[i:].sum(axis=0)
+               + analytics._linear_rest(v, env, ch, float(edges[-1])).sum(axis=0))
     return analytics._laplace_factors(zone, outside, cfg, p_c)
 
 
@@ -221,8 +223,8 @@ def lattice_far_radial(v, env, ch, quad, j0, v_top):
     every lattice edge out to where v_top * L(z) sits below half the kernel's
     grazing linear gate, plus the analytic linear remainder beyond, all at the
     altitude H itself and integrated in z: an independent oracle for the
-    grazing-limit tail, the wide ln zeta panels and the table's read at
-    u = v H^-alpha."""
+    far panels beyond zeta_far, the wide ln zeta panels and the table's read
+    at u = v H^-alpha."""
     h = ch.altitude_km
     z_end = 2.0 * h
     for mode in ("los", "nlos"):
@@ -248,7 +250,8 @@ def lattice_far_radial(v, env, ch, quad, j0, v_top):
 def test_far_radial_matches_lattice_oracle(env_name):
     # the radial table's suffix from the edge where its panels turn
     # _FAR_STEP lattice steps wide and take their nodes in ln zeta
-    # (H * 1.6**9 km), against the every-edge oracle in z
+    # (H * 1.6**9 km), against the every-edge oracle in z; the worst reads
+    # 8.4e-10 (urban, H = 3 km)
     quad = QuadratureConfig()
     env = environment_preset(env_name)
     j0 = math.ceil(math.log(analytics._Z_COARSE) / analytics._OUTER_LOG)
@@ -259,7 +262,19 @@ def test_far_radial_matches_lattice_oracle(env_name):
         i = int(np.searchsorted(edges, h * analytics._Z_COARSE))
         assert edges[i] == h * analytics._OUTER_RATIO ** j0
         want = lattice_far_radial(v, env, ch, quad, j0, v[-1])
-        np.testing.assert_allclose(suffix[i], want, rtol=1e-8, atol=0, err_msg=f"H={h}")
+        np.testing.assert_allclose(suffix[i], want, rtol=2e-9, atol=0, err_msg=f"H={h}")
+
+
+def test_far_tail_refuses_an_overflowing_grazing_spread(kernel_calls):
+    # a 200 dB grazing-angle NLOS spread underflows the kernel's linear gate,
+    # so no far panel edge puts the tail in its linear limit: the rate is
+    # refused, naming the environment, before any panel is integrated
+    wide = replace(environment_preset("urban"), name="wide canyon", a_nlos=200.0)
+    cfg = replace(reference_scenario("urban", 1.0), env=wide)
+    with pytest.raises(ConvergenceError,
+                       match="far radial tail overflowed.*'wide canyon' is too wide"):
+        system_capacity(cfg)
+    assert not kernel_calls
 
 
 # --- radial table reader ---------------------------------------------------------

@@ -705,6 +705,17 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                  ["run", "--out", str(tmp_path)]):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: [Errno"), argv
+    # an output that cannot be written fails before any row runs
+    sweep_cfg = tmp_path / "sweep.yaml"
+    sweep_cfg.write_text(MINIMAL_SWEEP_YAML)
+    swept = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run_sweep", swept.append)
+        for argv in (["run", "--out", str(tmp_path)],
+                     ["sweep", "--config", str(sweep_cfg), "--out", str(tmp_path)]):
+            assert cli.main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("error: [Errno"), argv
+    assert not swept
     # config without sweeps cannot drive the sweep subcommand
     empty = tmp_path / "empty.yaml"
     empty.write_text("scenario:\n  library_size: 6\n  cache_size: 2\n")
@@ -828,6 +839,19 @@ def test_monte_carlo_row_fails_on_spike_overload_and_sweep_continues():
     failed, ok = run_sweep(spec)
     assert (failed.env, failed.method, failed.capacity_bits) == ("canyon", "failed", None)
     assert (ok.env, ok.method) == ("sub_urban", "monte_carlo")
+    assert ok.capacity_bits > 0
+
+
+def test_analytic_row_fails_on_far_tail_overflow_and_sweep_continues():
+    # a 200 dB grazing-angle NLOS spread is refused by the radial table's
+    # far tail; that row fails and the next one still runs
+    wide = replace(environment_preset("urban"), name="wide", a_nlos=200.0)
+    spec = SweepSpec(name="wide", variable="x_cop", grid=(1.0,),
+                     base=parse_config({}).scenario, environments=("wide", "sub_urban"),
+                     methods=("analytic",), environment_map={"wide": wide})
+    failed, ok = run_sweep(spec)
+    assert (failed.env, failed.method, failed.capacity_bits) == ("wide", "failed", None)
+    assert (ok.env, ok.method) == ("sub_urban", "analytic")
     assert ok.capacity_bits > 0
 
 

@@ -9,7 +9,8 @@ read somewhere in the package itself: a helper that only tests or scripts
 call is dead code in the program.
 
 The benchmark's tracer rebinds imported names inside package modules, so
-every name it traces must still be bound where it looks for it.
+every name it traces must still be bound where it looks for it, and a traced
+benchmark run must still complete and record every span it traces.
 
 SciPy is a test-only dependency: no package module imports it, and importing
 the package and computing rows leaves it unloaded.
@@ -17,6 +18,7 @@ the package and computing rows leaves it unloaded.
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -55,7 +57,7 @@ def exported_names(tree: ast.Module) -> set[str]:
 
 def test_modules_are_found():
     names = {p.name for p in MODULES}
-    assert {"__init__.py", "simulator.py", "harness.py", "crosscheck.py"} <= names
+    assert {"__init__.py", "simulator.py", "harness.py", "csv_diff.py"} <= names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -100,16 +102,57 @@ def test_private_definitions_are_read_in_the_package():
     assert not unread, f"private definitions nothing in the package reads: {unread}"
 
 
-def test_benchmark_traced_names_exist():
-    path = ROOT / "perfbench" / "child.py"
-    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+def benchmark_child():
+    """perfbench/child.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_child",
+                                                  ROOT / "perfbench" / "child.py")
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
+    return child
+
+
+def test_benchmark_traced_names_exist():
+    child = benchmark_child()
     missing = [f"{module_name}.{name}"
                for module_name, names in child.TRACED.items()
                for name in names
                if not hasattr(importlib.import_module(module_name), name)]
     assert child.TRACED and not missing, f"traced names not bound: {missing}"
+
+
+# the traced names each benchmark workload's traced run reaches; between
+# them, the two reach every one
+TRACED_REACH = {
+    "density_policy_sweep": {
+        "analytics.system_capacity", "analytics.energy_efficiency", "caching.solve_rcp",
+        "caching.mpc_policy", "caching.lru_che", "caching.lru_empirical_policy",
+        "channel.kernel_table"},
+    "mc_crosscheck": {
+        "caching.solve_rcp", "caching.mpc_policy", "caching.lru_che",
+        "simulator.estimate_capacity", "simulator.estimate_ee",
+        "channel.link.los_probability", "channel.link.shadowing_sigma_db",
+        "channel.link.path_loss", "channel.link.shadowing_log_moments"},
+}
+
+
+def test_traced_workloads_reach_every_traced_name():
+    traced = {span for names in benchmark_child().TRACED.values()
+              for span in names.values()}
+    assert set().union(*TRACED_REACH.values()) == traced
+
+
+@pytest.mark.parametrize("workload", sorted(TRACED_REACH))
+def test_traced_benchmark_run_records_its_spans(workload, tmp_path):
+    # a traced counter reads its call's arguments, so a change to a traced
+    # function's signature breaks the traced run, not the untraced one
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "--workload", workload,
+         "--seed", "7", "--out", str(tmp_path), "--trace"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    spans = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))
+    missing = TRACED_REACH[workload] - {span[2] for span in spans}
+    assert not missing, f"{workload}: no span recorded for {sorted(missing)}"
 
 
 def test_package_never_imports_scipy():
