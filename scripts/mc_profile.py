@@ -5,11 +5,13 @@ each one produced.
 For each (environment, cooperation radius X) the script takes the default
 scenario (`parse_config({})`) in that environment and radius with the
 `lru_che` placement, which makes every content live as in the benchmark's
-20-content mc_crosscheck row, and times four stages at the default
+20-content mc_crosscheck row, and times five stages at the default
 simulation options:
 
-  far_build     the far-field model (`_FarField`): grid, spike intensities
-                and guide tables, mean floor;
+  far_tau       the far field's spike threshold (`_FarField._threshold`):
+                the floor's bias bound at every lattice point, in one pass;
+  far_build     the far-field model (`_FarField`): threshold, grid, spike
+                intensities and guide tables, mean floor;
   far_sample    its spikes for one chunk of --trials trials
                 (`_FarField.sample`);
   draw_links    `_draw_links` on LINKS radii, area-uniform on the zone
@@ -23,13 +25,15 @@ estimators key theirs, so each of its REPEATS runs returns the same bytes.
 
 One JSON line per (stage, env, X):
   stage, env, x_cop_km, trials,
-  args      the stage's size: expected spikes per trial or chunk, links,
-            or live contents,
+  args      the stage's size: for far_build the threshold's lattice index k
+            (tau = g(X) 10^(k/4)), its bias bound B(tau) in nats and the
+            expected spikes per trial; expected spikes per chunk, links, or
+            live contents for the others,
   best_s    fastest of REPEATS wall times,
-  sha256    SHA-256 of the float64 bytes the stage returned (for
-            far_build: the floor, then each mode's spike count, CDF and
-            guide table; for draw_links: the LOS flags, then the gains;
-            for zone_chunk: the (live contents, trials) rates).
+  sha256    SHA-256 of the float64 bytes the stage returned (for far_tau:
+            tau; for far_build: the floor, then each mode's spike count,
+            CDF and guide table; for draw_links: the LOS flags, then the
+            gains; for zone_chunk: the (live contents, trials) rates).
 
 Usage: python3 scripts/mc_profile.py [--case ENV:X_KM ...] [--trials N]
 """
@@ -79,12 +83,11 @@ def profile(env_name: str, x_cop: float, trials: int) -> list[dict]:
     base = parse_config({}).scenario
     cfg = replace(base, env=environment_preset(env_name), coop_radius_km=x_cop)
     cfg = cfg.with_policy(lru_che(cfg.library.popularity, cfg.policy.cache_size))
-    spike_rel = SimOptions().spike_rel
     field_purpose = simulator._PURPOSE_FIELD
 
-    far_args = (cfg.env, cfg.channel, cfg.interferer_density, x_cop, spike_rel)
+    far_args = (cfg.env, cfg.channel, cfg.interferer_density, x_cop)
     far = simulator._FarField(*far_args)
-    spikes = sum(md.lam for md in far.modes) * trials
+    spikes = far.spikes * trials
     field = far.sample(rng(field_purpose), trials) + far.floor
     zone = simulator._Zone(cfg.env, cfg.channel, cfg.zone_mean_uavs,
                            cfg.interferer_density, x_cop, cfg.policy.probabilities,
@@ -102,7 +105,10 @@ def profile(env_name: str, x_cop: float, trials: int) -> list[dict]:
         return out
 
     stages = (
-        ("far_build", {"spikes_per_trial": round(spikes / trials, 2)},
+        ("far_tau", {}, lambda: simulator._FarField._threshold(*far_args),
+         lambda res: digest(res[1])),
+        ("far_build", {"k": far.k, "bias_nats": float(f"{far.bias:.3g}"),
+                       "spikes_per_trial": round(far.spikes, 2)},
          lambda: simulator._FarField(*far_args), far_digest),
         ("far_sample", {"spikes": round(spikes)},
          lambda: far.sample(rng(field_purpose), trials), digest),

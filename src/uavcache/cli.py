@@ -7,7 +7,10 @@
 `run` evaluates the configured scenario at a single point, one row per
 method. `sweep` executes every sweep block in the config. Both exit 0 only
 when every row succeeded; any failed row yields exit status 3. `validate`
-parses the config and reports what would run without running it. A config
+parses the config and reports what would run without running it: for a
+sweep with Monte Carlo rows, per geometry its far field's threshold, floor
+bias bound and expected spikes per trial, and whether the spike budget
+would refuse the rows. A config
 that is missing, unreadable or invalid, or an output path that cannot be
 written, prints `error: ...` and exits 2 before any row runs.
 """
@@ -19,8 +22,8 @@ import sys
 from dataclasses import replace
 
 from .errors import UavCacheError
-from .harness import (METHODS, RunConfig, SweepSpec, emit_csv, load_config,
-                      parse_config, run_sweep)
+from .harness import (METHODS, RunConfig, SweepSpec, emit_csv, far_field_costs,
+                      load_config, parse_config, run_sweep)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,6 +115,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
               f"{n_rows} rows (envs={list(spec.environments)}, "
               f"policies={list(spec.policies)}, methods={list(spec.methods)}, "
               f"trials={spec.trials}, seed={spec.seed})")
+        for value, env_name, far, refused in far_field_costs(spec):
+            where = f"  monte_carlo {env_name} {spec.variable}={value:g}:"
+            if far is None:
+                print(where, "empty zone, no far field")
+                continue
+            print(where, f"far field k={far.k} (tau = g(X) 10^(k/4)), floor bias "
+                  f"bound {far.bias:.2g} nats, {far.spikes:.3g} spikes per trial; "
+                  + (f"refused: {refused}" if refused else "within the spike budget"))
     print("config ok")
     return 0
 

@@ -33,7 +33,7 @@ from .caching import (POLICY_KINDS, ContentLibrary, PlacementPolicy, lru_che,
 from .channel import ChannelConfig, Environment, environment_preset
 from .errors import ConfigError, UavCacheError
 from .simulator import (_PURPOSE_LRU, SimEstimate, SimOptions, _chunk_rng,
-                        estimate_capacity, estimate_ee)
+                        _FarField, estimate_capacity, estimate_ee)
 
 # The scenario's scalar keys in SweepRow's column order, density to kappa:
 # key -> (sweep variable or None, type, ScenarioConfig attribute, default).
@@ -494,6 +494,30 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             rows.append(SweepRow(scenario_id, env_name, policy_kind, method,
                                  *settings.values(), *metrics, seed))
     return rows
+
+
+def far_field_costs(spec: SweepSpec) -> list[tuple[float, str, _FarField | None, str | None]]:
+    """(grid value, environment, far field, refusal) per geometry of a sweep
+    with monte_carlo rows, in row order, without drawing: the far field its
+    rows would draw (its threshold's lattice index k, bias bound and expected
+    spikes per trial), None where the zone is empty and none is drawn, and
+    why its chunks would be refused (`_FarField.overload`), or None. A sweep
+    without monte_carlo rows has none."""
+    if "monte_carlo" not in spec.methods:
+        return []
+    base = spec.base
+    chunk = min(spec.sim_options.chunk_size, spec.trials)
+    out = []
+    for value, env_name in itertools.product(spec.grid, spec.environments):
+        # the field reads no placement, so a one-file cache stands in
+        sc = _scenario({**spec.settings(value), "cache_size": 1},
+                       _resolve_environment(env_name, spec.environment_map),
+                       base.channel, base.power, base.quadrature)
+        far = None
+        if sc.zone_mean_uavs > 0.0:
+            far = _FarField(sc.env, sc.channel, sc.interferer_density, sc.coop_radius_km)
+        out.append((value, env_name, far, far.overload(chunk) if far else None))
+    return out
 
 
 def _fmt(value: float | None) -> str:

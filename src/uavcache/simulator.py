@@ -7,10 +7,11 @@ adds the interference from beyond the zone, and estimates rates empirically.
 
 Interference from beyond the cooperation zone is the far-field model, from
 the zone edge outward: links whose path-loss-times-shadowing product exceeds a
-small threshold form a Poisson "spike" process of their own (the marking
-theorem), sampled exactly on a log-radius grid; the remainder enters as a
-deterministic mean floor computed from exact log-normal partial moments, and
-the tail beyond the grid is added analytically.
+threshold form a Poisson "spike" process of their own (the marking theorem),
+sampled exactly on a log-radius grid; the remainder enters as a deterministic
+mean floor computed from exact log-normal partial moments, and the tail
+beyond the grid is added analytically. The threshold is the largest whose
+floor biases a rate by at most _FLOOR_BIAS nats (`_FarField._threshold`).
 
 A capacity trial splits in two. Beyond the cooperation zone every UAV on the
 sub-channel interferes whatever it caches, so the far field is one
@@ -43,8 +44,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .analytics import ScenarioConfig, _poisson_k_max
-from .channel import (ChannelConfig, Environment, los_probability, ndtr, ndtri,
-                      path_loss, shadowing_log_moments, shadowing_sigma_db)
+from .channel import (ChannelConfig, Environment, log_ndtr, los_probability, ndtr,
+                      ndtri, path_loss, shadowing_log_moments, shadowing_sigma_db)
 from .errors import ConfigError, ConvergenceError
 
 _MASK64 = (1 << 64) - 1
@@ -62,6 +63,11 @@ _PURPOSE_FIELD = 4
 # about _SPIKE_BLOCK expected links.
 _SPIKE_BUDGET = 2 ** 24
 _SPIKE_BLOCK = 8192
+# rate bias, in nats, that the far field's sub-threshold floor may cause, and
+# the quarter-decade lattice points below the zone-edge gain its threshold is
+# chosen from (`_FarField._threshold`)
+_FLOOR_BIAS = 5e-4
+_TAU_STEPS = 48
 
 
 @dataclass(frozen=True)
@@ -74,13 +80,10 @@ class SimOptions:
     field draw is refused above 16384 expected spikes per trial.
     """
 
-    spike_rel: float = 1e-6
     chunk_size: int = 1024
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        if not self.spike_rel >= 1e-12:
-            raise ConfigError(f"spike_rel = {self.spike_rel} out of range (must be >= 1e-12)")
         if self.chunk_size < 1 or self.n_jobs < 1:
             raise ConfigError("chunk_size and n_jobs must be >= 1")
 
@@ -249,7 +252,8 @@ class _SpikeMode:
 class _FarField:
     """Spike intensities and mean floor for interference beyond the
     cooperation zone X at interferer density lam_i, with spikes resolved
-    down to spike_rel (`_spike_threshold`).
+    down to the threshold tau of `_threshold`: its lattice index `k`, its
+    bound `bias` B(tau), and `spikes`, the expected spikes per trial.
 
     Per mode, links with path_loss * V > tau are a Poisson process on a
     log-radius grid from the zone edge (sampled exactly via inverse-CDF radii
@@ -265,12 +269,14 @@ class _FarField:
 
     _PROBE_SPAN = 45.0   # e-folds of radius probed for the grid end
     _PROBE_STEP = 0.05
+    _BIAS_THIN = 10      # the bound reads every 10th, half an e-fold apart
     _SPIKE_TAIL = 1e-6   # expected spikes allowed beyond the grid
 
     def __init__(self, env: Environment, ch: ChannelConfig, lam_i: float,
-                 x: float, spike_rel: float):
+                 x: float):
         h = ch.altitude_km
-        tau = _spike_threshold(env, ch, x, spike_rel)
+        self.k, self.tau, self.bias = self._threshold(env, ch, lam_i, x)
+        tau = self.tau
         zg = self._grid(env, ch, lam_i, x, tau)
         p_los = los_probability(zg, h, env)
         self.modes = []
@@ -291,6 +297,78 @@ class _FarField:
             self.modes.append(_SpikeMode(zg, cum / max(cum[-1], 1e-300), s_ln, m_ln,
                                          lam_tot, tau, h, alpha, k, wbar))
         self.floor = floor
+        self.spikes = sum(md.lam for md in self.modes)
+
+    @classmethod
+    def _threshold(cls, env: Environment, ch: ChannelConfig, lam_i: float,
+                   x: float) -> tuple[int, float, float]:
+        """(k, tau, B(tau)): the largest threshold tau_k = g 10^(k/4),
+        k = -_TAU_STEPS..0, whose bound B(tau) = Var(I_sub) / (2 E[I_sub]^2)
+        is at most _FLOOR_BIAS (the finest, k = -_TAU_STEPS, when none is),
+        with g the zone-edge LOS median gain `_edge_gain`.
+
+        Why B bounds the floor's bias. The floor stands in for I_sub, the
+        interference of the links with L V <= tau, by its mean. A trial's
+        rate r = ln(1 + S/I) has I^2 r'' = 1 - 1/(1 + S/I)^2 <= min(1, 2r)
+        in its interference I, which is at least E[I_sub]; so to second
+        order the floor moves the rate by (1/2) r'' Var(I_sub) <=
+        B min(1, 2r). By Campbell's theorem (Haenggi, Stochastic Geometry for
+        Wireless Networks, CUP 2012, ch. 4), with p_n, L_n and W_n each
+        mode's probability, path loss and Nakagami shape,
+          E[I_sub] = int 2 pi lam_i z sum_n p_n L_n E[V_n; L_n V_n <= tau] dz,
+          Var(I_sub) = int 2 pi lam_i z sum_n p_n L_n^2 (1 + 1/W_n)
+                           E[V_n^2; L_n V_n <= tau] dz,
+        with the log-normal partial moments taken as exp(... + log_ndtr(...)),
+        so a wide grazing spread cannot overflow them.
+
+        Why 5e-4 nats. At the default 10k trials B min(1, 2r) stays below a
+        tenth of a content's standard error: measured for every live content
+        of the rcp placement in each environment at X = 1 and 3 km and at
+        1e-3 and 1 UAVs per km^2, it is at most 0.072 of it. Per-trial spreads (given a nonempty zone) are
+        1.1-2.9 nats at 1e-3 UAVs per km^2, where min(1, 2r) = 1; at 1 per
+        km^2 they fall to 0.001-0.3 nats, but there the SIR is low, the rate
+        falls with the spread and the 2r factor applies.
+
+        One (tau, z) array pass: every lattice tau against every
+        _BIAS_THIN-th probe point, a trapezoid in ln z, each mode's power-law
+        tail beyond the last point closed with its marks there. B need not
+        be monotone in tau. The result does not change when both path-loss
+        intercepts are scaled by a power of two: it reads L / g only.
+        """
+        h = ch.altitude_km
+        g = _edge_gain(env, ch, x)
+        step = cls._PROBE_STEP * cls._BIAS_THIN
+        z = np.exp(math.log(x) + step * np.arange(int(cls._PROBE_SPAN / step) + 1))
+        # per unit ln z, trapezoid weights: 2 pi lam_i z^2 dln z
+        dens = 2.0 * math.pi * lam_i * z * z
+        weights = dens * step
+        weights[[0, -1]] *= 0.5
+        log_t = (math.log(10.0) / 4.0) * np.arange(-_TAU_STEPS, 1)  # ln(tau/g)
+        p_los = los_probability(z, h, env)
+        mean = var = 0.0
+        for mode, pm in (("los", p_los), ("nlos", 1.0 - p_los)):
+            alpha, _, wbar = ch.mode_params(mode)
+            m_ln, s = shadowing_log_moments(z, h, mode, env)
+            ell = np.log(path_loss(z, h, mode, ch) / g)
+            # a = (ln(tau/L) - m_ln) / s_ln, a row per tau, and per g and g^2
+            # the moments L E[V; LV <= tau] and L^2 (1 + 1/W) E[V^2; LV <= tau]
+            a = (log_t[:, None] - (ell + m_ln)) / s
+            part_mean = log_ndtr(a - s)
+            part_mean += ell + m_ln + 0.5 * s * s
+            np.exp(part_mean, out=part_mean)
+            a -= 2.0 * s
+            part_var = log_ndtr(a, out=a)
+            part_var += 2.0 * (ell + m_ln + s * s) + math.log1p(1.0 / wbar)
+            np.exp(part_var, out=part_var)
+            tail = dens[-1] * pm[-1]
+            mean = mean + part_mean @ (weights * pm) + part_mean[:, -1] * (tail / (alpha - 2.0))
+            var = var + part_var @ (weights * pm) + part_var[:, -1] * (tail / (2.0 * alpha - 2.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bias = 0.5 * var / (mean * mean)
+        ok = np.flatnonzero(bias <= _FLOOR_BIAS)
+        j = int(ok[-1]) if ok.size else 0
+        k = j - _TAU_STEPS
+        return k, g * 10.0 ** (k / 4.0), float(bias[j])
 
     @classmethod
     def _grid(cls, env: Environment, ch: ChannelConfig, lam_i: float,
@@ -313,6 +391,16 @@ class _FarField:
         span = max(float(u[end] - u[0]), 2.0)
         n = max(400, int(math.ceil(span / 0.018)))
         return np.exp(np.linspace(u[0], u[0] + span, n))
+
+    def overload(self, n_trials: int) -> str | None:
+        """Why a chunk of n_trials is refused before it samples: it expects
+        more than _SPIKE_BUDGET spikes. None when it is not."""
+        spikes = self.spikes * n_trials
+        if spikes <= _SPIKE_BUDGET:
+            return None
+        return (f"expects {spikes:.2e} far-field spikes per chunk of {n_trials} "
+                f"trials (> {_SPIKE_BUDGET}) at threshold tau = g(X) 10^({self.k}/4); "
+                "lower simulation.chunk_size")
 
     def sample(self, rng: np.random.Generator, n_trials: int) -> np.ndarray:
         """Per-trial spike interference. Fixed draw order per mode: counts,
@@ -337,12 +425,11 @@ class _FarField:
         return out
 
 
-def _spike_threshold(env: Environment, ch: ChannelConfig, x: float,
-                     spike_rel: float) -> float:
-    """Far-field spikes are resolved down to spike_rel times the typical
-    zone-edge LOS signal gain (path loss times median shadowing) at radius x."""
+def _edge_gain(env: Environment, ch: ChannelConfig, x: float) -> float:
+    """The typical zone-edge LOS signal gain g(X): path loss times median
+    shadowing at radius x, the scale of the far field's threshold lattice."""
     m_ln, _ = shadowing_log_moments(x, ch.altitude_km, "los", env)
-    return spike_rel * float(path_loss(x, ch.altitude_km, "los", ch)) * math.exp(float(m_ln))
+    return float(path_loss(x, ch.altitude_km, "los", ch)) * math.exp(float(m_ln))
 
 
 def _truncated_poisson_cdf(m: float) -> np.ndarray:
@@ -475,14 +562,10 @@ def _interference_field(env: Environment, ch: ChannelConfig, lam_i: float,
     row's n_trials floats. The options go in whole: n_jobs moves no byte,
     but keeps a serial and a threaded run from sharing one draw.
     """
-    far = _FarField(env, ch, lam_i, x, opts.spike_rel)
-    spikes = sum(md.lam for md in far.modes) * min(opts.chunk_size, n_trials)
-    if spikes > _SPIKE_BUDGET:
-        raise ConvergenceError(
-            f"environment {env.name!r} expects {spikes:.2e} far-field "
-            f"spikes per chunk (> {_SPIKE_BUDGET}); its grazing-angle "
-            "shadowing spread is too wide at spike_rel = "
-            f"{opts.spike_rel:g}, raise spike_rel")
+    far = _FarField(env, ch, lam_i, x)
+    refused = far.overload(min(opts.chunk_size, n_trials))
+    if refused:
+        raise ConvergenceError(f"environment {env.name!r} {refused}")
     vals = np.empty(n_trials)
 
     def worker(rng: np.random.Generator, trials: slice) -> None:

@@ -28,15 +28,16 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 from scipy.special import digamma, polygamma
 
-from uavcache import analytics, cli
+from uavcache import analytics, cli, simulator
 from uavcache.analytics import (PowerModel, QuadratureConfig, ScenarioConfig,
                                 content_capacity, energy_efficiency,
                                 system_capacity)
 from uavcache.caching import (ContentLibrary, lru_che, mpc_policy,
                               rcp_objective, solve_rcp, zipf_popularity)
 from uavcache.channel import (ChannelConfig, environment_preset, kernel_table,
-                              los_probability, path_loss, shadowing_log_moments)
-from uavcache.simulator import SimOptions, _draw_links, estimate_capacity
+                              linear_threshold, los_probability, path_loss,
+                              shadowing_log_moments)
+from uavcache.simulator import _draw_links, estimate_capacity
 
 ENVS = ("high_rise", "dense_urban", "urban", "sub_urban")
 X_GRID = (0.5, 1.0, 2.0, 3.0, 4.0)
@@ -113,9 +114,25 @@ def test_criterion_01_placement_optimality():
     assert ok, line
 
 
+def floor_bias_in_se(cfg, est, n_trials=10_000):
+    """The far field's floor bias bound on est, in units of the content's
+    standard error at n_trials: a trial's rate r moves by at most
+    B min(1, 2r) (`simulator._FarField._threshold`), and an estimate scaled
+    by the nonempty-zone probability q by at most B q min(1, 2 r_bar), with
+    r_bar = mean / q the rate given a nonempty zone (Jensen: min(1, 2r) is
+    concave)."""
+    far = simulator._FarField(cfg.env, cfg.channel, cfg.interferer_density,
+                              cfg.coop_radius_km)
+    q = -math.expm1(-cfg.coop_mean(float(cfg.policy.probabilities[0])))
+    se = float(est.samples.std(ddof=1)) / math.sqrt(n_trials)
+    return far.bias * q * min(1.0, 2.0 * est.mean / q) / se
+
+
 def test_criterion_02_analytic_mc_agreement():
     details = []
     ok = True
+    bias_se = {}
+    # sparse legs, 1e-3 UAVs per km^2: zone means of 0.003-0.028 UAVs
     for env_name in ("sub_urban", "high_rise"):
         for x in (1.0, 3.0):
             cfg = rcp_scenario(env_name, x)
@@ -124,9 +141,31 @@ def test_criterion_02_analytic_mc_agreement():
             gap = abs(analytic - est.mean)
             limit = max(0.10 * analytic, 3.0 * est.stderr)
             ok &= gap < limit
+            bias_se[f"{env_name} X={x:g}"] = floor_bias_in_se(cfg, est)
             details.append(f"{env_name} X={x:g}: gap {gap:.1e} < {limit:.1e}")
-    line = _verdict(2, ok, "top content, 1e5 conditioned trials: "
-                           + "; ".join(details))
+    # cooperative legs, 1 UAV per km^2 at X = 3 km: a zone mean of 28 UAVs,
+    # about 9 cooperators for the top content. The bound on |z| is the
+    # two-sided 1e-3 normal quantile 3.29 plus the estimate's largest biases
+    # in standard errors: the floor's (floor_bias_in_se, at most 0.1 below)
+    # and the analytic rate's rel_tol
+    rel_tol = QuadratureConfig().rel_tol
+    for env_name in ("sub_urban", "high_rise"):
+        cfg = rcp_scenario(env_name, 3.0, uav_density=1.0)
+        assert cfg.zone_mean_uavs >= 3.0
+        analytic = content_capacity(cfg, 1)
+        est = estimate_capacity(cfg, 1, 10_000, 2026)
+        bias_se[f"{env_name} X=3 coop"] = floor_bias_in_se(cfg, est)
+        z = (est.mean - analytic) / est.stderr
+        z_max = 3.29 + bias_se[f"{env_name} X=3 coop"] + rel_tol * analytic / est.stderr
+        ok &= abs(z) < z_max
+        details.append(f"{env_name} X=3 zone mean {cfg.zone_mean_uavs:.0f}, 1e4 trials: "
+                       f"|z| {abs(z):.2f} < {z_max:.2f}")
+    # the floor bias bound is below a tenth of each content's standard error
+    # at the default 10k trials
+    ok &= max(bias_se.values()) <= 0.1
+    line = _verdict(2, ok, "top content, conditioned trials: " + "; ".join(details)
+                    + "; floor bias bound / SE(1e4) <= 0.1: "
+                    + ", ".join(f"{k} {v:.3f}" for k, v in bias_se.items()))
     assert ok, line
 
 
@@ -333,7 +372,7 @@ def direct_radial_table(env, cfg, quad, k_lo, k_hi):
     return edges, prefix, suffix
 
 
-def test_criterion_09_numerical_robustness(monkeypatch, cold_tables):
+def test_criterion_09_numerical_robustness(monkeypatch, cold_tables, cold_field):
     base_cfg = rcp_scenario("sub_urban", 1.0)
     base = content_capacity(base_cfg, 1)
     groups = analytics._radial_group.cache_info().misses
@@ -375,6 +414,30 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables):
         cold_tables()
         assert table_builds == groups > 0, f"the {name} leg must rebuild the radial table"
         assert patched_edges > edges, f"the {name} leg must add radial panel edges"
+    # the far tail's stop rule: its panels run out to where every cell sits
+    # below half of the kernel's linear gate; at 1/16 of that gate (only
+    # `_tail_edges` reads the name in analytics) the groups take more tail
+    # panels and the linear rest starts farther out, and the rate must not
+    # move. Each side builds its groups cold and counts their tail panels
+    tail_edges = analytics._tail_edges
+    tail_panels = []
+    for gate in (linear_threshold, lambda m_ln, s_ln: linear_threshold(m_ln, s_ln) / 16.0):
+        counts = []
+
+        def counting(*args):
+            out = tail_edges(*args)
+            counts.append(out.size)
+            return out
+
+        with monkeypatch.context() as patch:
+            cold_tables()
+            patch.setattr(analytics, "linear_threshold", gate)
+            patch.setattr(analytics, "_tail_edges", counting)
+            rate = content_capacity(base_cfg, 1)
+        cold_tables()
+        tail_panels.append(sum(counts))
+    assert len(counts) == groups and tail_panels[1] > tail_panels[0]
+    rel_changes["tail_gate"] = abs(rate - base) / base
     # the transform rule: 20 Gauss-Legendre nodes per ln w panel in place of
     # _V_NODES must not move the rate
     with monkeypatch.context() as patch:
@@ -410,22 +473,28 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables):
                                   for r, d in zip(read, direct))
     ok_analytic = all(c < rel_tol for c in rel_changes.values())
 
-    # the far field carries the interference beyond the zone: resolving its
-    # spikes ten times deeper must not move the estimate in either
-    # environment
+    # the far field carries the interference beyond the zone: a threshold
+    # chosen at a tenth of the floor's bias budget resolves more spikes and
+    # must not move the estimate in either environment; the field memos are
+    # emptied around the patch, so both sides draw their own field
     spike_gaps = {}
-    spike_rel = SimOptions().spike_rel
     for env_name in ("sub_urban", "high_rise"):
         cfg = rcp_scenario(env_name, 1.0)
+        cold_field()
         coarse = estimate_capacity(cfg, 1, 10_000, 11)
-        fine = estimate_capacity(cfg, 1, 10_000, 11, SimOptions(spike_rel=spike_rel / 10.0))
+        with monkeypatch.context() as patch:
+            cold_field()
+            patch.setattr(simulator, "_FLOOR_BIAS", simulator._FLOOR_BIAS / 10.0)
+            fine = estimate_capacity(cfg, 1, 10_000, 11)
+        cold_field()
         spike_gaps[env_name] = (abs(coarse.mean - fine.mean),
                                 1.96 * math.hypot(coarse.stderr, fine.stderr))
     ok_mc = all(gap < half_width for gap, half_width in spike_gaps.values())
     ok = ok_analytic and ok_mc
     line = _verdict(9, ok, "refinement rel change: "
                     + ", ".join(f"{k} {v:.1e}" for k, v in rel_changes.items())
-                    + f" (< {rel_tol:g}); spike_rel / 10 gap < CI half-width: "
+                    + f" (< {rel_tol:g}); tail panels {tail_panels[0]} -> {tail_panels[1]}"
+                    + "; floor bias / 10 gap < CI half-width: "
                     + ", ".join(f"{k} {gap:.1e} < {hw:.1e}"
                                 for k, (gap, hw) in spike_gaps.items()))
     assert ok, line

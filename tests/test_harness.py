@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uavcache
-from uavcache import caching, cli, harness
+from uavcache import caching, cli, harness, simulator
 from uavcache.analytics import PowerModel, QuadratureConfig
 from uavcache.caching import POLICY_KINDS
 from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig, Environment,
@@ -81,7 +81,9 @@ def test_unknown_keys_rejected():
     ("channel", "shadowing_convention", "literal"),
     # the Monte Carlo estimator is the conditioned one and its SIR is uncapped
     ("simulation", "mode", "conditioned"),
-    ("simulation", "sir_cap", 1e6)])
+    ("simulation", "sir_cap", 1e6),
+    # the far field's spike threshold is chosen from its own bias bound
+    ("simulation", "spike_rel", 1e-6)])
 def test_removed_keys_rejected(block, key, value, tmp_path, capsys):
     # a key whose choice is gone is unknown whatever its value, the old
     # default included
@@ -122,9 +124,8 @@ def test_out_of_range_scenario_values():
 
 @pytest.mark.parametrize("block,key,bad,edge,build", [
     ("quadrature", "rel_tol", 1e-20, 1e-16, lambda v: QuadratureConfig(rel_tol=v)),
-    ("simulation", "spike_rel", 1e-13, 1e-12, lambda v: SimOptions(spike_rel=v)),
     (None, "altitude_km", 0.0, 1e-10, lambda v: ChannelConfig(altitude_km=v)),
-], ids=["rel_tol", "spike_rel", "altitude_km"])
+], ids=["rel_tol", "altitude_km"])
 def test_config_and_api_share_each_bound(block, key, bad, edge, build):
     # each bound is stated once, in its dataclass: a value the API rejects
     # is rejected from the config and the edge value passes both
@@ -362,7 +363,6 @@ def raw_configs(draw):
         quadrature=_optional_block(
             hermite_nodes=st.integers(2, 100), rel_tol=_number(1e-12, 1e-2)),
         simulation=_optional_block(
-            spike_rel=_number(1e-9, 1.0),
             chunk_size=st.integers(1, 4096), n_jobs=st.integers(1, 8))))
     environments = sorted(ENVIRONMENT_PRESETS)
     if draw(st.booleans()):
@@ -654,6 +654,53 @@ def test_base_placement_is_built_per_row(key, variable):
     assert all(r.capacity_bits > 0 for r in rows)
 
 
+def test_cli_validate_predicts_monte_carlo_cost(tmp_path, monkeypatch, capsys):
+    # per (grid value, environment) of a sweep with monte_carlo rows, the
+    # far field's threshold index, floor bias bound and spikes per trial, as
+    # the field the rows would draw holds them, and whether its chunks would
+    # be refused; nothing is sampled, and an empty zone has no far field
+    monkeypatch.setattr(simulator._FarField, "sample",
+                        lambda *args: pytest.fail("validate sampled a far field"))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("""\
+sweeps:
+  - name: crowd
+    variable: density
+    grid: [1.0e-3, 3000.0]
+    environments: [high_rise]
+    methods: [analytic, monte_carlo]
+  - name: radius
+    variable: x_cop
+    grid: [0.0, 1.0]
+    methods: [monte_carlo]
+""")
+    assert cli.main(["validate", "--config", str(cfg)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  monte_carlo")]
+    assert len(lines) == 4
+    sparse = simulator._FarField(environment_preset("high_rise"), ChannelConfig(),
+                                 1e-3 / 64, 1.0)
+    assert lines[0].startswith("  monte_carlo high_rise density=0.001: far field "
+                               f"k={sparse.k} ")
+    assert f"bound {sparse.bias:.2g} nats, {sparse.spikes:.3g} spikes per trial" in lines[0]
+    assert lines[0].endswith("within the spike budget")
+    assert lines[1].startswith("  monte_carlo high_rise density=3000: far field k=0 ")
+    assert "refused:" in lines[1] and lines[1].endswith("lower simulation.chunk_size")
+    assert lines[2] == "  monte_carlo sub_urban x_cop=0: empty zone, no far field"
+    assert lines[3].endswith("within the spike budget")
+
+
+def test_cli_validate_predicts_nothing_for_analytic_sweeps(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "_FarField",
+                        lambda *args: pytest.fail("an analytic sweep built a far field"))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL_SWEEP_YAML)
+    assert cli.main(["validate", "--config", str(cfg)]) == 0
+    printed = capsys.readouterr().out
+    assert "sweep radius" in printed and "config ok" in printed
+    assert "far field" not in printed
+
+
 def test_validate_runs_no_lru_trace(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(caching, "lru_simulate", lambda *args: calls.append(args))
@@ -829,16 +876,15 @@ sweeps:
 
 
 def test_monte_carlo_row_fails_on_spike_overload_and_sweep_continues():
-    # a 60 dB grazing-angle NLOS spread expects about 2.4e8 far-field spikes
-    # per trial; that row fails before sampling and the next one still runs
-    canyon = replace(environment_preset("urban"), name="canyon", a_nlos=60.0)
-    spec = SweepSpec(name="canyon", variable="x_cop", grid=(1.0,),
-                     base=parse_config({}).scenario,
-                     environments=("canyon", "sub_urban"), methods=("monte_carlo",),
-                     trials=256, seed=1, environment_map={"canyon": canyon})
+    # at 3000 UAVs per km^2 the high_rise far field expects about 7.6e4
+    # spikes per trial at its cap tau = g(X); that row fails before
+    # sampling and the next one still runs
+    spec = SweepSpec(name="crowd", variable="density", grid=(3000.0,),
+                     base=parse_config({}).scenario, environments=("high_rise",),
+                     methods=("monte_carlo", "analytic"), trials=1024, seed=1)
     failed, ok = run_sweep(spec)
-    assert (failed.env, failed.method, failed.capacity_bits) == ("canyon", "failed", None)
-    assert (ok.env, ok.method) == ("sub_urban", "monte_carlo")
+    assert (failed.env, failed.method, failed.capacity_bits) == ("high_rise", "failed", None)
+    assert (ok.env, ok.method) == ("high_rise", "analytic")
     assert ok.capacity_bits > 0
 
 

@@ -80,11 +80,14 @@ def test_mc_profile_prints_one_line_per_stage(monkeypatch, capsys):
                                      "--trials", "64"])
     assert script.main() == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [r["stage"] for r in records] == ["far_build", "far_sample",
+    assert [r["stage"] for r in records] == ["far_tau", "far_build", "far_sample",
                                              "draw_links", "zone_chunk"]
     for record in records:
         assert (record["env"], record["x_cop_km"], record["trials"]) == ("high_rise", 1.0, 64)
         assert len(record["sha256"]) == 64
+    # the far field's threshold lattice index and bound, as the field holds them
+    far = records[1]["args"]
+    assert -48 <= far["k"] <= 0 and 0.0 < far["bias_nats"] <= 5e-4
     # every repeat of a stage returns the same bytes, so a rerun matches
     monkeypatch.setattr("sys.argv", ["mc_profile.py", "--case", "high_rise:1",
                                      "--trials", "64"])

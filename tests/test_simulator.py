@@ -5,7 +5,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.special import gammainc, ndtr, ndtri
+from scipy.integrate import quad
+from scipy.special import gammainc, log_ndtr, ndtr, ndtri
 
 from uavcache import simulator
 from uavcache.analytics import (PowerModel, QuadratureConfig, ScenarioConfig,
@@ -13,17 +14,13 @@ from uavcache.analytics import (PowerModel, QuadratureConfig, ScenarioConfig,
                                 system_capacity)
 from uavcache.caching import ContentLibrary, mpc_policy, solve_rcp
 from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig,
-                              environment_preset)
+                              environment_preset, los_probability, path_loss,
+                              shadowing_log_moments)
 from uavcache.errors import ConfigError, ConvergenceError
 from uavcache.simulator import (SimEstimate, SimOptions, estimate_capacity,
                                 estimate_ee)
 
 SU = environment_preset("sub_urban")
-
-# Dense deployment keeps trial counts low; the coarser far-field spike
-# threshold keeps the heavy-tail bookkeeping tractable at this interferer
-# density without touching the estimator contract.
-DENSE_OPTS = dict(spike_rel=1e-3)
 
 
 def dense_scenario(**kwargs):
@@ -35,10 +32,10 @@ def dense_scenario(**kwargs):
     return ScenarioConfig(**base)
 
 
-def far_field(cfg, spike_rel=SimOptions().spike_rel):
+def far_field(cfg):
     """The far-field model beyond cfg's cooperation zone."""
     return simulator._FarField(cfg.env, cfg.channel, cfg.interferer_density,
-                               cfg.coop_radius_km, spike_rel)
+                               cfg.coop_radius_km)
 
 
 def interference_field(cfg, n_trials, seed, opts):
@@ -50,8 +47,6 @@ def interference_field(cfg, n_trials, seed, opts):
 # --- options and sampling primitives -----------------------------------------
 
 def test_sim_options_validation():
-    with pytest.raises(ConfigError):
-        SimOptions(spike_rel=-1e-6)
     with pytest.raises(ConfigError):
         SimOptions(chunk_size=0)
     with pytest.raises(ConfigError):
@@ -84,7 +79,7 @@ def zone_draws(monkeypatch, cold_field, cfg, n_trials):
 
     monkeypatch.setattr(simulator._Zone, "_link_sums", recording_sums)
     monkeypatch.setattr(simulator, "_draw_links", recording_links)
-    opts = SimOptions(chunk_size=n_trials, **DENSE_OPTS)
+    opts = SimOptions(chunk_size=n_trials)
     cold_field()
     estimate_capacity(cfg, 1, n_trials, 42, opts)
     assert simulator._interference_field.cache_info().misses == 1
@@ -146,7 +141,7 @@ def test_estimator_matches_content_capacity():
     exact = content_capacity(cfg, 1)
     zs = []
     for seed in (7, 8, 9, 10):
-        est = estimate_capacity(cfg, 1, 4000, seed, SimOptions(**DENSE_OPTS))
+        est = estimate_capacity(cfg, 1, 4000, seed, SimOptions())
         assert est.n_trials == 4000
         zs.append((est.mean - exact) / est.stderr)
     assert abs(np.mean(zs)) < 3.0 / math.sqrt(len(zs)), zs
@@ -177,23 +172,92 @@ def test_far_field_floor_keeps_the_sir_finite(monkeypatch, cold_field):
     assert samples.max() > nonempty * math.log1p(1e6)
 
 
-def default_far_field(env_name, x):
+def default_far_field(env_name, x, uav_density=1e-3):
     lib = ContentLibrary(20, 0.8)
-    cfg = ScenarioConfig(library=lib, policy=solve_rcp(lib.popularity, 5, math.pi * 1e-3),
-                         env=environment_preset(env_name), coop_radius_km=x)
-    tau = simulator._spike_threshold(cfg.env, cfg.channel, x, SimOptions().spike_rel)
-    return cfg, tau, far_field(cfg)
+    cfg = ScenarioConfig(library=lib,
+                         policy=solve_rcp(lib.popularity, 5, math.pi * uav_density * x * x),
+                         env=environment_preset(env_name), coop_radius_km=x,
+                         uav_density=uav_density)
+    far = far_field(cfg)
+    return cfg, far.tau, far
 
 
 def test_far_field_starts_at_the_zone_edge():
     # beyond X every link is the far field's: at the default sub_urban
-    # scenario every link in X < r < 2X clears the spike threshold, so the
-    # spikes expected there are all lambda_I * pi * 3 X^2 links of that ring
-    cfg, _, far = default_far_field("sub_urban", 1.0)
+    # scenario the spikes expected in X < r < 2X are the links of that ring
+    # that clear the threshold, int 2 pi lambda_I r sum_n p_n P(L_n V_n > tau)
+    # dr: all but about 5e-6 of its lambda_I * pi * 3 X^2 links, the NLOS
+    # links that fall below tau
+    cfg, tau, far = default_far_field("sub_urban", 1.0)
+    h = cfg.channel.altitude_km
     for md in far.modes:
         assert md.zg[0] == pytest.approx(1.0, rel=1e-15)
+
+    def clearing(r):
+        p_los = los_probability(r, h, cfg.env)
+        total = 0.0
+        for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):
+            m_ln, s_ln = shadowing_log_moments(r, h, mode, cfg.env)
+            loss = path_loss(r, h, mode, cfg.channel)
+            total += p_mode * ndtr((m_ln - math.log(tau / loss)) / float(s_ln))
+        return 2.0 * math.pi * cfg.interferer_density * r * total
+
+    expected = quad(clearing, 1.0, 2.0, epsabs=0.0, epsrel=1e-10)[0]
     ring = sum(md.lam * np.interp(2.0, md.zg, md.cum) for md in far.modes)
-    assert ring == pytest.approx(cfg.interferer_density * math.pi * 3.0, rel=1e-3)
+    assert ring == pytest.approx(expected, rel=1e-3)
+
+
+def reference_bias(cfg, step=0.005, span=80.0):
+    """B(tau_k) = Var(I_sub) / (2 E[I_sub]^2) at every lattice point, from
+    scipy's log_ndtr on a fine trapezoid in ln z with each mode's power-law
+    tail beyond it, held apart from the simulator's own pass."""
+    env, ch, x = cfg.env, cfg.channel, cfg.coop_radius_km
+    h = ch.altitude_km
+    m_edge, _ = shadowing_log_moments(x, h, "los", env)
+    g = path_loss(x, h, "los", ch) * math.exp(m_edge)
+    z = np.exp(math.log(x) + np.arange(0.0, span + step / 2, step))
+    log_t = math.log(10.0) / 4.0 * np.arange(-simulator._TAU_STEPS, 1)
+    p_los = los_probability(z, h, env)
+    mean = var = 0.0
+    for mode, p_mode in (("los", p_los), ("nlos", 1.0 - p_los)):
+        alpha, _, wbar = ch.mode_params(mode)
+        m_ln, s_ln = shadowing_log_moments(z, h, mode, env)
+        ell = np.log(path_loss(z, h, mode, ch) / g)
+        a = (log_t[:, None] - ell - m_ln) / s_ln
+        f_mean = np.exp(log_ndtr(a - s_ln) + ell + m_ln + s_ln ** 2 / 2) * z * z * p_mode
+        f_var = (np.exp(log_ndtr(a - 2 * s_ln) + 2 * (ell + m_ln + s_ln ** 2))
+                 * (1 + 1 / wbar) * z * z * p_mode)
+        mean = mean + np.trapezoid(f_mean, dx=step, axis=1) + f_mean[:, -1] / (alpha - 2)
+        var = var + np.trapezoid(f_var, dx=step, axis=1) + f_var[:, -1] / (2 * alpha - 2)
+    return 0.5 * var / (2.0 * math.pi * cfg.interferer_density * mean * mean), g
+
+
+@pytest.mark.parametrize("uav_density", [1e-3, 1.0])
+@pytest.mark.parametrize("env_name", sorted(ENVIRONMENT_PRESETS))
+def test_threshold_is_the_largest_within_the_bias_budget(env_name, uav_density):
+    # tau is the largest lattice point g 10^(k/4) whose floor bound B is at
+    # most _FLOOR_BIAS, or the cap g itself; B from the simulator's probe
+    # pass agrees with the fine reference
+    for x in (1.0, 3.0):
+        cfg, tau, far = default_far_field(env_name, x, uav_density)
+        bias, g = reference_bias(cfg)
+        j = far.k + simulator._TAU_STEPS
+        assert tau == g * 10.0 ** (far.k / 4.0)
+        assert bias[j] <= simulator._FLOOR_BIAS, (x, far.k)
+        assert (bias[j + 1:] > simulator._FLOOR_BIAS).all(), (x, far.k)
+        assert far.bias == pytest.approx(bias[j], rel=1e-3)
+
+
+def test_threshold_bound_of_a_wide_spread_is_finite():
+    # a 60 dB grazing-angle NLOS spread puts E[V^2] at exp(2 s^2) = e^381
+    # or beyond; taken in logs, the bound stays finite and the threshold
+    # sits at the cap g(X), with the floor finite as well
+    canyon = replace(environment_preset("urban"), name="canyon", a_nlos=60.0)
+    for x in (1.0, 3.0):
+        far = simulator._FarField(canyon, ChannelConfig(), 1e-3 / 64, x)
+        assert far.k == 0
+        assert 0.0 < far.bias <= simulator._FLOOR_BIAS
+        assert math.isfinite(far.floor) and far.floor > 0.0
 
 
 @pytest.mark.parametrize("x", [1.0, 3.0])
@@ -241,16 +305,16 @@ def test_every_spike_clears_the_threshold():
 
 def test_estimator_error_scales_as_root_n():
     cfg = dense_scenario()
-    small = estimate_capacity(cfg, 1, 1000, 21, SimOptions(**DENSE_OPTS))
-    large = estimate_capacity(cfg, 1, 4000, 21, SimOptions(**DENSE_OPTS))
+    small = estimate_capacity(cfg, 1, 1000, 21, SimOptions())
+    large = estimate_capacity(cfg, 1, 4000, 21, SimOptions())
     assert 1.6 < small.stderr / large.stderr < 2.5
 
 
 def test_estimator_parallelism_is_invisible(cold_field):
     cfg = dense_scenario()
-    serial = estimate_capacity(cfg, 1, 2000, 5, SimOptions(n_jobs=1, **DENSE_OPTS))
+    serial = estimate_capacity(cfg, 1, 2000, 5, SimOptions(n_jobs=1))
     cold_field()
-    threaded = estimate_capacity(cfg, 1, 2000, 5, SimOptions(n_jobs=3, **DENSE_OPTS))
+    threaded = estimate_capacity(cfg, 1, 2000, 5, SimOptions(n_jobs=3))
     assert serial.mean == threaded.mean
     assert serial.stderr == threaded.stderr
     assert serial.samples.tobytes() == threaded.samples.tobytes()
@@ -258,10 +322,10 @@ def test_estimator_parallelism_is_invisible(cold_field):
 
 def test_estimator_seed_reproducibility(cold_field):
     cfg = dense_scenario()
-    a = estimate_capacity(cfg, 1, 500, 123, SimOptions(**DENSE_OPTS))
+    a = estimate_capacity(cfg, 1, 500, 123, SimOptions())
     cold_field()
-    b = estimate_capacity(cfg, 1, 500, 123, SimOptions(**DENSE_OPTS))
-    c = estimate_capacity(cfg, 1, 500, 124, SimOptions(**DENSE_OPTS))
+    b = estimate_capacity(cfg, 1, 500, 123, SimOptions())
+    c = estimate_capacity(cfg, 1, 500, 124, SimOptions())
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
     assert a.mean != c.mean
 
@@ -271,7 +335,7 @@ def test_samples_are_invariant_under_intercept_scaling(cold_field):
     # gain, and the far field's spike threshold, exactly: every SIR sample,
     # and so every rate sample, is unchanged
     cfg = dense_scenario()
-    opts = SimOptions(**DENSE_OPTS)
+    opts = SimOptions()
     base = estimate_capacity(cfg, 1, 500, 7, opts).samples
     for c in (2.0 ** 20, 2.0 ** -30):
         scaled = replace(cfg, channel=ChannelConfig(k_los=c, k_nlos=c))
@@ -279,16 +343,21 @@ def test_samples_are_invariant_under_intercept_scaling(cold_field):
 
 
 @pytest.mark.parametrize("env_name", ["sub_urban", "high_rise"])
-def test_spike_refinement_is_invisible(env_name):
+def test_spike_refinement_is_invisible(monkeypatch, cold_field, env_name):
     # the far field carries the interference beyond the zone edge: at the
-    # default scenario, resolving its spikes ten times deeper must not move
-    # the estimate
+    # default scenario, a threshold chosen at a tenth of the bias budget
+    # resolves more spikes and must not move the estimate
     lib = ContentLibrary(20, 0.8)
     cfg = ScenarioConfig(library=lib, policy=solve_rcp(lib.popularity, 5, math.pi * 1e-3),
                          env=environment_preset(env_name))
-    default = SimOptions()
-    coarse = estimate_capacity(cfg, 1, 10_000, 11, default)
-    fine = estimate_capacity(cfg, 1, 10_000, 11, SimOptions(spike_rel=default.spike_rel / 10.0))
+    coarse = estimate_capacity(cfg, 1, 10_000, 11)
+    k = far_field(cfg).k
+    with monkeypatch.context() as patch:
+        cold_field()
+        patch.setattr(simulator, "_FLOOR_BIAS", simulator._FLOOR_BIAS / 10.0)
+        assert far_field(cfg).k < k
+        fine = estimate_capacity(cfg, 1, 10_000, 11)
+    cold_field()
     assert abs(coarse.mean - fine.mean) < 1.96 * math.hypot(coarse.stderr, fine.stderr)
 
 
@@ -327,15 +396,18 @@ def test_cooperator_table_below_the_cap_is_unchanged():
 
 
 def test_field_draw_refuses_a_spike_overload(cold_field):
-    # a 60 dB grazing-angle NLOS spread expects about 2.4e8 far-field spikes
-    # per trial, hundreds of GiB per chunk: the draw must refuse before it
-    # samples rather than ask numpy for the arrays
-    canyon = replace(environment_preset("urban"), name="canyon", a_nlos=60.0)
+    # at 3000 UAVs per km^2 the high_rise far field sits at the cap tau =
+    # g(X) and still expects about 7.6e4 spikes per trial, 7.7e7 per chunk
+    # of 1024 trials: the draw must refuse before it samples rather than ask
+    # numpy for the arrays, and name the remedy left
     lib = ContentLibrary(20, 0.8)
-    cfg = ScenarioConfig(library=lib, policy=solve_rcp(lib.popularity, 5, math.pi * 1e-3),
-                         env=canyon)
-    with pytest.raises(ConvergenceError, match="'canyon'.*raise spike_rel"):
-        estimate_capacity(cfg, 1, 256, 0)
+    cfg = ScenarioConfig(library=lib, policy=solve_rcp(lib.popularity, 5, math.pi * 3000.0),
+                         env=environment_preset("high_rise"), uav_density=3000.0)
+    far = far_field(cfg)
+    assert far.k == 0 and far.spikes * 1024 > simulator._SPIKE_BUDGET
+    with pytest.raises(ConvergenceError, match="'high_rise'.*simulation.chunk_size"):
+        estimate_capacity(cfg, 1, 1024, 0)
+    assert far.overload(64) is None
 
 
 def test_stream_purposes_are_distinct():
@@ -351,7 +423,7 @@ def test_shared_field_matches_own_draw(cold_field):
     # cleared memos draw both again from the same streams, so each estimate
     # keeps its bytes
     cfg = dense_scenario()
-    opts = SimOptions(chunk_size=200, **DENSE_OPTS)
+    opts = SimOptions(chunk_size=200)
     shared = [estimate_capacity(cfg, content, 500, 17, opts) for content in (1, 2)]
     info = simulator._zone_rates.cache_info()
     assert (info.misses, info.hits) == (1, 1)
@@ -366,9 +438,9 @@ def test_shared_field_matches_own_draw(cold_field):
 
 def test_shared_field_parallelism_is_invisible(cold_field):
     cfg = dense_scenario()
-    serial = interference_field(cfg, 700, 5, SimOptions(chunk_size=100, **DENSE_OPTS))
+    serial = interference_field(cfg, 700, 5, SimOptions(chunk_size=100))
     threaded = interference_field(
-        cfg, 700, 5, SimOptions(chunk_size=100, n_jobs=3, **DENSE_OPTS))
+        cfg, 700, 5, SimOptions(chunk_size=100, n_jobs=3))
     assert simulator._interference_field.cache_info().misses == 2
     assert serial.tobytes() == threaded.tobytes()
     assert serial.shape == (700,)
@@ -414,12 +486,12 @@ def field_changes(cfg, opts):
     ]
 
 
-@pytest.mark.parametrize("change", field_changes(dense_scenario(), SimOptions(**DENSE_OPTS)))
+@pytest.mark.parametrize("change", field_changes(dense_scenario(), SimOptions()))
 def test_shared_field_key_is_checked(monkeypatch, cold_field, change):
     # the field memo is keyed on every number the draw reads: moving any one
     # of them draws a new field, one chunk of 64 or 65 trials here
     draws = count_field_draws(monkeypatch)
-    base = dict(cfg=dense_scenario(), n_trials=64, seed=7, opts=SimOptions(**DENSE_OPTS))
+    base = dict(cfg=dense_scenario(), n_trials=64, seed=7, opts=SimOptions())
     for moved in change:
         estimate_capacity(base["cfg"], 1, 64, 7, base["opts"])
         call = {**base, **moved}
@@ -434,7 +506,7 @@ def test_field_memo_skips_what_the_draw_never_reads(monkeypatch, cold_field):
     # shared, so it is read-only
     draws = count_field_draws(monkeypatch)
     cfg = dense_scenario()
-    opts = SimOptions(**DENSE_OPTS)
+    opts = SimOptions()
     estimate_capacity(cfg, 1, 64, 7, opts)
     assert len(draws) == 1
     for other in (replace(cfg, env=replace(cfg.env, name="renamed")),
@@ -461,11 +533,11 @@ def zone_changes(cfg, opts):
     return [*field_changes(cfg, opts), [dict(cfg=cfg.with_policy(moved))]]
 
 
-@pytest.mark.parametrize("change", zone_changes(dense_scenario(), SimOptions(**DENSE_OPTS)))
+@pytest.mark.parametrize("change", zone_changes(dense_scenario(), SimOptions()))
 def test_zone_memo_key_is_checked(cold_field, change):
     # the zone memo is keyed on every number the pass reads: moving any one
     # of them makes one new pass
-    base = dict(cfg=dense_scenario(), n_trials=64, seed=7, opts=SimOptions(**DENSE_OPTS))
+    base = dict(cfg=dense_scenario(), n_trials=64, seed=7, opts=SimOptions())
     for moved in change:
         estimate_capacity(base["cfg"], 1, 64, 7, base["opts"])
         call = {**base, **moved}
@@ -479,7 +551,7 @@ def test_zone_memo_skips_what_the_pass_never_reads(cold_field):
     # quadrature take no part in the pass, so every content of these reads
     # the memoized one; its samples are shared, so they are read-only
     cfg = dense_scenario()
-    opts = SimOptions(**DENSE_OPTS)
+    opts = SimOptions()
     ref = estimate_capacity(cfg, 2, 64, 7, opts)
     for other in (replace(cfg, env=replace(cfg.env, name="renamed")),
                   replace(cfg, library=ContentLibrary(5, 1.2)),
@@ -499,7 +571,7 @@ def test_zone_pass_rows_are_the_live_contents():
     cfg = dense_scenario()
     p = np.array([1.0, 0.0, 0.5, 0.0, 0.5])
     cfg = cfg.with_policy(replace(cfg.policy, probabilities=p))
-    opts = SimOptions(**DENSE_OPTS)
+    opts = SimOptions()
     ests = [estimate_capacity(cfg, c, 300, 5, opts) for c in range(1, 6)]
     rates = simulator._zone_rates(cfg.env, cfg.channel, cfg.zone_mean_uavs,
                                   cfg.interferer_density, cfg.coop_radius_km,
@@ -516,7 +588,7 @@ def test_numpy_integers_read_as_python_ints(cold_field):
     # equals (the stream key once overflowed on them); a float content is no
     # index and is refused
     cfg = dense_scenario()
-    opts = SimOptions(**DENSE_OPTS)
+    opts = SimOptions()
     ref = estimate_capacity(cfg, 2, 50, 3, opts)
     for content, seed in ((np.int64(2), 3), (2, np.int64(3)), (2, np.uint32(3))):
         cold_field()
