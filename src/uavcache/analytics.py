@@ -31,9 +31,10 @@ is linear in u (`_tail_edges`), and the rest is one power-law integral per
 mode (`_linear_rest`). It keeps the prefix and suffix sums at every edge up
 to zeta_far, so neither side of a split cancels, on the Gauss-Legendre
 nodes of the same absolute ln u panel lattice as the w grid, memoized in
-fixed groups of _GROUP_PANELS panels, one kernel_table call each, so a
-geometry builds only the groups its shifted range needs that no other
-geometry built.
+fixed groups of _GROUP_PANELS panels, so a geometry builds only the groups
+its shifted range needs that no other geometry built. A kernel cell is a
+function of its own inputs alone, so a group's bits do not depend on which
+geometry asked for it first, nor on how its cells are split into calls.
 `_radial_table` reads it at a geometry: LOS reads u = w, and the NLOS shift
 by ln(k_nlos/k_los) - (alpha_nlos - alpha_los) ln H is the same for every
 node, so each w panel's nodes come from the two u panels they fall in by one
@@ -341,8 +342,7 @@ def _radial_group(env: Environment, unit: ChannelConfig, hermite_nodes: int,
     int_{zeta_i}^inf, whose part beyond the last edge, zeta_far, is more far
     panels out to the group's `_tail_edges` and the `_linear_rest` beyond
     them. `unit` is the channel with altitude_km, k_los and k_nlos all 1; of
-    the quadrature, a group reads only hermite_nodes and rel_tol. A group is one kernel_table call, so its bits do not depend on
-    which geometry asked for it first."""
+    the quadrature, a group reads only hermite_nodes and rel_tol."""
     quad = QuadratureConfig(hermite_nodes=hermite_nodes, rel_tol=rel_tol)
     u = _v_rule(_GROUP_PANELS * g, _GROUP_PANELS * (g + 1) - 1)[0]
     edges = _radial_edges(_grazing_radius(env, rel_tol))

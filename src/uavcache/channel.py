@@ -165,11 +165,13 @@ def shadowing_log_moments(r, h: float, mode: Mode, env: Environment):
 # with erfc from Cody's rational Chebyshev approximations (Math. Comp. 23,
 # 1969), and Phi^-1 from Wichura's AS 241 (Appl. Stat. 37, 1988). Each
 # rational is a pair of coefficient rows [P; Q], lowest degree first, all
-# coefficients positive and every argument >= 0, so one matrix product of the
-# coefficients with the argument's powers evaluates P and Q without
-# cancellation. Arrays go through blocks of _NORMAL_BLOCK entries, so each
-# pass stays in cache: on each block the rational that covers most entries
-# runs on the whole block and the others only on their own entries.
+# coefficients positive and every argument >= 0, so Horner's rule evaluates P
+# and Q without cancellation, each entry from its own argument alone (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2002, sec. 5.1): an entry's
+# bits do not depend on the other entries of its call. Arrays go through
+# blocks of _NORMAL_BLOCK entries, so each pass stays in cache: on each block
+# the rational that covers most entries runs on the whole block and the
+# others only on their own entries.
 _NORMAL_BLOCK = 16384
 _SQRT_HALF = math.sqrt(0.5)
 # Cody's three ranges of y = |x|/sqrt2: erf(y) = y P(y^2)/Q(y^2) up to 0.46875,
@@ -225,12 +227,11 @@ _NDTRI_FAR = np.array([
     [1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
      1.48753612908506148525e-2, 7.86869131145613259100e-4, 1.84631831751005468180e-5,
      1.42151175831644588870e-7, 2.04426310338993978564e-15]])
-# work rows: 0 ones, 1 the rational's argument t, 2-8 powers t^2..t^8, 9-10
-# the product [P; Q], 11 y or q. Rows 1-10 are free again once a rational has
-# returned, so a block's minority entries reuse them. Each thread keeps its
-# rows across calls: fresh ones would cost a page fault per 4 KiB each call.
-_PRODUCT = 9
-_Y_ROW = 11
+# work rows: 0 the rational's argument t, 1-2 P and Q, 3 y or q. Rows 0-2
+# are free again once a rational has returned, so a block's minority entries
+# and the steps after a rational reuse them. Each thread keeps its rows
+# across calls: fresh ones would cost a page fault per 4 KiB each call.
+_Y_ROW = 3
 _WORK = threading.local()
 
 
@@ -239,29 +240,30 @@ def _work(n: int) -> np.ndarray:
     w = getattr(_WORK, "rows", None)
     if w is None or w.shape[1] < n:
         w = _WORK.rows = np.empty((_Y_ROW + 1, max(n, 1)))
-        w[0] = 1.0
     return w
 
 
 def _rational(coef: np.ndarray, w: np.ndarray, n: int,
               out: np.ndarray) -> np.ndarray:
-    """out = P(t)/Q(t) for t = w[1, :n], with coef = [P; Q]."""
-    deg = coef.shape[1]
-    t = w[1, :n]
-    for k in range(2, deg):
-        np.multiply(w[k - 1, :n], t, w[k, :n])
-    pq = w[_PRODUCT:_PRODUCT + 2, :n]
-    np.matmul(coef, w[:deg, :n], pq)
-    return np.divide(pq[0], pq[1], out)
+    """out = P(t)/Q(t) for t = w[0, :n], with coef = [P; Q], by Horner's
+    rule; t is left in place."""
+    t, p, q = w[0, :n], w[1, :n], w[2, :n]
+    for row, acc in zip(coef, (p, q)):
+        np.multiply(t, row[-1], acc)
+        for c in row[-2:0:-1]:
+            acc += c
+            acc *= t
+        acc += row[0]
+    return np.divide(p, q, out)
 
 
 def _half_erfcx_mid(y: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
-    np.copyto(w[1, :y.size], y)
+    np.copyto(w[0, :y.size], y)
     _rational(_HALF_ERFCX_MID, w, y.size, out)
 
 
 def _half_erfcx_far(y: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
-    z = w[1, :y.size]
+    z = w[0, :y.size]
     np.multiply(y, y, z)
     np.divide(1.0, z, z)
     _rational(_HALF_ERFCX_FAR, w, y.size, out)
@@ -301,10 +303,10 @@ def _blockwise(block, x, out) -> np.ndarray:
 
 def _lower_tail(y: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     """Phi(-y sqrt2) = erfcx(y)/2 exp(-y^2) for _Y_SMALL < y <= _X_FLOOR/sqrt2;
-    y must not lie in w's rows 1-10."""
+    y must not lie in w's rows 0-2."""
     n = y.size
     _half_erfcx(y, w, out)
-    s, d, e = w[2, :n], w[3, :n], w[4, :n]
+    s, d, e = w[0, :n], w[1, :n], w[2, :n]
     np.add(y, _ROUND_16TH, s)
     np.subtract(_ROUND_16TH, s, s)  # -s
     np.add(y, s, d)                 # y - s, exact
@@ -334,7 +336,7 @@ def _ndtr_block(x: np.ndarray, out: np.ndarray, w: np.ndarray) -> None:
 def _ndtr_near_zero(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Phi(x) = (1 + erf(x/sqrt2))/2 by Cody's erf, for |x| <= 0.66."""
     t = x * _SQRT_HALF
-    np.multiply(t, t, w[1, :x.size])
+    np.multiply(t, t, w[0, :x.size])
     out = _rational(_ERF_SMALL, w, x.size, np.empty(x.size))
     out *= t
     out += 1.0
@@ -356,7 +358,7 @@ def _log_ndtr_block(x: np.ndarray, out: np.ndarray, w: np.ndarray) -> None:
     # lower tail: ln Phi(x) = ln(erfcx(y)/2) - y^2, no exponential needed
     _half_erfcx(y, w, out)
     np.log(out, out)
-    sq = w[2, :n]
+    sq = w[0, :n]
     np.multiply(y, y, sq)
     out -= sq
     if rest.size:
@@ -386,7 +388,7 @@ def _ndtri_block(p: np.ndarray, out: np.ndarray, w: np.ndarray) -> None:
     n = p.size
     q = w[_Y_ROW, :n]
     np.subtract(p, 0.5, q)
-    r = w[1, :n]
+    r = w[0, :n]
     np.abs(q, r)
     central = np.flatnonzero(r <= 0.425)
     q_central = q[central]
@@ -400,13 +402,13 @@ def _ndtri_block(p: np.ndarray, out: np.ndarray, w: np.ndarray) -> None:
     r -= 1.6
     _rational(_NDTRI_TAIL, w, n, out)
     if far.size:
-        np.subtract(r_far, 5.0, w[1, :far.size])
+        np.subtract(r_far, 5.0, w[0, :far.size])
         part = _rational(_NDTRI_FAR, w, far.size, np.empty(far.size))
         part[r_far == np.inf] = np.inf  # p = 0 or 1
         out[far] = part
     np.copysign(out, q, out)
     if central.size:
-        r = w[1, :central.size]
+        r = w[0, :central.size]
         np.multiply(q_central, q_central, r)
         np.subtract(0.180625, r, r)
         part = _rational(_NDTRI_CENTRAL, w, central.size, np.empty(central.size))
@@ -451,9 +453,10 @@ _S_SWITCH = 1.2
 _WIN_Y_LO = -20.0
 _WIN_Y_HI = 12.0
 _WIN_PANELS = 8
-_WIN_BLOCK = 1024
-_GH_BLOCK = 8192
-_TABLE_BLOCK = 32768  # cells per kernel_table pass: bounds its temporaries
+# cells per kernel_table pass: bounds its temporaries, and is the kernel's
+# one block size. Every cell is a function of its own inputs, so the block
+# size moves no bit.
+_TABLE_BLOCK = 32768
 
 
 @lru_cache(maxsize=8)
@@ -516,54 +519,43 @@ def _shadow_expectation(coef: np.ndarray, m_ln: float, s_ln: np.ndarray,
 def _hermite_sum(c: np.ndarray, s2: np.ndarray, m_ln: float, wbar: float,
                  hermite_nodes: int) -> np.ndarray:
     """sum_i w_i f(c exp(m_ln + s2 x_i)) over the Gauss-Hermite nodes x_i,
-    f(t) = 1 - (1 + t/wbar)^(-wbar), before the 1/sqrt(pi) normalization.
-
-    Cells go through _GH_BLOCK at a time with every node applied in place,
-    so each block stays in cache across the node loop.
-    """
+    f(t) = 1 - (1 + t/wbar)^(-wbar), before the 1/sqrt(pi) normalization,
+    one node at a time in place."""
     x, w = _hermite_rule(hermite_nodes)
     acc = np.zeros(c.shape)
-    buf = np.empty(min(_GH_BLOCK, c.size))
+    t = np.empty(c.shape)
     with np.errstate(over="ignore"):
-        for lo in range(0, c.size, buf.size):
-            hi = min(lo + buf.size, c.size)
-            t, cb, sb, ab = buf[:hi - lo], c[lo:hi], s2[lo:hi], acc[lo:hi]
-            for xi, wi in zip(x, w):
-                np.multiply(sb, xi, out=t)
-                t += m_ln
-                np.exp(t, out=t)
-                t *= cb
-                t /= wbar
-                np.log1p(t, out=t)
-                t *= -wbar
-                np.expm1(t, out=t)
-                t *= wi
-                ab -= t
+        for xi, wi in zip(x, w):
+            np.multiply(s2, xi, out=t)
+            t += m_ln
+            np.exp(t, out=t)
+            t *= c
+            t /= wbar
+            np.log1p(t, out=t)
+            t *= -wbar
+            np.expm1(t, out=t)
+            t *= wi
+            acc -= t
     return acc
 
 
 def _window_sum(x0: np.ndarray, sw: np.ndarray, wbar: float,
                 nodes_per_panel: int) -> np.ndarray:
     """sum_j w_j f(y_j) exp(-(x0 + y_j/sw)^2 / 2) for each cell, the windowed
-    rule's transition integral before its 1/(sqrt(2 pi) sw) normalization.
-
-    Cells go through one preallocated (_WIN_BLOCK x nodes) buffer in place,
-    so each block's working set stays in cache and no cell-sized temporaries
-    are allocated.
-    """
+    rule's transition integral before its 1/(sqrt(2 pi) sw) normalization,
+    one node at a time in place."""
     y, w = _window_rule(nodes_per_panel)
     fy = w * -np.expm1(-wbar * np.log1p(np.exp(y) / wbar))
-    vals = np.empty(x0.shape)
-    buf = np.empty((min(_WIN_BLOCK, x0.size), y.size))
-    for lo in range(0, x0.size, _WIN_BLOCK):
-        hi = min(lo + _WIN_BLOCK, x0.size)
-        xx = buf[:hi - lo]
-        np.divide(y, sw[lo:hi, None], out=xx)
-        xx += x0[lo:hi, None]
-        xx *= xx
-        xx *= -0.5
-        np.exp(xx, out=xx)
-        np.matmul(xx, fy, out=vals[lo:hi])
+    vals = np.zeros(x0.shape)
+    t = np.empty(x0.shape)
+    for yj, fj in zip(y, fy):
+        np.divide(yj, sw, out=t)
+        t += x0
+        t *= t
+        t *= -0.5
+        np.exp(t, out=t)
+        t *= fj
+        vals += t
     return vals
 
 

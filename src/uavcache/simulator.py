@@ -435,10 +435,11 @@ def _edge_gain(env: Environment, ch: ChannelConfig, x: float) -> float:
 def _truncated_poisson_cdf(m: float) -> np.ndarray:
     """CDF table of the zero-truncated Poisson for inverse-CDF sampling.
 
-    The table grows until the tail mass beyond it falls below 1e-15; a table
-    that reaches 10000 terms with more tail mass left raises ConvergenceError.
+    The table grows until the zero-truncated law's tail mass beyond it,
+    P(N > k)/(1 - e^-m), falls below 1e-15; a table that reaches 10000 terms
+    with more tail mass left raises ConvergenceError.
     """
-    k_min = _poisson_k_max(m, 1e-15)
+    k_min = _poisson_k_max(m, 1e-15 * -math.expm1(-m))
     k_hi = 1
     while k_hi < k_min:
         if k_hi >= 10000:

@@ -380,10 +380,11 @@ def test_cooperator_table_refuses_an_unreached_tail():
 
 def test_cooperator_table_below_the_cap_is_unchanged():
     # the table as it was built before the tail check: same growth rule,
-    # same sums, so every reachable mean gets the same bytes
+    # same sums, run until the zero-truncated tail P(N > k)/(1 - e^-m) is
+    # below 1e-15, so every reachable mean gets the same bytes
     def table(m):
         k_hi = 1
-        while gammainc(k_hi + 1.0, m) > 1e-15 and k_hi < 10000:
+        while gammainc(k_hi + 1.0, m) > 1e-15 * -math.expm1(-m) and k_hi < 10000:
             k_hi = max(k_hi + 1, int(1.5 * k_hi))
         ks = np.arange(1, k_hi + 1, dtype=float)
         log_pmf = ks * math.log(m) - m - np.cumsum(np.log(ks))
@@ -393,6 +394,15 @@ def test_cooperator_table_below_the_cap_is_unchanged():
         got = simulator._truncated_poisson_cdf(m)
         assert got.tobytes() == table(m).tobytes(), m
     assert simulator._truncated_poisson_cdf(5.0)[-1] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_cooperator_table_leaves_out_less_than_its_tail():
+    # the zero-truncated law's mass beyond the table, P(N > k)/(1 - e^-m),
+    # is below 1e-15 at every mean, the smallest ones too: at m = 1e-8 the
+    # untruncated tail beyond k = 1 is 5e-17, but the truncated one 5e-9
+    for m in np.geomspace(1e-8, 4000.0, 45):
+        k = simulator._truncated_poisson_cdf(m).size
+        assert gammainc(k + 1.0, m) / -math.expm1(-m) < 1e-15, m
 
 
 def test_field_draw_refuses_a_spike_overload(cold_field):
