@@ -89,17 +89,6 @@ def scenario(env_name: str, x_cop: float, altitude: float,
                           quadrature=quad, coop_radius_km=x_cop)
 
 
-def branch_masks(coef, m_ln, s_ln):
-    """The kernel's branch of every cell, by the kernel's own rule."""
-    s = np.broadcast_to(s_ln, coef.shape)
-    live = coef != 0.0
-    linear = live & (coef < channel.linear_threshold(m_ln, s))
-    gauss_hermite = live & ~linear & (s < channel._S_SWITCH)
-    windowed = live & ~linear & ~gauss_hermite
-    return {"linear": linear, "gauss_hermite": gauss_hermite,
-            "windowed": windowed}
-
-
 def timed(fn, *args) -> float:
     best = float("inf")
     for _ in range(REPEATS):
@@ -188,7 +177,7 @@ def profile(env_name: str, x_cop: float, altitude: float,
         coef = np.asarray(coef, dtype=float)
         base = timed(kernel, np.zeros_like(coef), m_ln, s_ln, wbar, n_h)
         base_s += base
-        for name, mask in branch_masks(coef, m_ln, s_ln).items():
+        for name, mask in zip(branches, channel._kernel_branches(coef, m_ln, s_ln)):
             branches[name]["cells"] += int(mask.sum())
             if mask.any():
                 live = np.where(mask, coef, 0.0)

@@ -76,7 +76,7 @@ def digest(*arrays) -> str:
 
 
 def rng(purpose: int) -> np.random.Generator:
-    return simulator._chunk_rng(SEED, purpose, 0, 0)
+    return simulator._chunk_rng(SEED, purpose, 0)
 
 
 def profile(env_name: str, x_cop: float, trials: int) -> list[dict]:

@@ -475,6 +475,17 @@ def _window_rule(nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     return y, w
 
 
+def _kernel_branches(coef: np.ndarray, m_ln: float,
+                     s_ln: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_shadow_expectation`'s linear, Gauss-Hermite and windowed masks over
+    coef; the other cells are 0. The two gates depend on s alone, so they are
+    evaluated at s_ln's own shape (one value per row in kernel_table)."""
+    live = coef != 0.0
+    linear = live & (coef < linear_threshold(m_ln, s_ln))
+    gauss_hermite = live & ~linear & (np.asarray(s_ln) < _S_SWITCH)
+    return linear, gauss_hermite, live & ~linear & ~gauss_hermite
+
+
 def _shadow_expectation(coef: np.ndarray, m_ln: float, s_ln: np.ndarray,
                         wbar: float, hermite_nodes: int) -> np.ndarray:
     """E_V[1 - (1 + coef*V/wbar)^(-wbar)] with ln V ~ Normal(m_ln, s_ln^2),
@@ -485,23 +496,19 @@ def _shadow_expectation(coef: np.ndarray, m_ln: float, s_ln: np.ndarray,
     flat_c = coef.ravel()
     flat_s = np.broadcast_to(s_ln, coef.shape).ravel()
     flat_o = out.ravel()
+    flat_o[flat_c == 0.0] = 0.0
+    linear, gh_mask, win_mask = (m.ravel() for m in _kernel_branches(coef, m_ln, s_ln))
 
-    # the linear gate and slope depend on s alone: evaluate them at s_ln's
-    # own shape (one value per row in kernel_table) and broadcast
-    zero = flat_c == 0.0
-    flat_o[zero] = 0.0
-    linear = ~zero & (coef < linear_threshold(m_ln, s_ln)).ravel()
+    # the slope, like the gate, depends on s alone
     slope = np.broadcast_to(np.exp(m_ln + 0.5 * s_ln ** 2), coef.shape)
     flat_o[linear] = flat_c[linear] * slope[linear.reshape(coef.shape)]
 
-    gh_mask = ~zero & ~linear & (flat_s < _S_SWITCH)
     if gh_mask.any():
         c = flat_c[gh_mask]
         acc = _hermite_sum(c, np.sqrt(2.0) * flat_s[gh_mask], m_ln, wbar,
                            hermite_nodes)
         flat_o[gh_mask] = acc / np.sqrt(np.pi)
 
-    win_mask = ~zero & ~linear & ~gh_mask
     if win_mask.any():
         log_c = np.log(flat_c[win_mask])
         sw = flat_s[win_mask]

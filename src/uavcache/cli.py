@@ -4,9 +4,10 @@
     uavcache sweep    --config cfg.yaml --out results.csv
     uavcache validate --config cfg.yaml
 
-`run` evaluates the configured scenario at a single point, one row per
-method. `sweep` executes every sweep block in the config. Both exit 0 only
-when every row succeeded; any failed row yields exit status 3. `validate`
+`run` evaluates the config's one-point sweep `run` (the configured scenario
+at its own cooperation radius), one row per method. `sweep` executes every
+sweep block in the config. Both exit 0 only when every row succeeded; any
+failed row yields exit status 3. `validate`
 parses the config and reports what would run without running it: for a
 sweep with Monte Carlo rows, per geometry its far field's threshold, floor
 bias bound and expected spikes per trial, and whether the spike budget
@@ -52,12 +53,6 @@ def _load(args: argparse.Namespace) -> RunConfig:
     return load_config(args.config)
 
 
-def _methods_from(arg: str | None, fallback: tuple[str, ...]) -> tuple[str, ...]:
-    if arg is None:
-        return fallback
-    return tuple(METHODS) if arg == "both" else (arg,)
-
-
 def _apply_cli_overrides(spec: SweepSpec, args: argparse.Namespace) -> SweepSpec:
     changes = {}
     if args.seed is not None:
@@ -65,7 +60,7 @@ def _apply_cli_overrides(spec: SweepSpec, args: argparse.Namespace) -> SweepSpec
     if args.trials is not None:
         changes["trials"] = args.trials
     if args.method is not None:
-        changes["methods"] = _methods_from(args.method, spec.methods)
+        changes["methods"] = METHODS if args.method == "both" else (args.method,)
     return replace(spec, **changes) if changes else spec
 
 
@@ -79,17 +74,7 @@ def _run_sweeps(specs: list[SweepSpec], out: str | None) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    run_cfg = _load(args)
-    sc = run_cfg.scenario
-    spec = SweepSpec(
-        name="run", variable="x_cop", grid=(sc.coop_radius_km,), base=sc,
-        environments=(sc.env.name,), policies=(run_cfg.policy,),
-        methods=_methods_from(args.method, ("analytic",)),
-        trials=args.trials if args.trials is not None else run_cfg.trials,
-        seed=args.seed if args.seed is not None else run_cfg.seed,
-        sim_options=run_cfg.sim_options,
-        environment_map=dict(run_cfg.custom_environments))
-    return _run_sweeps([spec], args.out)
+    return _run_sweeps([_apply_cli_overrides(_load(args).point, args)], args.out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -103,7 +88,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     run_cfg = _load(args)
     sc = run_cfg.scenario
-    print(f"scenario: env={sc.env.name} policy={run_cfg.policy} "
+    print(f"scenario: env={sc.env.name} policy={run_cfg.point.policies[0]} "
           f"density={sc.uav_density:g}/km^2 altitude={sc.channel.altitude_km:g} km "
           f"X_cop={sc.coop_radius_km:g} km B={sc.subchannels} "
           f"F={sc.library.size} S={sc.policy.cache_size} "

@@ -30,7 +30,8 @@ from .analytics import (PowerModel, QuadratureConfig, ScenarioConfig,
                         energy_efficiency, system_capacity)
 from .caching import (POLICY_KINDS, ContentLibrary, PlacementPolicy, lru_che,
                       lru_empirical_policy, mpc_policy, solve_rcp)
-from .channel import ChannelConfig, Environment, environment_preset
+from .channel import (ENVIRONMENT_PRESETS, ChannelConfig, Environment,
+                      environment_preset)
 from .errors import ConfigError, UavCacheError
 from .simulator import (_PURPOSE_LRU, SimEstimate, SimOptions, _chunk_rng,
                         _FarField, estimate_capacity, estimate_ee)
@@ -84,6 +85,10 @@ class SweepSpec:
             raise ConfigError(f"sweep {self.name!r}: grid must be nonempty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError(f"sweep {self.name!r}: grid must be strictly increasing")
+        for name in self.environment_map:
+            if name in ENVIRONMENT_PRESETS:  # rows would carry the preset's label
+                raise ConfigError(f"sweep {self.name!r}: custom environment {name!r} "
+                                  "takes a preset's name")
         for e in self.environments:
             if not isinstance(e, str):
                 raise ConfigError(f"sweep {self.name!r}: environment names must be strings")
@@ -94,8 +99,9 @@ class SweepSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"sweep {self.name!r}: unknown method {m!r}")
-        if "monte_carlo" in self.methods and self.trials < 1:
-            raise ConfigError(f"sweep {self.name!r}: monte_carlo requires trials >= 1")
+        if self.trials < 1:
+            raise ConfigError(f"sweep {self.name!r}: trials = {self.trials} out of range "
+                              "(must be >= 1)")
         if self.seed < 0:
             raise ConfigError(f"sweep {self.name!r}: seed = {self.seed} out of range "
                               "(must be >= 0)")
@@ -151,20 +157,14 @@ class SweepRow:
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Parsed configuration: the base scenario plus any sweep blocks.
-
-    Placement is built per row, so the base scenario carries an MPC
-    placeholder; `policy` is the configured placement kind, which `run`
-    evaluates and sweeps without their own `policies` use.
-    """
+    """Parsed configuration: the base scenario, the one-point sweep `run`
+    evaluates at its cooperation radius, and any sweep blocks, which take the
+    point's environments, policies, seed and trials for a key they omit.
+    Placement is built per row, so the base carries an MPC placeholder."""
 
     scenario: ScenarioConfig
+    point: SweepSpec
     sweeps: tuple[SweepSpec, ...]
-    seed: int
-    trials: int
-    policy: str
-    custom_environments: dict[str, Environment] = field(default_factory=dict)
-    sim_options: SimOptions = SimOptions()
 
 
 def _require_mapping(node, where: str) -> dict:
@@ -182,8 +182,16 @@ def _check_keys(node: dict, allowed: Iterable[str], where: str) -> None:
 
 
 def _read(value, kind: str, where: str):
-    """`value` checked against a field annotation: "str", "int" or "float";
-    an int is read as a float where a float is expected."""
+    """`value` checked against a field annotation: "str", "int", "float",
+    "dict" (a mapping) or "tuple[<item>, ...]" (a nonempty list); an int is
+    read as a float where a float is expected."""
+    if kind.startswith("tuple["):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a nonempty list")
+        item = kind.removeprefix("tuple[").removesuffix(", ...]")
+        return tuple(_read(v, item, f"{where}[{j}]") for j, v in enumerate(value))
+    if kind == "dict":
+        return dict(_require_mapping(value, where))
     if kind == "str":
         if not isinstance(value, str) or not value:
             raise ConfigError(f"{where} must be a nonempty string")
@@ -203,13 +211,6 @@ def _read(value, kind: str, where: str):
     return value
 
 
-def _get_int(node: dict, key: str, default: int, where: str, lo: int = 0) -> int:
-    val = _read(node.get(key, default), "int", f"{where}.{key}")
-    if val < lo:
-        raise ConfigError(f"{where}.{key} = {val} out of range (must be >= {lo})")
-    return val
-
-
 def _block_fields(cls, omit: Iterable[str] = ()) -> list[Field]:
     """The fields of dataclass `cls` not in `omit`; each is a config key of
     its block under its own name."""
@@ -226,7 +227,8 @@ def _parse_block(node, cls, where: str, **given):
     node = _require_mapping(node, where)
     block = _block_fields(cls, given)
     _check_keys(node, [f.name for f in block], where)
-    missing = [f.name for f in block if f.name not in node and f.default is MISSING]
+    missing = [f.name for f in block if f.name not in node
+               and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"{where} missing key(s): {', '.join(missing)}")
     return cls(**given, **{f.name: _read(node[f.name], f.type, f"{where}.{f.name}")
@@ -240,7 +242,6 @@ def _fields(obj, *omit: str) -> dict:
 
 # SweepSpec fields that a sweep inherits from the scenario instead of a key
 _FROM_SCENARIO = ("base", "sim_options", "environment_map")
-_SWEEP_KEYS = tuple(f.name for f in _block_fields(SweepSpec, _FROM_SCENARIO))
 _SCENARIO_KEYS = ("environment", "custom_environment", *_SCALARS, "policy",
                   "channel", "power", "quadrature", "simulation")
 _TOP_KEYS = ("scenario", "sweeps", "seed", "trials")
@@ -296,7 +297,7 @@ def _build_policy(kind: str, library: ContentLibrary, scenario: ScenarioConfig,
         return lru_che(library.popularity, s)
     if kind == "lru_empirical":
         return lru_empirical_policy(library.popularity, s, _LRU_REQUESTS,
-                                    _LRU_WARMUP, _chunk_rng(seed, _PURPOSE_LRU, 0, 0))
+                                    _LRU_WARMUP, _chunk_rng(seed, _PURPOSE_LRU, 0))
     raise ConfigError(f"unknown policy kind {kind!r}")
 
 
@@ -320,8 +321,6 @@ def load_config(path) -> RunConfig:
 def parse_config(raw: dict) -> RunConfig:
     raw = _require_mapping(raw, "config")
     _check_keys(raw, _TOP_KEYS, "config")
-    seed = _get_int(raw, "seed", 0, "config")
-    trials = _get_int(raw, "trials", 10_000, "config", lo=1)
 
     sc = _require_mapping(raw.get("scenario"), "scenario")
     _check_keys(sc, _SCENARIO_KEYS, "scenario")
@@ -356,6 +355,13 @@ def parse_config(raw: dict) -> RunConfig:
 
     # placement is built per row; the base carries an MPC placeholder
     scenario = _scenario(settings, env, channel, power, quadrature)
+    given = {"base": scenario, "sim_options": sim_options, "environment_map": custom}
+    # the one-point sweep `run` evaluates; its seed and trials are the top-level keys
+    point = _parse_block(
+        {"name": "run", "variable": "x_cop", "grid": [scenario.coop_radius_km],
+         "environments": [env_name], "policies": [policy_kind],
+         **{key: raw[key] for key in ("seed", "trials") if key in raw}},
+        SweepSpec, "config", **given)
 
     sweeps = []
     sweep_nodes = raw.get("sweeps") or []
@@ -363,32 +369,12 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("sweeps must be a list")
     for i, node in enumerate(sweep_nodes):
         where = f"sweeps[{i}]"
-        node = _require_mapping(node, where)
-        _check_keys(node, _SWEEP_KEYS, where)
-        grid = node.get("grid")
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError(f"{where}.grid must be a nonempty list")
-        variable = node.get("variable")
-        if not isinstance(variable, str):
-            raise ConfigError(f"{where}.variable is required")
-        methods = node.get("methods", ["analytic"])
-        lists = {"environments": node.get("environments", [env_name]),
-                 "policies": node.get("policies", [policy_kind]),
-                 # "both", bare or listed, runs every method
-                 "methods": list(METHODS) if methods in ("both", ["both"]) else methods}
-        for key, val in lists.items():
-            if not isinstance(val, list) or not val:
-                raise ConfigError(f"{where}.{key} must be a nonempty list")
-        overrides = _require_mapping(node.get("overrides"), f"{where}.overrides")
-        sweeps.append(SweepSpec(
-            name=str(node.get("name", f"sweep{i}")), variable=variable,
-            grid=tuple(_read(g, "float", f"{where}.grid[{j}]")
-                       for j, g in enumerate(grid)),
-            base=scenario, **{k: tuple(v) for k, v in lists.items()},
-            trials=_get_int(node, "trials", trials, where, lo=1),
-            seed=_read(node.get("seed", seed), "int", f"{where}.seed"),
-            overrides=dict(overrides), sim_options=sim_options,
-            environment_map=dict(custom)))
+        node = {"name": f"sweep{i}", "environments": list(point.environments),
+                "policies": list(point.policies), "seed": point.seed,
+                "trials": point.trials, **_require_mapping(node, where)}
+        if node.get("methods") in ("both", ["both"]):  # bare or listed: every method
+            node["methods"] = list(METHODS)
+        sweeps.append(_parse_block(node, SweepSpec, where, **given))
 
     if not sweeps and policy_kind == "rcp":
         # without sweeps the base is the config's one evaluation point, so a
@@ -396,29 +382,27 @@ def parse_config(raw: dict) -> RunConfig:
         # one is recorded as failed
         _rcp_zone_mean(scenario)
 
-    return RunConfig(scenario=scenario, sweeps=tuple(sweeps), seed=seed,
-                     trials=trials, policy=policy_kind,
-                     custom_environments=custom, sim_options=sim_options)
+    return RunConfig(scenario=scenario, point=point, sweeps=tuple(sweeps))
 
 
 def dump_config(run: RunConfig) -> dict:
-    """Config dict that parse_config maps back to the same scenario and sweeps."""
-    sc = run.scenario
+    """Config dict that parse_config maps back to the same scenario, point and sweeps."""
+    sc, point = run.scenario, run.point
     out = {
-        "seed": run.seed,
-        "trials": run.trials,
+        "seed": point.seed,
+        "trials": point.trials,
         "scenario": {
             "environment": sc.env.name,
             **_settings(sc),
-            "policy": run.policy,
+            "policy": point.policies[0],
             "channel": _fields(sc.channel, "altitude_km"),
             "power": _fields(sc.power),
             "quadrature": _fields(sc.quadrature),
-            "simulation": _fields(run.sim_options),
+            "simulation": _fields(point.sim_options),
         },
     }
     # the one custom environment may serve sweeps without being the scenario's
-    for env in run.custom_environments.values():
+    for env in point.environment_map.values():
         out["scenario"]["custom_environment"] = _fields(env)
     if run.sweeps:
         out["sweeps"] = [{k: list(v) if isinstance(v, tuple) else v

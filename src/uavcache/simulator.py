@@ -111,11 +111,10 @@ class SimEstimate:
         return 1.96 * self.stderr
 
 
-def _chunk_rng(seed: int, purpose: int, content: int, chunk: int) -> np.random.Generator:
-    # as Python ints: numpy integers overflow against the 64-bit mask
-    seed, content = operator.index(seed), operator.index(content)
-    key = np.array([seed & _MASK64, ((purpose << 32) | content) & _MASK64],
-                   dtype=np.uint64)
+def _chunk_rng(seed: int, purpose: int, chunk: int) -> np.random.Generator:
+    # as a Python int: a numpy integer overflows against the 64-bit mask
+    seed = operator.index(seed)
+    key = np.array([seed & _MASK64, purpose << 32], dtype=np.uint64)
     counter = np.array([0, 0, 0, chunk], dtype=np.uint64)
     return Generator(Philox(key=key, counter=counter))
 
@@ -532,19 +531,21 @@ class _Zone:
         return _per_trial_sum(counts.size, counts.ravel(), gains).reshape(counts.shape)
 
 
-def _run_chunks(worker, n_trials: int, chunk_size: int, n_jobs: int,
-                make_rng) -> None:
-    """Run worker(rng, trials) over all chunks, where trials is the chunk's
-    slice of the trial range and the worker writes its output there. Chunks
-    own disjoint streams and slices, so execution order moves no byte."""
+def _run_chunks(worker, n_trials: int, seed: int, purpose: int,
+                opts: SimOptions) -> None:
+    """Run worker(rng, trials) over all chunks, where rng is the chunk's
+    stream of (seed, purpose), trials is the chunk's slice of the trial range
+    and the worker writes its output there. Chunks own disjoint streams and
+    slices, so execution order moves no byte."""
+    chunk_size = opts.chunk_size
     n_chunks = (n_trials + chunk_size - 1) // chunk_size
 
     def run(i: int) -> None:
         lo = i * chunk_size
-        worker(make_rng(i), slice(lo, min(lo + chunk_size, n_trials)))
+        worker(_chunk_rng(seed, purpose, i), slice(lo, min(lo + chunk_size, n_trials)))
 
-    if n_jobs > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+    if opts.n_jobs > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=opts.n_jobs) as pool:
             list(pool.map(run, range(n_chunks)))
     else:
         for i in range(n_chunks):
@@ -572,8 +573,7 @@ def _interference_field(env: Environment, ch: ChannelConfig, lam_i: float,
     def worker(rng: np.random.Generator, trials: slice) -> None:
         np.add(far.sample(rng, trials.stop - trials.start), far.floor, out=vals[trials])
 
-    _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
-                lambda i: _chunk_rng(seed, _PURPOSE_FIELD, 0, i))
+    _run_chunks(worker, n_trials, seed, _PURPOSE_FIELD, opts)
     vals.flags.writeable = False
     return vals
 
@@ -600,8 +600,7 @@ def _zone_rates(env: Environment, ch: ChannelConfig, zone_mean: float,
     def worker(rng: np.random.Generator, trials: slice) -> None:
         zone.fill(rng, rates[:, trials], field[trials])
 
-    _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
-                lambda i: _chunk_rng(seed, _PURPOSE_CAPACITY, 0, i))
+    _run_chunks(worker, n_trials, seed, _PURPOSE_CAPACITY, opts)
     rates.flags.writeable = False
     return rates
 
@@ -675,6 +674,5 @@ def estimate_ee(cfg: ScenarioConfig, capacity_bits: np.ndarray, n_trials: int,
         terms[:, ~live] = 0.0
         terms.sum(axis=1, out=vals[trials])
 
-    _run_chunks(worker, n_trials, opts.chunk_size, opts.n_jobs,
-                lambda i: _chunk_rng(seed, _PURPOSE_EE, 0, i))
+    _run_chunks(worker, n_trials, seed, _PURPOSE_EE, opts)
     return SimEstimate.of(vals)

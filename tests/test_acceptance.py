@@ -25,6 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from conftest import ACCEPTANCE_LINES
 from scipy.special import digamma, polygamma
 
@@ -37,6 +38,7 @@ from uavcache.caching import (ContentLibrary, lru_che, mpc_policy,
 from uavcache.channel import (ChannelConfig, environment_preset, kernel_table,
                               linear_threshold, los_probability, path_loss,
                               shadowing_log_moments)
+from uavcache.harness import parse_config
 from uavcache.simulator import _draw_links, estimate_capacity
 
 ENVS = ("high_rise", "dense_urban", "urban", "sub_urban")
@@ -512,6 +514,7 @@ scenario:
   cache_size: 5
   subchannels: 64
   simulation:
+    chunk_size: 100
     n_jobs: {jobs}
 sweeps:
   - name: det
@@ -521,6 +524,9 @@ sweeps:
     trials: 300
     seed: 12
 """
+    # more trials than one chunk, so the threaded run splits every row
+    (spec,) = parse_config(yaml.safe_load(template.format(jobs=4))).sweeps
+    assert spec.trials > spec.sim_options.chunk_size
     outputs = {}
     for tag, jobs in (("first", 1), ("second", 1), ("threaded", 4)):
         cold_field()  # each run draws its own far fields

@@ -56,12 +56,12 @@ def test_defaults_from_empty_config():
     assert sc.library.size == 20
     assert sc.library.zipf_exponent == 0.8
     assert sc.policy.cache_size == 5
-    assert run.policy == "rcp"
+    assert run.point.policies == ("rcp",)
     assert sc.subchannels == 64
     assert sc.uav_density == pytest.approx(1e-3)
     assert sc.coop_radius_km == pytest.approx(1.0)
     assert sc.channel.altitude_km == pytest.approx(1.0)
-    assert run.seed == 0 and run.trials == 10_000 and run.sweeps == ()
+    assert run.point.seed == 0 and run.point.trials == 10_000 and run.sweeps == ()
 
 
 def test_unknown_keys_rejected():
@@ -168,7 +168,7 @@ def _parsed_block(block, node):
     run = parse_config({"scenario": scenario})
     sc = run.scenario
     return run, {"channel": sc.channel, "power": sc.power, "quadrature": sc.quadrature,
-                 "simulation": run.sim_options, "custom_environment": sc.env}[block]
+                 "simulation": run.point.sim_options, "custom_environment": sc.env}[block]
 
 
 @pytest.mark.parametrize("block", CONFIG_BLOCKS)
@@ -191,7 +191,7 @@ def test_empty_config_takes_every_block_default():
     assert run.scenario.channel == ChannelConfig(altitude_km=1.0)
     assert run.scenario.power == PowerModel()
     assert run.scenario.quadrature == QuadratureConfig()
-    assert run.sim_options == SimOptions()
+    assert run.point.sim_options == SimOptions()
 
 
 def test_example_config_spells_out_every_block_default():
@@ -273,6 +273,23 @@ def test_custom_environment_round_trip():
     assert again.scenario.env == run.scenario.env
 
 
+@pytest.mark.parametrize("environment", ["urban", "sub_urban"])
+def test_custom_environment_may_not_take_a_preset_name(environment):
+    # the custom block would replace the preset of its name in every row, so
+    # an `env=urban` row would hold another environment's numbers
+    custom = {f.name: getattr(environment_preset("sub_urban"), f.name)
+              for f in fields(Environment)} | {"name": "urban"}
+    raw = {"scenario": {"environment": environment, "custom_environment": custom},
+           "sweeps": [{"variable": "x_cop", "grid": [1.0],
+                       "environments": ["urban", "sub_urban"]}]}
+    with pytest.raises(ConfigError, match="custom environment 'urban' takes a preset's name"):
+        parse_config(raw)
+    with pytest.raises(ConfigError, match="takes a preset's name"):
+        SweepSpec(name="s", variable="x_cop", grid=(1.0,), base=parse_config({}).scenario,
+                  environments=("urban",),
+                  environment_map={"urban": Environment(**custom)})
+
+
 def test_dump_config_round_trip():
     run = parse_config({"scenario": {"environment": "high_rise",
                                      "library_size": 8, "cache_size": 2,
@@ -296,15 +313,16 @@ SWEEP_FIELDS = ("name", "variable", "grid", "environments", "policies",
 
 
 def _parsed_fields(run) -> tuple:
-    """Everything parse_config reads from a config, in comparable form."""
+    """Everything parse_config reads from a config, in comparable form: the
+    scenario, and every field of the run point and of each sweep."""
     sc = run.scenario
-    sweeps = tuple(tuple(getattr(spec, f) for f in SWEEP_FIELDS)
-                   for spec in run.sweeps)
-    return (run.seed, run.trials, run.policy, run.sim_options,
-            run.custom_environments, sc.env, sc.env.name, sc.channel, sc.power,
+    assert run.point.base is sc and all(spec.base is sc for spec in run.sweeps)
+    specs = tuple(tuple(getattr(spec, f) for f in SWEEP_FIELDS)
+                  for spec in (run.point, *run.sweeps))
+    return (sc.env, sc.env.name, sc.channel, sc.power,
             sc.quadrature, sc.uav_density, sc.coop_radius_km, sc.subchannels,
             sc.library.size, sc.library.zipf_exponent, sc.policy.cache_size,
-            tuple(sc.policy.probabilities), sweeps)
+            tuple(sc.policy.probabilities), specs)
 
 
 def _optional_block(**keys):
@@ -396,7 +414,7 @@ def test_example_config_loads_and_round_trips(path):
     # figure script and the benchmark read the presets and workloads
     run = load_config(path)
     if path == EXAMPLE_CONFIG:
-        assert run.seed == 42 and [spec.name for spec in run.sweeps] == ["demo"]
+        assert run.point.seed == 42 and [spec.name for spec in run.sweeps] == ["demo"]
     else:
         assert run.sweeps
     assert _parsed_fields(parse_config(dump_config(run))) == _parsed_fields(run)
@@ -405,11 +423,13 @@ def test_example_config_loads_and_round_trips(path):
 @pytest.mark.parametrize("key,value", [
     ("grid", ["x"]), ("grid", [True, 2]), ("grid", [None]),
     ("policies", "rcp"), ("environments", "sub_urban"), ("methods", "analytic"),
-    ("policies", []), ("environments", []), ("methods", [])])
+    ("policies", []), ("environments", []), ("methods", []), ("name", 2020), ("name", "")])
 def test_bad_sweep_values_are_config_errors(key, value, tmp_path, capsys):
     # a grid value is a number as an override is, and a name list is a list,
     # not a string read character by character; an empty one would make a
-    # sweep of no rows, which validate passed and sweep could not write
+    # sweep of no rows, which validate passed and sweep could not write. A
+    # name is a string: one YAML reads as a number is quoted, as an
+    # environment name is
     raw = {"sweeps": [{"name": "s", "variable": "x_cop", "grid": [1.0, 2.0],
                        key: value}]}
     with pytest.raises(ConfigError, match=f"sweeps\\[0\\].{key}"):
@@ -419,6 +439,17 @@ def test_bad_sweep_values_are_config_errors(key, value, tmp_path, capsys):
     assert cli.main(["validate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("seed", -1, "seed = -1 out of range"), ("seed", 1.5, "config.seed must be an integer"),
+    ("seed", "7", "config.seed must be an integer"), ("trials", 0, "trials = 0 out of range"),
+    ("trials", True, "config.trials must be an integer")])
+def test_bad_top_level_seed_or_trials_is_a_config_error(key, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config({key: value})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config({key: value, "sweeps": [{"variable": "x_cop", "grid": [1.0]}]})
 
 
 @pytest.mark.parametrize("methods", ["both", ["both"]])
@@ -648,7 +679,7 @@ def test_base_placement_is_built_per_row(key, variable):
     # the base is no error when every sweep row sets a nonempty one
     run = parse_config({"scenario": {key: 0},
                         "sweeps": [{"variable": variable, "grid": [1e-3, 3e-3]}]})
-    assert run.policy == "rcp" and run.scenario.policy.kind == "mpc"
+    assert run.point.policies == ("rcp",) and run.scenario.policy.kind == "mpc"
     rows = run_sweep(run.sweeps[0])
     assert [(r.policy, r.method) for r in rows] == [("rcp", "analytic")] * 2
     assert all(r.capacity_bits > 0 for r in rows)
@@ -807,6 +838,20 @@ def test_negative_seed_is_a_config_error(command, tmp_path, capsys):
                      "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_zero_trials_is_a_config_error_on_every_command(command, tmp_path, capsys):
+    # a command-line trial count is checked where a config's is, whatever the
+    # methods: `trials: 0` exits 2 on an analytic config, and so does --trials 0
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL_SWEEP_YAML)
+    with pytest.raises(ConfigError, match="trials"):
+        parse_config(yaml.safe_load(MINIMAL_SWEEP_YAML + "trials: 0\n"))
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
+                     "--trials", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trials = 0" in err
 
 
 def test_cli_overrides_reach_rows(tmp_path):

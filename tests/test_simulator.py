@@ -666,7 +666,7 @@ def test_ee_estimator_terms_are_the_masked_ratio():
     live = (m > 0.0) & (rates > 0.0)
     parts = []
     for i, lo in enumerate(range(0, 700, 300)):
-        rng = simulator._chunk_rng(13, simulator._PURPOSE_EE, 0, i)
+        rng = simulator._chunk_rng(13, simulator._PURPOSE_EE, i)
         k = rng.poisson(np.broadcast_to(m, (min(300, 700 - lo), m.size)))
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where((k > 0) & live[None, :],
