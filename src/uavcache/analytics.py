@@ -61,11 +61,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .caching import ContentLibrary, PlacementPolicy
-from .channel import (_DB_TO_LN, ChannelConfig, Environment, kernel_table,
-                      linear_threshold, los_probability, shadowing_log_moments)
+from .channel import (_DB_TO_LN, ChannelConfig, Environment, _gl_panels,
+                      _legendre_rule, kernel_table, linear_threshold,
+                      los_probability, shadowing_log_moments)
 from .errors import ConfigError, ConvergenceError
 
 # Radial/transform grid layout; accuracy is governed by QuadratureConfig and
@@ -188,24 +188,6 @@ class CapacityReport:
     @property
     def system_rate_bits(self) -> float:
         return self.system_rate_nats / math.log(2.0)
-
-
-@lru_cache(maxsize=8)
-def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size."""
-    x, w = leggauss(nodes)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _gl_panels(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre points/weights over consecutive panels."""
-    x, w = _legendre_rule(nodes)
-    e = np.asarray(edges, dtype=float)
-    mid = 0.5 * (e[1:] + e[:-1])
-    half = 0.5 * (e[1:] - e[:-1])
-    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), \
-           (half[:, None] * w[None, :]).ravel()
 
 
 def _grazing_radius(env: Environment, rel_tol: float) -> float:

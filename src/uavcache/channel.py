@@ -465,14 +465,27 @@ def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
+def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size."""
+    x, w = leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gl_panels(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre points/weights over consecutive panels."""
+    x, w = _legendre_rule(nodes)
+    e = np.asarray(edges, dtype=float)
+    mid = 0.5 * (e[1:] + e[:-1])
+    half = 0.5 * (e[1:] - e[:-1])
+    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), \
+           (half[:, None] * w[None, :]).ravel()
+
+
+@lru_cache(maxsize=8)
 def _window_rule(nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    xs, ws = leggauss(nodes_per_panel)
-    edges = np.linspace(_WIN_Y_LO, _WIN_Y_HI, _WIN_PANELS + 1)
-    y = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * xs
-                        for a, b in zip(edges[:-1], edges[1:])])
-    w = np.concatenate([0.5 * (b - a) * ws
-                        for a, b in zip(edges[:-1], edges[1:])])
-    return y, w
+    return _gl_panels(np.linspace(_WIN_Y_LO, _WIN_Y_HI, _WIN_PANELS + 1),
+                      nodes_per_panel)
 
 
 def _kernel_branches(coef: np.ndarray, m_ln: float,

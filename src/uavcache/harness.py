@@ -418,6 +418,8 @@ def _evaluate_row(scenario: ScenarioConfig, method: str, trials: int,
     A Monte Carlo row shares one interference field across its contents, so
     the per-content estimates are correlated: the row's stderr is that of the
     per-trial weighted system rate sum_c a_c X_c,t, not a sum in quadrature.
+    Its EE is the exact Poisson sum at its per-content rates (`estimate_ee`);
+    an analytic row's is still the approximate `energy_efficiency`.
     """
     if method == "analytic":
         report = system_capacity(scenario)
@@ -431,8 +433,8 @@ def _evaluate_row(scenario: ScenarioConfig, method: str, trials: int,
         system += float(scenario.library.popularity[c - 1]) * est.samples
     row = SimEstimate.of(system)
     ln2 = math.log(2.0)
-    ee_est = estimate_ee(scenario, per_content / ln2, trials, seed, opts)
-    return row.mean / ln2, ee_est.mean, row.stderr / ln2, trials
+    ee = estimate_ee(scenario, per_content / ln2)
+    return row.mean / ln2, ee, row.stderr / ln2, trials
 
 
 def _placed_scenario(spec: SweepSpec, settings: dict, env_name: str,
@@ -504,25 +506,24 @@ def far_field_costs(spec: SweepSpec) -> list[tuple[float, str, _FarField | None,
     return out
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.12g}"
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def emit_csv(rows: list[SweepRow], path) -> None:
-    """Write rows in order under the fixed header; reruns are byte-identical.
-    A name holding a comma or quote is quoted, so every row keeps 16 cells."""
+    """Write rows in order under the fixed header, one cell per SweepRow
+    field (floats to 12 significant digits, None empty); reruns are
+    byte-identical. A name holding a comma or quote is quoted, so every row
+    keeps 16 cells."""
     if not rows:
         raise ValueError("refusing to write an empty result table")
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows([
-        r.scenario_id, r.env, r.policy, r.method,
-        f"{r.density:.12g}", f"{r.altitude_km:.12g}",
-        f"{r.coop_radius_km:.12g}", str(r.subchannels),
-        str(r.library_size), str(r.cache_size), f"{r.kappa:.12g}",
-        _fmt(r.capacity_bits), _fmt(r.ee_bits_per_joule), _fmt(r.stderr),
-        str(r.n_trials), str(r.seed)] for r in rows)
+    names = [f.name for f in fields(SweepRow)]
+    csv.writer(buf, lineterminator="\n").writerows(
+        [_cell(getattr(r, name)) for name in names] for r in rows)
     data = buf.getvalue()
     if hasattr(path, "write"):
         path.write(data)

@@ -23,12 +23,15 @@ cooperators and the non-caching interferers of every live content against
 that field, so the calls for the contents of one scenario, trial count, seed
 and options all read one pass; cleared memos redraw the same bytes.
 
+A row's energy efficiency draws nothing: `estimate_ee` evaluates the exact
+Poisson sum over the cooperator count at the row's simulated rates.
+
 Determinism contract: every estimator derives its randomness from
 counter-based Philox substreams keyed by (master seed, purpose, 0) with the
-chunk index in the counter block; the field, the zone pass and the EE
-estimate each have their own purpose. A zone chunk draws the live contents
-in library order, a block of them at a time (`_Zone.fill`), so a content's
-bytes depend on the whole placement. Chunks own disjoint streams and write
+chunk index in the counter block; the field, the zone pass and the LRU
+request trace each have their own purpose. A zone chunk draws the live
+contents in library order, a block of them at a time (`_Zone.fill`), so a
+content's bytes depend on the whole placement. Chunks own disjoint streams and write
 disjoint slices, so results are bit-identical for any chunk execution order
 or thread count.
 """
@@ -43,16 +46,17 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .analytics import ScenarioConfig, _poisson_k_max
+from .analytics import (CapacityReport, ScenarioConfig, _log_factorial,
+                        _poisson_k_max, energy_efficiency_exact)
 from .channel import (ChannelConfig, Environment, log_ndtr, los_probability, ndtr,
                       ndtri, path_loss, shadowing_log_moments, shadowing_sigma_db)
 from .errors import ConfigError, ConvergenceError
 
 _MASK64 = (1 << 64) - 1
 # Philox stream purposes; each must be distinct, or two estimators replay
-# one stream
+# one stream, and none may be renumbered, or its stream's bytes move (2 was
+# the deleted EE sampler's)
 _PURPOSE_CAPACITY = 1
-_PURPOSE_EE = 2
 _PURPOSE_LRU = 3    # the LRU request trace of lru_empirical placements
 _PURPOSE_FIELD = 4
 # expected far-field spikes per chunk above which a field draw is refused:
@@ -434,21 +438,17 @@ def _edge_gain(env: Environment, ch: ChannelConfig, x: float) -> float:
 def _truncated_poisson_cdf(m: float) -> np.ndarray:
     """CDF table of the zero-truncated Poisson for inverse-CDF sampling.
 
-    The table grows until the zero-truncated law's tail mass beyond it,
-    P(N > k)/(1 - e^-m), falls below 1e-15; a table that reaches 10000 terms
-    with more tail mass left raises ConvergenceError.
+    The table holds k = 1..K, K the smallest count whose zero-truncated tail
+    mass P(N > K)/(1 - e^-m) is below 1e-15 (`_poisson_k_max`), with the pmf
+    of the analytic EE sum; a K above 10000 raises ConvergenceError.
     """
-    k_min = _poisson_k_max(m, 1e-15 * -math.expm1(-m))
-    k_hi = 1
-    while k_hi < k_min:
-        if k_hi >= 10000:
-            raise ConvergenceError(
-                f"cooperator count table for mean m_c = {m:.6g} did not reach "
-                f"its 1e-15 tail within {k_hi} terms")
-        k_hi = max(k_hi + 1, int(1.5 * k_hi))
-    ks = np.arange(1, k_hi + 1, dtype=float)
-    log_pmf = ks * math.log(m) - m - np.cumsum(np.log(ks))
-    pmf = np.exp(log_pmf) / -math.expm1(-m)
+    k_max = _poisson_k_max(m, 1e-15 * -math.expm1(-m))
+    if k_max > 10000:
+        raise ConvergenceError(
+            f"cooperator count table for mean m_c = {m:.6g} needs {k_max} terms "
+            "(> 10000) to reach its 1e-15 tail")
+    ks = np.arange(1, k_max + 1, dtype=float)
+    pmf = np.exp(ks * math.log(m) - m - _log_factorial(ks)) / -math.expm1(-m)
     return np.cumsum(pmf)
 
 
@@ -638,41 +638,20 @@ def estimate_capacity(cfg: ScenarioConfig, content: int, n_trials: int,
     return SimEstimate.of(rates[np.count_nonzero(live[:content - 1])])
 
 
-def estimate_ee(cfg: ScenarioConfig, capacity_bits: np.ndarray, n_trials: int,
-                seed: int, options: SimOptions | None = None) -> SimEstimate:
-    """Empirical energy efficiency in bits per joule.
+def estimate_ee(cfg: ScenarioConfig, capacity_bits: np.ndarray) -> float:
+    """Energy efficiency in bits per joule of a Monte Carlo row: the exact
+    Poisson sum `energy_efficiency_exact` at the row's per-content rates in
+    bits per channel use (the estimate_capacity means), with cooperator
+    means zone_mean_uavs * p_c. It draws nothing.
 
-    Per trial, draws a cooperator count per content and accumulates
-    popularity * rate / (count * fixed_power + slope * rate) over contents
-    with a nonempty cooperation set. Rates are per-content averages in bits
-    per channel use (e.g. from CapacityReport.per_content_bits).
+    It stays a function of this module, and the harness calls it by this
+    name, so that a traced benchmark run times the Monte Carlo rows' EE
+    (the `simulator.estimate_ee` span) apart from their capacity.
     """
-    opts = options or SimOptions()
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
     rates = np.asarray(capacity_bits, dtype=float)
     if rates.shape != (cfg.library.size,):
         raise ValueError("need one capacity value per content")
-    a = cfg.library.popularity
-    m = cfg.zone_mean_uavs * cfg.policy.probabilities
-    fixed = cfg.power.fixed_power(cfg.policy.cache_size)
-    zeta = cfg.power.rate_power_slope
-    live = (m > 0.0) & (rates > 0.0)
-    gain = a * rates
-    slope = zeta * rates
-    vals = np.empty(n_trials)
-
-    def worker(rng: np.random.Generator, trials: slice) -> None:
-        n = trials.stop - trials.start
-        k = rng.poisson(np.broadcast_to(m, (n, m.size)))
-        # popularity * rate / (count * fixed + slope * rate), in place
-        terms = np.multiply(k, fixed)
-        terms += slope
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(gain, terms, out=terms)
-        terms[k == 0] = 0.0
-        terms[:, ~live] = 0.0
-        terms.sum(axis=1, out=vals[trials])
-
-    _run_chunks(worker, n_trials, seed, _PURPOSE_EE, opts)
-    return SimEstimate.of(vals)
+    nats = rates * math.log(2.0)
+    report = CapacityReport(nats, cfg.zone_mean_uavs * cfg.policy.probabilities,
+                            float(np.sum(cfg.library.popularity * nats)))
+    return energy_efficiency_exact(cfg, report)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import uavcache
 from uavcache import caching, cli, harness, simulator
-from uavcache.analytics import PowerModel, QuadratureConfig
+from uavcache.analytics import (CapacityReport, PowerModel, QuadratureConfig,
+                                energy_efficiency_exact)
 from uavcache.caching import POLICY_KINDS
 from uavcache.channel import (ENVIRONMENT_PRESETS, ChannelConfig, Environment,
                               environment_preset)
@@ -876,7 +877,15 @@ def test_both_methods_agree_on_one_point():
     assert analytic.method == "analytic" and monte.method == "monte_carlo"
     assert monte.n_trials == 1500 and monte.stderr > 0
     assert abs(analytic.capacity_bits - monte.capacity_bits) < 1.96 * monte.stderr
-    assert monte.ee_bits_per_joule > 0
+    # the Monte Carlo row's EE is the exact Poisson sum at its own
+    # per-content rates
+    sc = harness._placed_scenario(spec, spec.settings(1.0), monte.env, monte.policy,
+                                  analytic.seed)
+    nats = np.array([estimate_capacity(sc, c, 1500, monte.seed, spec.sim_options).mean
+                     for c in range(1, sc.library.size + 1)])
+    report = CapacityReport(nats, sc.zone_mean_uavs * sc.policy.probabilities,
+                            float(sc.library.popularity @ nats))
+    assert monte.ee_bits_per_joule == energy_efficiency_exact(sc, report) > 0
 
 
 def test_monte_carlo_row_survives_chunks_without_spikes():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, log_ndtr, ndtr, ndtri
+from scipy.stats import poisson
 
 from uavcache import simulator
 from uavcache.analytics import (PowerModel, QuadratureConfig, ScenarioConfig,
@@ -371,29 +372,31 @@ def test_per_trial_sum_is_float_without_entries():
 
 
 def test_cooperator_table_refuses_an_unreached_tail():
-    # at m_c = 2e4 the growth rule passes 10000 terms at k = 12138 with the
-    # tail mass still near 1/2 and every pmf entry underflowed to 0; sampling
-    # from that table would give every trial 12138 cooperators
-    with pytest.raises(ConvergenceError, match="m_c = 20000"):
-        simulator._truncated_poisson_cdf(2e4)
+    # past 10000 terms the table is refused rather than built: at m_c = 2e4
+    # a table cut there would leave a tail mass near 1/2, and at 10500 its
+    # 1e-15 tail needs k = 11324 (the growth rule it replaced built 12138
+    # entries there and accepted them)
+    for m, label in ((2e4, "m_c = 20000"), (10500.0, "m_c = 10500 needs 11324 terms")):
+        with pytest.raises(ConvergenceError, match=label):
+            simulator._truncated_poisson_cdf(m)
+    assert simulator._truncated_poisson_cdf(9000.0).size <= 10000
 
 
-def test_cooperator_table_below_the_cap_is_unchanged():
-    # the table as it was built before the tail check: same growth rule,
-    # same sums, run until the zero-truncated tail P(N > k)/(1 - e^-m) is
-    # below 1e-15, so every reachable mean gets the same bytes
-    def table(m):
-        k_hi = 1
-        while gammainc(k_hi + 1.0, m) > 1e-15 * -math.expm1(-m) and k_hi < 10000:
-            k_hi = max(k_hi + 1, int(1.5 * k_hi))
-        ks = np.arange(1, k_hi + 1, dtype=float)
-        log_pmf = ks * math.log(m) - m - np.cumsum(np.log(ks))
-        return np.cumsum(np.exp(log_pmf) / -math.expm1(-m))
-
-    for m in (1e-3, 5.0, 300.0, 4000.0):
-        got = simulator._truncated_poisson_cdf(m)
-        assert got.tobytes() == table(m).tobytes(), m
-    assert simulator._truncated_poisson_cdf(5.0)[-1] == pytest.approx(1.0, abs=1e-14)
+def test_cooperator_table_is_the_ee_pmf_to_its_smallest_end():
+    # the table ends at the smallest k whose zero-truncated tail
+    # P(N > k)/(1 - e^-m) is below 1e-15, and is that law's CDF within
+    # 1e-15 (1 + m) of scipy's; the growth rule it replaced overshot (6
+    # entries for k = 5 at m = 1e-3, 94 for k = 79 at m = 28), and its
+    # cumulative ln k! sums missed by 1.4e-12 at m = 300 and 3.1e-11 at 4000
+    for m, k_end in ((1e-3, 5), (0.5, 14), (5.0, 31), (28.0, 79), (300.0, None),
+                     (4000.0, None)):
+        cdf = simulator._truncated_poisson_cdf(m)
+        k = cdf.size
+        assert k_end is None or k == k_end, m
+        tail = -math.expm1(-m) * 1e-15
+        assert gammainc(k + 1.0, m) < tail <= gammainc(float(k), m), m
+        ref = 1.0 - poisson.sf(np.arange(1.0, k + 1.0), m) / -math.expm1(-m)
+        assert np.max(np.abs(cdf - ref)) < 1e-15 * (1.0 + m), m
 
 
 def test_cooperator_table_leaves_out_less_than_its_tail():
@@ -421,11 +424,12 @@ def test_field_draw_refuses_a_spike_overload(cold_field):
 
 
 def test_stream_purposes_are_distinct():
-    # two estimators sharing a purpose would replay one Philox stream
+    # two estimators sharing a purpose would replay one Philox stream, and a
+    # renumbered purpose moves its stream's bytes: each keeps its integer
+    # (2 was the deleted EE sampler's and stays unused)
     purposes = {name: value for name, value in vars(simulator).items()
                 if name.startswith("_PURPOSE_")}
-    assert len(purposes) == 4
-    assert len(set(purposes.values())) == len(purposes)
+    assert purposes == {"_PURPOSE_CAPACITY": 1, "_PURPOSE_LRU": 3, "_PURPOSE_FIELD": 4}
 
 
 def test_shared_field_matches_own_draw(cold_field):
@@ -604,10 +608,6 @@ def test_numpy_integers_read_as_python_ints(cold_field):
         cold_field()
         est = estimate_capacity(cfg, content, 50, seed, opts)
         assert est.samples.tobytes() == ref.samples.tobytes(), (content, seed)
-    rates = system_capacity(cfg).per_content_bits
-    ee = estimate_ee(cfg, rates, 50, 3, opts)
-    for seed in (np.int64(3), np.uint32(3)):
-        assert estimate_ee(cfg, rates, 50, seed, opts).samples.tobytes() == ee.samples.tobytes()
     assert content_capacity(cfg, np.int64(2)) == content_capacity(cfg, 2)
     for content in (1.5, 2.0):
         with pytest.raises(TypeError):
@@ -632,53 +632,64 @@ def test_estimator_validation(cold_field):
 
 # --- energy efficiency estimator ----------------------------------------------
 
-def test_ee_estimator_free_hardware_closed_form():
-    # with zero fixed power the per-trial value only asks whether the zone
-    # is populated, so the mean has a closed form to test against
-    cfg = dense_scenario(power=PowerModel(0.0, 0.0, 0.0, 1.0))
-    report = system_capacity(cfg)
-    est = estimate_ee(cfg, report.per_content_bits, 20_000, 31)
-    closed = float(np.sum(cfg.library.popularity * -np.expm1(-report.coop_means)))
-    assert abs(est.mean - closed) < 3.0 * est.stderr
-
-
-def test_ee_estimator_matches_analytic():
-    cfg = dense_scenario()
-    report = system_capacity(cfg)
-    est = estimate_ee(cfg, report.per_content_bits, 20_000, 31)
-    exact = energy_efficiency_exact(cfg, report)
-    assert abs(est.mean - exact) < max(0.1 * exact, 3.0 * est.stderr)
-
-
-def test_ee_estimator_terms_are_the_masked_ratio():
-    # the worker computes its terms in place; they are, bit for bit, the
-    # masked ratio popularity * rate / (count * fixed + slope * rate) over
-    # contents with a nonempty cooperation set and a positive rate
-    cfg = dense_scenario()
-    rates = system_capacity(cfg).per_content_bits
-    rates[3] = 0.0
-    opts = SimOptions(chunk_size=300)
-    est = estimate_ee(cfg, rates, 700, 13, opts)
+def sampled_ee(cfg, capacity_bits, n_trials, seed):
+    """The sampler estimate_ee once was, as its oracle: per trial a Poisson
+    cooperator count k_c per content, and sum_c a_c r_c / (k_c fixed +
+    slope r_c) over contents with k_c > 0 and a positive rate r_c. (It drew
+    1024-trial chunks to bound a 10k-trial row's memory; one block draws the
+    same law.)"""
     a = cfg.library.popularity
     m = cfg.zone_mean_uavs * cfg.policy.probabilities
     fixed = cfg.power.fixed_power(cfg.policy.cache_size)
     zeta = cfg.power.rate_power_slope
-    live = (m > 0.0) & (rates > 0.0)
-    parts = []
-    for i, lo in enumerate(range(0, 700, 300)):
-        rng = simulator._chunk_rng(13, simulator._PURPOSE_EE, i)
-        k = rng.poisson(np.broadcast_to(m, (min(300, 700 - lo), m.size)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where((k > 0) & live[None, :],
-                             a[None, :] * rates[None, :]
-                             / (k * fixed + zeta * rates[None, :]), 0.0)
-        parts.append(terms.sum(axis=1))
-    assert est.samples.tobytes() == np.concatenate(parts).tobytes()
+    rates = np.asarray(capacity_bits, dtype=float)
+    k = np.random.default_rng(seed).poisson(m, (n_trials, m.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where((k > 0) & (rates > 0.0), a * rates / (k * fixed + zeta * rates), 0.0)
+    return SimEstimate.of(terms.sum(axis=1))
+
+
+def ee_cases():
+    """(scenario, capacity report): the dense rcp and mpc placements, and
+    the rcp one with a live content's rate set to zero."""
+    cfg = dense_scenario()
+    mpc = cfg.with_policy(mpc_policy(cfg.library.popularity, 2))
+    rcp = system_capacity(cfg)
+    nats = rcp.per_content_nats.copy()
+    nats[0] = 0.0
+    zeroed = replace(rcp, per_content_nats=nats,
+                     system_rate_nats=float(cfg.library.popularity @ nats))
+    return [(cfg, rcp), (mpc, system_capacity(mpc)), (cfg, zeroed)]
+
+
+def test_ee_estimator_is_the_exact_sum():
+    # a Monte Carlo row's EE is energy_efficiency_exact at its per-content
+    # rates, bit for bit
+    for cfg, report in ee_cases():
+        assert estimate_ee(cfg, report.per_content_bits) == energy_efficiency_exact(cfg, report)
+
+
+def test_ee_estimator_free_hardware_closed_form():
+    # with zero fixed power each content's sum over k >= 1 only asks whether
+    # the zone is populated: sum_c a_c (1 - e^-m_c), less a tail below 1e-12
+    cfg = dense_scenario(power=PowerModel(0.0, 0.0, 0.0, 1.0))
+    report = system_capacity(cfg)
+    closed = float(np.sum(cfg.library.popularity * -np.expm1(-report.coop_means)))
+    assert estimate_ee(cfg, report.per_content_bits) == pytest.approx(closed, abs=1e-12)
+
+
+def test_ee_estimator_matches_analytic():
+    # the sampler's 20k-trial mean lies within 4 of its standard errors of
+    # the sum it samples (a fresh seed breaks that with probability 6e-5 per
+    # case); at seed 31 the three cases read z = 0.68, 1.77 and -0.31, and
+    # over seeds 0-39 each case's z has mean -0.12 to 0.14 and spread 1.0-1.2
+    for cfg, report in ee_cases():
+        rates = report.per_content_bits
+        est = sampled_ee(cfg, rates, 20_000, 31)
+        assert abs(est.mean - estimate_ee(cfg, rates)) < 4.0 * est.stderr
 
 
 def test_ee_estimator_validation():
     cfg = dense_scenario()
     with pytest.raises(ValueError, match="one capacity value per content"):
-        estimate_ee(cfg, np.array([1.0, 2.0]), 100, 0)
-    with pytest.raises(ValueError):
-        estimate_ee(cfg, np.ones(5), 0, 0)
+        estimate_ee(cfg, np.array([1.0, 2.0]))
