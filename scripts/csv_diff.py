@@ -5,7 +5,8 @@ For every CSV in OLD_DIR the script reads the file of the same name in
 NEW_DIR and prints, per numeric column, the worst relative change
 |new - old| / |old| over all rows (0 where both cells are 0, inf where only
 the old cell is 0). Non-numeric cells must be equal, and so must the header,
-the row count and the set of file names; a mismatch is printed.
+the row count, each row's cell count and the set of file names; a mismatch
+is printed, and an empty file has no header to match.
 
 Exit status: 0 when every change is within --rel and nothing mismatches,
 1 otherwise.
@@ -42,7 +43,7 @@ def compare(old_path: Path, new_path: Path) -> tuple[dict[str, float], list[str]
         old = list(csv.reader(fh))
     with open(new_path, newline="", encoding="utf-8") as fh:
         new = list(csv.reader(fh))
-    if not old or old[0] != new[0]:
+    if not old or not new or old[0] != new[0]:
         return {}, ["headers differ"]
     if len(old) != len(new):
         return {}, [f"{len(old) - 1} rows against {len(new) - 1}"]
@@ -50,6 +51,9 @@ def compare(old_path: Path, new_path: Path) -> tuple[dict[str, float], list[str]
     worst = {}
     problems = []
     for line, (a_row, b_row) in enumerate(zip(old[1:], new[1:]), start=2):
+        if len(a_row) != len(b_row):
+            problems.append(f"line {line}: {len(a_row)} cells against {len(b_row)}")
+            continue
         for col, a, b in zip(header, a_row, b_row):
             x, y = _number(a), _number(b)
             if x is None or y is None:

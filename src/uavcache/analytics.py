@@ -165,10 +165,6 @@ class ScenarioConfig:
         """Mean UAV count inside the cooperation zone (all contents)."""
         return math.pi * self.uav_density * self.coop_radius_km ** 2
 
-    def coop_mean(self, p_c: float) -> float:
-        """Mean cooperator count for a content placed with probability p_c."""
-        return self.zone_mean_uavs * p_c
-
     def with_policy(self, policy: PlacementPolicy) -> "ScenarioConfig":
         return replace(self, policy=policy)
 

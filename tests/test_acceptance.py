@@ -125,7 +125,7 @@ def floor_bias_in_se(cfg, est, n_trials=10_000):
     concave)."""
     far = simulator._FarField(cfg.env, cfg.channel, cfg.interferer_density,
                               cfg.coop_radius_km)
-    q = -math.expm1(-cfg.coop_mean(float(cfg.policy.probabilities[0])))
+    q = -math.expm1(-cfg.zone_mean_uavs * float(cfg.policy.probabilities[0]))
     se = float(est.samples.std(ddof=1)) / math.sqrt(n_trials)
     return far.bias * q * min(1.0, 2.0 * est.mean / q) / se
 

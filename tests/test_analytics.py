@@ -57,7 +57,6 @@ def test_scenario_derived_quantities():
     cfg = reference_scenario("sub_urban", 3.0)
     assert cfg.interferer_density == pytest.approx(1e-3 / 64, rel=1e-15)
     assert cfg.zone_mean_uavs == pytest.approx(math.pi * 1e-3 * 9.0, rel=1e-15)
-    assert cfg.coop_mean(0.5) == pytest.approx(cfg.zone_mean_uavs * 0.5, rel=1e-15)
 
 
 def test_scenario_validation():
@@ -127,7 +126,7 @@ def test_cooperative_factor_saturates_to_void_complement_squared():
     for name, radius, rel in (("sub_urban", 3.0, 1e-4), ("high_rise", 1.0, 1e-6)):
         cfg = reference_scenario(name, radius)
         p1 = float(cfg.policy.probabilities[0])
-        target = -math.expm1(-cfg.coop_mean(p1))
+        target = -math.expm1(-cfg.zone_mean_uavs * p1)
         got = laplace_factors(1e9, cfg, p1)[2][0]
         assert got == pytest.approx(target, rel=rel), name
 

@@ -167,7 +167,7 @@ def test_far_field_floor_keeps_the_sir_finite(monkeypatch, cold_field):
     floor = far_field(top).floor
     monkeypatch.setattr(simulator, "_interference_field",
                         lambda *key: np.full(20_000, floor))
-    nonempty = -math.expm1(-top.coop_mean(float(top.policy.probabilities[0])))
+    nonempty = -math.expm1(-top.zone_mean_uavs * float(top.policy.probabilities[0]))
     samples = estimate_capacity(top, 1, 20_000, 3, SimOptions(chunk_size=20_000)).samples
     assert np.isfinite(samples).all()
     assert samples.max() > nonempty * math.log1p(1e6)
