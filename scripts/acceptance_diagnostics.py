@@ -28,8 +28,8 @@ from uavcache import (ChannelConfig, ContentLibrary, ScenarioConfig,
                       elevation_deg, energy_efficiency, environment_preset,
                       los_probability, solve_rcp, system_capacity)
 from uavcache.analytics import (_V_NODES, _assemble_rates, _geometry_tables,
-                                _grazing_radius, _laplace_factors, _linear_rest,
-                                _panel_integrals, _radial_edges, _tail_edges)
+                                _laplace_factors, _linear_rest, _panel_integrals,
+                                _radial_edges, _tail_edges)
 
 ENVS = ("high_rise", "dense_urban", "urban", "sub_urban")
 LN2 = math.log(2.0)
@@ -96,7 +96,7 @@ def mode_radials(v: np.ndarray, cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     differ only where a group's own tail edges end its far panels elsewhere
     (at most 5e-11 relative, urban, for the four presets at X = 3 km)."""
     env, ch, quad, x = cfg.env, cfg.channel, cfg.quadrature, cfg.coop_radius_km
-    edges = ch.altitude_km * _radial_edges(_grazing_radius(env, quad.rel_tol))
+    edges = ch.altitude_km * _radial_edges(env, quad.rel_tol)
     edges = np.append(edges, _tail_edges(env, ch, float(v.max()), float(edges[-1])))
     split = np.insert(edges, np.searchsorted(edges, x, side="right"), x)
     los, nlos = (_panel_integrals(v, env, ch, quad, split, per_mode=True).sum(axis=1)

@@ -18,22 +18,24 @@ kernel [--hermite-nodes N] [--geometry ENV:X_KM:H_KM ...]
   H = 2 km). A geometry's read of the radial table at X (the two partial
   panels around it) is always made; the radial table (prefix and suffix
   sums on every panel edge, held at unit altitude and intercept, in groups
-  of ln u panels, its far tail in each group's one `kernel_table` call) is
-  read at u = v k_n H^-alpha_n, and a group is built unless an earlier
-  geometry with the same environment and channel left it cached, whatever
-  its altitude. Every `_shadow_expectation` call of the build is recorded,
-  then replayed once per kernel branch with only that branch's cells live
-  (the others 0, which the kernel answers without work) and once with
-  every cell 0 (`base_s`: masks and gates). A branch's seconds are its
-  replay minus `base_s`, so the branches plus `base_s` approximate
-  `kernel_s`; a branch too cheap to separate from noise can read below 0.
+  of ln u panels, each with its own far tail) is read at u = v k_n
+  H^-alpha_n, and a group is built unless an earlier geometry with the
+  same environment and channel left it cached, whatever its altitude; the
+  groups a geometry builds are built in one `kernel_table` call. Every
+  `_shadow_expectation` call of the build is recorded, then replayed once
+  per kernel branch with only that branch's cells live (the others 0,
+  which the kernel answers without work) and once with every cell 0
+  (`base_s`: masks and gates). A branch's seconds are its replay minus
+  `base_s`, so the branches plus `base_s` approximate `kernel_s`; a branch
+  too cheap to separate from noise can read below 0.
   One record per geometry:
     env, x_cop_km, altitude_km, hermite_nodes,
     build_s        table build, rate assembly and window guard
                    (`analytics.system_capacity`),
     groups_built   radial table groups this geometry built,
     groups_reused  distinct groups it read that were already cached,
-    table_s        time in `_radial_group` (cache lookups included),
+    table_s        time in `_radial_groups` (memo reads and the one-call
+                   build of the missing groups),
     read_s         build_s - table_s: the read at X, assembly and guard,
     kernel_s       time inside `_shadow_expectation` during the build,
     base_s         replay with every cell 0,
@@ -182,7 +184,7 @@ def kernel_geometry(env_name: str, x_cop: float, altitude: float,
         quad = replace(quad, hermite_nodes=hermite_nodes)
     cfg = replace(cfg, channel=replace(cfg.channel, altitude_km=altitude), quadrature=quad)
     kernel = channel._shadow_expectation
-    radial_group = analytics._radial_group
+    radial_groups = analytics._radial_groups
     calls = []
     groups_read = set()
     kernel_s = table_s = 0.0
@@ -195,25 +197,26 @@ def kernel_geometry(env_name: str, x_cop: float, altitude: float,
         calls.append((coef, m_ln, s_ln, wbar, n_h))
         return out
 
-    def timed_group(*args, **kwargs):
+    def timed_groups(*args):
         nonlocal table_s
-        groups_read.add(args)
+        *table, groups = args
+        groups_read.update((*table, g) for g in groups)
         t0 = time.perf_counter()
-        out = radial_group(*args, **kwargs)
+        out = radial_groups(*args)
         table_s += time.perf_counter() - t0
         return out
 
-    built = radial_group.cache_info().misses
+    built = analytics._RADIAL_GROUPS.built
     channel._shadow_expectation = recording
-    analytics._radial_group = timed_group
+    analytics._radial_groups = timed_groups
     try:
         t0 = time.perf_counter()
         analytics.system_capacity(cfg)
         build_s = time.perf_counter() - t0
     finally:
         channel._shadow_expectation = kernel
-        analytics._radial_group = radial_group
-    built = radial_group.cache_info().misses - built
+        analytics._radial_groups = radial_groups
+    built = analytics._RADIAL_GROUPS.built - built
     tables = analytics._assemble_rates(cfg, cfg.policy.probabilities)[1]
     _, prefix, suffix = analytics._radial_table(cfg.env, cfg.channel, cfg.quadrature,
                                                 *tables.panels)
@@ -249,7 +252,7 @@ def kernel_geometry(env_name: str, x_cop: float, altitude: float,
 
 def kernel_layer(args):
     analytics._geometry_tables.cache_clear()
-    analytics._radial_group.cache_clear()
+    analytics._RADIAL_GROUPS.clear()
     for env_name, x_cop, altitude in args.geometry or DEFAULT_GEOMETRIES:
         yield kernel_geometry(env_name, x_cop, altitude, args.hermite_nodes)
 

@@ -13,14 +13,14 @@ the window guard's probe, over the geometry's tables (`_assemble_rates`).
 Its ln v panels sit on a lattice in w = v k_los H^-alpha_los, the scenario's
 own LOS gain scale, with a guard panel beyond each end of the window summed.
 Each ln w panel takes _V_NODES = 8 Gauss-Legendre nodes, and each radial
-panel takes _GL_NODES = 12.
+panel takes _GL_NODES = 8.
 
 Every radial integral is read from one table per (environment, channel
 without its altitude and intercepts, quadrature). With zeta = z/H the LOS
 probability and the shadowing spread depend on zeta alone and the path loss
 is k_n H^-alpha_n (1 + zeta^2)^(-alpha_n/2), so each link mode's integral at
 altitude H is H^2 times its integral at unit altitude and intercept at
-u = v k_n H^-alpha_n. The table holds those per mode (`_radial_group`):
+u = v k_n H^-alpha_n. The table holds those per mode (`_build_groups`):
 panels on the lattice of powers of 1.6 in zeta, one from 0 to the first edge
 at or above 1/4, then every edge up to 64, then every sixth, in ln zeta, out
 to zeta_far, where P_LOS and the shadowing spread sit at their grazing-angle
@@ -28,13 +28,17 @@ limits within rel_tol. Out there the integrand is a power law times slowly
 varying marks, smooth in ln zeta, so those wide panels take their nodes in
 ln zeta (`_radial_nodes`). They go on past zeta_far to where every kernel
 is linear in u (`_tail_edges`), and the rest is one power-law integral per
-mode (`_linear_rest`). It keeps the prefix and suffix sums at every edge up
-to zeta_far, so neither side of a split cancels, on the Gauss-Legendre
-nodes of the same absolute ln u panel lattice as the w grid, memoized in
+mode (`_linear_rest`). Each link mode whose shadowing spread crosses the
+kernel's Gauss-Hermite/windowed switch adds the zeta of that crossing as an
+edge (`_switch_crossings`), so no panel straddles the kernel's step. The
+table keeps the prefix and suffix sums at every edge up to zeta_far, so
+neither side of a split cancels, on the Gauss-Legendre nodes of the same
+absolute ln u panel lattice as the w grid, memoized in
 fixed groups of _GROUP_PANELS panels, so a geometry builds only the groups
-its shifted range needs that no other geometry built. A kernel cell is a
-function of its own inputs alone, so a group's bits do not depend on which
-geometry asked for it first, nor on how its cells are split into calls.
+its shifted range needs that no other geometry built, all of them in one
+kernel call. A kernel cell is a function of its own inputs alone, so a
+group's bits do not depend on which geometry asked for it first, nor on
+which other groups shared its call.
 `_radial_table` reads it at a geometry: LOS reads u = w, and the NLOS shift
 by ln(k_nlos/k_los) - (alpha_nlos - alpha_los) ln H is the same for every
 node, so each w panel's nodes come from the two u panels they fall in by one
@@ -45,10 +49,11 @@ agree within 3.3e-9 relative (4 environments, H = 0.05-3 km), but for the
 urban suffix, 7.5e-8, where a group's own tail edges end its far panels
 sooner than the whole grid's do.
 `_geometry_tables` reads it at a cooperation radius X from the two partial
-panels around X, evaluated at the scenario's own altitude. The groups and the reads are memoized with
-`functools.lru_cache` on exactly what they read, the read also on the
-altitude, the intercepts, X and the window; an environment's name takes no
-part in its equality, so it keys nothing.
+panels around X, evaluated at the scenario's own altitude. The reads are
+memoized with `functools.lru_cache` and the groups in `_RADIAL_GROUPS`, each
+on exactly what it reads, the read also on the altitude, the intercepts, X
+and the window; an environment's name takes no part in its equality, so it
+keys nothing.
 
 Rates are in nats per channel use internally; energy efficiency converts to
 bits and reads the dynamic-power slope as W per (bit/channel use).
@@ -57,13 +62,15 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .caching import ContentLibrary, PlacementPolicy
-from .channel import (_DB_TO_LN, ChannelConfig, Environment, _gl_panels,
+from .channel import (_DB_TO_LN, _S_SWITCH, ChannelConfig, Environment, _gl_panels,
                       _legendre_rule, kernel_table, linear_threshold,
                       los_probability, shadowing_log_moments)
 from .errors import ConfigError, ConvergenceError
@@ -71,7 +78,7 @@ from .errors import ConfigError, ConvergenceError
 # Radial/transform grid layout; accuracy is governed by QuadratureConfig and
 # validated by the transform window's guard panels, these only set the base
 # resolution.
-_GL_NODES = 12
+_GL_NODES = 8
 _OUTER_RATIO = 1.6
 _FAR_STEP = 6  # lattice steps per panel beyond _Z_COARSE (ratio 1.6**6 = 16.8), in ln zeta
 # the transform rule: ln w lattice panels per decade and Gauss-Legendre nodes
@@ -207,15 +214,38 @@ def _grazing_radius(env: Environment, rel_tol: float) -> float:
 _OUTER_LOG = math.log(_OUTER_RATIO)
 
 
-def _radial_edges(zeta_far: float) -> np.ndarray:
+def _switch_crossings(env: Environment) -> list[float]:
+    """zeta* = cot theta* per link mode whose shadowing spread crosses the
+    kernel's Gauss-Hermite/windowed switch at an elevation 0 < theta* < 90
+    degrees: there s_ln = _DB_TO_LN a e^(-c theta*) = _S_SWITCH, so
+    theta* = ln(_DB_TO_LN a / _S_SWITCH) / c. The kernel steps by about 2e-7
+    there, so a panel straddling it loses the rule's convergence."""
+    out = []
+    for mode in ("los", "nlos"):
+        _, a, c = env.mode_params(mode)
+        if c > 0.0 and _DB_TO_LN * a > _S_SWITCH:
+            theta = math.log(_DB_TO_LN * a / _S_SWITCH) / c
+            if theta < 90.0:
+                out.append(1.0 / math.tan(math.radians(theta)))
+    return out
+
+
+def _radial_edges(env: Environment, rel_tol: float) -> np.ndarray:
     """0, then every lattice edge from the first at or above 1/4 to the first
     at or above _Z_COARSE, then every _FAR_STEP-th one to the first at or
-    beyond zeta_far (at least one such panel), in units of the altitude."""
+    beyond zeta_far (`_grazing_radius`, at least one such panel), in units of
+    the altitude, with each `_switch_crossings` zeta* below the last edge
+    added, so no panel straddles the kernel's step. A crossing within 1e-9
+    relative of a lattice edge is that edge."""
     j_lo = math.ceil(math.log(0.25) / _OUTER_LOG)
     j_mid = max(j_lo, math.ceil(math.log(_Z_COARSE) / _OUTER_LOG))
+    zeta_far = _grazing_radius(env, rel_tol)
     n_far = max(1, math.ceil((math.log(zeta_far) / _OUTER_LOG - j_mid) / _FAR_STEP))
     j = np.concatenate([np.arange(j_lo, j_mid), j_mid + _FAR_STEP * np.arange(n_far + 1)])
-    return np.concatenate([[0.0], _OUTER_RATIO ** j])
+    lattice = np.concatenate([[0.0], _OUTER_RATIO ** j])
+    crossings = {z for z in _switch_crossings(env)
+                 if z < lattice[-1] and min(abs(lattice - z)) > 1e-9 * z}
+    return np.array(sorted([*lattice, *crossings]))
 
 
 def _radial_nodes(edges, altitude_km: float) -> tuple[np.ndarray, np.ndarray]:
@@ -310,32 +340,89 @@ def _v_rule(k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(s_nodes), weights
 
 
-@lru_cache(maxsize=_GROUP_CACHE_SIZE)
-def _radial_group(env: Environment, unit: ChannelConfig, hermite_nodes: int,
-                  rel_tol: float, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """(prefix P, suffix S) of the radial table at unit altitude on the
-    Gauss-Legendre nodes u of the ln u lattice panels _GROUP_PANELS*g to
-    _GROUP_PANELS*(g+1) - 1, each of shape (mode, edge, u): per link mode n,
-    P[n, i] = int_0^{zeta_i} zeta k_n(zeta, u) dzeta and S[n, i] =
-    int_{zeta_i}^inf, whose part beyond the last edge, zeta_far, is more far
-    panels out to the group's `_tail_edges` and the `_linear_rest` beyond
-    them. `unit` is the channel with altitude_km, k_los and k_nlos all 1; of
-    the quadrature, a group reads only hermite_nodes and rel_tol."""
+def _build_groups(env: Environment, unit: ChannelConfig, hermite_nodes: int,
+                  rel_tol: float, groups: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(prefix P, suffix S) of the radial table at unit altitude for each
+    u-group g of groups, on the Gauss-Legendre nodes u of the ln u lattice
+    panels _GROUP_PANELS*g to _GROUP_PANELS*(g+1) - 1, each of shape
+    (mode, edge, u): per link mode n, P[n, i] = int_0^{zeta_i} zeta
+    k_n(zeta, u) dzeta and S[n, i] = int_{zeta_i}^inf, whose part beyond the
+    last edge, zeta_far, is more far panels out to the group's own
+    `_tail_edges` and the `_linear_rest` beyond them. `unit` is the channel
+    with altitude_km, k_los and k_nlos all 1; of the quadrature, a group
+    reads only hermite_nodes and rel_tol.
+
+    One kernel_table call serves every group: its rows are the union of the
+    groups' panels, those of the group with the longest tail, and its columns
+    every group's u side by side. Each group sums only its own panels, so its
+    bytes equal those of a group built alone."""
     quad = QuadratureConfig(hermite_nodes=hermite_nodes, rel_tol=rel_tol)
-    u = _v_rule(_GROUP_PANELS * g, _GROUP_PANELS * (g + 1) - 1)[0]
-    edges = _radial_edges(_grazing_radius(env, rel_tol))
+    edges = _radial_edges(env, rel_tol)
+    us = [_v_rule(_GROUP_PANELS * g, _GROUP_PANELS * (g + 1) - 1)[0] for g in groups]
     # the tail edges first: they refuse a spread too wide to evaluate before
     # any panel is integrated
-    every = np.append(edges, _tail_edges(env, unit, float(u[-1]), float(edges[-1])))
-    panels = _panel_integrals(u, env, unit, quad, every, per_mode=True)
-    rest = _linear_rest(u, env, unit, float(every[-1]))
-    prefix = np.cumsum(np.concatenate([np.zeros((2, 1, u.size)), panels[:, :edges.size - 1]],
-                                      axis=1), axis=1)
-    suffix = np.cumsum(np.concatenate([rest[:, None], panels[:, ::-1]], axis=1),
-                       axis=1)[:, ::-1][:, :edges.size]
-    for table in (prefix, suffix):
-        table.flags.writeable = False  # memoized and shared, as _ScenarioTables
-    return prefix, suffix
+    everys = [np.append(edges, _tail_edges(env, unit, float(u[-1]), float(edges[-1])))
+              for u in us]
+    panels = _panel_integrals(np.concatenate(us), env, unit, quad, max(everys, key=len),
+                              per_mode=True)
+    out = []
+    for j, (u, every) in enumerate(zip(us, everys)):
+        own = panels[:, :every.size - 1, j * u.size:(j + 1) * u.size]
+        rest = _linear_rest(u, env, unit, float(every[-1]))
+        prefix = np.cumsum(np.concatenate([np.zeros((2, 1, u.size)), own[:, :edges.size - 1]],
+                                          axis=1), axis=1)
+        suffix = np.cumsum(np.concatenate([rest[:, None], own[:, ::-1]], axis=1),
+                           axis=1)[:, ::-1][:, :edges.size]
+        for table in (prefix, suffix):
+            table.flags.writeable = False  # memoized and shared, as _ScenarioTables
+        out.append((prefix, suffix))
+    return out
+
+
+class _GroupMemo:
+    """The radial table's u-groups, keyed on (table, g), the least recently
+    read evicted beyond maxsize. `built` counts the groups built and `hits`
+    the group reads served from the memo since the last `clear`."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._lock = threading.Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        self._groups: OrderedDict = OrderedDict()
+        self.built = self.hits = 0
+
+    def read(self, table: tuple, groups: list[int], build) -> dict:
+        """{g: group} for every g of groups, those not held made by one call
+        build(missing)."""
+        with self._lock:
+            out = {g: self._groups[table, g] for g in groups if (table, g) in self._groups}
+            for g in out:
+                self._groups.move_to_end((table, g))
+            self.hits += len(out)
+        missing = [g for g in groups if g not in out]
+        if missing:
+            out.update(zip(missing, build(missing)))
+            with self._lock:
+                for g in missing:
+                    self._groups[table, g] = out[g]
+                while len(self._groups) > self.maxsize:
+                    self._groups.popitem(last=False)
+                self.built += len(missing)
+        return out
+
+
+_RADIAL_GROUPS = _GroupMemo(_GROUP_CACHE_SIZE)
+
+
+def _radial_groups(env: Environment, unit: ChannelConfig, hermite_nodes: int,
+                   rel_tol: float, groups: list[int]) -> dict:
+    """{g: (prefix, suffix)} of `_build_groups` for every u-group g of groups,
+    from the memo; the groups no earlier read built are built together, in
+    one kernel call."""
+    return _RADIAL_GROUPS.read((env, unit, hermite_nodes, rel_tol), groups,
+                               partial(_build_groups, env, unit, hermite_nodes, rel_tol))
 
 
 def _shift_matrix(frac: float) -> np.ndarray:
@@ -365,28 +452,33 @@ def _radial_table(env: Environment, cfg: ChannelConfig, quad: QuadratureConfig,
     e_i = H zeta_i and w = v k_los H^-alpha_los.
 
     With z = H zeta, each mode's part is H^2 times the table at unit
-    altitude and intercept at u = v k_n H^-alpha_n, which `_radial_group`
-    holds: u = w for LOS, and for NLOS every node shifts by the same
-    d = [ln(k_nlos/k_los) - (alpha_nlos - alpha_los) ln H] / (panel width)
-    panels on the ln u lattice, so each w panel reads its nodes from the u
-    panels k + floor(d) and k + floor(d) + 1 through one `_shift_matrix`."""
+    altitude and intercept at u = v k_n H^-alpha_n, which the u-groups of
+    `_radial_groups` hold: u = w for LOS, and for NLOS every node shifts by
+    the same d = [ln(k_nlos/k_los) - (alpha_nlos - alpha_los) ln H] /
+    (panel width) panels on the ln u lattice, so each w panel reads its
+    nodes from the u panels k + floor(d) and k + floor(d) + 1 through one
+    `_shift_matrix`. Both modes' groups come from one `_radial_groups` read,
+    so the groups no earlier read built are built in one kernel call."""
     h = cfg.altitude_km
     unit = replace(cfg, altitude_km=1.0, k_los=1.0, k_nlos=1.0)
-    edges = h * _radial_edges(_grazing_radius(env, quad.rel_tol))
+    edges = h * _radial_edges(env, quad.rel_tol)
     alpha_los, k_los, _ = cfg.mode_params("los")
-    sums = [0.0, 0.0]  # prefix, suffix
-    for n, mode in enumerate(("los", "nlos")):
+    reads = []  # per link mode: the u panels read, [lo, hi), and the shift
+    for mode in ("los", "nlos"):
         alpha, k, _ = cfg.mode_params(mode)
         d = (math.log(k / k_los) - (alpha - alpha_los) * math.log(h)) / _V_PANEL_WIDTH
         frac = d - math.floor(d)
         lo = k_lo + math.floor(d)
-        hi = lo + k_hi - k_lo + 1 + (frac > 0.0)  # the u panels read: [lo, hi)
-        groups = [_radial_group(env, unit, quad.hermite_nodes, quad.rel_tol, g)
-                  for g in range(lo // _GROUP_PANELS, (hi - 1) // _GROUP_PANELS + 1)]
+        reads.append((lo, lo + k_hi - k_lo + 1 + (frac > 0.0), frac))
+    spans = [range(lo // _GROUP_PANELS, (hi - 1) // _GROUP_PANELS + 1) for lo, hi, _ in reads]
+    groups = _radial_groups(env, unit, quad.hermite_nodes, quad.rel_tol,
+                            sorted(set().union(*spans)))
+    sums = [0.0, 0.0]  # prefix, suffix
+    for n, ((lo, hi, frac), span) in enumerate(zip(reads, spans)):
         start = (lo % _GROUP_PANELS) * _V_NODES
         shift = _shift_matrix(frac) if frac > 0.0 else None
         for side in (0, 1):
-            cols = np.concatenate([group[side][n] for group in groups], axis=-1)
+            cols = np.concatenate([groups[g][side][n] for g in span], axis=-1)
             panels = cols[:, start:start + (hi - lo) * _V_NODES].reshape(
                 edges.size, hi - lo, _V_NODES)
             if shift is not None:

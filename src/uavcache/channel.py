@@ -456,7 +456,7 @@ _WIN_PANELS = 8
 # cells per kernel_table pass: bounds its temporaries, and is the kernel's
 # one block size. Every cell is a function of its own inputs, so the block
 # size moves no bit.
-_TABLE_BLOCK = 32768
+_TABLE_BLOCK = 8192
 
 
 @lru_cache(maxsize=8)

@@ -18,7 +18,7 @@ def cold_tables():
     cleared before the next test reads them."""
     def clear():
         analytics._geometry_tables.cache_clear()
-        analytics._radial_group.cache_clear()
+        analytics._RADIAL_GROUPS.clear()
 
     clear()
     yield clear

@@ -367,8 +367,7 @@ def direct_radial_table(env, cfg, quad, k_lo, k_hi):
     w = v k_los H^-alpha_los, so nothing is interpolated."""
     alpha, k, _ = cfg.mode_params("los")
     v = analytics._v_rule(k_lo, k_hi)[0] * cfg.altitude_km ** alpha / k
-    edges = cfg.altitude_km * analytics._radial_edges(
-        analytics._grazing_radius(env, quad.rel_tol))
+    edges = cfg.altitude_km * analytics._radial_edges(env, quad.rel_tol)
     every = np.append(edges, analytics._tail_edges(env, cfg, float(v[-1]), float(edges[-1])))
     panels = analytics._panel_integrals(v, env, cfg, quad, every)
     rest = analytics._linear_rest(v, env, cfg, float(every[-1])).sum(axis=0)
@@ -380,7 +379,7 @@ def direct_radial_table(env, cfg, quad, k_lo, k_hi):
 def test_criterion_09_numerical_robustness(monkeypatch, cold_tables, cold_field):
     base_cfg = rcp_scenario("sub_urban", 1.0)
     base = content_capacity(base_cfg, 1)
-    groups = analytics._radial_group.cache_info().misses
+    groups = analytics._RADIAL_GROUPS.built
     rel_changes = {}
     # the transform window: both ends start one move further out
     lo, hi = analytics._W_START
@@ -402,7 +401,7 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables, cold_field)
     rel_tol = QuadratureConfig().rel_tol
 
     def edge_count():
-        return analytics._radial_edges(analytics._grazing_radius(base_cfg.env, rel_tol)).size
+        return analytics._radial_edges(base_cfg.env, rel_tol).size
 
     edges = edge_count()
     far_ratio = analytics._OUTER_RATIO ** analytics._FAR_STEP
@@ -414,7 +413,7 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables, cold_field)
             cold_tables()
             patch.setattr(analytics, attr, value)
             rel_changes[name] = abs(content_capacity(base_cfg, 1) - base) / base
-            table_builds = analytics._radial_group.cache_info().misses
+            table_builds = analytics._RADIAL_GROUPS.built
             patched_edges = edge_count()
         cold_tables()
         assert table_builds == groups > 0, f"the {name} leg must rebuild the radial table"
@@ -452,7 +451,7 @@ def test_criterion_09_numerical_robustness(monkeypatch, cold_tables, cold_field)
     cold_tables()
     # the zone: at a low altitude and a wide zone (X/H = 400) the zone
     # integral spans the most panels; 20 Gauss-Legendre nodes per radial
-    # panel in place of 12 must not move the rate either (_GL_NODES moves
+    # panel in place of 8 must not move the rate either (_GL_NODES moves
     # only the radial nodes, the far tail's included, not the transform
     # rule's)
     zone_cfg = rcp_scenario("urban", 20.0, channel=ChannelConfig(altitude_km=0.05))

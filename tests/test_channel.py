@@ -495,14 +495,17 @@ def test_shadow_expectation_matches_quad_oracle(branch, wbar):
     assert mine.max() <= QuadratureConfig().rel_tol, mine.max()
 
 
-@pytest.mark.parametrize("block", [1, 90, 7 * 90 + 1])
+@pytest.mark.parametrize("block", [1, 90, 7 * 90 + 1, channel._TABLE_BLOCK])
 def test_kernel_table_blocks_agree_with_one_pass(monkeypatch, block):
-    # one row at a time, one row per block, and blocks that do not divide
-    # the 40 rows give the bytes of one pass over the whole table: a cell is
-    # a function of its own inputs only
+    # one row at a time, one row per block, blocks that do not divide the
+    # 200 rows, and the default block (91 rows, so three passes) give the
+    # bytes of one pass over the whole table: a cell is a function of its
+    # own inputs only
     env, cfg = environment_preset("high_rise"), ChannelConfig()
-    z, v = np.geomspace(0.1, 1e6, 40), np.geomspace(1e-10, 1e8, 90)
-    whole = kernel_table(z, v, env, cfg, NODES)
+    z, v = np.geomspace(0.1, 1e6, 200), np.geomspace(1e-10, 1e8, 90)
+    with monkeypatch.context() as patch:
+        patch.setattr(channel, "_TABLE_BLOCK", z.size * v.size)
+        whole = kernel_table(z, v, env, cfg, NODES)
     monkeypatch.setattr(channel, "_TABLE_BLOCK", block)
     assert np.array_equal(kernel_table(z, v, env, cfg, NODES), whole)
 

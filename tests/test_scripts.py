@@ -64,8 +64,10 @@ def test_kernel_layer_prints_one_line_per_geometry(monkeypatch, capsys):
     assert len(record["tables_sha256"]) == len(record["table_sha256"]) == 64
     # the default geometry is summed on the window every assembly starts on
     assert record["v_window"] == [-20, 14]
-    # one cold geometry builds every radial table group it reads
-    assert record["groups_built"] > 0 and record["groups_reused"] == 0
+    # one cold geometry builds every radial table group it reads, the 9 of
+    # its window, in one call timed inside its build
+    assert record["groups_built"] == 9 and record["groups_reused"] == 0
+    assert 0.0 < record["table_s"] <= record["build_s"]
     # the windowed branch's normal tails are timed inside its replay
     assert record["branches"]["windowed"]["cells"] > 0
     assert 0.0 < record["window_tails_s"]
