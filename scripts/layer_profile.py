@@ -16,16 +16,16 @@ kernel [--hermite-nodes N] [--geometry ENV:X_KM:H_KM ...]
   builds of the benchmark's figures_analytic workload: high_rise and
   sub_urban at X = 1 and 3 km with H = 1 km, and at X = 3 km with
   H = 2 km). A geometry's read of the radial table at X (the two partial
-  panels around it) is always made; the radial table (prefix and suffix
-  sums on every panel edge, held at unit altitude and intercept, in groups
-  of ln u panels, each with its own far tail) is read at u = v k_n
-  H^-alpha_n, and a group is built unless an earlier geometry with the
-  same environment and channel left it cached, whatever its altitude; the
-  groups a geometry builds are built in one `kernel_table` call. Every
-  `_shadow_expectation` call of the build is recorded, then replayed once
-  per kernel branch with only that branch's cells live (the others 0,
-  which the kernel answers without work) and once with every cell 0
-  (`base_s`: masks and gates). A branch's seconds are its replay minus
+  panels around it, none when X is a panel edge) is always made; the
+  radial table (prefix and suffix sums on every panel edge, held at unit
+  altitude and intercept, in groups of ln u panels, each with its own far
+  tail) is read at u = v k_n H^-alpha_n, and a group is built unless an
+  earlier geometry with the same environment and channel left it cached,
+  whatever its altitude; the groups a geometry builds are built in one
+  `kernel_table` call. Every `_shadow_expectation` call of the build is
+  recorded, then replayed once per kernel branch with only that branch's
+  cells live (the others 0, which the kernel answers without work) and
+  once with every cell 0 (`base_s`: masks and gates). A branch's seconds are its replay minus
   `base_s`, so the branches plus `base_s` approximate `kernel_s`; a branch
   too cheap to separate from noise can read below 0.
   One record per geometry:
@@ -89,6 +89,8 @@ placement [--case L:S ...] [--requests N]
     solver, library_size, cache_size,
     args                  the solver's other arguments,
     best_s                wall time,
+    peak_mib              `tracemalloc` peak of one more run, made after
+                          the timed ones, in MiB,
     probabilities_sha256  the placement probabilities.
 
 Usage: python3 scripts/layer_profile.py [kernel|mc|placement] [flags]
@@ -100,6 +102,7 @@ import hashlib
 import json
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -131,6 +134,16 @@ def best_of(fn):
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def peak_mib(fn) -> float:
+    """The `tracemalloc` peak of one run of fn(), in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def timed_normal_tails(fn) -> float:
@@ -331,6 +344,7 @@ def placement_solvers(size: int, cache_size: int, n_requests: int) -> list[dict]
         records.append({"solver": name, "library_size": size,
                         "cache_size": cache_size, "args": solver_args,
                         "best_s": round(best_s, 4),
+                        "peak_mib": round(peak_mib(fn), 4),
                         "probabilities_sha256": sha256(probabilities)})
     return records
 

@@ -49,7 +49,8 @@ agree within 3.3e-9 relative (4 environments, H = 0.05-3 km), but for the
 urban suffix, 7.5e-8, where a group's own tail edges end its far panels
 sooner than the whole grid's do.
 `_geometry_tables` reads it at a cooperation radius X from the two partial
-panels around X, evaluated at the scenario's own altitude. The reads are
+panels around X, evaluated at the scenario's own altitude; an X on an edge
+reads the table's rows alone, with no kernel call. The reads are
 memoized with `functools.lru_cache` and the groups in `_RADIAL_GROUPS`, each
 on exactly what it reads, the read also on the altitude, the intercepts, X
 and the window; an environment's name takes no part in its equality, so it
@@ -497,7 +498,9 @@ def _geometry_tables(env: Environment, cfg: ChannelConfig, quad: QuadratureConfi
     zone(v)    = int_0^X z k(z,v) dz   = P_i + int_{e_i}^X
     outside(v) = int_X^inf z k(z,v) dz = int_X^{e_{i+1}} + S_{i+1},
 
-    the two partial panels evaluated at the scenario's own altitude.
+    the two partial panels evaluated at the scenario's own altitude. At
+    X = e_i the first has zero width and the second is the table's panel i,
+    so the read is P_i and S_i with no kernel call.
     Density, sub-channel count and placement enter only the rate assembly,
     guard included, so they are not arguments.
     """
@@ -510,6 +513,9 @@ def _geometry_tables(env: Environment, cfg: ChannelConfig, quad: QuadratureConfi
     w, weights = _v_rule(k_lo, k_hi)
     alpha, k, _ = cfg.mode_params("los")
     v_grid = w * (cfg.altitude_km ** alpha / k)
+    if x_cop == edges[i]:
+        return _ScenarioTables((k_lo, k_hi), v_grid, weights, prefix[i].copy(),
+                               suffix[i].copy())
     inner, outer = _panel_integrals(v_grid, env, cfg, quad,
                                     [edges[i], x_cop, edges[i + 1]])
     return _ScenarioTables((k_lo, k_hi), v_grid, weights, prefix[i] + inner,

@@ -167,9 +167,35 @@ def lru_che(a, cache_size: int, tolerance: float = 1e-10) -> PlacementPolicy:
     return PlacementPolicy(np.clip(q, 0.0, 1.0), cache_size, "lru_che")
 
 
-# Requests turned into Python ints at a time, so that list never spans the
-# whole trace (contents above 256 are one int object each).
+# Requests drawn, scanned or turned into Python ints at a time, so no
+# temporary spans the whole trace (contents above 256 are one int object
+# each).
 _REPLAY_CHUNK = 65536
+
+
+def _arrivals(requests: np.ndarray, size: int, need: int,
+              last: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(contents, steps): each content's first arrival in requests (with
+    last, its last arrival), contents in increasing order. The scan runs
+    chunk by chunk from the front (with last, from the back) and stops after
+    the chunk in which need distinct contents have been seen, so a content
+    not seen by then is not listed."""
+    steps = np.full(size, -1, dtype=np.int64)
+    n = requests.size
+    for j in range(0, n, _REPLAY_CHUNK):
+        if last:  # the chunks from the back, each read back to front
+            lo, hi = max(0, n - j - _REPLAY_CHUNK), n - j
+            contents, at = np.unique(requests[lo:hi][::-1], return_index=True)
+            at = hi - 1 - at
+        else:
+            contents, at = np.unique(requests[j:j + _REPLAY_CHUNK], return_index=True)
+            at += j
+        fresh = steps[contents] < 0
+        steps[contents[fresh]] = at[fresh]
+        if np.count_nonzero(steps >= 0) >= need:
+            break
+    contents = np.flatnonzero(steps >= 0)
+    return contents, steps[contents]
 
 
 def lru_simulate(a, cache_size: int, n_requests: int, warmup: int,
@@ -178,10 +204,13 @@ def lru_simulate(a, cache_size: int, n_requests: int, warmup: int,
     each content spends in cache. The vector sums to the cache size exactly.
 
     The trace is ``rng.choice`` over the library, one request per time step
-    t = 0..n_requests-1. The measurement window opens at the first step t >=
-    warmup after whose request the cache is full. Residence counts whole steps
-    from the later of a content's insertion and the window start to its
-    eviction (or to n_requests).
+    t = 0..n_requests-1, drawn _REPLAY_CHUNK requests per call (the calls
+    read the generator's doubles in sequence, so they return the draws of
+    one call) into an array of the library's smallest index type. The
+    measurement window opens at the first step t >= warmup after whose
+    request the cache is full. Residence counts whole steps from the later
+    of a content's insertion and the window start to its eviction (or to
+    n_requests).
 
     The cache state at the window start is recovered from the trace rather
     than replayed. An LRU cache of S slots holds the S most recently requested
@@ -189,32 +218,30 @@ def lru_simulate(a, cache_size: int, n_requests: int, warmup: int,
     t exactly when S distinct contents arrived by t, and the window opens at
     max(warmup, first arrival of the S-th distinct content). At that step the
     cache is the S contents with the latest last arrival in the prefix, least
-    recent first, and every one is stamped with the window start. Evictions
-    before the window add no residence, so this state is the one a replay of
-    the prefix reaches, and the single loop over the remaining requests
-    (taken in chunks of _REPLAY_CHUNK) then makes the same evictions at the
-    same steps. Residences are integer step counts, so their sum and the
-    final division give the replay's bytes.
+    recent first, and every one is stamped with the window start. Both come
+    from `_arrivals` scans that stop once S distinct contents are seen:
+    forward from step 0 for the first arrivals, backward from the window
+    start for the last. Evictions before the window add no residence, so
+    this state is the one a replay of the prefix reaches, and the single
+    loop over the remaining requests (taken in chunks of _REPLAY_CHUNK) then
+    makes the same evictions at the same steps. Residences are integer step
+    counts, so their sum and the final division give the replay's bytes.
     """
     a = _check_budget(a, cache_size)
     if not n_requests > warmup >= 0:
         raise ValueError("need n_requests > warmup >= 0")
-    requests = rng.choice(a.size, size=n_requests, p=a)
-    # Steps and arrival times share one type (ufunc.at is fast only on
-    # matching dtypes), wide enough for the sentinel n_requests.
-    step_type = np.int32 if n_requests <= np.iinfo(np.int32).max else np.int64
-    steps = np.arange(n_requests, dtype=step_type)
-    first = np.full(a.size, n_requests, dtype=step_type)
-    np.minimum.at(first, requests, steps)
-    first.sort()
-    window_start = max(warmup, int(first[cache_size - 1]))
+    requests = np.empty(n_requests, dtype=np.min_scalar_type(a.size - 1))
+    for lo in range(0, n_requests, _REPLAY_CHUNK):
+        k = min(_REPLAY_CHUNK, n_requests - lo)
+        requests[lo:lo + k] = rng.choice(a.size, size=k, p=a)
+    _, first = _arrivals(requests, a.size, cache_size)
+    window_start = (max(warmup, int(np.sort(first)[cache_size - 1]))
+                    if first.size >= cache_size else n_requests)
     if window_start >= n_requests - 1:
         raise ValueError("cache never filled within the request budget; increase n_requests")
-    last = np.full(a.size, -1, dtype=step_type)
-    np.maximum.at(last, requests[:window_start + 1], steps[:window_start + 1])
-    del steps
+    held, last = _arrivals(requests[:window_start + 1], a.size, cache_size, last=True)
     # content -> in-cache-since step, least recently used first
-    cache = OrderedDict.fromkeys(np.argsort(last)[-cache_size:].tolist(), window_start)
+    cache = OrderedDict.fromkeys(held[np.argsort(last)[-cache_size:]].tolist(), window_start)
     move_to_end, popitem = cache.move_to_end, cache.popitem
     residence = [0] * a.size
     for lo in range(window_start + 1, n_requests, _REPLAY_CHUNK):

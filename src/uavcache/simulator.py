@@ -523,8 +523,13 @@ class _Zone:
 
     def _link_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
         """Per-trial sums of the gains of counts[j, t] links area-uniform on
-        the zone, drawn as one block: radii, then links."""
-        r = rng.random(int(counts.sum()))
+        the zone, drawn as one block: radii, then links. A block with no
+        link draws nothing (a zero-size draw reads no random numbers, so the
+        stream is where the draw would have left it)."""
+        total = int(counts.sum())
+        if total == 0:
+            return np.zeros(counts.shape)
+        r = rng.random(total)
         np.sqrt(r, out=r)
         r *= self.x
         _, gains = _draw_links(rng, r, self.env, self.ch)

@@ -453,27 +453,27 @@ def unit_groups(panels=analytics._W_START):
 def test_density_sweep_builds_tables_once(kernel_calls, group_builds):
     # one build per geometry: the radial table (one kernel call for all its
     # u-groups) and its read at X, shared by the window guard and by every
-    # density
+    # density; X = H = 1 km is a lattice edge, read with no kernel call
     cfg = reference_scenario("sub_urban", 1.0)
     for density in (1e-4, 1e-3, 1e-2):
         assert system_capacity(replace(cfg, uav_density=density)).system_rate_nats > 0
     assert [key[-1] for key in group_builds] == unit_groups()
-    assert len(kernel_calls) == 1 + 1
+    assert len(kernel_calls) == 1
 
 
 def test_coop_radius_sweep_shares_far_table(kernel_calls, group_builds, cold_tables):
     # the radial table does not depend on X: a sweep over X builds it once,
-    # in one kernel call, and each X adds one kernel table, its read of the
-    # two partial panels
+    # in one kernel call, and each X off a lattice edge adds one kernel
+    # table, its read of the two partial panels (X = H = 1 km is an edge)
     cfg = reference_scenario("sub_urban", 1.0)
     at_3 = replace(cfg, coop_radius_km=3.0)
     groups = len(unit_groups())
     system_capacity(cfg)
     assert len(group_builds) == groups
-    assert len(kernel_calls) == 1 + 1
+    assert len(kernel_calls) == 1
     shared = system_capacity(at_3).per_content_nats
     assert len(group_builds) == groups
-    assert len(kernel_calls) == 1 + 2
+    assert len(kernel_calls) == 1 + 1
     cold_tables()
     cold = system_capacity(at_3).per_content_nats
     assert np.array_equal(shared, cold)
@@ -499,14 +499,35 @@ def test_coop_radius_sweep_shares_far_table(kernel_calls, group_builds, cold_tab
 def test_far_table_is_keyed_on_rel_tol(kernel_calls, group_builds):
     # rel_tol sets the grazing radius where the radial panels end, so two
     # tolerances at one geometry build two radial tables, each in one
-    # kernel call
+    # kernel call, and read X = H = 1 km, a lattice edge, with none
     cfg = reference_scenario("sub_urban", 1.0)
     for rel_tol in (1e-6, 1e-8):
         system_capacity(replace(cfg, quadrature=QuadratureConfig(rel_tol=rel_tol)))
     groups = len(unit_groups())
-    assert len(kernel_calls) == 2 * (1 + 1)
+    assert len(kernel_calls) == 2 * 1
     assert len(group_builds) == 2 * groups
     assert len({key[:-1] for key in group_builds}) == 2
+
+
+@pytest.mark.parametrize("env_name, altitude_km, j", [("sub_urban", 1.0, 0),
+                                                      ("high_rise", 2.0, 3),
+                                                      ("urban", 0.5, -2)])
+def test_read_on_a_lattice_edge_makes_no_kernel_call(kernel_calls, env_name,
+                                                     altitude_km, j):
+    # at X = e_i the partial panel [e_i, X] has zero width and [X, e_{i+1}]
+    # is the table's own panel i: the read is the rows P_i and S_i, with no
+    # kernel call; at the next float above X it evaluates the two panels
+    env, quad = environment_preset(env_name), QuadratureConfig()
+    ch = ChannelConfig(altitude_km=altitude_km)
+    edges, prefix, suffix = analytics._radial_table(env, ch, quad, *analytics._W_START)
+    i = int(np.flatnonzero(edges == altitude_km * analytics._OUTER_RATIO ** j)[0])
+    before = len(kernel_calls)
+    on_edge = start_tables(env, ch, quad, float(edges[i]))
+    assert len(kernel_calls) == before
+    assert np.array_equal(on_edge.zone, prefix[i])
+    np.testing.assert_allclose(on_edge.outside, suffix[i], rtol=1e-12, atol=0)
+    start_tables(env, ch, quad, math.nextafter(float(edges[i]), math.inf))
+    assert len(kernel_calls) == before + 1
 
 
 def bumped(value):
@@ -522,16 +543,17 @@ def test_table_memos_key_on_every_number_they_read(kernel_calls, group_builds):
     # groups hold it at unit altitude on fixed ln u panels, so the altitude
     # and intercepts key only the read, as does the window: none builds a
     # group inside the range already covered. A read builds all the groups
-    # it lacks in one kernel call
+    # it lacks in one kernel call, and its read at X = H = 1 km, a lattice
+    # edge, makes none; at 1.11 km altitude X is off the edges, one call
     cfg = reference_scenario("sub_urban", 1.0)
     groups = unit_groups()
     system_capacity(cfg)
-    assert len(kernel_calls) == 1 + 1
+    assert len(kernel_calls) == 1
     for other in (replace(cfg, env=replace(cfg.env, name="renamed")),
                   replace(cfg, uav_density=2e-3), replace(cfg, subchannels=16),
                   cfg.with_policy(mpc_policy(cfg.library.popularity, 5))):
         system_capacity(other)
-    assert len(kernel_calls) == 1 + 1
+    assert len(kernel_calls) == 1
     assert len(group_builds) == len(groups)
     for attr in ("env", "channel", "quadrature"):
         config = getattr(cfg, attr)
@@ -555,9 +577,10 @@ def test_table_memos_key_on_every_number_they_read(kernel_calls, group_builds):
                 assert new == [], f"{attr}.{f.name}"
             else:
                 assert new == groups, f"{attr}.{f.name}"
-            assert len(kernel_calls) - before == bool(new) + 1, f"{attr}.{f.name}"
+            off_edge = (attr, f.name) == ("channel", "altitude_km")
+            assert len(kernel_calls) - before == bool(new) + off_edge, f"{attr}.{f.name}"
     # a window moved out at either end builds only the groups beyond the
-    # ones its table already has, in one kernel call, and one read
+    # ones its table already has, in one kernel call, and reads the edge
     lo, hi = analytics._W_START
     table = group_builds[0][:-1]
     for window in ((lo - analytics._W_STEP, hi), (lo, hi + analytics._W_STEP)):
@@ -567,7 +590,7 @@ def test_table_memos_key_on_every_number_they_read(kernel_calls, group_builds):
                                    cfg.coop_radius_km, *window)
         new = [key[-1] for key in group_builds[built:]]
         assert sorted(new) == sorted(set(unit_groups(window)) - have) != [], window
-        assert len(kernel_calls) - before == bool(new) + 1, window
+        assert len(kernel_calls) - before == bool(new), window
 
 
 def test_one_call_build_equals_each_group_built_alone(kernel_calls, group_builds,
@@ -754,7 +777,9 @@ def test_altitude_sweep_builds_one_table_per_environment(kernel_calls, group_bui
     # X = 3 km. Every altitude reads its environment's one unit-altitude
     # table, so the groups built belong to four tables, each group built
     # once; a row that lacks groups builds them in one kernel call, and each
-    # row adds one call, its read at X. LOS reads u = w at every altitude;
+    # row adds one call, its read at X, but at H = 3 km, where X is the
+    # lattice edge H * 1.6**0 and the read makes none. LOS reads u = w at
+    # every altitude;
     # shifted by -(alpha_nlos - alpha_los) ln H, the NLOS range reaches one
     # group above the 1 km range's at 0.5 km and one below it at 2 and 3 km,
     # so in this order only the 0.5 and 2 km rows build
@@ -782,7 +807,7 @@ def test_altitude_sweep_builds_one_table_per_environment(kernel_calls, group_bui
     for name in envs:
         env = environment_preset(name)
         assert sorted(key[-1] for key in group_builds if key[0] == env) == span, name
-    assert len(kernel_calls) == len(building) + len(envs) * len(heights)
+    assert len(kernel_calls) == len(building) + len(envs) * (len(heights) - 1)
     # a group's bits do not depend on which altitude built it first
     cold_tables()
     backward = rates(heights[::-1])

@@ -1,5 +1,6 @@
 """Content popularity, placement policies, and cache hit statistics."""
 import math
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -376,3 +377,51 @@ def test_lru_simulate_matches_the_replay_across_chunks():
     # 150k post-window requests span three replay chunks, over contents
     # numbered above 256
     assert_same_as_replay(zipf_popularity(300, 0.8), 30, 200_000, 50_000, 5)
+
+
+@pytest.mark.parametrize("size, cache_size", [(20, 5), (300, 30), (1000, 100)])
+def test_lru_simulate_holds_the_trace_in_bounded_memory(size, cache_size):
+    # the harness's 400k-request trace is drawn and scanned a chunk at a
+    # time, one byte a request up to 256 contents and two beyond, so no
+    # temporary spans the trace; it peaks at 1.4-2.0 MiB
+    a = zipf_popularity(size, 0.8)
+    tracemalloc.start()
+    try:
+        occupancy = lru_simulate(a, cache_size, 400_000, 100_000, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
+    want = replayed_lru(a, cache_size, 400_000, 100_000, np.random.default_rng(7))
+    assert occupancy.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("size", [256, 257])
+def test_lru_simulate_matches_the_replay_at_the_request_type_edge(size):
+    # 256 contents are numbered in one byte, 257 need two; every content is
+    # requested, the last included
+    a = np.full(size, 1.0 / size)
+    occupancy = lru_simulate(a, 200, 20_000, 2_000, np.random.default_rng(size))
+    assert occupancy[-1] > 0.0
+    assert_same_as_replay(a, 200, 20_000, 2_000, size)
+
+
+RARE = np.array([0.6, 0.4 - 1e-5, 1e-5])
+
+
+def test_lru_simulate_opens_the_window_beyond_the_first_draw_chunk():
+    # with S = L = 3 the window opens at the rare content's first arrival,
+    # which at this seed lies past the first _REPLAY_CHUNK requests
+    n_requests, seed = 400_000, 4
+    trace = np.random.default_rng(seed).choice(3, size=n_requests, p=RARE)
+    assert np.flatnonzero(trace == 2)[0] > caching._REPLAY_CHUNK
+    assert_same_as_replay(RARE, 3, n_requests, 10, seed)
+
+
+def test_lru_simulate_finds_a_cached_content_more_than_a_chunk_back():
+    # the rare content is cached at the window start (S = L = 3), but its
+    # last arrival before it lies more than a chunk back
+    n_requests, warmup, seed = 400_000, 300_000, 2
+    trace = np.random.default_rng(seed).choice(3, size=n_requests, p=RARE)
+    assert warmup - np.flatnonzero(trace[:warmup + 1] == 2)[-1] > caching._REPLAY_CHUNK
+    assert_same_as_replay(RARE, 3, n_requests, warmup, seed)

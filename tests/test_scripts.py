@@ -83,6 +83,7 @@ def test_placement_layer_prints_one_line_per_solver(monkeypatch, capsys):
         assert record["layer"] == "placement"
         assert (record["library_size"], record["cache_size"]) == (10, 5)
         assert len(record["probabilities_sha256"]) == 64
+        assert record["peak_mib"] > 0.0
     assert records[2]["args"] == {"n_requests": 2000, "warmup": 500, "seed": 7}
 
 

@@ -579,6 +579,23 @@ def test_zone_memo_skips_what_the_pass_never_reads(cold_field):
         ref.samples[0] = 0.0
 
 
+def test_empty_block_draws_no_links(monkeypatch):
+    # a block whose counts are all 0 sums to zeros with no link draw, and
+    # leaves the stream where the zero-size draws would have
+    cfg = dense_scenario()
+    zone = simulator._Zone(cfg.env, cfg.channel, cfg.zone_mean_uavs,
+                           cfg.interferer_density, cfg.coop_radius_km,
+                           cfg.policy.probabilities, 16)
+    draws = []
+    monkeypatch.setattr(simulator, "_draw_links", lambda *args: draws.append(args))
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    sums = zone._link_sums(rng, np.zeros((2, 16), dtype=np.int64))
+    assert not draws
+    assert rng.bit_generator.state == state
+    assert sums.dtype == float and sums.shape == (2, 16) and not sums.any()
+
+
 def test_zone_pass_rows_are_the_live_contents():
     # one row per live content in library order; a content cached nowhere
     # reads zeros without a pass, and the others read their own rows
